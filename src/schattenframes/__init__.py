@@ -62,6 +62,8 @@ from .criteria import (
 )
 from .frames import (
     Frame,
+    FrameEnsemble,
+    FrameStack,
     SynthesisOperator,
     canonical_parseval,
     certify_synthesis,

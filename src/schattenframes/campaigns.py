@@ -15,14 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bergman, constructions, criteria, serialization
-from .frames import (
-    canonical_parseval,
-    certify_synthesis,
-    make_frame,
-    random_frame,
-    random_onb,
-    rescale_upper_bound_one,
-)
+from .frames import FrameEnsemble, certify_synthesis, make_frame
 from .linalg import schatten_norm, svd
 
 __all__ = [
@@ -200,8 +193,46 @@ def _cert_record(report: criteria.CertificateReport) -> dict:
     }
 
 
+def _enclosure_records(config: CampaignConfig, tol: float) -> list[dict]:
+    """One double_sum_enclosure record per p, over seeded (operator, frame) pairs.
+
+    Pair i is random_operator(dim, seed + 1000 + i) with the raw frame of
+    trial i of a FrameEnsemble on seed + 2000; the pairs are built once and
+    every p is evaluated on them.
+    """
+    pairs = FrameEnsemble(config.dim, min(config.trials, 200), config.seed + 2000)
+    operators = [
+        np.stack([random_operator(config.dim, config.seed + 1000 + i) for i in group.indices])
+        for group in pairs.groups
+    ]
+    records = []
+    for p in config.p_grid:
+        upper, lower, passed = [], [], True
+        for ops, group in zip(operators, pairs.groups):
+            comp = criteria.double_sum_comparison(ops, group.raw, p, tol)
+            passed = passed and bool(np.all(comp.passed))
+            lhs, rhs = comp.double_sum, comp.norm_sum
+            scale = np.maximum(1.0, lhs)
+            if comp.upper_constant is not None:
+                upper.append(np.min((comp.upper_constant * rhs - lhs) / scale))
+            if comp.lower_constant is not None:
+                lower.append(np.min((lhs - comp.lower_constant * rhs) / scale))
+        records.append(
+            {
+                "tag": "double_sum_enclosure",
+                "p": p,
+                "trials": pairs.trials,
+                "min_upper_margin": float(min(upper)) if upper else None,
+                "min_lower_margin": float(min(lower)) if lower else None,
+                "tolerance": tol,
+                "passed": passed,
+            }
+        )
+    return records
+
+
 def run_verify_theorems(config: CampaignConfig) -> CampaignReport:
-    """Execute every certificate family over seeded ensembles."""
+    """Execute every certificate family over one seeded FrameEnsemble."""
     start = time.perf_counter()
     dim, trials, seed = config.dim, config.trials, config.seed
     tol = config.tol("certificate", 1e-9)
@@ -211,67 +242,24 @@ def run_verify_theorems(config: CampaignConfig) -> CampaignReport:
     hermitian = random_hermitian(dim, seed + 22)
     psd = random_psd(dim, seed + 33)
 
-    for p in config.p_grid:
-        records.append(
-            _cert_record(criteria.certify_norm_formula(general, p, trials, seed, tol))
-        )
+    enclosures = _enclosure_records(config, tol)
+    ensemble = FrameEnsemble(dim, trials, seed)
+    for p, enclosure in zip(config.p_grid, enclosures):
+        checks = [(criteria.certify_norm_formula, general, {})]
         if p >= 1:
-            records.append(
-                _cert_record(
-                    criteria.certify_diag_formula(
-                        hermitian, p, trials, seed, tol, direction="sup_below"
-                    )
-                )
-            )
+            checks.append((criteria.certify_diag_formula, hermitian, {"direction": "sup_below"}))
         if p <= 1:
-            records.append(
-                _cert_record(
-                    criteria.certify_diag_formula(
-                        psd, p, trials, seed, tol, direction="inf_above"
-                    )
-                )
-            )
+            checks.append((criteria.certify_diag_formula, psd, {"direction": "inf_above"}))
         if p >= 2:
-            records.append(
-                _cert_record(criteria.certify_double_formula(general, p, trials, seed, tol))
-            )
+            checks.append((criteria.certify_double_formula, general, {}))
         if p <= 2:
-            records.append(
-                _cert_record(criteria.certify_double_formula(hermitian, p, trials, seed, tol))
-            )
-
-        worst_upper = worst_lower = float("inf")
-        enclosure_ok = True
-        for i in range(min(trials, 200)):
-            t_i = random_operator(dim, seed + 1000 + i)
-            frame_i = random_frame(dim, dim + (i % dim) + 1, 100.0, seed + 2000 + i)
-            comp = criteria.double_sum_comparison(t_i, frame_i, p, tol)
-            enclosure_ok = enclosure_ok and comp.passed
-            scale = max(1.0, comp.double_sum)
-            if comp.upper_constant is not None:
-                worst_upper = min(
-                    worst_upper,
-                    (comp.upper_constant * comp.norm_sum - comp.double_sum) / scale,
-                )
-            if comp.lower_constant is not None:
-                worst_lower = min(
-                    worst_lower,
-                    (comp.double_sum - comp.lower_constant * comp.norm_sum) / scale,
-                )
-        records.append(
-            {
-                "tag": "double_sum_enclosure",
-                "p": p,
-                "trials": min(trials, 200),
-                "min_upper_margin": None if worst_upper == float("inf") else worst_upper,
-                "min_lower_margin": None if worst_lower == float("inf") else worst_lower,
-                "tolerance": tol,
-                "passed": enclosure_ok,
-            }
-        )
+            checks.append((criteria.certify_double_formula, hermitian, {}))
+        for certify, op, extra in checks:
+            records.append(_cert_record(certify(op, p, tol=tol, ensemble=ensemble, **extra)))
+        records.append(enclosure)
 
     for tag, op in (("trace_endpoint", psd), ("hs_endpoint", general)):
-        rep = criteria.endpoint_suites(op, trials, seed, tol)
+        rep = criteria.endpoint_suites(op, tol=tol, ensemble=ensemble)
         records.append(
             {
                 "tag": tag,
@@ -287,16 +275,14 @@ def run_verify_theorems(config: CampaignConfig) -> CampaignReport:
     synth_ok = True
     worst_dev = 0.0
     n_frames = 0
-    for i in range(trials):
-        for frame in (
-            random_onb(dim, seed + i),
-            random_frame(dim, dim + (i % dim) + 1, 100.0, seed + i),
-        ):
-            for variant in (frame, canonical_parseval(frame), rescale_upper_bound_one(frame)):
-                cert = certify_synthesis(variant, tol=tol, seed=seed + i)
-                synth_ok = synth_ok and cert.passed
-                worst_dev = max(worst_dev, cert.analysis_identity_dev)
-                n_frames += 1
+    for group in ensemble.groups:
+        for stack in (group.onb, group.raw):
+            for variant in (stack, stack.parseval(), stack.upper_bound_one()):
+                for i, frame in zip(group.indices, variant.frames()):
+                    cert = certify_synthesis(frame, tol=tol, seed=seed + i)
+                    synth_ok = synth_ok and cert.passed
+                    worst_dev = max(worst_dev, cert.analysis_identity_dev)
+                    n_frames += 1
     records.append(
         {
             "tag": "synthesis_bounds",

@@ -14,7 +14,9 @@ For p >= 2 the norm sums over frames with upper bound <= 1 stay below
 ||T||_p^p and the supremum attains it; for p <= 2 the sums over Parseval
 frames stay above and the infimum attains it.  The extremum is attained at
 the singular-vector (or eigenvector) basis, which the certificates evaluate
-as an exact witness alongside a seeded sampling ensemble.
+as an exact witness alongside a seeded sampling ensemble: the FrameEnsemble
+passed as `ensemble` (a campaign builds one and shares it), or else a fresh
+FrameEnsemble(dim, trials, seed).
 """
 
 from __future__ import annotations
@@ -23,15 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frames import (
-    Frame,
-    canonical_parseval,
-    make_frame,
-    random_frame,
-    random_onb,
-    rescale_lower_bound_one,
-    rescale_upper_bound_one,
-)
+from .frames import Frame, FrameEnsemble, FrameStack
 from .linalg import as_matrix, hermitian_defect, hermitian_eigen, schatten_norm, svd
 
 __all__ = [
@@ -94,9 +88,9 @@ class CertificateReport:
     passed: bool
 
 
-def _check_dims(t: np.ndarray, frame: Frame) -> None:
-    if t.shape[1] != frame.dim:
-        raise ValueError(f"operator acts on C^{t.shape[1]}, frame lives in C^{frame.dim}")
+def _check_dims(t: np.ndarray, frame) -> None:
+    if t.shape[-1] != frame.dim:
+        raise ValueError(f"operator acts on C^{t.shape[-1]}, frame lives in C^{frame.dim}")
 
 
 def _check_p(p: float) -> None:
@@ -115,44 +109,75 @@ def _psd_or_raise(t: np.ndarray, what: str) -> np.ndarray:
     return w
 
 
-def sum_norms(t, frame: Frame, p: float) -> SumReport:
+# Sum kernels: frame vectors (dim, count) or a stack (n, dim, count), with T one
+# operator or n stacked; one value per frame.  The public sums are the one-frame case.
+
+
+def _norm_sums(t: np.ndarray, v: np.ndarray, p: float) -> np.ndarray:
     """sum_n ||T f_n||^p."""
+    return np.sum(np.linalg.norm(t @ v, axis=-2) ** p, axis=-1)
+
+
+def _diag_values(t: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The pairings <T f_n, f_n> down each frame."""
+    return np.einsum("...in,...in->...n", v.conj(), t @ v)
+
+
+def _diag_sums(t: np.ndarray, v: np.ndarray, p: float) -> np.ndarray:
+    """sum_n |<T f_n, f_n>|^p."""
+    return np.sum(np.abs(_diag_values(t, v)) ** p, axis=-1)
+
+
+def _cross(t: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The pairings [k, n] = <T f_n, f_k>."""
+    return np.conj(v).swapaxes(-1, -2) @ (t @ v)
+
+
+def _double_sums(t: np.ndarray, v: np.ndarray, p: float) -> np.ndarray:
+    """sum_n sum_k |<T f_n, f_k>|^p."""
+    return np.sum(np.abs(_cross(t, v)) ** p, axis=(-2, -1))
+
+
+def _real_psd_diag(t: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """<T f_n, f_n> as nonnegative reals, asserting the imaginary defect."""
+    vals = _diag_values(t, v)
+    if np.any(np.abs(vals.imag) > 1e-10 * (1.0 + np.abs(vals))):
+        raise ValueError("diagonal pairings of a Hermitian matrix must be real")
+    return np.maximum(vals.real, 0.0)
+
+
+def _weighted_sums(kind: str, t: np.ndarray, v: np.ndarray, p: float) -> np.ndarray:
+    """Vector-norm-weighted sums; zero frame vectors contribute 0."""
+    lengths = np.linalg.norm(v, axis=-2)
+    if kind == "weighted_diag":
+        terms = lengths ** (2.0 * (1.0 - p)) * _real_psd_diag(t, v) ** p
+    elif kind == "weighted_norms":
+        terms = lengths ** (2.0 - p) * np.linalg.norm(t @ v, axis=-2) ** p
+    else:  # weighted_double: inner sums over k for each n
+        terms = lengths ** (2.0 - p) * np.sum(np.abs(_cross(t, v)) ** p, axis=-2)
+    return np.sum(np.where(lengths > 0.0, terms, 0.0), axis=-1)
+
+
+def _frame_sum(kind: str, t, frame: Frame, p: float, kernel) -> SumReport:
     t = as_matrix(t)
     _check_p(p)
     _check_dims(t, frame)
-    norms = np.linalg.norm(t @ frame.vectors, axis=0)
-    return SumReport(kind="norms", p=p, value=float(np.sum(norms**p)))
+    return SumReport(kind=kind, p=p, value=float(kernel(t, frame.vectors, p)))
 
 
-def _diag_values(t: np.ndarray, frame: Frame) -> np.ndarray:
-    """The pairings <T f_n, f_n> down the frame."""
-    return np.einsum("in,in->n", frame.vectors.conj(), t @ frame.vectors)
+def sum_norms(t, frame: Frame, p: float) -> SumReport:
+    """sum_n ||T f_n||^p."""
+    return _frame_sum("norms", t, frame, p, _norm_sums)
 
 
 def sum_diag(t, frame: Frame, p: float) -> SumReport:
     """sum_n |<T f_n, f_n>|^p for a general operator."""
-    t = as_matrix(t)
-    _check_p(p)
-    _check_dims(t, frame)
-    vals = np.abs(_diag_values(t, frame))
-    return SumReport(kind="diag", p=p, value=float(np.sum(vals**p)))
+    return _frame_sum("diag", t, frame, p, _diag_sums)
 
 
 def sum_double(t, frame: Frame, p: float) -> SumReport:
     """sum_n sum_k |<T f_n, f_k>|^p."""
-    t = as_matrix(t)
-    _check_p(p)
-    _check_dims(t, frame)
-    cross = frame.vectors.conj().T @ (t @ frame.vectors)  # [k, n] = <T f_n, f_k>
-    return SumReport(kind="double", p=p, value=float(np.sum(np.abs(cross) ** p)))
-
-
-def _real_psd_diag(t: np.ndarray, frame: Frame) -> np.ndarray:
-    """<T f_n, f_n> as nonnegative reals, asserting the imaginary defect."""
-    vals = _diag_values(t, frame)
-    if np.any(np.abs(vals.imag) > 1e-10 * (1.0 + np.abs(vals))):
-        raise ValueError("diagonal pairings of a Hermitian matrix must be real")
-    return np.maximum(vals.real, 0.0)
+    return _frame_sum("double", t, frame, p, _double_sums)
 
 
 def weighted_sum(kind: str, t, frame: Frame, p: float) -> SumReport:
@@ -169,24 +194,9 @@ def weighted_sum(kind: str, t, frame: Frame, p: float) -> SumReport:
     lo, hi = _WEIGHTED_RANGE[kind]
     if not (lo < p <= hi):
         raise ValueError(f"{kind} is defined for {lo} < p <= {hi}, got p = {p}")
-    lengths = np.linalg.norm(frame.vectors, axis=0)
-    nonzero = lengths > 0.0
     if kind == "weighted_diag":
         _psd_or_raise(t, "weighted_diag")
-        vals = _real_psd_diag(t, frame)
-        weights = np.zeros_like(lengths)
-        weights[nonzero] = lengths[nonzero] ** (2.0 * (1.0 - p))
-        value = float(np.sum(weights[nonzero] * vals[nonzero] ** p))
-    elif kind == "weighted_norms":
-        norms = np.linalg.norm(t @ frame.vectors, axis=0)
-        value = float(
-            np.sum(lengths[nonzero] ** (2.0 - p) * norms[nonzero] ** p)
-        )
-    else:  # weighted_double
-        cross = np.abs(frame.vectors.conj().T @ (t @ frame.vectors)) ** p
-        inner_sums = np.sum(cross, axis=0)  # over k, for each n
-        value = float(np.sum(lengths[nonzero] ** (2.0 - p) * inner_sums[nonzero]))
-    return SumReport(kind=kind, p=p, value=value)
+    return SumReport(kind=kind, p=p, value=float(_weighted_sums(kind, t, frame.vectors, p)))
 
 
 @dataclass(frozen=True)
@@ -208,23 +218,32 @@ class DoubleSumComparison:
     passed: bool
 
 
-def double_sum_comparison(t, frame: Frame, p: float, tol: float = 1e-9) -> DoubleSumComparison:
-    """Check the two-sided comparison between double and norm sums."""
-    t = as_matrix(t)
+def double_sum_comparison(t, frame, p: float, tol: float = 1e-9) -> DoubleSumComparison:
+    """Check the two-sided comparison between double and norm sums.
+
+    `frame` may also be a FrameStack, with `t` one operator or a stack of one
+    operator per frame; the sums, constants and verdicts are then arrays
+    over the stack.
+    """
+    stacked = isinstance(frame, FrameStack)
+    t = np.asarray(t, dtype=np.complex128) if stacked else as_matrix(t)
+    if not np.all(np.isfinite(t)):
+        raise ValueError("matrix entries must be finite (no NaN/inf)")
     _check_p(p)
     _check_dims(t, frame)
-    lhs = sum_double(t, frame, p).value
-    rhs = sum_norms(t, frame, p).value
-    c1, c2 = frame.bounds
-    scale = max(1.0, lhs, rhs)
-    ok = True
+    lhs = _double_sums(t, frame.vectors, p)
+    rhs = _norm_sums(t, frame.vectors, p)
+    scale = np.maximum(1.0, np.maximum(lhs, rhs))
+    ok = np.ones(np.shape(lhs), dtype=bool)
     upper = lower = None
     if p >= 2:
-        upper = c2 ** (p / 2.0)
-        ok = ok and lhs <= upper * rhs + tol * scale
+        upper = frame.upper_bound ** (p / 2.0)
+        ok &= lhs <= upper * rhs + tol * scale
     if p <= 2:
-        lower = c1 ** (p / 2.0)
-        ok = ok and lhs >= lower * rhs - tol * scale
+        lower = frame.lower_bound ** (p / 2.0)
+        ok &= lhs >= lower * rhs - tol * scale
+    if not stacked:
+        lhs, rhs, ok = float(lhs), float(rhs), bool(ok)
     return DoubleSumComparison(
         p=p,
         double_sum=lhs,
@@ -234,26 +253,6 @@ def double_sum_comparison(t, frame: Frame, p: float, tol: float = 1e-9) -> Doubl
         tolerance=tol,
         passed=ok,
     )
-
-
-def _trial_frames(dim: int, trials: int, seed: int, parseval: bool):
-    """Yield seeded trial frames: ONBs plus random frames, regime-rescaled.
-
-    Per-trial seeds are seed + trial index, so results do not depend on
-    evaluation order.  For the sup regime frames are rescaled to upper bound
-    1; for the inf regime (``parseval=True``) they are Parseval-projected.
-    """
-    for i in range(trials):
-        trial_seed = seed + i
-        onb = random_onb(dim, trial_seed)
-        count = dim + (i % dim) + 1
-        raw = random_frame(dim, count, condition_target=100.0, seed=trial_seed)
-        if parseval:
-            yield onb
-            yield canonical_parseval(raw)
-        else:
-            yield onb
-            yield rescale_upper_bound_one(raw)
 
 
 def _witness_budget(p: float, n_terms: int, term_scale: float) -> float:
@@ -272,23 +271,33 @@ def _witness_budget(p: float, n_terms: int, term_scale: float) -> float:
     return n_terms * per_term
 
 
+def _ensemble(t: np.ndarray, trials: int, seed: int, ensemble: FrameEnsemble | None):
+    """The campaign's ensemble, or a fresh one for a stand-alone call."""
+    if ensemble is None:
+        return FrameEnsemble(t.shape[1], trials, seed)
+    if ensemble.dim != t.shape[1]:
+        raise ValueError(f"operator acts on C^{t.shape[1]}, ensemble lives in C^{ensemble.dim}")
+    return ensemble
+
+
 def _certificate(
     tag: str,
     p: float,
-    trials: int,
+    ensemble: FrameEnsemble,
     direction: str,
-    sampled: list[float],
+    sampled: list[np.ndarray],
     norm_value: float,
     witness_value: float | None,
     tol: float,
     witness_budget: float = 0.0,
 ) -> CertificateReport:
+    sampled = np.concatenate(sampled)
     scale = max(1.0, norm_value)
     if direction == "sup_below":
-        extremal = max(sampled)
+        extremal = np.max(sampled)
         direction_ok = extremal <= norm_value + tol * scale
     else:
-        extremal = min(sampled)
+        extremal = np.min(sampled)
         direction_ok = extremal >= norm_value - tol * scale
     witness_ok = (
         witness_value is not None
@@ -297,19 +306,19 @@ def _certificate(
     return CertificateReport(
         tag=tag,
         p=p,
-        trials=trials,
+        trials=ensemble.trials,
         direction=direction,
         extremal_value=float(extremal),
         norm_value=float(norm_value),
         witness_value=witness_value,
         equality_witness=witness_ok,
         tolerance=tol,
-        passed=direction_ok and (witness_value is None or witness_ok),
+        passed=bool(direction_ok) and (witness_value is None or witness_ok),
     )
 
 
 def certify_norm_formula(
-    t, p: float, trials: int = 200, seed: int = 0, tol: float = 1e-9
+    t, p: float, trials: int = 200, seed: int = 0, tol: float = 1e-9, ensemble=None
 ) -> CertificateReport:
     """Certify the norm-sum formula for ||T||_p^p.
 
@@ -326,6 +335,8 @@ def certify_norm_formula(
         Base seed; trial seeds are seed + index.
     tol : float
         Tolerance for the direction check and the equality witness.
+    ensemble : FrameEnsemble, optional
+        Sampled instead of a fresh FrameEnsemble(dim, trials, seed).
 
     The right-singular-vector basis is evaluated as the exact witness:
     there ||T e_n|| equals the n-th singular value, so the sum equals
@@ -333,22 +344,16 @@ def certify_norm_formula(
     """
     t = as_matrix(t)
     _check_p(p)
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    dim = t.shape[1]
+    ensemble = _ensemble(t, trials, seed, ensemble)
     sup_regime = p >= 2
-    sampled = [
-        sum_norms(t, f, p).value
-        for f in _trial_frames(dim, trials, seed, parseval=not sup_regime)
-    ]
+    sampled = [_norm_sums(t, s.vectors, p) for s in ensemble.regime_stacks(not sup_regime)]
     decomposition = svd(t)
     norm_value = float(np.sum(decomposition.singular_values**p))
-    witness = sum_norms(t, make_frame(decomposition.right_vectors), p).value
-    top = float(decomposition.singular_values[0])
-    budget = _witness_budget(p, dim, top)
+    witness = float(_norm_sums(t, decomposition.right_vectors, p))
+    budget = _witness_budget(p, t.shape[1], float(decomposition.singular_values[0]))
     tag = "norm_sum_sup" if sup_regime else "norm_sum_inf"
     direction = "sup_below" if sup_regime else "inf_above"
-    return _certificate(tag, p, trials, direction, sampled, norm_value, witness, tol, budget)
+    return _certificate(tag, p, ensemble, direction, sampled, norm_value, witness, tol, budget)
 
 
 def certify_diag_formula(
@@ -358,6 +363,7 @@ def certify_diag_formula(
     seed: int = 0,
     tol: float = 1e-9,
     direction: str | None = None,
+    ensemble=None,
 ) -> CertificateReport:
     """Certify the diagonal-sum formula for a self-adjoint operator.
 
@@ -383,34 +389,22 @@ def certify_diag_formula(
         if p > 1:
             raise ValueError("the inf-regime diagonal formula needs 0 < p <= 1")
         _psd_or_raise(t, "the inf-regime diagonal formula")
-    dim = t.shape[1]
+    ensemble = _ensemble(t, trials, seed, ensemble)
     eigvals, eigvecs = hermitian_eigen(0.5 * (t + t.conj().T))
-    witness = sum_diag(t, make_frame(eigvecs), p).value
+    witness = float(_diag_sums(t, eigvecs, p))
     norm_value = float(np.sum(np.abs(eigvals) ** p))
-    budget = _witness_budget(p, dim, float(np.max(np.abs(eigvals))) if dim else 0.0)
-    sampled = []
-    if direction == "sup_below":
-        for f in _trial_frames(dim, trials, seed, parseval=False):
-            sampled.append(sum_diag(t, f, p).value)
-        tag = "diag_sum_sup"
-    else:
-        for i in range(trials):
-            sampled.append(sum_diag(t, random_onb(dim, seed + i), p).value)
-            raw = random_frame(dim, dim + (i % dim) + 1, 100.0, seed + i)
-            sampled.append(sum_diag(t, canonical_parseval(raw), p).value)
-            sampled.append(
-                weighted_sum("weighted_diag", t, rescale_lower_bound_one(raw), p).value
-            )
-        tag = "diag_sum_inf"
-    return _certificate(tag, p, trials, direction, sampled, norm_value, witness, tol, budget)
+    budget = _witness_budget(p, t.shape[1], float(np.max(np.abs(eigvals))))
+    inf_regime = direction == "inf_above"
+    sampled = [_diag_sums(t, s.vectors, p) for s in ensemble.regime_stacks(inf_regime)]
+    if inf_regime:
+        lower_one = (g.raw.lower_bound_one().vectors for g in ensemble.groups)
+        sampled += [_weighted_sums("weighted_diag", t, v, p) for v in lower_one]
+    tag = "diag_sum_inf" if inf_regime else "diag_sum_sup"
+    return _certificate(tag, p, ensemble, direction, sampled, norm_value, witness, tol, budget)
 
 
 def certify_double_formula(
-    t,
-    p: float,
-    trials: int = 200,
-    seed: int = 0,
-    tol: float = 1e-9,
+    t, p: float, trials: int = 200, seed: int = 0, tol: float = 1e-9, ensemble=None
 ) -> CertificateReport:
     """Certify the double-sum formula.
 
@@ -429,26 +423,25 @@ def certify_double_formula(
         if not hermitian:
             raise ValueError("the inf-regime double-sum formula needs a Hermitian operator")
         direction, tag = "inf_above", "double_sum_inf"
-    dim = t.shape[1]
+    ensemble = _ensemble(t, trials, seed, ensemble)
     decomposition = svd(t)
     norm_value = float(np.sum(decomposition.singular_values**p))
-    budget = _witness_budget(p, dim * dim, float(decomposition.singular_values[0]))
+    budget = _witness_budget(p, t.shape[1] ** 2, float(decomposition.singular_values[0]))
     witness = None
     if hermitian:
         _, eigvecs = hermitian_eigen(0.5 * (t + t.conj().T))
-        witness = sum_double(t, make_frame(eigvecs), p).value
-    sampled = [
-        sum_double(t, f, p).value
-        for f in _trial_frames(dim, trials, seed, parseval=direction == "inf_above")
-    ]
-    return _certificate(tag, p, trials, direction, sampled, norm_value, witness, tol, budget)
+        witness = float(_double_sums(t, eigvecs, p))
+    parseval = direction == "inf_above"
+    sampled = [_double_sums(t, s.vectors, p) for s in ensemble.regime_stacks(parseval)]
+    return _certificate(tag, p, ensemble, direction, sampled, norm_value, witness, tol, budget)
 
 
 def _is_psd(t: np.ndarray) -> bool:
-    if hermitian_defect(t) > 1e-10:
+    try:
+        _psd_or_raise(t, "")
+    except ValueError:
         return False
-    w = np.linalg.eigvalsh(0.5 * (t + t.conj().T))
-    return bool(w[0] >= -1e-10 * max(1.0, abs(w[-1])))
+    return True
 
 
 @dataclass(frozen=True)
@@ -469,42 +462,45 @@ class EndpointReport:
     passed: bool
 
 
-def endpoint_suites(t, trials: int = 200, seed: int = 0, tol: float = 1e-9) -> EndpointReport:
-    """Run the p = 1 and p = 2 endpoint suites over seeded arbitrary frames."""
+def _enclosure(total, lo, hi, tol: float) -> tuple[float, bool]:
+    """Smallest relative margin of `total` inside [lo, hi], and whether all fit."""
+    scale = np.maximum(1.0, hi)
+    margin = np.min(np.minimum(total - lo, hi - total) / scale)
+    return float(margin), bool(np.all((total >= lo - tol * scale) & (total <= hi + tol * scale)))
+
+
+def endpoint_suites(
+    t, trials: int = 200, seed: int = 0, tol: float = 1e-9, ensemble=None
+) -> EndpointReport:
+    """Run the p = 1 and p = 2 endpoint suites over the ensemble's raw frames."""
     t = as_matrix(t)
-    dim = t.shape[1]
+    ensemble = _ensemble(t, trials, seed, ensemble)
     psd = _is_psd(t)
-    trace_norm_value = None
     if psd:
         w = np.linalg.eigvalsh(0.5 * (t + t.conj().T))
         trace_norm_value = float(np.sum(np.maximum(w, 0.0)))
     hs_sq = schatten_norm(t, 2) ** 2
     gram = t.conj().T @ t
-    trace_margin = np.inf
+    trace_margin = hs_margin = np.inf
     hs_dev = 0.0
-    hs_margin = np.inf
     ok = True
-    for i in range(trials):
-        frame = random_frame(dim, dim + (i % dim) + 1, 100.0, seed + i)
-        c1, c2 = frame.bounds
+    for group in ensemble.groups:
+        raw = group.raw
+        c1, c2 = raw.lower_bound, raw.upper_bound
         if psd:
-            diag_total = float(np.sum(_real_psd_diag(t, frame)))
-            lo, hi = c1 * trace_norm_value, c2 * trace_norm_value
-            scale = max(1.0, hi)
-            margin = min(diag_total - lo, hi - diag_total) / scale
+            diag_total = np.sum(_real_psd_diag(t, raw.vectors), axis=-1)
+            margin, fits = _enclosure(diag_total, c1 * trace_norm_value, c2 * trace_norm_value, tol)
             trace_margin = min(trace_margin, margin)
-            ok = ok and diag_total >= lo - tol * scale and diag_total <= hi + tol * scale
-        norm_total = sum_norms(t, frame, 2).value
-        via_trace = float(np.real(np.trace(gram @ frame.frame_operator)))
-        dev = abs(norm_total - via_trace) / max(1.0, abs(via_trace))
-        hs_dev = max(hs_dev, dev)
-        ok = ok and dev <= 1e-10
-        lo2, hi2 = c1 * hs_sq, c2 * hs_sq
-        scale2 = max(1.0, hi2)
-        hs_margin = min(hs_margin, min(norm_total - lo2, hi2 - norm_total) / scale2)
-        ok = ok and norm_total >= lo2 - tol * scale2 and norm_total <= hi2 + tol * scale2
+            ok = ok and fits
+        norm_total = _norm_sums(t, raw.vectors, 2)
+        via_trace = np.real(np.trace(gram @ raw.frame_operators(), axis1=-2, axis2=-1))
+        dev = np.abs(norm_total - via_trace) / np.maximum(1.0, np.abs(via_trace))
+        hs_dev = max(hs_dev, float(np.max(dev)))
+        margin, fits = _enclosure(norm_total, c1 * hs_sq, c2 * hs_sq, tol)
+        hs_margin = min(hs_margin, margin)
+        ok = ok and fits and hs_dev <= 1e-10
     return EndpointReport(
-        trials=trials,
+        trials=ensemble.trials,
         trace_checked=psd,
         trace_margin=float(trace_margin) if psd else float("nan"),
         hs_identity_dev=float(hs_dev),

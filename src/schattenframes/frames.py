@@ -1,6 +1,7 @@
 """Finite frames: frame operators, exact frame bounds, synthesis operators
-with certified norm estimates, canonical Parseval rescaling, and seeded
-generators for random orthonormal bases and random frames.
+with certified norm estimates, canonical Parseval rescaling, seeded
+generators for random orthonormal bases and random frames, and the seeded
+trial-frame ensemble that the sampled certificates share.
 
 A family {f_n} in C^d is a frame when C1 ||f||^2 <= sum_n |<f, f_n>|^2 <=
 C2 ||f||^2 for all f with C1 > 0; in finite dimension the optimal bounds are
@@ -13,10 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix, hermitian_eigen, operator_norm
+from .linalg import as_matrix
 
 __all__ = [
     "Frame",
+    "FrameStack",
+    "TrialGroup",
+    "FrameEnsemble",
     "SynthesisOperator",
     "SynthesisCertificate",
     "make_frame",
@@ -32,6 +36,9 @@ __all__ = [
 
 #: A family is accepted as a frame when lambda_min(S) > SPANNING_TOL * lambda_max(S).
 SPANNING_TOL = 1e-10
+
+#: Condition number C2/C1 that the raw frames of a FrameEnsemble stay below.
+TRIAL_CONDITION = 100.0
 
 
 @dataclass(frozen=True)
@@ -114,14 +121,12 @@ def make_frame(vectors, dim: int | None = None, tol: float | None = None) -> Fra
     array whose columns are the vectors.  Fails when the family does not span:
     lambda_min(S) must exceed `tol` (default SPANNING_TOL * lambda_max(S)).
     """
-    a = _coerce_vectors(vectors, dim)
-    a = as_matrix(a)
+    a = as_matrix(_coerce_vectors(vectors, dim))
     d = a.shape[0]
-    s = a @ a.conj().T
-    s = 0.5 * (s + s.conj().T)
-    w, _ = hermitian_eigen(s)
-    c2 = float(w[0])
-    c1 = float(w[-1])
+    s = _frame_operators(a)
+    w = np.linalg.eigh(s)[0]
+    c1 = float(w[0])
+    c2 = float(w[-1])
     threshold = tol if tol is not None else SPANNING_TOL * max(c2, 1e-300)
     if c1 <= threshold:
         raise ValueError(
@@ -165,7 +170,9 @@ def certify_synthesis(
     """Certify the synthesis operator's norm bracket and analysis identity."""
     a = frame.vectors
     c1, c2 = frame.bounds
-    op2 = operator_norm(a) ** 2
+    # LAPACK SVD of A itself, independent of the frame operator the bounds came from
+    svals = np.linalg.svd(a, compute_uv=False)
+    op2 = float(svals[0]) ** 2
     failures = []
     scale = max(1.0, c2)
     if not (c1 - tol * scale <= op2 <= c2 + tol * scale):
@@ -189,8 +196,7 @@ def certify_synthesis(
     hi = float(np.max(analysis))
     if lo < c1 * (1 - 1e-10) - tol or hi > c2 * (1 + 1e-10) + tol:
         failures.append(f"probe sums [{lo:.6e}, {hi:.6e}] escape bounds [{c1}, {c2}]")
-    svals = np.linalg.svd(a, compute_uv=False)
-    rank = int(np.sum(svals > 1e-12 * (svals[0] if svals.size else 1.0)))
+    rank = int(np.sum(svals > 1e-12 * svals[0]))
     return SynthesisCertificate(
         dim=frame.dim,
         count=frame.count,
@@ -206,11 +212,26 @@ def certify_synthesis(
     )
 
 
+def _frame_operators(vectors: np.ndarray) -> np.ndarray:
+    """S = sum_n f_n f_n* (made exactly Hermitian) of a frame or of each frame in a stack."""
+    s = vectors @ np.conj(vectors).swapaxes(-1, -2)
+    return 0.5 * (s + np.conj(s).swapaxes(-1, -2))
+
+
+def _parseval_vectors(vectors: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """S^(-1/2) f_n for a frame or a stack, given the frame operator(s) `s`."""
+    w, v = np.linalg.eigh(s)
+    # nonincreasing order, tie-breaking as argsort does
+    order = np.argsort(w, axis=-1)[..., ::-1]
+    w = np.take_along_axis(w, order, axis=-1)
+    v = np.take_along_axis(v, order[..., None, :], axis=-1)
+    inv_root = (v * (1.0 / np.sqrt(w))[..., None, :]) @ np.conj(v).swapaxes(-1, -2)
+    return inv_root @ vectors
+
+
 def canonical_parseval(frame: Frame) -> Frame:
     """Apply S^(-1/2) to every vector; the result is a Parseval frame."""
-    w, v = hermitian_eigen(frame.frame_operator)
-    inv_root = (v * (1.0 / np.sqrt(w))) @ v.conj().T
-    return make_frame(inv_root @ frame.vectors)
+    return make_frame(_parseval_vectors(frame.vectors, frame.frame_operator))
 
 
 def rescale_upper_bound_one(frame: Frame) -> Frame:
@@ -223,16 +244,141 @@ def rescale_lower_bound_one(frame: Frame) -> Frame:
     return make_frame(frame.vectors / np.sqrt(frame.lower_bound))
 
 
+@dataclass(frozen=True)
+class FrameStack:
+    """Frames of one shape stacked along the first axis.
+
+    `vectors` has shape (n, dim, count) and holds frame k in `vectors[k]`;
+    `lower_bound` and `upper_bound` are length-n arrays of optimal bounds, so
+    code that reads `vectors` and the bounds of a Frame reads a stack too.
+    Frame operators are recomputed when asked for, not stored.
+    """
+
+    vectors: np.ndarray
+    lower_bound: np.ndarray
+    upper_bound: np.ndarray
+
+    @classmethod
+    def of(cls, vectors: np.ndarray) -> "FrameStack":
+        """Stack the given frames, with bounds from one batched eigh.
+
+        Takes ownership of `vectors`, which is marked read-only.  The frames
+        are trusted to span (they come from generators that check it); use
+        `make_frame` for arbitrary families.
+        """
+        vectors = np.asarray(vectors, dtype=np.complex128)
+        w = np.linalg.eigh(_frame_operators(vectors))[0]
+        lower, upper = w[:, 0].copy(), w[:, -1].copy()
+        for arr in (vectors, lower, upper):
+            arr.flags.writeable = False
+        return cls(vectors=vectors, lower_bound=lower, upper_bound=upper)
+
+    @property
+    def dim(self) -> int:
+        return self.vectors.shape[1]
+
+    def frame_operators(self) -> np.ndarray:
+        return _frame_operators(self.vectors)
+
+    def parseval(self) -> "FrameStack":
+        """Canonical Parseval variant of every frame."""
+        return FrameStack.of(_parseval_vectors(self.vectors, self.frame_operators()))
+
+    def upper_bound_one(self) -> "FrameStack":
+        """Every frame divided by sqrt(C2)."""
+        return FrameStack.of(self.vectors / np.sqrt(self.upper_bound)[:, None, None])
+
+    def lower_bound_one(self) -> "FrameStack":
+        """Every frame divided by sqrt(C1)."""
+        return FrameStack.of(self.vectors / np.sqrt(self.lower_bound)[:, None, None])
+
+    def frames(self):
+        """Yield each member as a Frame (built on demand, sharing this stack's arrays)."""
+        s = self.frame_operators()
+        s.flags.writeable = False
+        for k in range(len(self.vectors)):
+            yield Frame(
+                dim=self.dim,
+                vectors=self.vectors[k],
+                frame_operator=s[k],
+                lower_bound=float(self.lower_bound[k]),
+                upper_bound=float(self.upper_bound[k]),
+            )
+
+
+@dataclass(frozen=True)
+class TrialGroup:
+    """The trials of a FrameEnsemble that share one frame count.
+
+    `indices` are the trial indices i (trial seed = ensemble seed + i);
+    `onb` stacks their ONBs and `raw` their raw trial frames.
+    """
+
+    indices: range
+    onb: FrameStack
+    raw: FrameStack
+
+
+class FrameEnsemble:
+    """The seeded trial-frame family shared by every sampled certificate.
+
+    Trial i (0 <= i < trials) is the orthonormal basis random_onb(dim, seed + i)
+    and the raw frame random_frame(dim, dim + (i % dim) + 1, TRIAL_CONDITION,
+    seed + i).  Trials are grouped by frame count into `groups`, each holding
+    the read-only ONB and raw-frame stacks with their bounds; the Parseval
+    and rescaled variants are derived from the stacks when a certificate
+    asks.  Results do not depend on evaluation order.
+    """
+
+    def __init__(self, dim: int, trials: int, seed: int):
+        if dim < 1:
+            raise ValueError(f"dim must be >= 1, got {dim}")
+        if trials < 1:
+            raise ValueError(f"trials must be >= 1, got {trials}")
+        self.dim, self.trials, self.seed = dim, trials, seed
+        groups = []
+        for residue in range(min(dim, trials)):
+            indices = range(residue, trials, dim)
+            count = dim + residue + 1
+            raw = np.empty((len(indices), dim, count), dtype=np.complex128)
+            for k, i in enumerate(indices):
+                raw[k] = random_frame(dim, count, TRIAL_CONDITION, seed + i).vectors
+            onb = FrameStack.of(_onb_stack(dim, [seed + i for i in indices]))
+            groups.append(TrialGroup(indices, onb, FrameStack.of(raw)))
+        self.groups: tuple[TrialGroup, ...] = tuple(groups)
+
+    def regime_stacks(self, parseval: bool):
+        """Yield the sampled stacks of one regime, group by group.
+
+        Each group gives its ONBs, then its raw frames made Parseval
+        (``parseval=True``, the inf regime) or rescaled to upper bound 1
+        (the sup regime).
+        """
+        for group in self.groups:
+            yield group.onb
+            yield group.raw.parseval() if parseval else group.raw.upper_bound_one()
+
+
 def _phase_fix(q: np.ndarray) -> np.ndarray:
-    """Rotate each column so its first nonzero entry is real positive."""
-    q = q.copy()
-    for j in range(q.shape[1]):
-        col = q[:, j]
-        nz = np.nonzero(np.abs(col) > 1e-14)[0]
-        if nz.size:
-            pivot = col[nz[0]]
-            q[:, j] = col * (np.conj(pivot) / np.abs(pivot))
-    return q
+    """Rotate each column so its first nonzero entry is real positive.
+
+    Works on one matrix or a stack; all-zero columns are left unchanged.
+    """
+    nonzero = np.abs(q) > 1e-14
+    first = np.argmax(nonzero, axis=-2)[..., None, :]
+    pivot = np.take_along_axis(q, first, axis=-2)
+    pivot = np.where(np.take_along_axis(nonzero, first, axis=-2), pivot, 1.0)
+    return q * (np.conj(pivot) / np.abs(pivot))
+
+
+def _onb_stack(dim: int, seeds) -> np.ndarray:
+    """ONB vectors for each seed, shape (len(seeds), dim, dim), from one stacked QR."""
+    z = np.empty((len(seeds), dim, dim), dtype=np.complex128)
+    for k, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        z[k] = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    q, _ = np.linalg.qr(z)
+    return _phase_fix(q)
 
 
 def random_onb(dim: int, seed: int) -> Frame:
@@ -244,10 +390,7 @@ def random_onb(dim: int, seed: int) -> Frame:
     """
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    q, _ = np.linalg.qr(z)
-    return make_frame(_phase_fix(q))
+    return make_frame(_onb_stack(dim, [seed])[0])
 
 
 def random_frame(dim: int, count: int, condition_target: float, seed: int) -> Frame:
@@ -264,8 +407,8 @@ def random_frame(dim: int, count: int, condition_target: float, seed: int) -> Fr
         raise ValueError(f"condition_target must be >= 1, got {condition_target}")
     rng = np.random.default_rng(seed)
     n_bases = -(-count // dim)
-    blocks = [random_onb(dim, int(rng.integers(0, 2**62))).vectors for _ in range(n_bases)]
-    base = np.hstack(blocks)[:, :count]
+    blocks = _onb_stack(dim, rng.integers(0, 2**62, size=n_bases))
+    base = blocks.transpose(1, 0, 2).reshape(dim, n_bases * dim)[:, :count]
     g = rng.standard_normal((dim, count)) + 1j * rng.standard_normal((dim, count))
     raw = base + (0.25 / np.sqrt(dim)) * g
     frame = make_frame(raw)

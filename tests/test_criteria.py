@@ -17,6 +17,7 @@ from schattenframes.criteria import (
     weighted_sum,
 )
 from schattenframes.frames import (
+    FrameEnsemble,
     canonical_parseval,
     make_frame,
     random_frame,
@@ -170,11 +171,67 @@ class TestDoubleSumComparison:
             frame = random_frame(5, 5 + i % 5 + 1, 100.0, 400 + i)
             assert double_sum_comparison(t, frame, p).passed
 
+    @pytest.mark.parametrize("p", [0.5, 2.0, 3.0])
+    def test_frame_stack_matches_single_frames(self, p):
+        group = FrameEnsemble(4, 10, 40).groups[1]
+        ops = np.stack(seeded_operators(4, len(group.indices), 700))
+        batch = double_sum_comparison(ops, group.raw, p)
+        for k, frame in enumerate(group.raw.frames()):
+            single = double_sum_comparison(ops[k], frame, p)
+            assert batch.double_sum[k] == pytest.approx(single.double_sum, rel=1e-12)
+            assert batch.norm_sum[k] == pytest.approx(single.norm_sum, rel=1e-12)
+            assert bool(batch.passed[k]) == single.passed
+            for name in ("upper_constant", "lower_constant"):
+                constant = getattr(single, name)
+                if constant is None:
+                    assert getattr(batch, name) is None
+                else:
+                    assert getattr(batch, name)[k] == pytest.approx(constant, rel=1e-12)
+
+    def test_frame_stack_rejects_non_finite_operators(self):
+        group = FrameEnsemble(2, 2, 0).groups[0]
+        ops = np.full((len(group.indices), 2, 2), np.nan)
+        with pytest.raises(ValueError, match="finite"):
+            double_sum_comparison(ops, group.raw, 2.0)
+
     def test_parseval_hs_equality(self):
         for i, t in enumerate(seeded_operators(4, 10, 500)):
             frame = canonical_parseval(random_frame(4, 6, 100.0, 600 + i))
             comp = double_sum_comparison(t, frame, 2.0)
             assert comp.double_sum == pytest.approx(comp.norm_sum, rel=1e-10)
+
+
+class TestSharedEnsemble:
+    """A campaign's shared ensemble and a stand-alone (trials, seed) call agree."""
+
+    @pytest.mark.parametrize("dim,trials", [(1, 3), (3, 7)])
+    def test_certificates_match_stand_alone(self, dim, trials):
+        ensemble = FrameEnsemble(dim, trials, 9)
+        general = seeded_operators(dim, 1, 31)[0]
+        hermitian = seeded_hermitians(dim, 1, 32)[0]
+        psd = seeded_psds(dim, 1, 33)[0]
+        calls = [
+            (certify_norm_formula, general, 0.5, {}),
+            (certify_norm_formula, general, 3.0, {}),
+            (certify_diag_formula, hermitian, 1.5, {"direction": "sup_below"}),
+            (certify_diag_formula, psd, 0.5, {"direction": "inf_above"}),
+            (certify_double_formula, general, 4.0, {}),
+            (certify_double_formula, hermitian, 1.0, {}),
+        ]
+        for certify, t, p, extra in calls:
+            shared = certify(t, p, ensemble=ensemble, **extra)
+            assert shared == certify(t, p, trials, 9, **extra)
+            assert shared.trials == trials
+            assert shared.passed
+        assert endpoint_suites(psd, ensemble=ensemble) == endpoint_suites(psd, trials, 9)
+
+    def test_rejects_dimension_mismatch(self):
+        with pytest.raises(ValueError, match="ensemble"):
+            certify_norm_formula(np.eye(3), 2.0, ensemble=FrameEnsemble(2, 4, 0))
+
+    def test_rejects_no_trials(self):
+        with pytest.raises(ValueError, match="trials"):
+            certify_norm_formula(np.eye(2), 2.0, trials=0)
 
 
 class TestCertifyNormFormula:

@@ -5,7 +5,10 @@ import dataclasses
 import numpy as np
 import pytest
 
+from schattenframes import frames
 from schattenframes.frames import (
+    TRIAL_CONDITION,
+    FrameEnsemble,
     canonical_parseval,
     certify_synthesis,
     make_frame,
@@ -123,6 +126,13 @@ class TestCertifySynthesis:
         assert not cert.passed
         assert cert.failures
 
+    def test_rectangular_norm_from_lapack_svd(self):
+        frame = random_frame(8, 13, 100.0, 4)
+        cert = certify_synthesis(frame)
+        assert cert.passed
+        expected = np.linalg.norm(frame.vectors, 2) ** 2
+        assert abs(cert.op_norm_sq - expected) <= 1e-12 * expected
+
     def test_vector_norms_below_upper_bound(self, rng):
         for seed in range(10):
             frame = random_frame(4, 6, 50.0, seed)
@@ -190,6 +200,24 @@ class TestRandomGenerators:
             assert pivot.imag == pytest.approx(0.0, abs=1e-12)
             assert pivot.real > 0
 
+    def test_batched_phase_fix_matches_column_loop(self, rng):
+        def reference(q):
+            q = q.copy()
+            for j in range(q.shape[1]):
+                col = q[:, j]
+                nz = np.nonzero(np.abs(col) > 1e-14)[0]
+                if nz.size:
+                    pivot = col[nz[0]]
+                    q[:, j] = col * (np.conj(pivot) / np.abs(pivot))
+            return q
+
+        stack = rng.standard_normal((3, 4, 4)) + 1j * rng.standard_normal((3, 4, 4))
+        stack[1, :2, 0] = 0.0  # pivot below the first row
+        stack[2, :, 3] = 0.0  # all-zero column stays unchanged
+        fixed = frames._phase_fix(stack)
+        for k in range(3):
+            np.testing.assert_array_equal(fixed[k], reference(stack[k]))
+
     def test_random_frame_parseval_target(self):
         frame = random_frame(3, 5, 1.0, 11)
         assert frame.is_parseval()
@@ -250,3 +278,86 @@ class TestUnionFrame:
     def test_rejects_dim_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
             union_frame(make_frame(np.eye(2)), np.zeros((3, 1)))
+
+
+def assert_rel_close(actual, expected, rel=1e-12):
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    assert np.max(np.abs(actual - expected)) <= rel * np.max(np.abs(expected))
+
+
+# (dim, trials, seed): dim 1, trials below dim, and trials not a multiple of dim
+ENSEMBLE_CASES = [(1, 3, 0), (3, 7, 5), (4, 2, 11), (8, 19, 100)]
+
+
+class TestFrameEnsemble:
+    @pytest.mark.parametrize("dim,trials,seed", ENSEMBLE_CASES)
+    def test_groups_partition_trials_by_count(self, dim, trials, seed):
+        ensemble = FrameEnsemble(dim, trials, seed)
+        seen = []
+        for group in ensemble.groups:
+            count = group.raw.vectors.shape[2]
+            assert all(dim + (i % dim) + 1 == count for i in group.indices)
+            assert group.onb.vectors.shape == (len(group.indices), dim, dim)
+            assert group.raw.vectors.shape == (len(group.indices), dim, count)
+            seen += list(group.indices)
+        assert sorted(seen) == list(range(trials))
+
+    @pytest.mark.parametrize("dim,trials,seed", ENSEMBLE_CASES)
+    def test_members_match_generators_bitwise(self, dim, trials, seed):
+        for group in FrameEnsemble(dim, trials, seed).groups:
+            count = group.raw.vectors.shape[2]
+            for k, i in enumerate(group.indices):
+                onb = random_onb(dim, seed + i)
+                raw = random_frame(dim, count, TRIAL_CONDITION, seed + i)
+                np.testing.assert_array_equal(group.onb.vectors[k], onb.vectors)
+                np.testing.assert_array_equal(group.raw.vectors[k], raw.vectors)
+
+    @pytest.mark.parametrize("dim,trials,seed", ENSEMBLE_CASES)
+    def test_bounds_and_variants_match_single_frame_path(self, dim, trials, seed):
+        for group in FrameEnsemble(dim, trials, seed).groups:
+            stacks = {
+                "onb": group.onb,
+                "raw": group.raw,
+                "parseval": group.raw.parseval(),
+                "upper_one": group.raw.upper_bound_one(),
+                "lower_one": group.raw.lower_bound_one(),
+            }
+            for k, raw in enumerate(group.raw.frames()):
+                singles = {
+                    "onb": make_frame(group.onb.vectors[k]),
+                    "raw": make_frame(raw.vectors),
+                    "parseval": canonical_parseval(raw),
+                    "upper_one": rescale_upper_bound_one(raw),
+                    "lower_one": rescale_lower_bound_one(raw),
+                }
+                for name, single in singles.items():
+                    stack = stacks[name]
+                    assert_rel_close(stack.vectors[k], single.vectors)
+                    assert_rel_close(stack.lower_bound[k], single.lower_bound)
+                    assert_rel_close(stack.upper_bound[k], single.upper_bound)
+                np.testing.assert_allclose(raw.frame_operator, singles["raw"].frame_operator,
+                                           rtol=0, atol=1e-12 * raw.upper_bound)
+
+    def test_stacks_are_read_only(self):
+        group = FrameEnsemble(3, 4, 0).groups[0]
+        for arr in (group.onb.vectors, group.raw.vectors, group.raw.lower_bound,
+                    group.raw.upper_bound, next(group.raw.frames()).frame_operator):
+            with pytest.raises(ValueError):
+                arr.flat[0] = 0.0
+
+    def test_rejects_empty(self):
+        with pytest.raises(ValueError, match="trials"):
+            FrameEnsemble(3, 0, 0)
+        with pytest.raises(ValueError, match="dim"):
+            FrameEnsemble(0, 3, 0)
+
+    def test_regime_stacks(self):
+        ensemble = FrameEnsemble(3, 6, 2)
+        for parseval in (True, False):
+            stacks = list(ensemble.regime_stacks(parseval))
+            assert len(stacks) == 2 * len(ensemble.groups)
+            for onb, variant in zip(stacks[::2], stacks[1::2]):
+                np.testing.assert_allclose(onb.upper_bound, 1.0, atol=1e-12)
+                np.testing.assert_allclose(variant.upper_bound, 1.0, atol=1e-12)
+                if parseval:
+                    np.testing.assert_allclose(variant.lower_bound, 1.0, atol=1e-12)
