@@ -2,6 +2,14 @@
 decompositions, Schatten p-norms, positive square roots and powers, and the
 self-adjoint splittings used by the frame criteria.
 
+The SVD is one LAPACK gesdd call (`numpy.linalg.svd`), which is backward
+stable: every singular value is accurate to a modest multiple of eps * s_1,
+however small it is.  Values at or below the noise floor
+max(rows, cols) * eps * s_1 are reported as exact zeros, because they cannot
+be told apart from rounding noise and p-th power sums with p < 1 would
+magnify that noise.  Roots, powers and sign parts of Hermitian matrices are
+all applied to the eigenvalues by one helper.
+
 All operations are pure functions of their inputs; returned containers hold
 read-only arrays and are safe to share between threads.
 """
@@ -32,9 +40,6 @@ __all__ = [
 
 #: Absolute tolerance for structural checks (hermiticity, PSD clamps).
 STRUCTURAL_TOL = 1e-12
-
-#: Relative rank cutoff for singular vectors: lambda_n > RANK_TOL * lambda_1.
-RANK_TOL = 1e-12
 
 
 def as_matrix(a) -> np.ndarray:
@@ -71,12 +76,15 @@ class SpectralData:
 
     `singular_values` is nonincreasing with zeros retained up to
     min(rows, cols); `left_vectors` holds the u_n as columns and
-    `right_vectors` the e_n, each family orthonormal.
+    `right_vectors` the e_n, each family orthonormal.  `right_basis` is an
+    orthonormal basis of C^cols that starts with the e_n; its extra columns
+    (present when rows < cols) span part of ker T.
     """
 
     singular_values: np.ndarray
     left_vectors: np.ndarray
     right_vectors: np.ndarray
+    right_basis: np.ndarray
 
     def reconstruct(self) -> np.ndarray:
         """Rebuild the matrix from its factors."""
@@ -111,75 +119,34 @@ def hermitian_eigen(h, tol: float = STRUCTURAL_TOL) -> tuple[np.ndarray, np.ndar
     return w[order].copy(), v[:, order].copy()
 
 
-def _complete_orthonormal(columns: np.ndarray, rows: int, want: int) -> np.ndarray:
-    """Extend orthonormal `columns` (rows x r) to `want` orthonormal columns.
-
-    Candidates are standard basis vectors; a modified Gram-Schmidt pass keeps
-    the result orthonormal to machine precision.
-    """
-    cols = [columns[:, j].copy() for j in range(columns.shape[1])]
-    e = 0
-    while len(cols) < want:
-        if e >= rows:
-            raise np.linalg.LinAlgError("failed to complete orthonormal family")
-        cand = np.zeros(rows, dtype=np.complex128)
-        cand[e] = 1.0
-        e += 1
-        for c in cols:
-            cand -= np.vdot(c, cand) * c
-        norm = np.linalg.norm(cand)
-        if norm > 0.5:
-            cols.append(cand / norm)
-    out = np.column_stack(cols) if cols else np.zeros((rows, 0), dtype=np.complex128)
-    # second MGS sweep to wash out first-order loss of orthogonality
-    for j in range(out.shape[1]):
-        for i in range(j):
-            out[:, j] -= np.vdot(out[:, i], out[:, j]) * out[:, i]
-        out[:, j] /= np.linalg.norm(out[:, j])
-    return out
-
-
 def svd(t) -> SpectralData:
-    """Singular value decomposition via the Gram matrix route.
+    """Singular value decomposition from one LAPACK gesdd call.
 
-    The singular values are the square roots of the (clamped) eigenvalues of
-    T*T, nonincreasing, with zeros retained up to min(rows, cols).  Vectors on
-    the opposite side are obtained by applying T and normalizing, completed to
-    an orthonormal family where the singular value falls below the rank cutoff.
+    The singular values are nonincreasing, with zeros retained up to
+    min(rows, cols).  The factors come straight from gesdd, which is backward
+    stable: the computed values are the exact singular values of T + E with
+    ||E||_2 a modest multiple of eps * s_1, so each is accurate to that
+    absolute level, tiny values included (no squaring of the condition
+    number as in an eigensolve of T*T).
 
-    Eigenvalues below the Gram resolution floor max(rows, cols) * eps * mu_1
-    are reported as exact zeros: they are indistinguishable from rounding
-    noise, and for p < 1 that noise would otherwise leak into p-th power sums.
+    Values at or below the noise floor max(rows, cols) * eps * s_1 are
+    reported as exact zeros: they are indistinguishable from rounding noise,
+    and for p < 1 that noise would otherwise leak into p-th power sums.
+
+    The right factor is requested in full, so `right_basis` is an
+    orthonormal basis of C^cols whose first min(rows, cols) columns are the
+    `right_vectors`; for rows >= cols that is the thin factor itself.
     """
     t = as_matrix(t)
     rows, cols = t.shape
-    k = min(rows, cols)
-    # Gram matrix on the smaller side keeps the eigenproblem at size k.
-    if cols <= rows:
-        gram = t.conj().T @ t
-    else:
-        gram = t @ t.conj().T
-    mu, vecs = np.linalg.eigh(0.5 * (gram + gram.conj().T))
-    mu = np.maximum(mu[::-1][:k], 0.0)
-    vecs = vecs[:, ::-1][:, :k]
-    if mu.size:
-        noise_floor = max(rows, cols) * np.finfo(float).eps * mu[0]
-        mu[mu <= noise_floor] = 0.0
-    s = np.sqrt(mu)
-    cutoff = RANK_TOL * (s[0] if s.size else 0.0)
-    r = int(np.sum(s > cutoff))
-    if cols <= rows:
-        right = vecs
-        left_known = t @ right[:, :r] / np.where(s[:r] == 0.0, 1.0, s[:r])
-        left = _complete_orthonormal(left_known, rows, k)
-    else:
-        left = vecs
-        right_known = t.conj().T @ left[:, :r] / np.where(s[:r] == 0.0, 1.0, s[:r])
-        right = _complete_orthonormal(right_known, cols, k)
-    s = s.copy()
-    for arr in (s, left, right):
+    left, s, vh = np.linalg.svd(t, full_matrices=cols > rows)
+    s[s <= max(rows, cols) * np.finfo(float).eps * s[0]] = 0.0
+    basis = vh.conj().T
+    for arr in (s, left, basis):
         arr.flags.writeable = False
-    return SpectralData(singular_values=s, left_vectors=left, right_vectors=right)
+    return SpectralData(
+        singular_values=s, left_vectors=left, right_vectors=basis[:, : s.size], right_basis=basis
+    )
 
 
 def singular_values(t) -> np.ndarray:
@@ -201,28 +168,40 @@ def operator_norm(t) -> float:
     return float(s[0]) if s.size else 0.0
 
 
+def _spectral_functions(h, functions, psd_tol: float | None = None) -> list[np.ndarray]:
+    """Hermitian matrices V f(w) V* for each f in `functions`, from one eigensystem.
+
+    With `psd_tol`, H must be PSD: eigenvalues in [-psd_tol, 0) are clamped
+    to zero and anything below -psd_tol is rejected with the most negative
+    eigenvalue in the message.
+    """
+    tol = STRUCTURAL_TOL if psd_tol is None else max(psd_tol, STRUCTURAL_TOL)
+    w, v = hermitian_eigen(h, tol=tol)
+    if psd_tol is not None:
+        if w.size and w[-1] < -psd_tol:
+            raise ValueError(f"matrix is not PSD: most negative eigenvalue {w[-1]:.3e}")
+        w = np.maximum(w, 0.0)
+    out = []
+    for f in functions:
+        m = (v * f(w)) @ v.conj().T
+        out.append(0.5 * (m + m.conj().T))
+    return out
+
+
 def psd_sqrt(s, tol: float = STRUCTURAL_TOL) -> np.ndarray:
     """Hermitian PSD square root of a Hermitian PSD matrix.
 
     Eigenvalues in [-tol, 0) are clamped to zero; anything below -tol is
     rejected with the most negative eigenvalue in the message.
     """
-    w, v = hermitian_eigen(s, tol=max(tol, STRUCTURAL_TOL))
-    if w.size and w[-1] < -tol:
-        raise ValueError(f"matrix is not PSD: most negative eigenvalue {w[-1]:.3e}")
-    root = (v * np.sqrt(np.maximum(w, 0.0))) @ v.conj().T
-    return 0.5 * (root + root.conj().T)
+    return _spectral_functions(s, (np.sqrt,), psd_tol=tol)[0]
 
 
 def psd_power(s, p: float, tol: float = STRUCTURAL_TOL) -> np.ndarray:
     """Hermitian PSD power s^p formed in the eigenbasis, p > 0."""
     if p <= 0:
         raise ValueError(f"p must be positive, got {p}")
-    w, v = hermitian_eigen(s, tol=max(tol, STRUCTURAL_TOL))
-    if w.size and w[-1] < -tol:
-        raise ValueError(f"matrix is not PSD: most negative eigenvalue {w[-1]:.3e}")
-    powered = (v * np.maximum(w, 0.0) ** p) @ v.conj().T
-    return 0.5 * (powered + powered.conj().T)
+    return _spectral_functions(s, (lambda w: w**p,), psd_tol=tol)[0]
 
 
 def self_adjoint_parts(t) -> SelfAdjointParts:
@@ -236,14 +215,6 @@ def self_adjoint_parts(t) -> SelfAdjointParts:
     return SelfAdjointParts(t1=t1, t2=t2)
 
 
-def _sign_split(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Split a Hermitian matrix into its positive and negative parts."""
-    w, v = hermitian_eigen(h)
-    plus = (v * np.maximum(w, 0.0)) @ v.conj().T
-    minus = (v * np.maximum(-w, 0.0)) @ v.conj().T
-    return 0.5 * (plus + plus.conj().T), 0.5 * (minus + minus.conj().T)
-
-
 def positive_four_parts(s) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Write S = (S1 - S2) + i(S3 - S4) with each part Hermitian PSD.
 
@@ -251,8 +222,9 @@ def positive_four_parts(s) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarr
     S3/S4 those of the skew component.
     """
     parts = self_adjoint_parts(s)
-    s1, s2 = _sign_split(parts.t1)
-    s3, s4 = _sign_split(parts.t2)
+    signs = (lambda w: np.maximum(w, 0.0), lambda w: np.maximum(-w, 0.0))
+    s1, s2 = _spectral_functions(parts.t1, signs)
+    s3, s4 = _spectral_functions(parts.t2, signs)
     return s1, s2, s3, s4
 
 

@@ -115,6 +115,15 @@ class TestNormEstimate:
         rec = read_report(out)["records"][0]
         assert rec["norm"] == pytest.approx(5.0)
 
+    def test_exact_strategy_wide_operator(self, tmp_path, capsys):
+        # the witness basis must span C^8 although T has only 5 singular vectors
+        path = tmp_path / "m.json"
+        rng = np.random.default_rng(5)
+        write_matrix(path, rng.standard_normal((5, 8)) + 1j * rng.standard_normal((5, 8)))
+        out = tmp_path / "r"
+        assert main(["norm-estimate", str(path), "--p", "1.5", "--out", str(out)]) == 0
+        assert "[PASS] norm_estimate" in capsys.readouterr().out
+
     def test_ensemble_strategy_sup(self, tmp_path):
         path = tmp_path / "m.json"
         write_matrix(path, np.diag([2.0, 1.0]).astype(complex))

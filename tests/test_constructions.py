@@ -261,9 +261,8 @@ class TestDoubleSumDemo:
         np.testing.assert_allclose(u[:, 0], h1, atol=1e-12)
 
     def test_singular_values_geometric(self):
-        # d small enough that the Gram route resolves 2^-d to full accuracy
-        demo = divergence_demo_double_sum(12, 1.0, (100, 1000))
-        expected = 2.0 ** -np.arange(1, 13, dtype=float)
+        demo = divergence_demo_double_sum(64, 1.0, (100, 1000))
+        expected = 2.0 ** -np.arange(1, 65, dtype=float)
         np.testing.assert_allclose(singular_values(demo.matrix), expected, atol=1e-12)
 
     def test_closed_form_matches_explicit_matrix(self):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import seeded_operators, seeded_psds
 from schattenframes.linalg import (
@@ -17,6 +19,41 @@ from schattenframes.linalg import (
     svd,
     trace_pairing,
 )
+
+EPS = np.finfo(float).eps
+
+#: SVD error budget in units of max(rows, cols) * eps * s_1, fixed before any
+#: measurement: gesdd returns the exact singular values of T + E with ||E||_2
+#: a modest multiple of that unit (LAPACK Users' Guide, sec. 4.9), Weyl bounds
+#: each value's error by ||E||_2, and forming a test matrix or the product
+#: U S V* adds a few units more.  Factor orthonormality uses the same
+#: constant in units of max(rows, cols) * eps.
+SVD_C = 10
+
+
+def assert_valid_svd(t):
+    """svd(t) raises nothing and meets its contract within the SVD_C budget."""
+    t = np.asarray(t, dtype=complex)
+    rows, cols = t.shape
+    n = max(rows, cols)
+    data = svd(t)
+    s = data.singular_values
+    assert s.size == min(rows, cols)
+    assert np.all(s >= 0) and np.all(np.diff(s) <= 0)
+    assert data.right_basis.shape == (cols, cols)
+    np.testing.assert_array_equal(data.right_basis[:, : s.size], data.right_vectors)
+    for u in (data.left_vectors, data.right_basis):
+        assert np.abs(u.conj().T @ u - np.eye(u.shape[1])).max() <= SVD_C * n * EPS
+    budget = SVD_C * n * EPS * s[0]
+    assert np.linalg.norm(data.reconstruct() - t, 2) <= budget
+    assert np.linalg.norm(t @ data.right_basis[:, s.size :], 2) <= budget
+
+
+def low_rank(rng, rows, cols, rank):
+    """Complex Gaussian product G H* of the given rank (0 gives the zero matrix)."""
+    g = rng.standard_normal((rows, rank)) + 1j * rng.standard_normal((rows, rank))
+    h = rng.standard_normal((cols, rank)) + 1j * rng.standard_normal((cols, rank))
+    return g @ h.conj().T
 
 
 class TestHermitianEigen:
@@ -73,6 +110,8 @@ class TestSvd:
         assert err < 1e-9
 
     def test_against_lapack_oracle(self, rng):
+        # svd is gesdd itself, so this only guards the wrapper; the exact
+        # spectra below are the independent check
         for _ in range(20):
             t = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
             expected = np.linalg.svd(t, compute_uv=False)
@@ -82,6 +121,36 @@ class TestSvd:
         data = svd(np.zeros((3, 3)))
         np.testing.assert_allclose(data.singular_values, 0.0)
         np.testing.assert_allclose(data.reconstruct(), 0.0, atol=1e-15)
+
+    @pytest.mark.parametrize("d", [25, 32, 64, 192])
+    def test_graded_spectrum(self, d):
+        # Q diag(2^-n) Q*: exact singular values far below sqrt(eps) * s_1
+        rng = np.random.default_rng(d)
+        q, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+        expected = 2.0 ** -np.arange(1, d + 1, dtype=float)
+        s = svd((q * expected) @ q.conj().T).singular_values
+        assert np.abs(s - expected).max() <= SVD_C * d * EPS * expected[0]
+        # values at or below the noise floor are exact zeros
+        assert not np.any((s > 0) & (s <= d * EPS * s[0]))
+
+    def test_rank_deficient_sweep(self):
+        rng = np.random.default_rng(2024)
+        for i in range(300):
+            rank = int(rng.integers(1, 8))
+            assert_valid_svd((1e-8, 1e8)[i % 2] * low_rank(rng, 8, 8, rank))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(
+    rows=st.integers(1, 12),
+    cols=st.integers(1, 12),
+    rank=st.integers(0, 12),
+    exponent=st.floats(-8.0, 8.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_svd_properties(rows, cols, rank, exponent, seed):
+    rng = np.random.default_rng(seed)
+    assert_valid_svd(10.0**exponent * low_rank(rng, rows, cols, min(rank, rows, cols)))
 
 
 class TestSchattenNorm:
