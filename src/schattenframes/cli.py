@@ -14,6 +14,7 @@ kebab-case keys or their snake_case equivalents).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -67,8 +68,14 @@ def _load_config(args: argparse.Namespace) -> CampaignConfig:
     values: dict = {}
     if args.config is not None:
         raw = json.loads(Path(args.config).read_text())
+        if not isinstance(raw, dict):
+            raise ValueError(f"config file {args.config} must hold a JSON object")
         for key, val in raw.items():
             values[key.replace("-", "_")] = val
+        values.pop("command", None)
+        unknown = sorted(values.keys() - {f.name for f in dataclasses.fields(CampaignConfig)})
+        if unknown:
+            raise ValueError(f"config file {args.config} has unknown keys {unknown}")
     for key in ("seed", "dim", "trials", "rmax"):
         flag = getattr(args, key)
         if flag is not None:
@@ -77,7 +84,6 @@ def _load_config(args: argparse.Namespace) -> CampaignConfig:
         values["p_grid"] = [float(x) for x in args.p_grid.split(",") if x.strip()]
     if args.out is not None:
         values["output_dir"] = str(args.out)
-    values.pop("command", None)
     return CampaignConfig(command=args.command, **values)
 
 

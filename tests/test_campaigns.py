@@ -10,6 +10,7 @@ from schattenframes import campaigns, frames
 from schattenframes.campaigns import CampaignConfig, run_verify_theorems
 
 GOLDEN = Path(__file__).parent / "data" / "verify_dim3_trials20.json"
+GOLDEN_DEFAULT = Path(__file__).parent / "data" / "verify_default.json"
 
 
 def assert_same_report(actual, expected, path="report"):
@@ -37,6 +38,15 @@ def test_golden_report():
     assert_same_report(actual, json.loads(GOLDEN.read_text()))
 
 
+def test_golden_default_report():
+    """numeric_content() of `verify-theorems` at the default config, recorded
+    before the synthesis certificates and trial frames were batched
+    (numpy 2.4, OpenBLAS)."""
+    report = run_verify_theorems(CampaignConfig(command="verify-theorems"))
+    actual = json.loads(json.dumps(report.numeric_content()))
+    assert_same_report(actual, json.loads(GOLDEN_DEFAULT.read_text()))
+
+
 class GenerationCounts:
     """Counts calls of the seeded generators, keyed by their arguments."""
 
@@ -45,12 +55,12 @@ class GenerationCounts:
         self.onb_seeds = collections.Counter()
         self.operators = collections.Counter()
         self.ensembles = []
-        random_frame, onb_stack = frames.random_frame, frames._onb_stack
+        random_frames, onb_stack = frames._random_frames, frames._onb_stack
         random_operator, ensemble_init = campaigns.random_operator, frames.FrameEnsemble.__init__
 
-        def counted_frame(dim, count, condition_target, seed):
-            self.frames[(dim, count, condition_target, seed)] += 1
-            return random_frame(dim, count, condition_target, seed)
+        def counted_frames(dim, count, condition_target, seeds):
+            self.frames.update((dim, count, condition_target, seed) for seed in seeds)
+            return random_frames(dim, count, condition_target, seeds)
 
         def counted_onbs(dim, seeds):
             self.onb_seeds.update(int(s) for s in seeds)
@@ -67,7 +77,7 @@ class GenerationCounts:
         def forbidden(*args):
             raise AssertionError("campaigns sample the ensemble, not random_onb")
 
-        monkeypatch.setattr(frames, "random_frame", counted_frame)
+        monkeypatch.setattr(frames, "_random_frames", counted_frames)
         monkeypatch.setattr(frames, "_onb_stack", counted_onbs)
         monkeypatch.setattr(frames, "random_onb", forbidden)
         monkeypatch.setattr(campaigns, "random_operator", counted_operator)
@@ -92,7 +102,7 @@ def test_each_trial_frame_generated_once(counts):
     assert set(counts.frames.values()) == {1}
     trial_onbs = [seed + i for i in range(trials)] + [seed + 2000 + i for i in range(trials)]
     assert [counts.onb_seeds[s] for s in trial_onbs] == [1] * len(trial_onbs)
-    # the other ONBs are the blocks that random_frame draws: two per trial frame here
+    # the other ONBs are the blocks the frame generator draws: two per trial frame here
     assert sum(counts.onb_seeds.values()) == len(trial_onbs) + 2 * len(counts.frames)
     pair_operators = [seed + 1000 + i for i in range(trials)]
     assert [counts.operators[s] for s in pair_operators] == [1] * trials

@@ -1,6 +1,7 @@
 """CLI behavior: flags, config files, reports, exit codes, determinism."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -83,6 +84,44 @@ class TestConfigFile:
         cfg = tmp_path / "cfg.json"
         cfg.write_text("{not json")
         assert main(["verify-theorems", "--config", str(cfg)]) == 2
+
+
+# (flags, config file contents or None, text the error must name)
+INVALID_INPUTS = {
+    "p-grid-nan": (["--p-grid", "nan,1"], None, "p_grid"),
+    "p-grid-inf": (["--p-grid", "inf"], None, "p_grid"),
+    "p-grid-string": ([], {"p-grid": "1,2"}, "p_grid"),
+    "unknown-key": ([], {"dimm": 3}, "dimm"),
+    "string-dim": ([], {"dim": "3"}, "dim"),
+    "top-level-list": ([], [3], "JSON object"),
+    "rmax-nan": (["--rmax", "nan"], None, "rmax"),
+    "rmax-inf": (["--rmax", "inf"], None, "rmax"),
+    "rmax-zero": (["--rmax", "0"], None, "rmax"),
+    "rmax-one": (["--rmax", "1"], None, "rmax"),
+    "rmax-string": ([], {"rmax": "0.5"}, "rmax"),
+    "float-seed": ([], {"seed": 1.5}, "seed"),
+    "bool-seed": ([], {"seed": True}, "seed"),
+    "string-trials": ([], {"trials": "10"}, "trials"),
+    "float-trials": ([], {"trials": 10.0}, "trials"),
+    "tolerances-not-object": ([], {"tolerances": 5}, "tolerances"),
+    "tolerance-nan": ([], {"tolerances": {"certificate": float("nan")}}, "tolerances"),
+    "output-dir-number": ([], {"output_dir": 5}, "output_dir"),
+}
+
+
+class TestInvalidInput:
+    @pytest.mark.parametrize("flags,config,named", INVALID_INPUTS.values(), ids=INVALID_INPUTS)
+    def test_is_usage_error_naming_the_input(
+        self, tmp_path, monkeypatch, capsys, flags, config, named
+    ):
+        monkeypatch.chdir(tmp_path)  # the default report directory is relative
+        args = ["verify-theorems", *flags]
+        if config is not None:
+            Path("cfg.json").write_text(json.dumps(config))
+            args += ["--config", "cfg.json"]
+        assert main(args) == 2
+        assert named in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == (["cfg.json"] if config else [])
 
 
 class TestCounterexamples:

@@ -1,5 +1,6 @@
 """Frame construction, bounds, synthesis certificates, and generators."""
 
+import collections
 import dataclasses
 
 import numpy as np
@@ -9,6 +10,7 @@ from schattenframes import frames
 from schattenframes.frames import (
     TRIAL_CONDITION,
     FrameEnsemble,
+    FrameStack,
     canonical_parseval,
     certify_synthesis,
     make_frame,
@@ -251,6 +253,55 @@ class TestRandomGenerators:
         )
 
 
+def reference_random_frame(dim, count, condition_target, seed):
+    """random_frame one frame at a time, through make_frame (the pre-batching loop)."""
+    rng = np.random.default_rng(seed)
+    n_bases = -(-count // dim)
+    blocks = [random_onb(dim, s).vectors for s in rng.integers(0, 2**62, size=n_bases)]
+    base = np.hstack(blocks)[:, :count]
+    g = rng.standard_normal((dim, count)) + 1j * rng.standard_normal((dim, count))
+    raw = base + (0.25 / np.sqrt(dim)) * g
+    frame = make_frame(raw)
+    if condition_target == 1.0:
+        return canonical_parseval(frame), False
+    if frame.condition <= condition_target:
+        return frame, False
+    parseval = canonical_parseval(frame).vectors
+    for attempt in range(1, 51):
+        t = 2.0**-attempt
+        try:
+            blended = make_frame((1.0 - t) * parseval + t * raw)
+        except ValueError:
+            continue
+        if blended.condition <= condition_target:
+            return blended, True
+    raise AssertionError("reference did not converge")
+
+
+class TestBatchedGenerator:
+    @pytest.mark.parametrize(
+        "dim,count,target",
+        [(1, 2, 1.2), (3, 7, 1.2), (3, 5, 1.5), (4, 6, 2.0), (5, 5, 3.0), (8, 13, 5.0),
+         (3, 7, 1.0), (8, 16, 1.0), (8, 13, TRIAL_CONDITION)],
+    )
+    def test_matches_one_frame_reference_bitwise(self, dim, count, target):
+        seeds = list(range(30))
+        stack = frames._random_frames(dim, count, target, seeds)
+        blended = 0
+        for k, seed in enumerate(seeds):
+            expected, was_blended = reference_random_frame(dim, count, target, seed)
+            blended += was_blended
+            np.testing.assert_array_equal(stack.vectors[k], expected.vectors)
+            assert stack.lower_bound[k] == expected.lower_bound
+            assert stack.upper_bound[k] == expected.upper_bound
+            single = random_frame(dim, count, target, seed)
+            np.testing.assert_array_equal(single.vectors, expected.vectors)
+            np.testing.assert_array_equal(single.frame_operator, expected.frame_operator)
+            assert single.bounds == expected.bounds
+        if dim > 1 and 1.0 < target <= 5.0:  # every frame in C^1 has condition 1
+            assert blended > 0  # the masked blend loop ran
+
+
 class TestUnionFrame:
     def test_onb_union_onb(self):
         frame = union_frame(make_frame(np.eye(3)), make_frame(np.eye(3)))
@@ -361,3 +412,79 @@ class TestFrameEnsemble:
                 np.testing.assert_allclose(variant.upper_bound, 1.0, atol=1e-12)
                 if parseval:
                     np.testing.assert_allclose(variant.lower_bound, 1.0, atol=1e-12)
+
+
+def assert_same_certificate(stacked, k, single):
+    """Member k of a stacked certificate equals a one-frame certificate bit for bit."""
+    for field in dataclasses.fields(single):
+        value, expected = getattr(stacked, field.name), getattr(single, field.name)
+        if field.name not in ("dim", "count", "tolerance"):
+            value = value[k]
+        assert value == expected, field.name
+
+
+def reference_synthesis_measurements(frame, seed, n_probes=200):
+    """op_norm_sq, analysis_identity_dev and rank of one frame on 2-D arrays
+    (the pre-batching certificate code)."""
+    a = frame.vectors
+    svals = np.linalg.svd(a, compute_uv=False)
+    rng = np.random.default_rng(seed)
+    probes = rng.standard_normal((frame.dim, n_probes)) + 1j * rng.standard_normal(
+        (frame.dim, n_probes)
+    )
+    probes /= np.linalg.norm(probes, axis=0)
+    direct = np.linalg.norm(a.conj().T @ probes, axis=0) ** 2
+    analysis = np.sum(np.abs(np.einsum("in,ij->nj", a.conj(), probes)) ** 2, axis=0)
+    dev = float(np.max(np.abs(analysis - direct) / np.maximum(analysis, 1e-300)))
+    return float(svals[0]) ** 2, dev, int(np.sum(svals > 1e-12 * svals[0]))
+
+
+def synthesis_variants(stack):
+    return FrameStack.concat([stack, stack.parseval(), stack.upper_bound_one()])
+
+
+class TestStackedSynthesisCertificate:
+    @pytest.mark.parametrize("dim,trials,seed", [(3, 7, 5), (3, 20, 0), (8, 19, 100), (8, 40, 3)])
+    def test_variants_match_single_frame_bitwise(self, dim, trials, seed):
+        for group in FrameEnsemble(dim, trials, seed).groups:
+            seeds = [seed + i for i in group.indices] * 3
+            for stack in (group.onb, group.raw):
+                variants = synthesis_variants(stack)
+                cert = certify_synthesis(variants, seed=seeds)
+                assert cert.passed.shape == (len(seeds),)
+                for k, frame in enumerate(variants.frames()):
+                    assert_same_certificate(cert, k, certify_synthesis(frame, seed=seeds[k]))
+                    assert reference_synthesis_measurements(frame, seeds[k]) == (
+                        cert.op_norm_sq[k], cert.analysis_identity_dev[k], cert.rank[k]
+                    )
+
+    def test_falsified_member_fails_at_its_index(self):
+        stack = FrameEnsemble(3, 9, 0).groups[0].raw
+        k = 1
+        lower, upper = stack.lower_bound.copy(), stack.upper_bound.copy()
+        lower[k], upper[k] = 2.0, 3.0
+        cert = certify_synthesis(FrameStack(stack.vectors, lower, upper), seed=[7, 8, 9])
+        broken = dataclasses.replace(list(stack.frames())[k], lower_bound=2.0, upper_bound=3.0)
+        single = certify_synthesis(broken, seed=8)
+        assert not single.passed and single.failures
+        assert cert.passed.tolist() == [True, False, True]
+        assert cert.failures == ((), single.failures, ())
+
+    def test_probes_drawn_once_per_distinct_seed(self, monkeypatch):
+        drawn = collections.Counter()
+        probes = frames._probes
+
+        def counted(dim, n_probes, seed):
+            drawn[seed] += 1
+            return probes(dim, n_probes, seed)
+
+        monkeypatch.setattr(frames, "_probes", counted)
+        variants = synthesis_variants(FrameEnsemble(3, 9, 0).groups[0].raw)
+        assert certify_synthesis(variants, seed=[4, 5, 6] * 3).passed.all()
+        assert drawn == {4: 1, 5: 1, 6: 1}
+
+    def test_rejects_seed_count_mismatch(self):
+        stack = FrameEnsemble(3, 9, 0).groups[0].raw
+        for seed in (0, [1, 2]):
+            with pytest.raises(ValueError, match="one seed per frame"):
+                certify_synthesis(stack, seed=seed)
