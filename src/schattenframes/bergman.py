@@ -121,15 +121,18 @@ def bergman_metric(z: complex, w: complex) -> float:
     return float(np.arctanh(rho))
 
 
+def _pair_distances(z: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Bergman distances of the pairs (z, w), broadcast elementwise."""
+    rho = np.abs((z - w) / (1.0 - np.conj(z) * w))
+    return np.arctanh(np.clip(rho, 0.0, 1.0 - 1e-16))
+
+
 def min_pairwise_separation(points: np.ndarray) -> float:
     """Brute-force minimum Bergman distance over all point pairs."""
     pts = np.asarray(points, dtype=np.complex128).reshape(-1)
     if pts.size < 2:
         return float("inf")
-    z = pts[:, None]
-    w = pts[None, :]
-    rho = np.abs((z - w) / (1.0 - np.conj(z) * w))
-    beta = np.arctanh(np.clip(rho, 0.0, 1.0 - 1e-16))
+    beta = _pair_distances(pts[:, None], pts[None, :])
     iu = np.triu_indices(pts.size, k=1)
     return float(np.min(beta[iu]))
 
@@ -157,30 +160,66 @@ def _ring_count(radius: float, separation: float) -> int:
     return max(1, int(np.floor(2.0 * np.pi / theta)))
 
 
+def _ring_separation(rings: list[np.ndarray], offsets: list[np.ndarray]) -> float:
+    """Minimum Bergman distance of a ring lattice, from O(n) pairs.
+
+    rings[0] is the origin and rings[k] holds points on a circle at the
+    angles offsets[k], evenly spaced and increasing; the circles grow with k,
+    and no two rings two or more apart may hold the closest pair (r_lattice's
+    radii guarantee this).  Within one ring, and between two rings, the
+    distance of two points grows with the angle between them, so each point
+    is paired with its two neighbours on its ring and with the two points of
+    the next ring on either side of its angle (the origin with all of ring 1).
+    Pairs are taken inner point first, in lattice order, so each distance is
+    the value `min_pairwise_separation` computes for that pair.
+    """
+    if len(rings) < 2:
+        return float("inf")
+    gaps = [_pair_distances(rings[0], rings[1])]
+    for k in range(1, len(rings)):
+        ring = rings[k]
+        if ring.size > 1:
+            gaps += [_pair_distances(ring[:-1], ring[1:]), _pair_distances(ring[0], ring[-1])]
+        if k + 1 < len(rings):
+            outer, outer_offsets = rings[k + 1], offsets[k + 1]
+            m = outer.size
+            step = 2.0 * np.pi / m
+            below = np.floor((offsets[k] - outer_offsets[0]) / step).astype(int) % m
+            for nearest in (below, (below + 1) % m):
+                gaps.append(_pair_distances(ring, outer[nearest]))
+    return float(min(np.min(g) for g in gaps))
+
+
 def r_lattice(separation: float, rmax: float) -> SamplingLattice:
     """Concentric-ring lattice with pairwise Bergman separation >= separation.
 
     Ring radii sit at hyperbolic distance `separation` from each other
     starting at the origin (so inter-ring separation holds at any angle);
     the angular spacing on each ring is chosen from the same-ring distance
-    formula.  A tiny padding absorbs rounding so the brute-force pairwise
-    check holds strictly; it runs at construction.
+    formula.  A tiny padding absorbs rounding so the pairwise check holds
+    strictly; it runs at construction, in O(n) (see `_ring_separation`).
     """
     if separation <= 0:
         raise ValueError(f"separation must be positive, got {separation}")
     if not 0 < rmax < 1:
         raise ValueError(f"rmax must lie in (0, 1), got {rmax}")
     padded = separation * (1.0 + 1e-9) + 1e-12
-    points = [0.0 + 0.0j]
+    rings = [np.zeros(1, dtype=np.complex128)]
+    offsets = [np.zeros(1)]
     ring = 1
     while np.tanh(ring * padded) <= rmax:
         radius = float(np.tanh(ring * padded))
         m = _ring_count(radius, padded)
-        offsets = 2.0 * np.pi * np.arange(m) / m + (np.pi / m) * (ring % 2)
-        points.extend(radius * np.exp(1j * offsets))
+        offsets.append(2.0 * np.pi * np.arange(m) / m + (np.pi / m) * (ring % 2))
+        rings.append(radius * np.exp(1j * offsets[-1]))
         ring += 1
-    pts = np.asarray(points, dtype=np.complex128)
-    measured = min_pairwise_separation(pts)
+    pts = np.concatenate(rings)
+    # Ring k has hyperbolic radius atanh(tanh(k * padded)) = k * padded, and by
+    # the triangle inequality through the origin two points lie at least the
+    # difference of their ring radii apart: rings two or more apart are at
+    # least 2 * padded apart, farther than the origin is from ring 1
+    # (padded), so the minimum over all pairs is on one ring or two adjacent ones.
+    measured = _ring_separation(rings, offsets)
     if measured < separation:
         raise AssertionError(
             f"lattice construction violated separation: {measured} < {separation}"

@@ -11,7 +11,8 @@ import json
 import math
 import numbers
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -107,32 +108,21 @@ class CampaignConfig:
     def tol(self, name: str, default: float) -> float:
         return float(self.tolerances.get(name, default))
 
-    def echo(self) -> dict:
-        return {
-            "command": self.command,
-            "seed": self.seed,
-            "dim": self.dim,
-            "trials": self.trials,
-            "p_grid": list(self.p_grid),
-            "tolerances": dict(self.tolerances),
-            "rmax": self.rmax,
-            "output_dir": self.output_dir,
-        }
-
 
 @dataclass
 class CampaignReport:
     """Per-check records with a config echo and summary counts.
 
-    `node_exports` maps CSV basenames to (points, weights-or-None) pairs
-    (quadrature nodes, lattice points); they are written next to the report.
+    `exports` maps CSV file names (growth series, quadrature nodes, lattice
+    points) to writers taking the file's path; write() calls each with a
+    path next to the report.
     """
 
     config: dict
     records: list[dict]
     wall_time_s: float
     schema_version: int = SCHEMA_VERSION
-    node_exports: dict = field(default_factory=dict)
+    exports: dict = field(default_factory=dict)
 
     @property
     def passed(self) -> bool:
@@ -172,19 +162,8 @@ class CampaignReport:
             by_tag.setdefault(rec.get("tag", "untagged"), []).append(flat)
         for tag, recs in by_tag.items():
             serialization.write_records_csv(out / f"{tag}.csv", recs)
-        for rec in self.records:
-            if "truncations" in rec and "partial_sums" in rec:
-                series = constructions.GrowthSeries(
-                    truncations=tuple(int(n) for n in rec["truncations"]),
-                    partial_sums=np.asarray(rec["partial_sums"], dtype=float),
-                    verdict=rec["verdict"],
-                )
-                suffix = f"_p{rec['p']}" if rec.get("p") is not None else ""
-                serialization.write_growth_csv(
-                    out / f"growth_{rec['tag']}{suffix}.csv", series
-                )
-        for name, (points, weights) in self.node_exports.items():
-            serialization.write_nodes_csv(out / f"{name}.csv", points, weights)
+        for name, write_csv in self.exports.items():
+            write_csv(out / name)
         return report_path
 
 
@@ -204,21 +183,6 @@ def random_hermitian(dim: int, seed: int) -> np.ndarray:
 def random_psd(dim: int, seed: int) -> np.ndarray:
     g = random_operator(dim, seed)
     return (g @ g.conj().T) / dim
-
-
-def _cert_record(report: criteria.CertificateReport) -> dict:
-    return {
-        "tag": report.tag,
-        "p": report.p,
-        "trials": report.trials,
-        "direction": report.direction,
-        "extremal_value": report.extremal_value,
-        "norm_value": report.norm_value,
-        "witness_value": report.witness_value,
-        "equality_witness": report.equality_witness,
-        "tolerance": report.tolerance,
-        "passed": report.passed,
-    }
 
 
 def _enclosure_records(config: CampaignConfig, tol: float) -> list[dict]:
@@ -283,22 +247,12 @@ def run_verify_theorems(config: CampaignConfig) -> CampaignReport:
         if p <= 2:
             checks.append((criteria.certify_double_formula, hermitian, {}))
         for certify, op, extra in checks:
-            records.append(_cert_record(certify(op, p, tol=tol, ensemble=ensemble, **extra)))
+            records.append(asdict(certify(op, p, tol=tol, ensemble=ensemble, **extra)))
         records.append(enclosure)
 
     for tag, op in (("trace_endpoint", psd), ("hs_endpoint", general)):
         rep = criteria.endpoint_suites(op, tol=tol, ensemble=ensemble)
-        records.append(
-            {
-                "tag": tag,
-                "trials": rep.trials,
-                "trace_checked": rep.trace_checked,
-                "trace_margin": rep.trace_margin,
-                "hs_identity_dev": rep.hs_identity_dev,
-                "hs_enclosure_margin": rep.hs_enclosure_margin,
-                "passed": rep.passed,
-            }
-        )
+        records.append({"tag": tag, **asdict(rep)})
 
     synth_ok = True
     worst_dev = 0.0
@@ -323,35 +277,36 @@ def run_verify_theorems(config: CampaignConfig) -> CampaignReport:
     )
 
     return CampaignReport(
-        config=config.echo(), records=records, wall_time_s=time.perf_counter() - start
+        config=asdict(config), records=records, wall_time_s=time.perf_counter() - start
     )
 
 
-def _growth_record(tag: str, p, series: constructions.GrowthSeries, expected: str) -> dict:
-    return {
-        "tag": tag,
-        "p": p,
-        "truncations": list(series.truncations),
-        "partial_sums": [float(s) for s in series.partial_sums],
-        "verdict": series.verdict,
-        "expected": expected,
-        "passed": series.verdict == expected,
-    }
+def _growth_record(exports: dict, head: dict, series: constructions.GrowthSeries, **tail) -> dict:
+    """The keys of `head`, the fields of `series`, then `tail`.
+
+    The series goes to `exports` as growth_<tag>_p<p>.csv.
+    """
+    name = f"growth_{head['tag']}_p{head['p']}.csv"
+    exports[name] = partial(serialization.write_growth_csv, series=series)
+    return {**head, **asdict(series), **tail}
 
 
 def run_counterexamples(config: CampaignConfig) -> CampaignReport:
     """Growth studies for every divergence construction."""
     start = time.perf_counter()
     records: list[dict] = []
+    exports: dict = {}
     grid = constructions.DEFAULT_GRID
 
-    control = constructions.log_weight_norm_series(grid)
-    records.append(_growth_record("control_series", 2.0, control, "bounded_trend"))
-
+    trends = [("control_series", 2.0, constructions.log_weight_norm_series(grid), "bounded_trend")]
     for p in config.p_grid:
         if 0 < p < 2:
             series = constructions.divergence_demo_sum_norms(p, grid)
-            records.append(_growth_record("rank_one_growth", p, series, "divergent_trend"))
+            trends.append(("rank_one_growth", p, series, "divergent_trend"))
+    for tag, p, series, expected in trends:
+        head = {"tag": tag, "p": p}
+        passed = series.verdict == expected
+        records.append(_growth_record(exports, head, series, expected=expected, passed=passed))
 
     built = constructions.scaled_copies_frame(p=3.0, epsilon=3.0, n_terms=min(config.dim * 4, 40))
     lhs, rhs = built.power_sum_identity()
@@ -413,20 +368,15 @@ def run_counterexamples(config: CampaignConfig) -> CampaignReport:
     # p-th powers are sqrt(gain) times the log-weight terms
     tail_terms = np.sqrt(gain) * constructions.log_weight_vector(grid[-1])
     tail_series = constructions.growth_series(tail_terms, grid)
-    records.append(
-        {
-            "tag": "diag_divergence_frame",
-            "p": 0.5,
-            "dim": config.dim,
-            "copies": copies,
-            "bound_closed_form_dev": bound_dev,
-            "truncations": list(tail_series.truncations),
-            "partial_sums": [float(s) for s in tail_series.partial_sums],
-            "verdict": tail_series.verdict,
-            "passed": bound_dev <= 1e-10 * (1.0 + gamma)
-            and tail_series.verdict == "divergent_trend",
-        }
-    )
+    head = {
+        "tag": "diag_divergence_frame",
+        "p": 0.5,
+        "dim": config.dim,
+        "copies": copies,
+        "bound_closed_form_dev": bound_dev,
+    }
+    passed = bound_dev <= 1e-10 * (1.0 + gamma) and tail_series.verdict == "divergent_trend"
+    records.append(_growth_record(exports, head, tail_series, passed=passed))
 
     demo = constructions.divergence_demo_double_sum(min(4 * config.dim, 64), 1.0, grid)
     sv = svd(demo.matrix).singular_values
@@ -434,23 +384,22 @@ def run_counterexamples(config: CampaignConfig) -> CampaignReport:
     # Weyl: |s_n - 2^-n| <= ||E||_2 for the SVD's backward error E, a modest
     # multiple of n * eps * s_1; c = 10 also covers rounding in forming the matrix
     sv_tol = 10 * sv.size * np.finfo(float).eps * sv[0]
+    sv_dev = float(np.max(np.abs(sv - expected_sv)))
+    head = {"tag": "double_sum_growth", "p": 1.0, "norm_series_verdict": demo.norm_series.verdict}
+    passed = (
+        demo.norm_series.verdict == "bounded_trend"
+        and demo.double_series.verdict == "divergent_trend"
+        and sv_dev <= sv_tol
+    )
     records.append(
-        {
-            "tag": "double_sum_growth",
-            "p": 1.0,
-            "norm_series_verdict": demo.norm_series.verdict,
-            "truncations": list(demo.double_series.truncations),
-            "partial_sums": [float(s) for s in demo.double_series.partial_sums],
-            "verdict": demo.double_series.verdict,
-            "singular_value_dev": float(np.max(np.abs(sv - expected_sv))),
-            "passed": demo.norm_series.verdict == "bounded_trend"
-            and demo.double_series.verdict == "divergent_trend"
-            and float(np.max(np.abs(sv - expected_sv))) <= sv_tol,
-        }
+        _growth_record(exports, head, demo.double_series, singular_value_dev=sv_dev, passed=passed)
     )
 
     return CampaignReport(
-        config=config.echo(), records=records, wall_time_s=time.perf_counter() - start
+        config=asdict(config),
+        records=records,
+        wall_time_s=time.perf_counter() - start,
+        exports=exports,
     )
 
 
@@ -477,20 +426,8 @@ def run_bergman(config: CampaignConfig) -> CampaignReport:
         for n_radial in (16, 64):
             quad = bergman.disk_quadrature(n_radial, max(64, 2 * degree), rmax)
             rep = bergman.hs_identity_check(diag_t, quad)
-            records.append(
-                {
-                    "tag": "hs_identity",
-                    "rmax": rmax,
-                    "n_radial": n_radial,
-                    "integral_dlambda": rep.integral_dlambda,
-                    "integral_da": rep.integral_da,
-                    "pointwise_dev": rep.pointwise_dev,
-                    "hs_norm_sq": rep.hs_norm_sq,
-                    "mode_closed_form": rep.mode_closed_form,
-                    "truncation_bound": rep.truncation_bound,
-                    "passed": rep.passed,
-                }
-            )
+            head = {"tag": "hs_identity", "rmax": rmax, "n_radial": n_radial}
+            records.append({**head, **asdict(rep)})
 
     sub_ps = [p for p in config.p_grid if p <= 3] or [1.0]
     for i in range(min(5, config.trials)):
@@ -509,10 +446,15 @@ def run_bergman(config: CampaignConfig) -> CampaignReport:
             )
 
     export_quad = bergman.disk_quadrature(16, 32, config.rmax)
-    node_exports = {"quadrature_nodes": (export_quad.nodes, export_quad.weights_da)}
+    write_nodes = serialization.write_nodes_csv
+    exports = {
+        "quadrature_nodes.csv": partial(
+            write_nodes, points=export_quad.nodes, weights=export_quad.weights_da
+        )
+    }
     for separation in (0.3, 0.5):
         lattice = bergman.r_lattice(separation, 0.95)
-        node_exports[f"lattice_sep{separation}"] = (lattice.points, None)
+        exports[f"lattice_sep{separation}.csv"] = partial(write_nodes, points=lattice.points)
         measured = bergman.min_pairwise_separation(lattice.points)
         frame, frame_rep = bergman.sampling_frame(lattice, degree)
         cert = certify_synthesis(frame, seed=config.seed)
@@ -542,10 +484,10 @@ def run_bergman(config: CampaignConfig) -> CampaignReport:
         )
 
     return CampaignReport(
-        config=config.echo(),
+        config=asdict(config),
         records=records,
         wall_time_s=time.perf_counter() - start,
-        node_exports=node_exports,
+        exports=exports,
     )
 
 
@@ -597,5 +539,5 @@ def run_norm_estimate(matrix_file, p: float, strategy: str, config: CampaignConf
             }
         )
     return CampaignReport(
-        config=config.echo(), records=records, wall_time_s=time.perf_counter() - start
+        config=asdict(config), records=records, wall_time_s=time.perf_counter() - start
     )

@@ -62,8 +62,6 @@ class SumReport:
     kind: str
     p: float
     value: float
-    frame_id: str | None = None
-    operator_id: str | None = None
 
 
 @dataclass(frozen=True)

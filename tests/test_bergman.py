@@ -1,9 +1,15 @@
 """Bergman kernels, disk quadrature, hyperbolic lattices, integral criteria."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from conftest import seeded_operators
+from schattenframes import bergman
 from schattenframes.bergman import (
     TruncatedBergman,
     bergman_kernel,
@@ -121,6 +127,69 @@ class TestRLattice:
             r_lattice(0.0, 0.9)
         with pytest.raises(ValueError):
             r_lattice(0.5, 1.0)
+
+    @pytest.mark.parametrize("separation", [0.1, 0.2, 0.3, 0.5, 0.8, 1.5, 5.0])
+    @pytest.mark.parametrize("rmax", [0.3, 0.6, 0.8, 0.9])
+    def test_ring_check_equals_brute_force(self, monkeypatch, separation, rmax):
+        checked = []
+        ring_separation = bergman._ring_separation
+
+        def recorded(rings, offsets):
+            checked.append(ring_separation(rings, offsets))
+            return checked[-1]
+
+        monkeypatch.setattr(bergman, "_ring_separation", recorded)
+        lattice = r_lattice(separation, rmax)
+        assert checked == [min_pairwise_separation(lattice.points)]
+
+    @staticmethod
+    def rings(radii, counts):
+        """The origin, then counts[k] evenly spaced points on radius radii[k],
+        turned by half a step on odd rings, as r_lattice places them."""
+        offsets = [np.zeros(1)] + [
+            2.0 * np.pi * np.arange(m) / m + (np.pi / m) * (k % 2)
+            for k, m in enumerate(counts, start=1)
+        ]
+        rings = [r * np.exp(1j * a) for r, a in zip([0.0, *radii], offsets)]
+        return rings, offsets
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_ring_check_finds_crowded_rings(self, seed):
+        # too many points on some rings: the minimum is a same-ring pair
+        rng = np.random.default_rng(seed)
+        step = rng.uniform(0.1, 0.6)
+        levels = int(np.arctanh(0.9) / step)
+        counts = rng.integers(1, 40, size=levels)
+        rings, offsets = self.rings(np.tanh(step * np.arange(1, levels + 1)), counts)
+        expected = min_pairwise_separation(np.concatenate(rings))
+        assert bergman._ring_separation(rings, offsets) == expected
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_ring_check_pairs_adjacent_rings_by_angle(self, seed):
+        # two close rings far from the origin: the minimum is an inter-ring pair
+        rng = np.random.default_rng(seed)
+        counts = rng.integers(1, 60, size=2)
+        rings, offsets = self.rings([0.9, rng.uniform(0.91, 0.95)], counts)
+        expected = min_pairwise_separation(np.concatenate(rings))
+        assert bergman._ring_separation(rings, offsets) == expected
+        assert expected < min(min_pairwise_separation(r) for r in rings[1:])
+
+    def test_fine_lattice_near_boundary_fits_in_memory(self):
+        # 47,239 points: the all-pairs distance matrix alone would take 33 GiB;
+        # the child process is capped at 2 GiB of address space
+        script = (
+            "import resource; cap = 2 << 30; "
+            "resource.setrlimit(resource.RLIMIT_AS, (cap, cap)); "
+            "from schattenframes.bergman import r_lattice; "
+            "print(r_lattice(0.2, 0.999).points.size)"
+        )
+        src = str(Path(bergman.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+        result = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True
+        )
+        assert result.returncode == 0, result.stderr
+        assert int(result.stdout) == 47239
 
 
 class TestSamplingFrame:

@@ -1,33 +1,26 @@
-"""verify-theorems campaign: golden report and frame-generation counts."""
+"""Campaign reports: golden reports of every command, and the verify-theorems
+frame-generation counts."""
 
 import collections
+import csv
 import json
 from pathlib import Path
 
 import pytest
+from conftest import assert_same_report
 
-from schattenframes import campaigns, frames
-from schattenframes.campaigns import CampaignConfig, run_verify_theorems
+from schattenframes import campaigns, frames, serialization
+from schattenframes.campaigns import (
+    CampaignConfig,
+    run_bergman,
+    run_counterexamples,
+    run_norm_estimate,
+    run_verify_theorems,
+)
 
-GOLDEN = Path(__file__).parent / "data" / "verify_dim3_trials20.json"
-GOLDEN_DEFAULT = Path(__file__).parent / "data" / "verify_default.json"
-
-
-def assert_same_report(actual, expected, path="report"):
-    """Identical structure and verdicts; every float within 1e-12 relative."""
-    if isinstance(expected, dict):
-        assert isinstance(actual, dict) and actual.keys() == expected.keys(), path
-        for key in expected:
-            assert_same_report(actual[key], expected[key], f"{path}.{key}")
-    elif isinstance(expected, list):
-        assert isinstance(actual, list) and len(actual) == len(expected), path
-        for k, (a, e) in enumerate(zip(actual, expected)):
-            assert_same_report(a, e, f"{path}[{k}]")
-    elif isinstance(expected, float) and not isinstance(actual, bool):
-        assert isinstance(actual, float), path
-        assert abs(actual - expected) <= 1e-12 * max(abs(actual), abs(expected)), path
-    else:
-        assert actual == expected, path
+DATA = Path(__file__).parent / "data"
+GOLDEN = DATA / "verify_dim3_trials20.json"
+GOLDEN_DEFAULT = DATA / "verify_default.json"
 
 
 def test_golden_report():
@@ -45,6 +38,44 @@ def test_golden_default_report():
     report = run_verify_theorems(CampaignConfig(command="verify-theorems"))
     actual = json.loads(json.dumps(report.numeric_content()))
     assert_same_report(actual, json.loads(GOLDEN_DEFAULT.read_text()))
+
+
+def _norm_estimate(tmp_path, strategy):
+    matrix = tmp_path / "matrix.json"
+    serialization.write_matrix(matrix, campaigns.random_operator(12, 3))
+    return run_norm_estimate(matrix, 1.5, strategy, CampaignConfig(command="norm-estimate"))
+
+
+REPORT_CASES = {
+    "counterexamples_dim4": lambda tmp: run_counterexamples(
+        CampaignConfig(command="counterexamples", dim=4)
+    ),
+    "bergman_dim4_trials2": lambda tmp: run_bergman(
+        CampaignConfig(command="bergman", dim=4, trials=2)
+    ),
+    "norm_estimate_exact": lambda tmp: _norm_estimate(tmp, "singular_basis_exact"),
+    "norm_estimate_ensemble": lambda tmp: _norm_estimate(tmp, "frame_ensemble"),
+}
+
+
+def written_report(report, out: Path) -> dict:
+    """numeric_content() plus the header row of each CSV that write() puts in `out`."""
+    report.write(out)
+    headers = {}
+    for path in sorted(out.glob("*.csv")):
+        with open(path, newline="") as fh:
+            headers[path.name] = next(csv.reader(fh), [])
+    return {"report": json.loads(json.dumps(report.numeric_content())), "csv_headers": headers}
+
+
+@pytest.mark.parametrize("name", sorted(REPORT_CASES))
+def test_golden_campaign_report(name, tmp_path):
+    """numeric_content(), CSV file names and CSV header rows, recorded before the
+    report records were derived from the result dataclasses (numpy 2.4, OpenBLAS)."""
+    actual = written_report(REPORT_CASES[name](tmp_path), tmp_path / "out")
+    expected = json.loads((DATA / f"{name}.json").read_text())
+    assert actual["csv_headers"] == expected["csv_headers"]
+    assert_same_report(actual["report"], expected["report"])
 
 
 class GenerationCounts:

@@ -1,5 +1,6 @@
 """CLI behavior: flags, config files, reports, exit codes, determinism."""
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -51,7 +52,7 @@ class TestVerifyTheorems:
 
         def fake_run(config):
             return CampaignReport(
-                config=config.echo(),
+                config=dataclasses.asdict(config),
                 records=[{"tag": "forced", "passed": False}],
                 wall_time_s=0.0,
             )
