@@ -63,8 +63,6 @@ from .criteria import (
 from .frames import (
     Frame,
     FrameEnsemble,
-    FrameStack,
-    SynthesisOperator,
     canonical_parseval,
     certify_synthesis,
     make_frame,
@@ -72,7 +70,6 @@ from .frames import (
     random_onb,
     rescale_lower_bound_one,
     rescale_upper_bound_one,
-    synthesis,
     union_frame,
 )
 from .linalg import (

@@ -18,7 +18,14 @@ from pathlib import Path
 import numpy as np
 
 from . import bergman, constructions, criteria, serialization
-from .frames import FrameEnsemble, FrameStack, certify_synthesis, make_frame
+from .frames import (
+    Frame,
+    FrameEnsemble,
+    canonical_parseval,
+    certify_synthesis,
+    make_frame,
+    rescale_upper_bound_one,
+)
 from .linalg import schatten_norm, svd
 
 __all__ = [
@@ -261,8 +268,8 @@ def run_verify_theorems(config: CampaignConfig) -> CampaignReport:
         # the three variants of a trial share its probe seed
         seeds = [seed + i for i in group.indices] * 3
         for stack in (group.onb, group.raw):
-            variants = FrameStack.concat([stack, stack.parseval(), stack.upper_bound_one()])
-            cert = certify_synthesis(variants, tol=tol, seed=seeds)
+            variants = [stack, canonical_parseval(stack), rescale_upper_bound_one(stack)]
+            cert = certify_synthesis(Frame.concat(variants), tol=tol, seed=seeds)
             synth_ok = synth_ok and bool(np.all(cert.passed))
             worst_dev = max(worst_dev, float(np.max(cert.analysis_identity_dev)))
             n_frames += len(seeds)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frames import Frame, make_frame, synthesis
+from .frames import Frame, _one_frame, make_frame
 from .linalg import as_matrix, psd_sqrt, svd
 
 __all__ = [
@@ -224,7 +224,7 @@ def compose_with_synthesis(t, frame: Frame) -> np.ndarray:
     coefficient-space standard basis equal norm sums of T over the frame.
     """
     t = as_matrix(t)
-    a = synthesis(frame).matrix
+    a = _one_frame(frame).vectors
     if t.shape[1] != a.shape[0]:
         raise ValueError(f"operator acts on C^{t.shape[1]}, frame lives in C^{a.shape[0]}")
     return t @ a
@@ -396,7 +396,7 @@ class ConjugationFamily:
 def conjugations(t, frame: Frame, include_root: bool = False) -> ConjugationFamily:
     """Conjugate T by the synthesis operator and form its square/root."""
     t = as_matrix(t)
-    if t.shape[0] != t.shape[1] or t.shape[0] != frame.dim:
+    if t.shape[0] != t.shape[1] or t.shape[0] != _one_frame(frame).dim:
         raise ValueError(
             f"operator shape {t.shape} incompatible with frame dimension {frame.dim}"
         )

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frames import Frame, FrameEnsemble, FrameStack
+from .frames import Frame, FrameEnsemble, _one_frame, _per_frame, rescale_lower_bound_one
 from .linalg import as_matrix, hermitian_defect, hermitian_eigen, schatten_norm, svd
 
 __all__ = [
@@ -86,8 +86,8 @@ class CertificateReport:
     passed: bool
 
 
-def _check_dims(t: np.ndarray, frame) -> None:
-    if t.shape[-1] != frame.dim:
+def _check_dims(t: np.ndarray, frame: Frame) -> None:
+    if t.shape[-1] != _one_frame(frame).dim:
         raise ValueError(f"operator acts on C^{t.shape[-1]}, frame lives in C^{frame.dim}")
 
 
@@ -216,40 +216,41 @@ class DoubleSumComparison:
     passed: bool
 
 
-def double_sum_comparison(t, frame, p: float, tol: float = 1e-9) -> DoubleSumComparison:
+def double_sum_comparison(t, frame: Frame, p: float, tol: float = 1e-9) -> DoubleSumComparison:
     """Check the two-sided comparison between double and norm sums.
 
-    `frame` may also be a FrameStack, with `t` one operator or a stack of one
-    operator per frame; the sums, constants and verdicts are then arrays
-    over the stack.
+    `t` is one (dim, dim) operator, or for a stack of n frames also a stack
+    of one operator per frame, (n, dim, dim); for a stack the sums,
+    constants and verdicts are arrays over it.
     """
-    stacked = isinstance(frame, FrameStack)
-    t = np.asarray(t, dtype=np.complex128) if stacked else as_matrix(t)
-    if not np.all(np.isfinite(t)):
-        raise ValueError("matrix entries must be finite (no NaN/inf)")
+    t = np.ascontiguousarray(t, dtype=np.complex128)
+    square = (frame.dim, frame.dim)
+    if t.shape not in (square, frame.vectors.shape[:-2] + square) or not np.isfinite(t).all():
+        raise ValueError(
+            f"expected a finite operator of shape {square}, or one per frame of the stack,"
+            f" for frames of shape {frame.vectors.shape}; got shape {t.shape}"
+        )
     _check_p(p)
-    _check_dims(t, frame)
     lhs = _double_sums(t, frame.vectors, p)
     rhs = _norm_sums(t, frame.vectors, p)
     scale = np.maximum(1.0, np.maximum(lhs, rhs))
     ok = np.ones(np.shape(lhs), dtype=bool)
     upper = lower = None
+    # np.power, not float **, so that one frame gets the bits of a stack member
     if p >= 2:
-        upper = frame.upper_bound ** (p / 2.0)
+        upper = _per_frame(np.power(frame.upper_bound, p / 2.0))
         ok &= lhs <= upper * rhs + tol * scale
     if p <= 2:
-        lower = frame.lower_bound ** (p / 2.0)
+        lower = _per_frame(np.power(frame.lower_bound, p / 2.0))
         ok &= lhs >= lower * rhs - tol * scale
-    if not stacked:
-        lhs, rhs, ok = float(lhs), float(rhs), bool(ok)
     return DoubleSumComparison(
         p=p,
-        double_sum=lhs,
-        norm_sum=rhs,
+        double_sum=_per_frame(lhs),
+        norm_sum=_per_frame(rhs),
         upper_constant=upper,
         lower_constant=lower,
         tolerance=tol,
-        passed=ok,
+        passed=_per_frame(ok),
     )
 
 
@@ -395,7 +396,7 @@ def certify_diag_formula(
     inf_regime = direction == "inf_above"
     sampled = [_diag_sums(t, s.vectors, p) for s in ensemble.regime_stacks(inf_regime)]
     if inf_regime:
-        lower_one = (g.raw.lower_bound_one().vectors for g in ensemble.groups)
+        lower_one = (rescale_lower_bound_one(g.raw).vectors for g in ensemble.groups)
         sampled += [_weighted_sums("weighted_diag", t, v, p) for v in lower_one]
     tag = "diag_sum_inf" if inf_regime else "diag_sum_sup"
     return _certificate(tag, p, ensemble, direction, sampled, norm_value, witness, tol, budget)
@@ -491,7 +492,7 @@ def endpoint_suites(
             trace_margin = min(trace_margin, margin)
             ok = ok and fits
         norm_total = _norm_sums(t, raw.vectors, 2)
-        via_trace = np.real(np.trace(gram @ raw.frame_operators(), axis1=-2, axis2=-1))
+        via_trace = np.real(np.trace(gram @ raw.frame_operator, axis1=-2, axis2=-1))
         dev = np.abs(norm_total - via_trace) / np.maximum(1.0, np.abs(via_trace))
         hs_dev = max(hs_dev, float(np.max(dev)))
         margin, fits = _enclosure(norm_total, c1 * hs_sq, c2 * hs_sq, tol)

@@ -1,11 +1,16 @@
-"""Finite frames: frame operators, exact frame bounds, synthesis operators
-with certified norm estimates, canonical Parseval rescaling, seeded
+"""Finite frames and stacks of frames: frame operators, exact frame bounds,
+the synthesis-operator certificate, canonical Parseval rescaling, seeded
 generators for random orthonormal bases and random frames, and the seeded
 trial-frame ensemble that the sampled certificates share.
 
 A family {f_n} in C^d is a frame when C1 ||f||^2 <= sum_n |<f, f_n>|^2 <=
 C2 ||f||^2 for all f with C1 > 0; in finite dimension the optimal bounds are
-the extreme eigenvalues of the frame operator S = sum_n f_n f_n*.
+the extreme eigenvalues of the frame operator S = sum_n f_n f_n*.  The
+synthesis operator, sending the k-th coefficient basis vector to f_k, is the
+(dim, count) matrix of the vectors themselves, so A A* = S.
+
+One type, `Frame`, holds one frame or a stack of frames of one shape along a
+leading axis; every operation here works frame by frame on either.
 """
 
 from __future__ import annotations
@@ -19,13 +24,10 @@ from .linalg import as_matrix
 
 __all__ = [
     "Frame",
-    "FrameStack",
     "TrialGroup",
     "FrameEnsemble",
-    "SynthesisOperator",
     "SynthesisCertificate",
     "make_frame",
-    "synthesis",
     "certify_synthesis",
     "canonical_parseval",
     "rescale_upper_bound_one",
@@ -44,75 +46,108 @@ TRIAL_CONDITION = 100.0
 
 @dataclass(frozen=True)
 class Frame:
-    """An ordered frame with cached frame operator and optimal bounds.
+    """An ordered frame, or a stack of frames, with its optimal bounds.
 
-    `vectors` has shape (dim, count); column k is the k-th frame vector.
-    Repeated vectors are allowed and meaningful (families keep multiplicity).
-    Instances are immutable; arrays are marked read-only at construction.
+    `vectors` has shape (dim, count), column k being the k-th frame vector,
+    or (n, dim, count) for a stack holding frame k in `vectors[k]`; `frame[k]`
+    is that member as one frame.  Repeated vectors are allowed and meaningful
+    (families keep multiplicity).  The bounds are floats for one frame and
+    read-only length-n arrays for a stack.  Build frames with `Frame.of` or
+    `make_frame`; their arrays are read-only.
     """
 
-    dim: int
     vectors: np.ndarray
-    frame_operator: np.ndarray
-    lower_bound: float
-    upper_bound: float
+    lower_bound: float | np.ndarray
+    upper_bound: float | np.ndarray
 
-    @property
-    def count(self) -> int:
-        return self.vectors.shape[1]
+    @classmethod
+    def of(cls, vectors) -> Frame:
+        """The frame (dim, count) or stack (n, dim, count) of `vectors`.
 
-    @property
-    def bounds(self) -> tuple[float, float]:
-        return (self.lower_bound, self.upper_bound)
+        The bounds come from one eigh, batched over a stack.  Takes ownership
+        of `vectors`, which is marked read-only.  Fails unless every family
+        spans: lambda_min(S) must exceed SPANNING_TOL * lambda_max(S).
+        """
+        vectors = np.asarray(vectors, dtype=np.complex128)
+        if vectors.ndim not in (2, 3) or 0 in vectors.shape[-2:] or not np.isfinite(vectors).all():
+            raise ValueError(
+                "expected finite vectors of shape (dim, count) or (n, dim, count),"
+                f" got shape {vectors.shape}"
+            )
+        lower, upper = _bounds(vectors)
+        _require_spanning(vectors.shape[-2], lower, upper, "frame {} of the stack".format)
+        return _sealed(vectors, lower, upper)
 
-    @property
-    def condition(self) -> float:
-        return self.upper_bound / self.lower_bound
+    @classmethod
+    def concat(cls, stacks) -> Frame:
+        """Join stacks of one frame shape in order; bounds are carried over."""
+        fields = ("vectors", "lower_bound", "upper_bound")
+        return _sealed(*(np.concatenate([getattr(s, f) for s in stacks]) for f in fields))
 
-    def is_parseval(self, tol: float = 1e-9) -> bool:
-        """True when both optimal bounds are 1 within `tol`."""
-        return abs(self.lower_bound - 1.0) <= tol and abs(self.upper_bound - 1.0) <= tol
-
-
-@dataclass(frozen=True)
-class SynthesisOperator:
-    """The operator sending the k-th coefficient basis vector to f_k.
-
-    Its matrix is exactly the frame's (dim, count) vector array, so
-    A A* equals the frame operator.
-    """
-
-    matrix: np.ndarray
+    def __getitem__(self, k) -> Frame:
+        """Member k of a stack, sharing the stack's arrays."""
+        return Frame(
+            self.vectors[k], _per_frame(self.lower_bound[k]), _per_frame(self.upper_bound[k])
+        )
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self.vectors.shape[-2]
 
     @property
     def count(self) -> int:
-        return self.matrix.shape[1]
+        return self.vectors.shape[-1]
+
+    @property
+    def frame_operator(self) -> np.ndarray:
+        """S = sum_n f_n f_n*, per frame for a stack; computed on read, read-only."""
+        s = _frame_operators(self.vectors)
+        s.flags.writeable = False
+        return s
+
+    @property
+    def bounds(self) -> tuple:
+        return (self.lower_bound, self.upper_bound)
+
+    @property
+    def condition(self) -> float | np.ndarray:
+        return self.upper_bound / self.lower_bound
+
+
+def _per_frame(values):
+    """Per-frame results in the stack's shape; for one frame (0-d) a plain Python scalar."""
+    return values.item() if np.ndim(values) == 0 else values
+
+
+def _sealed(vectors: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> Frame:
+    """The Frame of these arrays and their bounds, marked read-only."""
+    for arr in (vectors, lower, upper):
+        arr.flags.writeable = False
+    return Frame(vectors, _per_frame(lower), _per_frame(upper))
+
+
+def _one_frame(frame: Frame) -> Frame:
+    """`frame` itself, for functions that take one frame and not a stack."""
+    if frame.vectors.ndim != 2:
+        raise ValueError(f"expected one frame, got a stack of shape {frame.vectors.shape}")
+    return frame
 
 
 def _coerce_vectors(vectors, dim: int | None) -> np.ndarray:
     """Stack input vectors as columns of a (dim, count) complex matrix."""
     if isinstance(vectors, Frame):
-        a = vectors.vectors
-    elif isinstance(vectors, SynthesisOperator):
-        a = vectors.matrix
-    elif isinstance(vectors, np.ndarray) and vectors.ndim == 2:
-        a = vectors
-    else:
+        vectors = _one_frame(vectors).vectors
+    if not (isinstance(vectors, np.ndarray) and vectors.ndim == 2):
         cols = [np.asarray(v, dtype=np.complex128).reshape(-1) for v in vectors]
         if not cols:
             raise ValueError("a frame needs at least one vector")
         lengths = {c.shape[0] for c in cols}
         if len(lengths) != 1:
             raise ValueError(f"vectors have inconsistent lengths {sorted(lengths)}")
-        a = np.column_stack(cols)
-    a = np.asarray(a, dtype=np.complex128)
-    if dim is not None and a.shape[0] != dim:
-        raise ValueError(f"vectors have length {a.shape[0]}, expected dim {dim}")
-    return a
+        vectors = np.column_stack(cols)
+    if dim is not None and vectors.shape[0] != dim:
+        raise ValueError(f"vectors have length {vectors.shape[0]}, expected dim {dim}")
+    return vectors
 
 
 def _spanning(lower, upper) -> np.ndarray:
@@ -120,31 +155,24 @@ def _spanning(lower, upper) -> np.ndarray:
     return lower > SPANNING_TOL * np.maximum(upper, 1e-300)
 
 
-def make_frame(vectors, dim: int | None = None, tol: float | None = None) -> Frame:
-    """Build a Frame from a vector family, computing operator and bounds.
+def _require_spanning(dim: int, lower, upper, member) -> None:
+    """Fail naming the first family that does not span; `member(k)` names frame k of a stack."""
+    spans = _spanning(lower, upper)
+    if not spans.all():
+        k = np.unravel_index(np.argmin(spans), spans.shape)  # () for one frame
+        raise ValueError(
+            f"family does not span C^{dim}" + (f" ({member(k[0])})" if k else "")
+            + f": lambda_min(S) = {lower[k]:.3e} <= tol {SPANNING_TOL * max(upper[k], 1e-300):.3e}"
+        )
+
+
+def make_frame(vectors, dim: int | None = None) -> Frame:
+    """Build one Frame from a vector family: `Frame.of` behind input coercion.
 
     `vectors` may be a sequence of length-`dim` vectors or a (dim, count)
-    array whose columns are the vectors.  Fails when the family does not span:
-    lambda_min(S) must exceed `tol` (default SPANNING_TOL * lambda_max(S)).
+    array whose columns are the vectors.  Fails when the family does not span.
     """
-    a = as_matrix(_coerce_vectors(vectors, dim))
-    d = a.shape[0]
-    s = _frame_operators(a)
-    w = np.linalg.eigh(s)[0]
-    c1 = float(w[0])
-    c2 = float(w[-1])
-    threshold = tol if tol is not None else SPANNING_TOL * max(c2, 1e-300)
-    if c1 <= threshold:
-        raise ValueError(
-            f"family does not span C^{d}: lambda_min(S) = {c1:.3e} <= tol {threshold:.3e}"
-        )
-    s.flags.writeable = False
-    return Frame(dim=d, vectors=a, frame_operator=s, lower_bound=c1, upper_bound=c2)
-
-
-def synthesis(frame: Frame) -> SynthesisOperator:
-    """Synthesis operator of a frame (columns are the frame vectors)."""
-    return SynthesisOperator(matrix=frame.vectors)
+    return Frame.of(as_matrix(_coerce_vectors(vectors, dim)))
 
 
 @dataclass(frozen=True)
@@ -154,7 +182,7 @@ class SynthesisCertificate:
     Certifies C1 <= ||A||^2 <= C2, invertibility of A A* (lambda_min = C1 > 0),
     and the analysis identity ||A* f||^2 = sum_n |<f, f_n>|^2 on seeded probes.
     `rank` is the numerical rank of A (A itself is generally not injective,
-    e.g. for frames with repeated vectors).  For a FrameStack the bounds,
+    e.g. for frames with repeated vectors).  For a stack of frames the bounds,
     measurements, `rank` and `passed` are arrays over the stack and
     `failures` holds one tuple of messages per frame.
     """
@@ -177,6 +205,10 @@ class SynthesisCertificate:
 #: run rose 0.8%, 2.4% and 4.4% at 2, 4 and 8 frames, at about equal latency.
 SYNTHESIS_CHUNK = 4
 
+#: Seeded unit probes per frame on which certify_synthesis checks the analysis
+#: identity and the frame inequality.
+SYNTHESIS_PROBES = 200
+
 
 def _probes(dim: int, n_probes: int, seed: int) -> np.ndarray:
     """Seeded unit probe vectors as the columns of a (dim, n_probes) matrix."""
@@ -187,30 +219,22 @@ def _probes(dim: int, n_probes: int, seed: int) -> np.ndarray:
 
 
 def certify_synthesis(
-    frame: "Frame | FrameStack",
-    tol: float = 1e-9,
-    n_probes: int = 200,
-    seed: "int | Sequence[int]" = 0,
+    frame: Frame, tol: float = 1e-9, seed: "int | Sequence[int]" = 0
 ) -> SynthesisCertificate:
     """Certify the synthesis operator's norm bracket and analysis identity.
 
-    `frame` may also be a FrameStack, with `seed` a sequence of one probe seed
-    per frame; the certificate's fields are then arrays over the stack.  The
-    probes of each distinct seed are drawn once, and the stack is evaluated
-    SYNTHESIS_CHUNK frames at a time.  A single Frame is the one-frame case.
+    For a stack of frames `seed` holds one probe seed per frame, and the
+    certificate's fields are arrays over the stack.  The probes of each
+    distinct seed are drawn once, and the frames are evaluated
+    SYNTHESIS_CHUNK at a time.
     """
-    stacked = isinstance(frame, FrameStack)
-    if stacked:
-        vectors, c1, c2 = frame.vectors, frame.lower_bound, frame.upper_bound
-        if np.ndim(seed) != 1 or len(seed) != len(vectors):
-            raise ValueError(f"a stack of {len(vectors)} frames needs one seed per frame")
-        seeds = seed
-    else:
-        vectors = frame.vectors[None]
-        c1, c2 = np.array([frame.lower_bound]), np.array([frame.upper_bound])
-        seeds = [seed]
+    shape = frame.vectors.shape[:-2]
+    if np.shape(seed) != shape:
+        raise ValueError(f"frames of stack shape {shape} need one seed per frame, got {seed!r}")
+    vectors = frame.vectors.reshape(-1, frame.dim, frame.count)
+    c1, c2 = np.reshape(frame.lower_bound, -1), np.reshape(frame.upper_bound, -1)
     n, dim, count = vectors.shape
-    seeds = [int(s) for s in seeds]
+    seeds = [int(s) for s in np.reshape(seed, -1)]
     # frames sharing a seed are evaluated together, so only the probes of the
     # current chunk are held and each seed's probes are drawn once
     order = sorted(range(n), key=seeds.__getitem__)
@@ -220,7 +244,7 @@ def certify_synthesis(
     for start in range(0, n, SYNTHESIS_CHUNK):
         part = order[start : start + SYNTHESIS_CHUNK]
         drawn = {
-            s: drawn[s] if s in drawn else _probes(dim, n_probes, s)
+            s: drawn[s] if s in drawn else _probes(dim, SYNTHESIS_PROBES, s)
             for s in dict.fromkeys(seeds[k] for k in part)
         }
         a, f = vectors[part], np.stack([drawn[seeds[k]] for k in part])
@@ -261,14 +285,12 @@ def certify_synthesis(
         "rank": rank,
         "passed": ~np.any(checks, axis=0),
     }
-    if not stacked:  # the one-frame case reports plain Python scalars
-        fields = {key: value[0].item() for key, value in fields.items()}
     return SynthesisCertificate(
         dim=dim,
         count=count,
         tolerance=tol,
-        failures=tuple(failures) if stacked else failures[0],
-        **fields,
+        failures=tuple(failures) if shape else failures[0],
+        **{key: _per_frame(value.reshape(shape)) for key, value in fields.items()},
     )
 
 
@@ -278,9 +300,15 @@ def _frame_operators(vectors: np.ndarray) -> np.ndarray:
     return 0.5 * (s + np.conj(s).swapaxes(-1, -2))
 
 
-def _parseval_vectors(vectors: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """S^(-1/2) f_n for a frame or a stack, given the frame operator(s) `s`."""
-    w, v = np.linalg.eigh(s)
+def _bounds(vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """lambda_min(S) and lambda_max(S) of a frame or of each frame in a stack, from one eigh."""
+    w = np.linalg.eigh(_frame_operators(vectors))[0]
+    return w[..., 0].copy(), w[..., -1].copy()
+
+
+def _parseval_vectors(vectors: np.ndarray) -> np.ndarray:
+    """S^(-1/2) f_n for a frame or for each frame in a stack."""
+    w, v = np.linalg.eigh(_frame_operators(vectors))
     # nonincreasing order, tie-breaking as argsort does
     order = np.argsort(w, axis=-1)[..., ::-1]
     w = np.take_along_axis(w, order, axis=-1)
@@ -290,89 +318,18 @@ def _parseval_vectors(vectors: np.ndarray, s: np.ndarray) -> np.ndarray:
 
 
 def canonical_parseval(frame: Frame) -> Frame:
-    """Apply S^(-1/2) to every vector; the result is a Parseval frame."""
-    return make_frame(_parseval_vectors(frame.vectors, frame.frame_operator))
+    """Apply S^(-1/2) to every vector (of every frame); the result is Parseval."""
+    return Frame.of(_parseval_vectors(frame.vectors))
 
 
 def rescale_upper_bound_one(frame: Frame) -> Frame:
-    """Divide all vectors by sqrt(C2); new bounds are (C1/C2, 1)."""
-    return make_frame(frame.vectors / np.sqrt(frame.upper_bound))
+    """Divide all vectors by sqrt(C2), frame by frame; new bounds are (C1/C2, 1)."""
+    return Frame.of(frame.vectors / np.sqrt(frame.upper_bound)[..., None, None])
 
 
 def rescale_lower_bound_one(frame: Frame) -> Frame:
-    """Divide all vectors by sqrt(C1); new bounds are (1, C2/C1)."""
-    return make_frame(frame.vectors / np.sqrt(frame.lower_bound))
-
-
-@dataclass(frozen=True)
-class FrameStack:
-    """Frames of one shape stacked along the first axis.
-
-    `vectors` has shape (n, dim, count) and holds frame k in `vectors[k]`;
-    `lower_bound` and `upper_bound` are length-n arrays of optimal bounds, so
-    code that reads `vectors` and the bounds of a Frame reads a stack too.
-    Frame operators are recomputed when asked for, not stored.
-    """
-
-    vectors: np.ndarray
-    lower_bound: np.ndarray
-    upper_bound: np.ndarray
-
-    @classmethod
-    def of(cls, vectors: np.ndarray) -> "FrameStack":
-        """Stack the given frames, with bounds from one batched eigh.
-
-        Takes ownership of `vectors`, which is marked read-only.  The frames
-        are trusted to span (they come from generators that check it); use
-        `make_frame` for arbitrary families.
-        """
-        vectors = np.asarray(vectors, dtype=np.complex128)
-        w = np.linalg.eigh(_frame_operators(vectors))[0]
-        lower, upper = w[:, 0].copy(), w[:, -1].copy()
-        for arr in (vectors, lower, upper):
-            arr.flags.writeable = False
-        return cls(vectors=vectors, lower_bound=lower, upper_bound=upper)
-
-    @classmethod
-    def concat(cls, stacks) -> "FrameStack":
-        """Join stacks of one frame shape in order; bounds are carried over."""
-        return cls(
-            vectors=np.concatenate([s.vectors for s in stacks]),
-            lower_bound=np.concatenate([s.lower_bound for s in stacks]),
-            upper_bound=np.concatenate([s.upper_bound for s in stacks]),
-        )
-
-    @property
-    def dim(self) -> int:
-        return self.vectors.shape[1]
-
-    def frame_operators(self) -> np.ndarray:
-        return _frame_operators(self.vectors)
-
-    def parseval(self) -> "FrameStack":
-        """Canonical Parseval variant of every frame."""
-        return FrameStack.of(_parseval_vectors(self.vectors, self.frame_operators()))
-
-    def upper_bound_one(self) -> "FrameStack":
-        """Every frame divided by sqrt(C2)."""
-        return FrameStack.of(self.vectors / np.sqrt(self.upper_bound)[:, None, None])
-
-    def lower_bound_one(self) -> "FrameStack":
-        """Every frame divided by sqrt(C1)."""
-        return FrameStack.of(self.vectors / np.sqrt(self.lower_bound)[:, None, None])
-
-    def frames(self):
-        """Yield each member as a Frame (built on demand, sharing this stack's arrays)."""
-        s = self.frame_operators()
-        s.flags.writeable = False
-        for k in range(len(self.vectors)):
-            yield Frame(
-                dim=self.dim,
-                vectors=self.vectors[k],
-                frame_operator=s[k],
-                lower_bound=float(self.lower_bound[k]),
-                upper_bound=float(self.upper_bound[k]),
-            )
+    """Divide all vectors by sqrt(C1), frame by frame; new bounds are (1, C2/C1)."""
+    return Frame.of(frame.vectors / np.sqrt(frame.lower_bound)[..., None, None])
 
 
 @dataclass(frozen=True)
@@ -384,8 +341,8 @@ class TrialGroup:
     """
 
     indices: range
-    onb: FrameStack
-    raw: FrameStack
+    onb: Frame
+    raw: Frame
 
 
 class FrameEnsemble:
@@ -409,7 +366,7 @@ class FrameEnsemble:
         for residue in range(min(dim, trials)):
             indices = range(residue, trials, dim)
             seeds = [seed + i for i in indices]
-            onb = FrameStack.of(_onb_stack(dim, seeds))
+            onb = Frame.of(_onb_stack(dim, seeds))
             raw = _random_frames(dim, dim + residue + 1, TRIAL_CONDITION, seeds)
             groups.append(TrialGroup(indices, onb, raw))
         self.groups: tuple[TrialGroup, ...] = tuple(groups)
@@ -423,7 +380,7 @@ class FrameEnsemble:
         """
         for group in self.groups:
             yield group.onb
-            yield group.raw.parseval() if parseval else group.raw.upper_bound_one()
+            yield canonical_parseval(group.raw) if parseval else rescale_upper_bound_one(group.raw)
 
 
 def _phase_fix(q: np.ndarray) -> np.ndarray:
@@ -460,7 +417,7 @@ def random_onb(dim: int, seed: int) -> Frame:
     return make_frame(_onb_stack(dim, [seed])[0])
 
 
-def _random_frames(dim: int, count: int, condition_target: float, seeds) -> FrameStack:
+def _random_frames(dim: int, count: int, condition_target: float, seeds) -> Frame:
     """The frames random_frame(dim, count, condition_target, seed) for each seed, stacked.
 
     Draws each seed's blocks and perturbation, orthonormalizes all blocks in
@@ -481,35 +438,30 @@ def _random_frames(dim: int, count: int, condition_target: float, seeds) -> Fram
     blocks = _onb_stack(dim, block_seeds.ravel()).reshape(len(seeds), n_bases, dim, dim)
     base = blocks.transpose(0, 2, 1, 3).reshape(len(seeds), dim, n_bases * dim)[..., :count]
     raw = base + (0.25 / np.sqrt(dim)) * g
-    stack = FrameStack.of(raw)
-    spans = _spanning(stack.lower_bound, stack.upper_bound)
-    if not spans.all():
-        k = np.argmin(spans)
-        raise ValueError(
-            f"family does not span C^{dim}: lambda_min(S) = {stack.lower_bound[k]:.3e}"
-            f" for seed {seeds[k]}"
-        )
+    lower, upper = _bounds(raw)
+    _require_spanning(dim, lower, upper, lambda k: f"seed {seeds[k]}")
     if condition_target == 1.0:
-        return stack.parseval()
-    pending = np.flatnonzero(stack.upper_bound / stack.lower_bound > condition_target)
-    if not pending.size:
-        return stack
-    vectors = raw.copy()
-    parseval = _parseval_vectors(raw[pending], stack.frame_operators()[pending])
-    for attempt in range(1, 51):
-        t = 2.0**-attempt
-        candidate = (1.0 - t) * parseval + t * raw[pending]
-        w = np.linalg.eigh(_frame_operators(candidate))[0]
-        lower, upper = w[:, 0], w[:, -1]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            met = _spanning(lower, upper) & (upper / lower <= condition_target)
-        vectors[pending[met]] = candidate[met]
-        pending, parseval = pending[~met], parseval[~met]
-        if not pending.size:
-            return FrameStack.of(vectors)
-    raise ValueError(
-        f"could not reach condition target {condition_target} after 50 attempts"
-    )
+        return Frame.of(_parseval_vectors(raw))
+    pending = np.flatnonzero(upper / lower > condition_target)
+    if pending.size:
+        parseval = _parseval_vectors(raw[pending])
+        for attempt in range(1, 51):
+            t = 2.0**-attempt
+            candidate = (1.0 - t) * parseval + t * raw[pending]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                c1, c2 = _bounds(candidate)
+                met = _spanning(c1, c2) & (c2 / c1 <= condition_target)
+            # a blended frame replaces its raw one; the frames still pending stay raw
+            done = pending[met]
+            raw[done], lower[done], upper[done] = candidate[met], c1[met], c2[met]
+            pending, parseval = pending[~met], parseval[~met]
+            if not pending.size:
+                break
+        else:
+            raise ValueError(
+                f"could not reach condition target {condition_target} after 50 attempts"
+            )
+    return _sealed(raw, lower, upper)
 
 
 def random_frame(dim: int, count: int, condition_target: float, seed: int) -> Frame:
@@ -521,7 +473,7 @@ def random_frame(dim: int, count: int, condition_target: float, seed: int) -> Fr
     exactly 1 returns the Parseval projection itself.  This is the one-seed
     case of the batched generator that FrameEnsemble uses.
     """
-    return next(_random_frames(dim, count, condition_target, [seed]).frames())
+    return _random_frames(dim, count, condition_target, [seed])[0]
 
 
 def union_frame(a: Frame, b) -> Frame:
@@ -531,6 +483,6 @@ def union_frame(a: Frame, b) -> Frame:
     non-spanning families can be appended to an existing frame).
     """
     vb = _coerce_vectors(b, None)
-    if vb.shape[0] != a.dim:
+    if vb.shape[0] != _one_frame(a).dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {vb.shape[0]}")
     return make_frame(np.hstack([a.vectors, vb]))

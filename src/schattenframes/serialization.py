@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .constructions import GrowthSeries
-from .frames import Frame, make_frame
+from .frames import Frame, _one_frame, make_frame
 from .linalg import as_matrix
 
 __all__ = [
@@ -70,7 +70,7 @@ def read_matrix(path) -> np.ndarray:
 def frame_to_dict(frame: Frame) -> dict:
     """Encode a frame as its dimension plus per-vector matrix objects."""
     return {
-        "dim": frame.dim,
+        "dim": _one_frame(frame).dim,
         "vectors": [matrix_to_dict(frame.vectors[:, k : k + 1]) for k in range(frame.count)],
     }
 

@@ -1,5 +1,7 @@
 """Frame-sum functionals and norm certificates."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -176,7 +178,8 @@ class TestDoubleSumComparison:
         group = FrameEnsemble(4, 10, 40).groups[1]
         ops = np.stack(seeded_operators(4, len(group.indices), 700))
         batch = double_sum_comparison(ops, group.raw, p)
-        for k, frame in enumerate(group.raw.frames()):
+        for k in range(len(group.indices)):
+            frame = group.raw[k]
             single = double_sum_comparison(ops[k], frame, p)
             assert batch.double_sum[k] == pytest.approx(single.double_sum, rel=1e-12)
             assert batch.norm_sum[k] == pytest.approx(single.norm_sum, rel=1e-12)
@@ -187,6 +190,18 @@ class TestDoubleSumComparison:
                     assert getattr(batch, name) is None
                 else:
                     assert getattr(batch, name)[k] == pytest.approx(constant, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "member,shape",
+        [(0, (3,)), (0, (4, 3)), (0, (3, 4)), (0, (3, 3, 3)),
+         (None, (3,)), (None, (4, 3)), (None, (2, 3, 3)), (None, (1, 3, 3, 3))],
+    )
+    def test_rejects_operator_shapes(self, member, shape):
+        # a stack of three frames in C^3, or its first member
+        stack = FrameEnsemble(3, 9, 0).groups[0].raw
+        frame = stack if member is None else stack[member]
+        with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+            double_sum_comparison(np.ones(shape), frame, 2.0)
 
     def test_frame_stack_rejects_non_finite_operators(self):
         group = FrameEnsemble(2, 2, 0).groups[0]

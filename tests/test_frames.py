@@ -5,12 +5,22 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from schattenframes import frames
+from schattenframes.constructions import compose_with_synthesis, conjugations
+from schattenframes.criteria import (
+    double_sum_comparison,
+    sum_diag,
+    sum_double,
+    sum_norms,
+    weighted_sum,
+)
 from schattenframes.frames import (
     TRIAL_CONDITION,
+    Frame,
     FrameEnsemble,
-    FrameStack,
     canonical_parseval,
     certify_synthesis,
     make_frame,
@@ -18,9 +28,9 @@ from schattenframes.frames import (
     random_onb,
     rescale_lower_bound_one,
     rescale_upper_bound_one,
-    synthesis,
     union_frame,
 )
+from schattenframes.serialization import frame_to_dict
 
 
 def mercedes_frame():
@@ -79,10 +89,10 @@ class TestMakeFrame:
 
 class TestSynthesis:
     def test_standard_basis_is_identity(self):
-        np.testing.assert_allclose(synthesis(make_frame(np.eye(3))).matrix, np.eye(3))
+        np.testing.assert_allclose(make_frame(np.eye(3)).vectors, np.eye(3))
 
     def test_columns_are_vectors(self):
-        a = synthesis(make_frame(E1E1E2)).matrix
+        a = make_frame(E1E1E2).vectors
         np.testing.assert_allclose(a, [[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
         for k in range(3):
             e_k = np.zeros(3)
@@ -90,14 +100,14 @@ class TestSynthesis:
             np.testing.assert_array_equal(a @ e_k, a[:, k])
 
     def test_mercedes_columns(self):
-        a = synthesis(mercedes_frame()).matrix
+        a = mercedes_frame().vectors
         np.testing.assert_allclose(
             a[:, 1], [np.cos(2 * np.pi / 3), np.sin(2 * np.pi / 3)], atol=1e-15
         )
 
     def test_gram_identity(self, rng):
         frame = make_frame(rng.standard_normal((3, 6)))
-        a = synthesis(frame).matrix
+        a = frame.vectors
         np.testing.assert_allclose(a @ a.conj().T, frame.frame_operator, atol=1e-12)
 
 
@@ -165,7 +175,7 @@ class TestRescaling:
         once = canonical_parseval(frame)
         twice = canonical_parseval(once)
         np.testing.assert_allclose(once.vectors, twice.vectors, atol=1e-9)
-        assert once.is_parseval()
+        assert once.bounds == pytest.approx((1.0, 1.0), abs=1e-9)
 
     def test_upper_rescale(self):
         assert rescale_upper_bound_one(make_frame(np.eye(3))).bounds == pytest.approx((1, 1))
@@ -222,7 +232,7 @@ class TestRandomGenerators:
 
     def test_random_frame_parseval_target(self):
         frame = random_frame(3, 5, 1.0, 11)
-        assert frame.is_parseval()
+        assert frame.bounds == pytest.approx((1.0, 1.0), abs=1e-9)
 
     def test_random_frame_passes_certificate(self):
         frame = random_frame(2, 3, 50.0, 5)
@@ -369,11 +379,12 @@ class TestFrameEnsemble:
             stacks = {
                 "onb": group.onb,
                 "raw": group.raw,
-                "parseval": group.raw.parseval(),
-                "upper_one": group.raw.upper_bound_one(),
-                "lower_one": group.raw.lower_bound_one(),
+                "parseval": canonical_parseval(group.raw),
+                "upper_one": rescale_upper_bound_one(group.raw),
+                "lower_one": rescale_lower_bound_one(group.raw),
             }
-            for k, raw in enumerate(group.raw.frames()):
+            for k in range(len(group.indices)):
+                raw = group.raw[k]
                 singles = {
                     "onb": make_frame(group.onb.vectors[k]),
                     "raw": make_frame(raw.vectors),
@@ -392,7 +403,7 @@ class TestFrameEnsemble:
     def test_stacks_are_read_only(self):
         group = FrameEnsemble(3, 4, 0).groups[0]
         for arr in (group.onb.vectors, group.raw.vectors, group.raw.lower_bound,
-                    group.raw.upper_bound, next(group.raw.frames()).frame_operator):
+                    group.raw.upper_bound, group.raw[0].frame_operator):
             with pytest.raises(ValueError):
                 arr.flat[0] = 0.0
 
@@ -440,7 +451,7 @@ def reference_synthesis_measurements(frame, seed, n_probes=200):
 
 
 def synthesis_variants(stack):
-    return FrameStack.concat([stack, stack.parseval(), stack.upper_bound_one()])
+    return Frame.concat([stack, canonical_parseval(stack), rescale_upper_bound_one(stack)])
 
 
 class TestStackedSynthesisCertificate:
@@ -452,7 +463,8 @@ class TestStackedSynthesisCertificate:
                 variants = synthesis_variants(stack)
                 cert = certify_synthesis(variants, seed=seeds)
                 assert cert.passed.shape == (len(seeds),)
-                for k, frame in enumerate(variants.frames()):
+                for k in range(len(seeds)):
+                    frame = variants[k]
                     assert_same_certificate(cert, k, certify_synthesis(frame, seed=seeds[k]))
                     assert reference_synthesis_measurements(frame, seeds[k]) == (
                         cert.op_norm_sq[k], cert.analysis_identity_dev[k], cert.rank[k]
@@ -463,8 +475,8 @@ class TestStackedSynthesisCertificate:
         k = 1
         lower, upper = stack.lower_bound.copy(), stack.upper_bound.copy()
         lower[k], upper[k] = 2.0, 3.0
-        cert = certify_synthesis(FrameStack(stack.vectors, lower, upper), seed=[7, 8, 9])
-        broken = dataclasses.replace(list(stack.frames())[k], lower_bound=2.0, upper_bound=3.0)
+        cert = certify_synthesis(Frame(stack.vectors, lower, upper), seed=[7, 8, 9])
+        broken = dataclasses.replace(stack[k], lower_bound=2.0, upper_bound=3.0)
         single = certify_synthesis(broken, seed=8)
         assert not single.passed and single.failures
         assert cert.passed.tolist() == [True, False, True]
@@ -488,3 +500,71 @@ class TestStackedSynthesisCertificate:
         for seed in (0, [1, 2]):
             with pytest.raises(ValueError, match="one seed per frame"):
                 certify_synthesis(stack, seed=seed)
+
+
+ONE_FRAME_CALLS = {
+    "sum_norms": lambda f: sum_norms(np.eye(3), f, 1.0),
+    "sum_diag": lambda f: sum_diag(np.eye(3), f, 1.0),
+    "sum_double": lambda f: sum_double(np.eye(3), f, 1.0),
+    "weighted_sum": lambda f: weighted_sum("weighted_norms", np.eye(3), f, 1.0),
+    "compose_with_synthesis": lambda f: compose_with_synthesis(np.eye(3), f),
+    "conjugations": lambda f: conjugations(np.eye(3), f),
+    "union_frame": lambda f: union_frame(f, np.eye(3)),
+    "union_frame_appended": lambda f: union_frame(make_frame(np.eye(3)), f),
+    "make_frame": make_frame,
+    "frame_to_dict": frame_to_dict,
+}
+
+
+@pytest.mark.parametrize("call", ONE_FRAME_CALLS.values(), ids=ONE_FRAME_CALLS.keys())
+def test_one_frame_functions_reject_a_stack(call):
+    stack = FrameEnsemble(3, 9, 0).groups[0].raw
+    with pytest.raises(ValueError, match=r"expected one frame, got a stack of shape \(3, 3, 4\)"):
+        call(stack)
+    call(stack[0])  # each member is accepted
+
+
+def assert_same_frame(stacked, k, single):
+    """Member k of a stack equals a one-frame Frame bit for bit."""
+    member = stacked[k]
+    np.testing.assert_array_equal(member.vectors, single.vectors)
+    assert member.bounds == single.bounds
+    assert type(single.lower_bound) is float and type(single.upper_bound) is float
+    np.testing.assert_array_equal(stacked.frame_operator[k], single.frame_operator)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=80)
+@given(
+    dim=st.integers(1, 6),
+    extra=st.integers(0, 7),
+    n=st.integers(1, 4),
+    exponent=st.floats(-4.0, 4.0),
+    p=st.floats(0.25, 8.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stack_members_equal_one_frame_path(dim, extra, n, exponent, p, seed):
+    """Every operation on a stack equals, member by member, the one-frame path."""
+    count = dim + extra % (dim + 2)  # dim .. 2 dim + 1
+    rng = np.random.default_rng(seed)
+    v = 10.0**exponent * (
+        rng.standard_normal((n, dim, count)) + 1j * rng.standard_normal((n, dim, count))
+    )
+    ops = rng.standard_normal((n, dim, dim)) + 1j * rng.standard_normal((n, dim, dim))
+    seeds = [seed + k for k in range(n)]
+    stack = Frame.of(v.copy())
+    singles = [make_frame(v[k]) for k in range(n)]
+    for variant in (lambda f: f, canonical_parseval, rescale_upper_bound_one,
+                    rescale_lower_bound_one):
+        stacked = variant(stack)
+        for k in range(n):
+            assert_same_frame(stacked, k, variant(singles[k]))
+    cert = certify_synthesis(stack, seed=seeds)
+    comparison = double_sum_comparison(ops, stack, p)
+    for k, single in enumerate(singles):
+        assert_same_certificate(cert, k, certify_synthesis(single, seed=seeds[k]))
+        expected = double_sum_comparison(ops[k], single, p)
+        for field in dataclasses.fields(expected):
+            value = getattr(comparison, field.name)
+            if field.name not in ("p", "tolerance") and value is not None:
+                value = value[k]
+            assert value == getattr(expected, field.name), field.name
