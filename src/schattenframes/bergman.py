@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .frames import Frame, make_frame
-from .linalg import as_matrix
+from .linalg import _check_p, as_matrix
 
 __all__ = [
     "TruncatedBergman",
@@ -117,8 +117,7 @@ def bergman_metric(z: complex, w: complex) -> float:
     metric is Mobius invariant, symmetric, and zero only at z = w.
     """
     _check_in_disk(z, w)
-    rho = abs((z - w) / (1.0 - np.conj(z) * w))
-    return float(np.arctanh(rho))
+    return float(_pair_distances(z, w))
 
 
 def _pair_distances(z: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -137,12 +136,18 @@ def min_pairwise_separation(points: np.ndarray) -> float:
     return float(np.min(beta[iu]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SamplingLattice:
-    """Points in the disk, pairwise separated in the Bergman metric."""
+    """Points in the disk, pairwise separated in the Bergman metric.
+
+    `separation` is the requested bound and `measured_separation` the least
+    distance over all pairs (inf for one point), which `r_lattice` measures
+    in O(n) bit-identically to the brute-force `min_pairwise_separation`.
+    """
 
     points: np.ndarray
     separation: float
+    measured_separation: float
 
 
 def _ring_count(radius: float, separation: float) -> int:
@@ -151,10 +156,8 @@ def _ring_count(radius: float, separation: float) -> int:
     r2 = radius * radius
     # cos(angle) at which the pseudo-hyperbolic gap equals the target
     u = (2.0 * r2 - rho_target**2 * (1.0 + r2 * r2)) / (2.0 * r2 * (1.0 - rho_target**2))
-    if u >= 1.0:
-        return 1
-    if u < -1.0:
-        # even antipodal points fall short of the target
+    if not -1.0 <= u < 1.0:
+        # u < -1: even antipodal points fall short of the target (u >= 1 needs radius 1)
         return 1
     theta = float(np.arccos(u))
     return max(1, int(np.floor(2.0 * np.pi / theta)))
@@ -199,8 +202,8 @@ def r_lattice(separation: float, rmax: float) -> SamplingLattice:
     formula.  A tiny padding absorbs rounding so the pairwise check holds
     strictly; it runs at construction, in O(n) (see `_ring_separation`).
     """
-    if separation <= 0:
-        raise ValueError(f"separation must be positive, got {separation}")
+    if not 0 < separation < np.inf:
+        raise ValueError(f"separation must be finite and positive, got {separation}")
     if not 0 < rmax < 1:
         raise ValueError(f"rmax must lie in (0, 1), got {rmax}")
     padded = separation * (1.0 + 1e-9) + 1e-12
@@ -225,7 +228,7 @@ def r_lattice(separation: float, rmax: float) -> SamplingLattice:
             f"lattice construction violated separation: {measured} < {separation}"
         )
     pts.flags.writeable = False
-    return SamplingLattice(points=pts, separation=separation)
+    return SamplingLattice(points=pts, separation=separation, measured_separation=measured)
 
 
 @dataclass(frozen=True)
@@ -266,7 +269,7 @@ def sampling_frame(lattice: SamplingLattice, d: int) -> tuple[Frame, SamplingFra
     return frame, report
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiskQuadrature:
     """Nodes and dA-weights on |w| <= rmax (dA normalized to unit disk area).
 
@@ -290,8 +293,9 @@ def disk_quadrature(n_radial: int, n_angular: int, rmax: float) -> DiskQuadratur
     smaller than n_angular in absolute value (the uniform rule integrates
     e^(ij theta) to zero exactly for 0 < |j| < n_angular).
     """
-    if n_radial < 1 or n_angular < 1:
-        raise ValueError("node counts must be >= 1")
+    for name, count in (("n_radial", n_radial), ("n_angular", n_angular)):
+        if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 1:
+            raise ValueError(f"{name} must be an integer >= 1, got {count!r}")
     if not 0 < rmax < 1:
         raise ValueError(f"rmax must lie in (0, 1), got {rmax}")
     x, v = np.polynomial.legendre.leggauss(n_radial)
@@ -318,11 +322,6 @@ def monomial_gram(quad: DiskQuadrature, degree: int) -> np.ndarray:
     return (basis.conj() * quad.weights_da[:, None]).T @ basis
 
 
-def _transformed_norms(t: np.ndarray, quad: DiskQuadrature, normalized: bool) -> np.ndarray:
-    coeffs = _coefficient_matrix(quad.nodes, t.shape[1], normalized)
-    return np.linalg.norm(coeffs @ t.T, axis=1)
-
-
 def integral_criterion(t, p: float, quad: DiskQuadrature) -> float:
     """Quadrature value of the dlambda integral of ||T k_w||^p.
 
@@ -332,11 +331,11 @@ def integral_criterion(t, p: float, quad: DiskQuadrature) -> float:
     for the lattice-sum side of the chain).
     """
     t = as_matrix(t)
-    if p <= 0:
-        raise ValueError(f"p must be positive, got {p}")
+    _check_p(p)
     if t.shape[0] != t.shape[1]:
         raise ValueError("operator must be square")
-    norms = _transformed_norms(t, quad, normalized=True)
+    coeffs = _coefficient_matrix(quad.nodes, t.shape[1], normalized=True)
+    norms = np.linalg.norm(coeffs @ t.T, axis=1)
     return float(np.sum(quad.weights_dlambda * norms**p))
 
 
@@ -363,12 +362,10 @@ def sampling_comparison(
     points inside the quadrature radius enter the sum.
     """
     t = as_matrix(t)
-    if p <= 0:
-        raise ValueError(f"p must be positive, got {p}")
+    integral = integral_criterion(t, p, quad)  # also validates p and the shape of t
     inside = lattice.points[np.abs(lattice.points) <= quad.rmax]
     coeffs = _coefficient_matrix(inside, t.shape[1], normalized=True)
     lattice_sum = float(np.sum(np.linalg.norm(coeffs @ t.T, axis=1) ** p))
-    integral = integral_criterion(t, p, quad)
     constant = lattice_sum / integral if integral > 0 else float("inf")
     return SamplingChainReport(
         separation=lattice.separation,
@@ -406,8 +403,10 @@ def hs_identity_check(t, quad: DiskQuadrature, tol: float = 1e-10) -> HSIdentity
     if t.shape[0] != t.shape[1]:
         raise ValueError("operator must be square")
     d = t.shape[1]
-    norm_k = _transformed_norms(t, quad, normalized=True)
-    norm_big = _transformed_norms(t, quad, normalized=False)
+    big = _coefficient_matrix(quad.nodes, d, normalized=False)
+    # k_w = (1-|w|^2) K_w: the row scaling _coefficient_matrix applies when normalized
+    norm_k = np.linalg.norm((big * (1.0 - np.abs(quad.nodes) ** 2)[:, None]) @ t.T, axis=1)
+    norm_big = np.linalg.norm(big @ t.T, axis=1)
     integrand_dlambda = norm_k**2 / (1.0 - np.abs(quad.nodes) ** 2) ** 2
     integrand_da = norm_big**2
     scale = np.maximum(integrand_da, 1e-300)
@@ -451,23 +450,26 @@ class SubharmonicityReport:
 
 
 def subharmonicity_check(
-    t,
-    p: float,
-    grid_step: float = 0.01,
-    rmax: float = 0.9,
-    machine_factor: float = 1.0,
-) -> SubharmonicityReport:
+    t, p, grid_step: float = 0.01, rmax: float = 0.9, machine_factor: float = 1.0
+) -> SubharmonicityReport | list:
     """Verify that w -> ||T K_w||^p has a nonnegative discrete Laplacian.
 
     The function is subharmonic for every p > 0 (it is the p-th power of the
     norm of an antianalytic vector-valued polynomial), so the five-point
     stencil minimum should only dip below zero by the discretization budget
     tol = 1e-6 (1 + max F)(1 + 1/grid_step^2) machine_factor.
+
+    `t` may be a stack (n, d, d) and `p` a sequence; reports[k][j] is then
+    the one-operator report of operator k at p[j], bit for bit, and a single
+    operator or p drops its list level.  The grid and its kernels are built
+    once and ||T K_w|| once per operator; only the power and stencil run per p.
     """
-    t = as_matrix(t)
-    if p <= 0:
-        raise ValueError(f"p must be positive, got {p}")
-    if t.shape[0] != t.shape[1]:
+    stacked, many_p = np.ndim(t) == 3, np.ndim(p) == 1
+    ops = [as_matrix(op) for op in (t if stacked else [t])]
+    ps = list(p) if many_p else [p]
+    for q in ps:
+        _check_p(q)
+    if any(op.shape[0] != op.shape[1] for op in ops):
         raise ValueError("operator must be square")
     if not 0 < rmax < 1:
         raise ValueError(f"rmax must lie in (0, 1), got {rmax}")
@@ -477,32 +479,30 @@ def subharmonicity_check(
     re, im = np.meshgrid(axis, axis, indexing="ij")
     w = re + 1j * im
     inside = np.abs(w) <= rmax
+    coeffs = _coefficient_matrix(w[inside], np.shape(t)[-1], normalized=False)
     values = np.full(w.shape, np.nan)
-    pts = w[inside]
-    coeffs = _coefficient_matrix(pts, t.shape[1], normalized=False)
-    values[inside] = np.linalg.norm(coeffs @ t.T, axis=1) ** p
-    lap = (
-        values[2:, 1:-1]
-        + values[:-2, 1:-1]
-        + values[1:-1, 2:]
-        + values[1:-1, :-2]
-        - 4.0 * values[1:-1, 1:-1]
-    ) / grid_step**2
-    valid = np.isfinite(lap)
-    if not np.any(valid):
-        raise ValueError("no grid point has a full five-point stencil inside the disk")
-    max_f = float(np.nanmax(values))
-    tol = 1e-6 * (1.0 + max_f) * (1.0 + 1.0 / grid_step**2) * machine_factor
-    flat = np.where(valid, lap, np.inf)
-    idx = np.unravel_index(int(np.argmin(flat)), flat.shape)
-    min_lap = float(flat[idx])
-    location = complex(w[1:-1, 1:-1][idx])
-    return SubharmonicityReport(
-        min_laplacian=min_lap,
-        location=location,
-        tolerance=tol,
-        max_value=max_f,
-        grid_step=grid_step,
-        rmax=rmax,
-        passed=min_lap >= -tol,
-    )
+    reports = []
+    for op in ops:
+        norms = np.linalg.norm(coeffs @ op.T, axis=1)
+        row = []
+        for q in ps:
+            values[inside] = norms**q
+            lap = (
+                values[2:, 1:-1]
+                + values[:-2, 1:-1]
+                + values[1:-1, 2:]
+                + values[1:-1, :-2]
+                - 4.0 * values[1:-1, 1:-1]
+            ) / grid_step**2
+            flat = np.where(np.isfinite(lap), lap, np.inf)
+            idx = np.unravel_index(int(np.argmin(flat)), flat.shape)
+            least, location = float(flat[idx]), complex(w[1:-1, 1:-1][idx])
+            if least == np.inf:
+                raise ValueError("no grid point has a full five-point stencil inside the disk")
+            max_f = float(np.nanmax(values))
+            tol = 1e-6 * (1.0 + max_f) * (1.0 + 1.0 / grid_step**2) * machine_factor
+            row.append(
+                SubharmonicityReport(least, location, tol, max_f, grid_step, rmax, least >= -tol)
+            )
+        reports.append(row if many_p else row[0])
+    return reports if stacked else reports[0]

@@ -26,7 +26,7 @@ from .frames import (
     make_frame,
     rescale_upper_bound_one,
 )
-from .linalg import schatten_norm, svd
+from .linalg import _check_p, schatten_norm, svd
 
 __all__ = [
     "CampaignConfig",
@@ -437,14 +437,15 @@ def run_bergman(config: CampaignConfig) -> CampaignReport:
             records.append({**head, **asdict(rep)})
 
     sub_ps = [p for p in config.p_grid if p <= 3] or [1.0]
-    for i in range(min(5, config.trials)):
-        t_i = random_operator(degree, config.seed + 500 + i)
-        for p in sub_ps:
-            rep = bergman.subharmonicity_check(t_i, p, grid_step=0.02, rmax=0.9)
+    sub_seeds = [config.seed + 500 + i for i in range(min(5, config.trials))]
+    sub_ts = np.stack([random_operator(degree, seed) for seed in sub_seeds])
+    sub_reports = bergman.subharmonicity_check(sub_ts, sub_ps, grid_step=0.02, rmax=0.9)
+    for seed, reports in zip(sub_seeds, sub_reports):
+        for p, rep in zip(sub_ps, reports):
             records.append(
                 {
                     "tag": "subharmonicity",
-                    "seed": config.seed + 500 + i,
+                    "seed": seed,
                     "p": p,
                     "min_laplacian": rep.min_laplacian,
                     "tolerance": rep.tolerance,
@@ -459,15 +460,14 @@ def run_bergman(config: CampaignConfig) -> CampaignReport:
             write_nodes, points=export_quad.nodes, weights=export_quad.weights_da
         )
     }
+    quad_coarse = bergman.disk_quadrature(32, max(64, 2 * degree), config.rmax)
+    quad_fine = bergman.disk_quadrature(64, max(128, 4 * degree), config.rmax)
+    t_probe = random_operator(degree, config.seed + 999)
     for separation in (0.3, 0.5):
         lattice = bergman.r_lattice(separation, 0.95)
         exports[f"lattice_sep{separation}.csv"] = partial(write_nodes, points=lattice.points)
-        measured = bergman.min_pairwise_separation(lattice.points)
         frame, frame_rep = bergman.sampling_frame(lattice, degree)
         cert = certify_synthesis(frame, seed=config.seed)
-        quad_coarse = bergman.disk_quadrature(32, max(64, 2 * degree), config.rmax)
-        quad_fine = bergman.disk_quadrature(64, max(128, 4 * degree), config.rmax)
-        t_probe = random_operator(degree, config.seed + 999)
         chain_c = bergman.sampling_comparison(t_probe, 2.0, quad_coarse, lattice)
         chain_f = bergman.sampling_comparison(t_probe, 2.0, quad_fine, lattice)
         stability = abs(chain_c.constant - chain_f.constant) / max(1e-300, chain_f.constant)
@@ -475,7 +475,7 @@ def run_bergman(config: CampaignConfig) -> CampaignReport:
             {
                 "tag": "sampling_frame",
                 "separation": separation,
-                "measured_separation": measured,
+                "measured_separation": lattice.measured_separation,
                 "points": int(lattice.points.size),
                 "degree": degree,
                 "lower_bound": frame_rep.lower_bound,
@@ -483,7 +483,7 @@ def run_bergman(config: CampaignConfig) -> CampaignReport:
                 "condition": frame_rep.condition,
                 "chain_constant": chain_f.constant,
                 "chain_stability": stability,
-                "passed": measured >= separation
+                "passed": lattice.measured_separation >= separation
                 and cert.passed
                 and np.isfinite(chain_f.constant)
                 and stability <= 1e-3,
@@ -501,8 +501,7 @@ def run_bergman(config: CampaignConfig) -> CampaignReport:
 def run_norm_estimate(matrix_file, p: float, strategy: str, config: CampaignConfig) -> CampaignReport:
     """Exact Schatten norm and frame-ensemble brackets for a stored matrix."""
     start = time.perf_counter()
-    if p <= 0:
-        raise ValueError(f"p must be positive, got {p}")
+    _check_p(p)
     if strategy not in ("singular_basis_exact", "frame_ensemble"):
         raise ValueError(f"unknown strategy {strategy!r}")
     t = serialization.read_matrix(matrix_file)

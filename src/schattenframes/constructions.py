@@ -44,7 +44,7 @@ STALL_FRACTION = 0.01
 GEOMETRIC_RATIO = 0.5
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GrowthSeries:
     """Partial sums of a nonnegative series at increasing truncations."""
 
@@ -153,7 +153,7 @@ def _lambda_values(lambda_spec: str, p: float, n_terms: int) -> np.ndarray:
     raise ValueError(f"unknown lambda spec {lambda_spec!r}, expected one of {_LAMBDA_SPECS}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScaledCopiesFrame:
     """Frame of repeated scaled basis vectors taming a slow singular decay.
 
@@ -298,7 +298,7 @@ def truncated_shift(d: int) -> np.ndarray:
     return m
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DoubleSumDemo:
     """Operator with geometric singular values but heavy-tailed entries."""
 
@@ -376,7 +376,7 @@ def divergence_demo_double_sum(d: int, p: float, d_grid=DEFAULT_GRID) -> DoubleS
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConjugationFamily:
     """Frame conjugates and powers with exact transfer identities.
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .frames import Frame, FrameEnsemble, _one_frame, _per_frame, rescale_lower_bound_one
-from .linalg import as_matrix, hermitian_defect, hermitian_eigen, schatten_norm, svd
+from .linalg import _check_p, as_matrix, hermitian_defect, hermitian_eigen, schatten_norm, svd
 
 __all__ = [
     "SumReport",
@@ -89,11 +89,6 @@ class CertificateReport:
 def _check_dims(t: np.ndarray, frame: Frame) -> None:
     if t.shape[-1] != _one_frame(frame).dim:
         raise ValueError(f"operator acts on C^{t.shape[-1]}, frame lives in C^{frame.dim}")
-
-
-def _check_p(p: float) -> None:
-    if p <= 0:
-        raise ValueError(f"p must be positive, got {p}")
 
 
 def _psd_or_raise(t: np.ndarray, what: str) -> np.ndarray:
@@ -197,7 +192,7 @@ def weighted_sum(kind: str, t, frame: Frame, p: float) -> SumReport:
     return SumReport(kind=kind, p=p, value=float(_weighted_sums(kind, t, frame.vectors, p)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DoubleSumComparison:
     """Double sum against the norm sum with explicit frame-bound constants.
 

@@ -44,7 +44,7 @@ SPANNING_TOL = 1e-10
 TRIAL_CONDITION = 100.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Frame:
     """An ordered frame, or a stack of frames, with its optimal bounds.
 
@@ -175,7 +175,7 @@ def make_frame(vectors, dim: int | None = None) -> Frame:
     return Frame.of(as_matrix(_coerce_vectors(vectors, dim)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SynthesisCertificate:
     """Measured synthesis-operator properties with pass/fail verdict.
 

@@ -59,6 +59,12 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
+def _check_p(p: float) -> None:
+    """Reject an exponent outside 0 < p < inf (nan included)."""
+    if not 0 < p < np.inf:
+        raise ValueError(f"p must be finite and positive, got {p}")
+
+
 def inner(x: np.ndarray, y: np.ndarray) -> complex:
     """Inner product <x, y>, linear in x and conjugate-linear in y."""
     return complex(np.vdot(y, x))
@@ -70,7 +76,7 @@ def hermitian_defect(h: np.ndarray) -> float:
     return float(np.abs(h - h.conj().T).max())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralData:
     """Canonical decomposition T = sum_n s_n <., e_n> u_n.
 
@@ -91,7 +97,7 @@ class SpectralData:
         return (self.left_vectors * self.singular_values) @ self.right_vectors.conj().T
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SelfAdjointParts:
     """Splitting T = t1 + i*t2 into Hermitian parts."""
 
@@ -156,8 +162,7 @@ def singular_values(t) -> np.ndarray:
 
 def schatten_norm(t, p: float) -> float:
     """Schatten p-norm (sum of p-th powers of singular values)^(1/p), p > 0."""
-    if p <= 0:
-        raise ValueError(f"p must be positive, got {p}")
+    _check_p(p)
     s = singular_values(t)
     return float(np.sum(s**p) ** (1.0 / p))
 
@@ -199,8 +204,7 @@ def psd_sqrt(s, tol: float = STRUCTURAL_TOL) -> np.ndarray:
 
 def psd_power(s, p: float, tol: float = STRUCTURAL_TOL) -> np.ndarray:
     """Hermitian PSD power s^p formed in the eigenbasis, p > 0."""
-    if p <= 0:
-        raise ValueError(f"p must be positive, got {p}")
+    _check_p(p)
     return _spectral_functions(s, (lambda w: w**p,), psd_tol=tol)[0]
 
 

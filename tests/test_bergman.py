@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import seeded_operators
 from schattenframes import bergman
@@ -128,6 +130,11 @@ class TestRLattice:
         with pytest.raises(ValueError):
             r_lattice(0.5, 1.0)
 
+    @pytest.mark.parametrize("separation", [np.nan, np.inf])
+    def test_rejects_nonfinite_separation(self, separation):
+        with pytest.raises(ValueError, match="separation"):
+            r_lattice(separation, 0.5)
+
     @pytest.mark.parametrize("separation", [0.1, 0.2, 0.3, 0.5, 0.8, 1.5, 5.0])
     @pytest.mark.parametrize("rmax", [0.3, 0.6, 0.8, 0.9])
     def test_ring_check_equals_brute_force(self, monkeypatch, separation, rmax):
@@ -141,6 +148,7 @@ class TestRLattice:
         monkeypatch.setattr(bergman, "_ring_separation", recorded)
         lattice = r_lattice(separation, rmax)
         assert checked == [min_pairwise_separation(lattice.points)]
+        assert lattice.measured_separation == checked[0]
 
     @staticmethod
     def rings(radii, counts):
@@ -254,6 +262,25 @@ class TestDiskQuadrature:
         with pytest.raises(ValueError):
             disk_quadrature(4, 4, 1.0)
 
+    @pytest.mark.parametrize(
+        "counts,named",
+        [
+            ((2.5, 8), "n_radial"),
+            ((8, 2.5), "n_angular"),
+            ((True, 8), "n_radial"),
+            ((8, np.float64(4.0)), "n_angular"),
+            ((0, 8), "n_radial"),
+        ],
+        ids=["float-radial", "float-angular", "bool-radial", "numpy-float-angular", "zero-radial"],
+    )
+    def test_rejects_non_integer_counts(self, counts, named):
+        with pytest.raises(ValueError, match=named):
+            disk_quadrature(*counts, 0.9)
+
+    def test_accepts_numpy_integer_counts(self):
+        quad = disk_quadrature(np.int64(4), np.int32(3), 0.9)
+        assert quad.nodes.size == 12
+
 
 class TestIntegralCriterion:
     def test_zero_operator(self):
@@ -281,6 +308,11 @@ class TestIntegralCriterion:
         quad = disk_quadrature(8, 8, 0.9)
         with pytest.raises(ValueError, match="square"):
             integral_criterion(np.ones((2, 3)), 1.0, quad)
+
+    @pytest.mark.parametrize("p", [0.0, np.nan, np.inf])
+    def test_rejects_p_outside_open_half_line(self, p):
+        with pytest.raises(ValueError, match="p must be"):
+            integral_criterion(np.eye(2), p, disk_quadrature(8, 8, 0.9))
 
 
 class TestHSIdentity:
@@ -341,6 +373,12 @@ class TestSamplingComparison:
         dense = sampling_comparison(t, 1.0, quad, r_lattice(0.4, 0.9))
         assert dense.lattice_sum > sparse.lattice_sum
 
+    @pytest.mark.parametrize("p", [0.0, np.nan, np.inf])
+    def test_rejects_p_outside_open_half_line(self, p):
+        quad = disk_quadrature(8, 8, 0.9)
+        with pytest.raises(ValueError, match="p must be"):
+            sampling_comparison(np.eye(2), p, quad, r_lattice(0.5, 0.9))
+
 
 class TestSubharmonicity:
     def test_identity_hs_power(self):
@@ -370,6 +408,38 @@ class TestSubharmonicity:
     def test_rejects_coarse_grid(self):
         with pytest.raises(ValueError, match="grid_step"):
             subharmonicity_check(np.eye(2), 1.0, grid_step=0.95, rmax=0.9)
+
+    @pytest.mark.parametrize("p", [0.0, np.nan, np.inf, [1.0, np.nan]])
+    def test_rejects_p_outside_open_half_line(self, p):
+        with pytest.raises(ValueError, match="p must be"):
+            subharmonicity_check(np.eye(2), p, grid_step=0.1, rmax=0.8)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=40)
+    @given(
+        dim=st.integers(1, 8),
+        count=st.integers(1, 5),
+        seed=st.integers(0, 10_000),
+        ps=st.lists(st.floats(0.25, 8.0), min_size=1, max_size=4),
+        grid_step=st.sampled_from([0.1, 0.15, 0.2]),
+        rmax=st.sampled_from([0.6, 0.9]),
+    )
+    def test_stack_member_equals_single_call(self, dim, count, seed, ps, grid_step, rmax):
+        ts = np.stack(seeded_operators(dim, count, seed))
+        stacked = subharmonicity_check(ts, ps, grid_step=grid_step, rmax=rmax)
+        assert len(stacked) == count and all(len(row) == len(ps) for row in stacked)
+        for k, t in enumerate(ts):
+            for j, p in enumerate(ps):
+                single = subharmonicity_check(t, p, grid_step=grid_step, rmax=rmax)
+                assert repr(stacked[k][j]) == repr(single)  # every field, bit for bit
+
+    def test_single_operator_or_p_drops_its_level(self):
+        ts = np.stack(seeded_operators(3, 2, 90))
+        kwargs = {"grid_step": 0.1, "rmax": 0.8}
+        full = subharmonicity_check(ts, [1.0, 2.0], **kwargs)
+        by_p = subharmonicity_check(ts[1], [1.0, 2.0], **kwargs)
+        by_operator = subharmonicity_check(ts, 2.0, **kwargs)
+        assert repr(by_p) == repr(full[1])
+        assert repr(by_operator) == repr([row[1] for row in full])
 
 
 class TestTruncatedBergman:

@@ -1,5 +1,5 @@
-"""Campaign reports: golden reports of every command, and the verify-theorems
-frame-generation counts."""
+"""Campaign reports: golden reports of every command, the verify-theorems
+frame-generation counts and the bergman kernel-base counts."""
 
 import collections
 import csv
@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from conftest import assert_same_report
 
-from schattenframes import campaigns, frames, serialization
+from schattenframes import bergman, campaigns, frames, serialization
 from schattenframes.campaigns import (
     CampaignConfig,
     run_bergman,
@@ -53,6 +53,7 @@ REPORT_CASES = {
     "bergman_dim4_trials2": lambda tmp: run_bergman(
         CampaignConfig(command="bergman", dim=4, trials=2)
     ),
+    "bergman_dim32": lambda tmp: run_bergman(CampaignConfig(command="bergman", dim=32)),
     "norm_estimate_exact": lambda tmp: _norm_estimate(tmp, "singular_basis_exact"),
     "norm_estimate_ensemble": lambda tmp: _norm_estimate(tmp, "frame_ensemble"),
 }
@@ -71,7 +72,8 @@ def written_report(report, out: Path) -> dict:
 @pytest.mark.parametrize("name", sorted(REPORT_CASES))
 def test_golden_campaign_report(name, tmp_path):
     """numeric_content(), CSV file names and CSV header rows, recorded before the
-    report records were derived from the result dataclasses (numpy 2.4, OpenBLAS)."""
+    report records were derived from the result dataclasses (numpy 2.4, OpenBLAS);
+    bergman_dim32 was recorded before the subharmonicity stencil was batched."""
     actual = written_report(REPORT_CASES[name](tmp_path), tmp_path / "out")
     expected = json.loads((DATA / f"{name}.json").read_text())
     assert actual["csv_headers"] == expected["csv_headers"]
@@ -148,3 +150,46 @@ def test_consecutive_campaigns_build_their_own_ensembles(counts):
     assert set(counts.frames.values()) == {2}
     assert len(counts.ensembles) == 4
     assert len({id(e) for e in counts.ensembles}) == 4  # all still referenced here
+
+
+@pytest.mark.parametrize("p", [0.0, float("nan"), float("inf")])
+def test_norm_estimate_rejects_p_outside_open_half_line(tmp_path, p):
+    config = CampaignConfig(command="norm-estimate")
+    with pytest.raises(ValueError, match="p must be"):
+        run_norm_estimate(tmp_path / "unread.json", p, "singular_basis_exact", config)
+
+
+def test_bergman_builds_each_kernel_base_once(monkeypatch):
+    """The stencil grid is built once for every operator and p, each quadrature
+    rule once, and the lattice separations are read from the lattices."""
+    stencil_points, rules, in_stencil = [], collections.Counter(), []
+    coefficient_matrix, stencil_check = bergman._coefficient_matrix, bergman.subharmonicity_check
+    disk_quadrature = bergman.disk_quadrature
+
+    def counted_matrix(points, degree, normalized):
+        if in_stencil:
+            stencil_points.append(points.size)
+        return coefficient_matrix(points, degree, normalized)
+
+    def marked_check(*args, **kwargs):
+        in_stencil.append(True)
+        try:
+            return stencil_check(*args, **kwargs)
+        finally:
+            in_stencil.pop()
+
+    def counted_rule(n_radial, n_angular, rmax):
+        rules[(n_radial, n_angular, rmax)] += 1
+        return disk_quadrature(n_radial, n_angular, rmax)
+
+    def forbidden(points):
+        raise AssertionError("run_bergman reads the separation the lattice measured")
+
+    monkeypatch.setattr(bergman, "_coefficient_matrix", counted_matrix)
+    monkeypatch.setattr(bergman, "subharmonicity_check", marked_check)
+    monkeypatch.setattr(bergman, "disk_quadrature", counted_rule)
+    monkeypatch.setattr(bergman, "min_pairwise_separation", forbidden)
+    report = run_bergman(CampaignConfig(command="bergman", dim=32))
+    assert sum(rec["tag"] == "subharmonicity" for rec in report.records) == 25
+    assert stencil_points == [6353]  # one grid for 5 operators x 5 values of p
+    assert len(rules) == 10 and set(rules.values()) == {1}

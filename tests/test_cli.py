@@ -214,3 +214,11 @@ class TestNormEstimate:
         path = tmp_path / "m.json"
         write_matrix(path, np.eye(2))
         assert main(["norm-estimate", str(path), "--p", "-1"]) == 2
+
+    @pytest.mark.parametrize("p", ["nan", "inf"])
+    def test_nonfinite_p_is_usage_error(self, tmp_path, capsys, p):
+        path = tmp_path / "m.json"
+        write_matrix(path, np.eye(2))
+        assert main(["norm-estimate", str(path), "--p", p, "--out", str(tmp_path / "r")]) == 2
+        assert f"p must be finite and positive, got {p}" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()

@@ -57,6 +57,11 @@ class TestSumNorms:
         with pytest.raises(ValueError, match="frame"):
             sum_norms(np.eye(3), E1E1E2, 1.0)
 
+    @pytest.mark.parametrize("p", [0.0, np.nan, np.inf])
+    def test_rejects_p_outside_open_half_line(self, p):
+        with pytest.raises(ValueError, match="p must be"):
+            sum_norms(np.eye(2), make_frame(np.eye(2)), p)
+
 
 class TestSumDiag:
     def test_diagonal_psd(self):

@@ -168,6 +168,11 @@ class TestSchattenNorm:
         with pytest.raises(ValueError, match="positive"):
             schatten_norm(np.eye(2), 0.0)
 
+    @pytest.mark.parametrize("p", [np.nan, np.inf])
+    def test_rejects_nonfinite_p(self, p):
+        with pytest.raises(ValueError, match="p must be"):
+            schatten_norm(np.eye(2), p)
+
     def test_zero_iff_zero(self, rng):
         assert schatten_norm(np.zeros((3, 3)), 1.5) == 0.0
         t = rng.standard_normal((3, 3))
