@@ -109,6 +109,9 @@ class CampaignConfig:
             raise ValueError(
                 f"tolerances must map names to finite positive numbers, got {self.tolerances!r}"
             )
+        unknown = [name for name in self.tolerances if name != "certificate"]
+        if unknown:
+            raise ValueError(f"tolerances has unknown names {unknown}; known: ['certificate']")
         if not isinstance(self.output_dir, (str, type(None))):
             raise ValueError(f"output_dir must be a path string, got {self.output_dir!r}")
 

@@ -376,7 +376,9 @@ def certify_diag_formula(
             f"diagonal-sum certificates need a Hermitian operator (defect {defect:.3e})"
         )
     if direction is None:
-        direction = "inf_above" if p <= 1 and _is_psd(t) else "sup_below"
+        direction = "inf_above" if p <= 1 and _psd_eigenvalues(t) is not None else "sup_below"
+    if direction not in ("sup_below", "inf_above"):
+        raise ValueError(f"direction must be None, 'sup_below' or 'inf_above', got {direction!r}")
     if direction == "sup_below" and p < 1:
         raise ValueError("the sup-regime diagonal formula needs p >= 1")
     if direction == "inf_above":
@@ -430,12 +432,12 @@ def certify_double_formula(
     return _certificate(tag, p, ensemble, direction, sampled, norm_value, witness, tol, budget)
 
 
-def _is_psd(t: np.ndarray) -> bool:
+def _psd_eigenvalues(t: np.ndarray) -> np.ndarray | None:
+    """Eigenvalues of t when it is Hermitian PSD, else None."""
     try:
-        _psd_or_raise(t, "")
+        return _psd_or_raise(t, "")
     except ValueError:
-        return False
-    return True
+        return None
 
 
 @dataclass(frozen=True)
@@ -469,9 +471,9 @@ def endpoint_suites(
     """Run the p = 1 and p = 2 endpoint suites over the ensemble's raw frames."""
     t = as_matrix(t)
     ensemble = _ensemble(t, trials, seed, ensemble)
-    psd = _is_psd(t)
+    w = _psd_eigenvalues(t)
+    psd = w is not None
     if psd:
-        w = np.linalg.eigvalsh(0.5 * (t + t.conj().T))
         trace_norm_value = float(np.sum(np.maximum(w, 0.0)))
     hs_sq = schatten_norm(t, 2) ** 2
     gram = t.conj().T @ t

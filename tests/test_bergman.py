@@ -81,6 +81,17 @@ class TestKernelCoefficients:
         with pytest.raises(ValueError, match="disk"):
             kernel_coefficients(1.2, 3)
 
+    @pytest.mark.parametrize("d", [0, -1, 2.5, True])
+    @pytest.mark.parametrize("w", [0.0, 1e-9, 0.5])
+    def test_rejects_degree_below_one_or_not_integer(self, w, d):
+        # d = 0 at w = 0 would give defect 0, although the whole mass 1 is in the tail
+        for call in (kernel_truncation_defect, kernel_coefficients):
+            with pytest.raises(ValueError, match="d must be an integer >= 1"):
+                call(w, d)
+
+    def test_defect_accepts_numpy_integer_degree(self):
+        assert kernel_truncation_defect(0.5, np.int64(40)) == kernel_truncation_defect(0.5, 40)
+
 
 class TestBergmanMetric:
     def test_zero_at_coincidence(self):
@@ -408,6 +419,14 @@ class TestSubharmonicity:
     def test_rejects_coarse_grid(self):
         with pytest.raises(ValueError, match="grid_step"):
             subharmonicity_check(np.eye(2), 1.0, grid_step=0.95, rmax=0.9)
+
+    @pytest.mark.parametrize("p", [261.0, 300.0, 400.0, [2.0, 300.0]])
+    def test_rejects_p_at_which_the_values_overflow(self, p):
+        # ||10 K_w||^p or its stencil exceeds the float range on the grid: p = 261 used to
+        # drop the overflowing stencils, p = 300 to pass with an infinite tolerance and
+        # p = 400 to fail for want of a full stencil
+        with pytest.raises(ValueError, match=r"overflows on the grid at p = (261|300|400)"):
+            subharmonicity_check(10.0 * np.eye(2), p, grid_step=0.1, rmax=0.8)
 
     @pytest.mark.parametrize("p", [0.0, np.nan, np.inf, [1.0, np.nan]])
     def test_rejects_p_outside_open_half_line(self, p):

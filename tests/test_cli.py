@@ -1,11 +1,17 @@
 """CLI behavior: flags, config files, reports, exit codes, determinism."""
 
+import contextlib
 import dataclasses
+import io
 import json
+import math
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from schattenframes.cli import main
 from schattenframes.serialization import write_matrix
@@ -106,6 +112,7 @@ INVALID_INPUTS = {
     "float-trials": ([], {"trials": 10.0}, "trials"),
     "tolerances-not-object": ([], {"tolerances": 5}, "tolerances"),
     "tolerance-nan": ([], {"tolerances": {"certificate": float("nan")}}, "tolerances"),
+    "tolerance-unknown-name": ([], {"tolerances": {"certifcate": 1e-3}}, "certifcate"),
     "output-dir-number": ([], {"output_dir": 5}, "output_dir"),
 }
 
@@ -123,6 +130,52 @@ class TestInvalidInput:
         assert main(args) == 2
         assert named in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == (["cfg.json"] if config else [])
+
+
+# Front-door inputs: each parameter is a flag, a config-file entry or absent.
+P_ENTRIES = st.one_of(
+    st.floats(0.25, 5.0), st.sampled_from([math.nan, math.inf, -math.inf, -1.0, 0.0, "x", "2"])
+)
+RMAX = st.sampled_from([-0.5, 0.0, 0.3, 0.9, 0.995, 1.0, 1.5, math.nan, math.inf])
+EXTRAS = st.sampled_from(
+    [{}, {"dimm": 3}, {"tolerances": {"certifcate": 1e-3}}, {"tolerances": {"certificate": 1e-6}}]
+)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(
+    command=st.sampled_from(["verify-theorems", "counterexamples", "bergman"]),
+    values=st.fixed_dictionaries(
+        {"dim": st.integers(1, 3), "trials": st.integers(1, 3)},
+        optional={"p_grid": st.lists(P_ENTRIES, min_size=1, max_size=3), "rmax": RMAX},
+    ),
+    in_file=st.sets(st.sampled_from(["dim", "trials", "p_grid", "rmax"])),
+    extra=EXTRAS,
+)
+def test_front_door_exits_0_1_or_2_without_traceback(command, values, in_file, extra):
+    """Any mix of flags and config-file entries ends in exit 0, 1 or 2, never a traceback."""
+    with tempfile.TemporaryDirectory() as tmp:
+        args, config = [command, "--out", str(Path(tmp) / "r")], dict(extra)
+        for key, value in values.items():
+            if key in in_file:
+                config[key] = value
+            elif key == "p_grid":
+                args.append("--p-grid=" + ",".join(str(v) for v in value))
+            else:
+                args += [f"--{key}", str(value)]
+        if config:
+            (Path(tmp) / "cfg.json").write_text(json.dumps(config))
+            args += ["--config", str(Path(tmp) / "cfg.json")]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(args)
+            except SystemExit as exc:  # argparse rejects a flag
+                code = exc.code
+    assert code in (0, 1, 2), (args, config, err.getvalue())
+    assert "Traceback" not in out.getvalue() + err.getvalue()
+    if code == 2:
+        assert err.getvalue().startswith(("error: ", "usage: ")), err.getvalue()
 
 
 class TestCounterexamples:

@@ -311,6 +311,12 @@ class TestCertifyDiagFormula:
         with pytest.raises(ValueError, match="p >= 1"):
             certify_diag_formula(np.diag([1.0, -1.0]), 0.5, direction="sup_below")
 
+    @pytest.mark.parametrize("direction", ["bogus", "sup", ""])
+    def test_rejects_unknown_direction(self, direction):
+        # an unknown name would otherwise run the sup regime at p < 1, unchecked
+        with pytest.raises(ValueError, match=f"direction must be .* got '{direction}'"):
+            certify_diag_formula(np.diag([2.0, 1.0]), 0.5, trials=5, direction=direction)
+
 
 class TestCertifyDoubleFormula:
     def test_hermitian_hs(self):

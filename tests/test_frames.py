@@ -2,6 +2,7 @@
 
 import collections
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -80,6 +81,16 @@ class TestMakeFrame:
             f /= np.linalg.norm(f)
             total = np.sum(np.abs(frame.vectors.conj().T @ f) ** 2)
             assert c1 * (1 - 1e-10) <= total <= c2 * (1 + 1e-10)
+
+    @pytest.mark.parametrize(
+        "vectors",
+        [np.zeros((0, 3)), np.ones((2, 3, 4, 5)), np.array([[1.0, 0.0], [np.nan, 1.0]])],
+        ids=["no-rows", "four-axes", "nan-entry"],
+    )
+    def test_of_rejects_bad_shape_or_nonfinite_entry(self, vectors):
+        shape = re.escape(str(vectors.shape))
+        with pytest.raises(ValueError, match=f"expected finite vectors .* got shape {shape}"):
+            Frame.of(vectors)
 
     def test_vectors_immutable(self):
         frame = make_frame(np.eye(2))
