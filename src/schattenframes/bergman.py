@@ -357,29 +357,35 @@ class SamplingChainReport:
 
 
 def sampling_comparison(
-    t, p: float, quad: DiskQuadrature, lattice: SamplingLattice
-) -> SamplingChainReport:
+    t, p: float, quad: DiskQuadrature, lattice
+) -> SamplingChainReport | list[SamplingChainReport]:
     """Compare the lattice sum of ||T k_w||^p against the dlambda integral.
 
     Separated lattices control the sum by a constant multiple of the
     integral (the metric balls around lattice points are disjoint); the
     constant is not explicit, so it is measured and reported.  Only lattice
-    points inside the quadrature radius enter the sum.
+    points inside the quadrature radius enter the sum.  `lattice` may be a
+    sequence of lattices, giving one report per lattice from one integral.
     """
     t = as_matrix(t)
     integral = integral_criterion(t, p, quad)  # also validates p and the shape of t
-    inside = lattice.points[np.abs(lattice.points) <= quad.rmax]
-    coeffs = _coefficient_matrix(inside, t.shape[1], normalized=True)
-    lattice_sum = float(np.sum(np.linalg.norm(coeffs @ t.T, axis=1) ** p))
-    constant = lattice_sum / integral if integral > 0 else float("inf")
-    return SamplingChainReport(
-        separation=lattice.separation,
-        rmax=quad.rmax,
-        points_used=int(inside.size),
-        lattice_sum=lattice_sum,
-        integral=integral,
-        constant=constant,
-    )
+    many = not isinstance(lattice, SamplingLattice)
+    reports = []
+    for lat in lattice if many else [lattice]:
+        inside = lat.points[np.abs(lat.points) <= quad.rmax]
+        coeffs = _coefficient_matrix(inside, t.shape[1], normalized=True)
+        lattice_sum = float(np.sum(np.linalg.norm(coeffs @ t.T, axis=1) ** p))
+        reports.append(
+            SamplingChainReport(
+                separation=lat.separation,
+                rmax=quad.rmax,
+                points_used=int(inside.size),
+                lattice_sum=lattice_sum,
+                integral=integral,
+                constant=lattice_sum / integral if integral > 0 else float("inf"),
+            )
+        )
+    return reports if many else reports[0]
 
 
 @dataclass(frozen=True)

@@ -246,19 +246,25 @@ def run_verify_theorems(config: CampaignConfig) -> CampaignReport:
 
     enclosures = _enclosure_records(config, tol)
     ensemble = FrameEnsemble(dim, trials, seed)
-    for p, enclosure in zip(config.p_grid, enclosures):
-        checks = [(criteria.certify_norm_formula, general, {})]
-        if p >= 1:
-            checks.append((criteria.certify_diag_formula, hermitian, {"direction": "sup_below"}))
-        if p <= 1:
-            checks.append((criteria.certify_diag_formula, psd, {"direction": "inf_above"}))
-        if p >= 2:
-            checks.append((criteria.certify_double_formula, general, {}))
-        if p <= 2:
-            checks.append((criteria.certify_double_formula, hermitian, {}))
-        for certify, op, extra in checks:
-            records.append(asdict(certify(op, p, tol=tol, ensemble=ensemble, **extra)))
-        records.append(enclosure)
+    # each certificate runs once over the exponents of the grid it applies to;
+    # the records of one p are its certificates in this order, then its enclosure
+    diag = criteria.certify_diag_formula
+    checks = [
+        (criteria.certify_norm_formula, general, lambda p: True),
+        (partial(diag, direction="sup_below"), hermitian, lambda p: p >= 1),
+        (partial(diag, direction="inf_above"), psd, lambda p: p <= 1),
+        (criteria.certify_double_formula, general, lambda p: p >= 2),
+        (criteria.certify_double_formula, hermitian, lambda p: p <= 2),
+    ]
+    per_p: list[list[dict]] = [[] for _ in config.p_grid]
+    for certify, op, applies in checks:
+        at = [j for j, p in enumerate(config.p_grid) if applies(p)]
+        if at:
+            grid = [config.p_grid[j] for j in at]
+            for j, rep in zip(at, certify(op, grid, tol=tol, ensemble=ensemble)):
+                per_p[j].append(asdict(rep))
+    for certificates, enclosure in zip(per_p, enclosures):
+        records += certificates + [enclosure]
 
     for tag, op in (("trace_endpoint", psd), ("hs_endpoint", general)):
         rep = criteria.endpoint_suites(op, tol=tol, ensemble=ensemble)
@@ -303,6 +309,8 @@ def _growth_record(exports: dict, head: dict, series: constructions.GrowthSeries
 
 def run_counterexamples(config: CampaignConfig) -> CampaignReport:
     """Growth studies for every divergence construction."""
+    if config.dim < 2:
+        raise ValueError(f"counterexamples needs dim >= 2, got dim = {config.dim}")
     start = time.perf_counter()
     records: list[dict] = []
     exports: dict = {}
@@ -466,13 +474,14 @@ def run_bergman(config: CampaignConfig) -> CampaignReport:
     quad_coarse = bergman.disk_quadrature(32, max(64, 2 * degree), config.rmax)
     quad_fine = bergman.disk_quadrature(64, max(128, 4 * degree), config.rmax)
     t_probe = random_operator(degree, config.seed + 999)
-    for separation in (0.3, 0.5):
-        lattice = bergman.r_lattice(separation, 0.95)
+    lattices = [bergman.r_lattice(separation, 0.95) for separation in (0.3, 0.5)]
+    chains_c = bergman.sampling_comparison(t_probe, 2.0, quad_coarse, lattices)
+    chains_f = bergman.sampling_comparison(t_probe, 2.0, quad_fine, lattices)
+    for lattice, chain_c, chain_f in zip(lattices, chains_c, chains_f):
+        separation = lattice.separation
         exports[f"lattice_sep{separation}.csv"] = partial(write_nodes, points=lattice.points)
         frame, frame_rep = bergman.sampling_frame(lattice, degree)
         cert = certify_synthesis(frame, seed=config.seed)
-        chain_c = bergman.sampling_comparison(t_probe, 2.0, quad_coarse, lattice)
-        chain_f = bergman.sampling_comparison(t_probe, 2.0, quad_fine, lattice)
         stability = abs(chain_c.constant - chain_f.constant) / max(1e-300, chain_f.constant)
         records.append(
             {

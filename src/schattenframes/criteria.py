@@ -46,6 +46,8 @@ __all__ = [
 
 WEIGHTED_KINDS = ("weighted_norms", "weighted_diag", "weighted_double")
 SUM_KINDS = ("norms", "diag", "double") + WEIGHTED_KINDS
+#: Report tag stem of the certificate of each plain sum
+_TAGS = {"norms": "norm_sum", "diag": "diag_sum", "double": "double_sum"}
 
 #: p-range per weighted kind; rejections quote these.
 _WEIGHTED_RANGE = {
@@ -91,44 +93,28 @@ def _check_dims(t: np.ndarray, frame: Frame) -> None:
         raise ValueError(f"operator acts on C^{t.shape[-1]}, frame lives in C^{frame.dim}")
 
 
-def _psd_or_raise(t: np.ndarray, what: str) -> np.ndarray:
-    """Eigenvalues of t, rejecting non-Hermitian or indefinite input."""
+def _psd_eigenvalues(t: np.ndarray, what: str | None = None) -> np.ndarray | None:
+    """Eigenvalues of t when it is Hermitian PSD; else None, or a ValueError naming `what`."""
     defect = hermitian_defect(t)
-    if defect > 1e-10:
+    w = np.linalg.eigvalsh(0.5 * (t + t.conj().T)) if defect <= 1e-10 else None
+    if w is not None and w[0] >= -1e-10 * max(1.0, abs(w[-1])):
+        return w
+    if what is None:
+        return None
+    if w is None:
         raise ValueError(f"{what} requires a Hermitian matrix (defect {defect:.3e})")
-    w = np.linalg.eigvalsh(0.5 * (t + t.conj().T))
-    if w[0] < -1e-10 * max(1.0, abs(w[-1])):
-        raise ValueError(f"{what} requires a PSD matrix (min eigenvalue {w[0]:.3e})")
-    return w
+    raise ValueError(f"{what} requires a PSD matrix (min eigenvalue {w[0]:.3e})")
 
 
 # Sum kernels: frame vectors (dim, count) or a stack (n, dim, count), with T one
-# operator or n stacked; one value per frame.  The public sums are the one-frame case.
-
-
-def _norm_sums(t: np.ndarray, v: np.ndarray, p: float) -> np.ndarray:
-    """sum_n ||T f_n||^p."""
-    return np.sum(np.linalg.norm(t @ v, axis=-2) ** p, axis=-1)
+# operator or n stacked; one value per frame.  A sum is split into its
+# p-independent terms and their p-th powers, so that a p-grid takes the terms
+# once.  The public sums are the one-frame case.
 
 
 def _diag_values(t: np.ndarray, v: np.ndarray) -> np.ndarray:
     """The pairings <T f_n, f_n> down each frame."""
     return np.einsum("...in,...in->...n", v.conj(), t @ v)
-
-
-def _diag_sums(t: np.ndarray, v: np.ndarray, p: float) -> np.ndarray:
-    """sum_n |<T f_n, f_n>|^p."""
-    return np.sum(np.abs(_diag_values(t, v)) ** p, axis=-1)
-
-
-def _cross(t: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """The pairings [k, n] = <T f_n, f_k>."""
-    return np.conj(v).swapaxes(-1, -2) @ (t @ v)
-
-
-def _double_sums(t: np.ndarray, v: np.ndarray, p: float) -> np.ndarray:
-    """sum_n sum_k |<T f_n, f_k>|^p."""
-    return np.sum(np.abs(_cross(t, v)) ** p, axis=(-2, -1))
 
 
 def _real_psd_diag(t: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -139,38 +125,61 @@ def _real_psd_diag(t: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.maximum(vals.real, 0.0)
 
 
-def _weighted_sums(kind: str, t: np.ndarray, v: np.ndarray, p: float) -> np.ndarray:
-    """Vector-norm-weighted sums; zero frame vectors contribute 0."""
-    lengths = np.linalg.norm(v, axis=-2)
+def _terms(kind: str, t: np.ndarray, v: np.ndarray):
+    """The p-independent terms of the sum of `kind`.
+
+    ||T f_n||, |<T f_n, f_n>| or |<T f_n, f_k>| at [k, n] for the plain
+    sums; the pair (||f_n||, plain terms) for the weighted ones, where
+    weighted_diag takes <T f_n, f_n> real.
+    """
     if kind == "weighted_diag":
-        terms = lengths ** (2.0 * (1.0 - p)) * _real_psd_diag(t, v) ** p
+        return np.linalg.norm(v, axis=-2), _real_psd_diag(t, v)
+    if kind in WEIGHTED_KINDS:
+        return np.linalg.norm(v, axis=-2), _terms(kind.removeprefix("weighted_"), t, v)
+    if kind == "norms":
+        return np.linalg.norm(t @ v, axis=-2)
+    return np.abs(_diag_values(t, v) if kind == "diag" else np.conj(v).swapaxes(-1, -2) @ (t @ v))
+
+
+def _power_sums(kind: str, terms, p: float) -> np.ndarray:
+    """The sum of `kind` at p from its `_terms`; zero frame vectors add 0 to weighted sums."""
+    if kind not in WEIGHTED_KINDS:
+        return np.sum(terms**p, axis=(-2, -1) if kind == "double" else -1)
+    lengths, plain = terms
+    if kind == "weighted_diag":
+        summands = lengths ** (2.0 * (1.0 - p)) * plain**p
     elif kind == "weighted_norms":
-        terms = lengths ** (2.0 - p) * np.linalg.norm(t @ v, axis=-2) ** p
+        summands = lengths ** (2.0 - p) * plain**p
     else:  # weighted_double: inner sums over k for each n
-        terms = lengths ** (2.0 - p) * np.sum(np.abs(_cross(t, v)) ** p, axis=-2)
-    return np.sum(np.where(lengths > 0.0, terms, 0.0), axis=-1)
+        summands = lengths ** (2.0 - p) * np.sum(plain**p, axis=-2)
+    return np.sum(np.where(lengths > 0.0, summands, 0.0), axis=-1)
 
 
-def _frame_sum(kind: str, t, frame: Frame, p: float, kernel) -> SumReport:
+def _sums(kind: str, t: np.ndarray, v: np.ndarray, p: float) -> np.ndarray:
+    """The sum of `kind` at p, one value per frame."""
+    return _power_sums(kind, _terms(kind, t, v), p)
+
+
+def _frame_sum(kind: str, t, frame: Frame, p: float) -> SumReport:
     t = as_matrix(t)
     _check_p(p)
     _check_dims(t, frame)
-    return SumReport(kind=kind, p=p, value=float(kernel(t, frame.vectors, p)))
+    return SumReport(kind=kind, p=p, value=float(_sums(kind, t, frame.vectors, p)))
 
 
 def sum_norms(t, frame: Frame, p: float) -> SumReport:
     """sum_n ||T f_n||^p."""
-    return _frame_sum("norms", t, frame, p, _norm_sums)
+    return _frame_sum("norms", t, frame, p)
 
 
 def sum_diag(t, frame: Frame, p: float) -> SumReport:
     """sum_n |<T f_n, f_n>|^p for a general operator."""
-    return _frame_sum("diag", t, frame, p, _diag_sums)
+    return _frame_sum("diag", t, frame, p)
 
 
 def sum_double(t, frame: Frame, p: float) -> SumReport:
     """sum_n sum_k |<T f_n, f_k>|^p."""
-    return _frame_sum("double", t, frame, p, _double_sums)
+    return _frame_sum("double", t, frame, p)
 
 
 def weighted_sum(kind: str, t, frame: Frame, p: float) -> SumReport:
@@ -188,8 +197,8 @@ def weighted_sum(kind: str, t, frame: Frame, p: float) -> SumReport:
     if not (lo < p <= hi):
         raise ValueError(f"{kind} is defined for {lo} < p <= {hi}, got p = {p}")
     if kind == "weighted_diag":
-        _psd_or_raise(t, "weighted_diag")
-    return SumReport(kind=kind, p=p, value=float(_weighted_sums(kind, t, frame.vectors, p)))
+        _psd_eigenvalues(t, "weighted_diag")
+    return SumReport(kind=kind, p=p, value=float(_sums(kind, t, frame.vectors, p)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -226,8 +235,8 @@ def double_sum_comparison(t, frame: Frame, p: float, tol: float = 1e-9) -> Doubl
             f" for frames of shape {frame.vectors.shape}; got shape {t.shape}"
         )
     _check_p(p)
-    lhs = _double_sums(t, frame.vectors, p)
-    rhs = _norm_sums(t, frame.vectors, p)
+    lhs = _sums("double", t, frame.vectors, p)
+    rhs = _sums("norms", t, frame.vectors, p)
     scale = np.maximum(1.0, np.maximum(lhs, rhs))
     ok = np.ones(np.shape(lhs), dtype=bool)
     upper = lower = None
@@ -274,91 +283,97 @@ def _ensemble(t: np.ndarray, trials: int, seed: int, ensemble: FrameEnsemble | N
     return ensemble
 
 
-def _certificate(
-    tag: str,
-    p: float,
-    ensemble: FrameEnsemble,
-    direction: str,
-    sampled: list[np.ndarray],
-    norm_value: float,
-    witness_value: float | None,
-    tol: float,
-    witness_budget: float = 0.0,
-) -> CertificateReport:
-    sampled = np.concatenate(sampled)
-    scale = max(1.0, norm_value)
-    if direction == "sup_below":
-        extremal = np.max(sampled)
-        direction_ok = extremal <= norm_value + tol * scale
-    else:
-        extremal = np.min(sampled)
-        direction_ok = extremal >= norm_value - tol * scale
-    witness_ok = (
-        witness_value is not None
-        and abs(witness_value - norm_value) <= tol * scale + witness_budget
-    )
-    return CertificateReport(
-        tag=tag,
-        p=p,
-        trials=ensemble.trials,
-        direction=direction,
-        extremal_value=float(extremal),
-        norm_value=float(norm_value),
-        witness_value=witness_value,
-        equality_witness=witness_ok,
-        tolerance=tol,
-        passed=bool(direction_ok) and (witness_value is None or witness_ok),
-    )
+def _exponents(p) -> tuple[list, bool]:
+    """The exponents of `p`, one or a sequence, each checked; and whether p is a sequence."""
+    ps = list(p) if np.ndim(p) == 1 else [p]
+    for q in ps:
+        _check_p(q)
+    return ps, np.ndim(p) == 1
+
+
+def _certify(kind, t, ps, many, inf, ensemble, spectrum, basis, tol):
+    """The certificate reports of the sum of `kind` at each exponent ps[j].
+
+    ps[j] is sampled over the stacks of its regime, Parseval when inf[j] and
+    upper bound one otherwise, against ||T||_p^p = sum spectrum^p, with the
+    sum at `basis` as the witness (None: no witness).  Each regime is walked
+    once; the terms of a stack are taken once, only the power map and sum run
+    per p, and each stack is dropped after use.
+    """
+    sampled = [[] for _ in ps]
+    walks = [(kind, regime, ensemble.regime_stacks(regime)) for regime in dict.fromkeys(inf)]
+    if kind == "diag" and any(inf):  # the inf regime also samples weighted sums, lower bound 1
+        lower_one = (rescale_lower_bound_one(group.raw) for group in ensemble.groups)
+        walks.append(("weighted_diag", True, lower_one))
+    for walk_kind, regime, stacks in walks:
+        chosen = [j for j, r in enumerate(inf) if r == regime]
+        for stack in stacks:
+            terms = _terms(walk_kind, t, stack.vectors)
+            for j in chosen:
+                sampled[j].append(_power_sums(walk_kind, terms, ps[j]))
+    witness_terms = None if basis is None else _terms(kind, t, basis)
+    n_terms = t.shape[1] ** (2 if kind == "double" else 1)
+    reports = []
+    for p, p_inf, sums in zip(ps, inf, sampled):
+        sums, norm_value = np.concatenate(sums), float(np.sum(spectrum**p))
+        extremal = np.min(sums) if p_inf else np.max(sums)
+        slack = tol * max(1.0, norm_value)
+        direction_ok = extremal >= norm_value - slack if p_inf else extremal <= norm_value + slack
+        witness, witness_ok = None, False
+        if basis is not None:
+            witness = float(_power_sums(kind, witness_terms, p))
+            budget = _witness_budget(p, n_terms, float(np.max(spectrum)))
+            witness_ok = bool(abs(witness - norm_value) <= slack + budget)
+        reports.append(
+            CertificateReport(
+                tag=_TAGS[kind] + ("_inf" if p_inf else "_sup"),
+                p=p,
+                trials=ensemble.trials,
+                direction="inf_above" if p_inf else "sup_below",
+                extremal_value=float(extremal),
+                norm_value=norm_value,
+                witness_value=witness,
+                equality_witness=witness_ok,
+                tolerance=tol,
+                passed=bool(direction_ok) and (basis is None or witness_ok),
+            )
+        )
+    return reports if many else reports[0]
 
 
 def certify_norm_formula(
-    t, p: float, trials: int = 200, seed: int = 0, tol: float = 1e-9, ensemble=None
-) -> CertificateReport:
-    """Certify the norm-sum formula for ||T||_p^p.
+    t, p, trials: int = 200, seed: int = 0, tol: float = 1e-9, ensemble=None
+) -> CertificateReport | list[CertificateReport]:
+    """Certify the norm-sum formula for ||T||_p^p, T square.
 
-    Parameters
-    ----------
-    t : array_like
-        The operator under test (square).
-    p : float
-        Schatten exponent; p >= 2 engages the sup regime over frames with
-        upper bound <= 1, p < 2 the inf regime over Parseval frames.
-    trials : int
-        Number of sampled ONBs (an equal number of random frames is added).
-    seed : int
-        Base seed; trial seeds are seed + index.
-    tol : float
-        Tolerance for the direction check and the equality witness.
-    ensemble : FrameEnsemble, optional
-        Sampled instead of a fresh FrameEnsemble(dim, trials, seed).
+    p >= 2 engages the sup regime over frames with upper bound <= 1, p < 2
+    the inf regime over Parseval frames.  The samples are `trials` seeded
+    ONBs and as many random frames (trial seeds seed + index), or those of
+    `ensemble`; `tol` bounds the direction check and the equality witness.
+    The right-singular-vector basis is the exact witness: there ||T e_n|| is
+    the n-th singular value, so the sum equals ||T||_p^p in finite dimension.
 
-    The right-singular-vector basis is evaluated as the exact witness:
-    there ||T e_n|| equals the n-th singular value, so the sum equals
-    ||T||_p^p in finite dimension.
+    `p` may be a sequence: the result is then one report per exponent,
+    report j equal to the call at p[j], and the SVD, each sampled stack and
+    its norms ||T f_n|| are taken once for the whole grid.
     """
     t = as_matrix(t)
-    _check_p(p)
+    ps, many = _exponents(p)
     ensemble = _ensemble(t, trials, seed, ensemble)
-    sup_regime = p >= 2
-    sampled = [_norm_sums(t, s.vectors, p) for s in ensemble.regime_stacks(not sup_regime)]
     decomposition = svd(t)
-    norm_value = float(np.sum(decomposition.singular_values**p))
-    witness = float(_norm_sums(t, decomposition.right_vectors, p))
-    budget = _witness_budget(p, t.shape[1], float(decomposition.singular_values[0]))
-    tag = "norm_sum_sup" if sup_regime else "norm_sum_inf"
-    direction = "sup_below" if sup_regime else "inf_above"
-    return _certificate(tag, p, ensemble, direction, sampled, norm_value, witness, tol, budget)
+    s, basis = decomposition.singular_values, decomposition.right_vectors
+    return _certify("norms", t, ps, many, [q < 2 for q in ps], ensemble, s, basis, tol)
 
 
 def certify_diag_formula(
     t,
-    p: float,
+    p,
     trials: int = 200,
     seed: int = 0,
     tol: float = 1e-9,
     direction: str | None = None,
     ensemble=None,
-) -> CertificateReport:
+) -> CertificateReport | list[CertificateReport]:
     """Certify the diagonal-sum formula for a self-adjoint operator.
 
     The sup regime (p >= 1, any Hermitian T) samples sum_diag over frames
@@ -366,78 +381,60 @@ def certify_diag_formula(
     plain diagonal sum over Parseval frames and the weighted variant over
     frames with lower bound >= 1, taking the smaller.  The eigenvector basis
     witnesses equality with sum |lambda_n|^p.  Non-Hermitian input is
-    rejected: without self-adjointness the equality fails.
+    rejected: without self-adjointness the equality fails.  `p` may be a
+    sequence, as in `certify_norm_formula`; without a `direction` each
+    exponent takes its own regime.
     """
     t = as_matrix(t)
-    _check_p(p)
+    ps, many = _exponents(p)
     defect = hermitian_defect(t)
     if defect > 1e-10:
         raise ValueError(
             f"diagonal-sum certificates need a Hermitian operator (defect {defect:.3e})"
         )
-    if direction is None:
-        direction = "inf_above" if p <= 1 and _psd_eigenvalues(t) is not None else "sup_below"
-    if direction not in ("sup_below", "inf_above"):
+    if direction not in (None, "sup_below", "inf_above"):
         raise ValueError(f"direction must be None, 'sup_below' or 'inf_above', got {direction!r}")
-    if direction == "sup_below" and p < 1:
-        raise ValueError("the sup-regime diagonal formula needs p >= 1")
-    if direction == "inf_above":
-        if p > 1:
-            raise ValueError("the inf-regime diagonal formula needs 0 < p <= 1")
-        _psd_or_raise(t, "the inf-regime diagonal formula")
+    if direction is None:
+        psd = any(q <= 1 for q in ps) and _psd_eigenvalues(t) is not None
+        inf = [q <= 1 and psd for q in ps]
+    else:
+        inf = [direction == "inf_above"] * len(ps)
+    for q, q_inf in zip(ps, inf):
+        if not q_inf and q < 1:
+            raise ValueError(f"the sup-regime diagonal formula needs p >= 1, got p = {q}")
+        if q_inf and q > 1:
+            raise ValueError(f"the inf-regime diagonal formula needs 0 < p <= 1, got p = {q}")
+    if any(inf):
+        _psd_eigenvalues(t, "the inf-regime diagonal formula")
     ensemble = _ensemble(t, trials, seed, ensemble)
     eigvals, eigvecs = hermitian_eigen(0.5 * (t + t.conj().T))
-    witness = float(_diag_sums(t, eigvecs, p))
-    norm_value = float(np.sum(np.abs(eigvals) ** p))
-    budget = _witness_budget(p, t.shape[1], float(np.max(np.abs(eigvals))))
-    inf_regime = direction == "inf_above"
-    sampled = [_diag_sums(t, s.vectors, p) for s in ensemble.regime_stacks(inf_regime)]
-    if inf_regime:
-        lower_one = (rescale_lower_bound_one(g.raw).vectors for g in ensemble.groups)
-        sampled += [_weighted_sums("weighted_diag", t, v, p) for v in lower_one]
-    tag = "diag_sum_inf" if inf_regime else "diag_sum_sup"
-    return _certificate(tag, p, ensemble, direction, sampled, norm_value, witness, tol, budget)
+    return _certify("diag", t, ps, many, inf, ensemble, np.abs(eigvals), eigvecs, tol)
 
 
 def certify_double_formula(
-    t, p: float, trials: int = 200, seed: int = 0, tol: float = 1e-9, ensemble=None
-) -> CertificateReport:
+    t, p, trials: int = 200, seed: int = 0, tol: float = 1e-9, ensemble=None
+) -> CertificateReport | list[CertificateReport]:
     """Certify the double-sum formula.
 
     For p >= 2 (any T) the sampled double sums over frames with upper bound
-    <= 1 must stay below ||T||_p^p; for 0 < p <= 2 (Hermitian T) the sums
+    <= 1 must stay below ||T||_p^p; for 0 < p < 2 (Hermitian T) the sums
     over Parseval frames must stay above.  When T is Hermitian its
     eigenvector basis gives the exact witness sum |lambda_n|^p; for
     non-Hermitian T in the sup regime the extremal value is only recorded.
+    `p` may be a sequence, as in `certify_norm_formula`.
     """
     t = as_matrix(t)
-    _check_p(p)
+    ps, many = _exponents(p)
     hermitian = hermitian_defect(t) <= 1e-10
-    if p >= 2:
-        direction, tag = "sup_below", "double_sum_sup"
-    else:
-        if not hermitian:
-            raise ValueError("the inf-regime double-sum formula needs a Hermitian operator")
-        direction, tag = "inf_above", "double_sum_inf"
+    inf = [q < 2 for q in ps]
+    if not hermitian and any(inf):
+        raise ValueError(
+            "the inf-regime double-sum formula needs a Hermitian operator,"
+            f" got p = {ps[inf.index(True)]}"
+        )
     ensemble = _ensemble(t, trials, seed, ensemble)
-    decomposition = svd(t)
-    norm_value = float(np.sum(decomposition.singular_values**p))
-    budget = _witness_budget(p, t.shape[1] ** 2, float(decomposition.singular_values[0]))
-    witness = None
-    if hermitian:
-        _, eigvecs = hermitian_eigen(0.5 * (t + t.conj().T))
-        witness = float(_double_sums(t, eigvecs, p))
-    parseval = direction == "inf_above"
-    sampled = [_double_sums(t, s.vectors, p) for s in ensemble.regime_stacks(parseval)]
-    return _certificate(tag, p, ensemble, direction, sampled, norm_value, witness, tol, budget)
-
-
-def _psd_eigenvalues(t: np.ndarray) -> np.ndarray | None:
-    """Eigenvalues of t when it is Hermitian PSD, else None."""
-    try:
-        return _psd_or_raise(t, "")
-    except ValueError:
-        return None
+    basis = hermitian_eigen(0.5 * (t + t.conj().T))[1] if hermitian else None
+    return _certify("double", t, ps, many, inf, ensemble, svd(t).singular_values, basis, tol)
 
 
 @dataclass(frozen=True)
@@ -488,7 +485,7 @@ def endpoint_suites(
             margin, fits = _enclosure(diag_total, c1 * trace_norm_value, c2 * trace_norm_value, tol)
             trace_margin = min(trace_margin, margin)
             ok = ok and fits
-        norm_total = _norm_sums(t, raw.vectors, 2)
+        norm_total = _sums("norms", t, raw.vectors, 2)
         via_trace = np.real(np.trace(gram @ raw.frame_operator, axis1=-2, axis2=-1))
         dev = np.abs(norm_total - via_trace) / np.maximum(1.0, np.abs(via_trace))
         hs_dev = max(hs_dev, float(np.max(dev)))

@@ -179,12 +179,12 @@ def make_frame(vectors, dim: int | None = None) -> Frame:
 class SynthesisCertificate:
     """Measured synthesis-operator properties with pass/fail verdict.
 
-    Certifies C1 <= ||A||^2 <= C2, invertibility of A A* (lambda_min = C1 > 0),
-    and the analysis identity ||A* f||^2 = sum_n |<f, f_n>|^2 on seeded probes.
-    `rank` is the numerical rank of A (A itself is generally not injective,
-    e.g. for frames with repeated vectors).  For a stack of frames the bounds,
-    measurements, `rank` and `passed` are arrays over the stack and
-    `failures` holds one tuple of messages per frame.
+    Certifies C1 <= ||A||^2 <= C2, invertibility of S = A A* (C1 > 0), and on
+    seeded unit probes f the analysis identity sum_n |<f, f_n>|^2 = <S f, f>
+    (||A* f||^2 against Re <S f, f>) and the frame inequality.  `rank` is the
+    numerical rank of A (not injective in general, e.g. for repeated vectors).
+    For a stack of frames the bounds, measurements, `rank` and `passed` are
+    arrays over the stack and `failures` holds one tuple of messages per frame.
     """
 
     dim: int
@@ -217,8 +217,9 @@ def certify_synthesis(
 ) -> SynthesisCertificate:
     """Certify the synthesis operator's norm bracket and analysis identity.
 
+    The SVD of A and the frame operator S are taken once for the whole stack.
     For a stack of frames `seed` holds one probe seed per frame, and the
-    certificate's fields are arrays over the stack.  The frames that share a
+    certificate's fields are arrays over the stack; the frames that share a
     seed are evaluated together on that seed's probes, drawn once.
     """
     shape = frame.vectors.shape[:-2]
@@ -228,19 +229,18 @@ def certify_synthesis(
     c1, c2 = np.reshape(frame.lower_bound, -1), np.reshape(frame.upper_bound, -1)
     n, dim, count = vectors.shape
     seeds = np.reshape(seed, -1)
-    op2, dev, lo, hi = (np.empty(n) for _ in range(4))
-    rank = np.empty(n, dtype=int)
-    for s in dict.fromkeys(seeds.tolist()):
-        part = np.flatnonzero(seeds == s)
-        a, f = vectors[part], _probes(dim, SYNTHESIS_PROBES, int(s))
-        # LAPACK SVD of A itself, independent of the frame operator the bounds came from
-        svals = np.linalg.svd(a, compute_uv=False)
-        op2[part] = svals[:, 0] ** 2
-        rank[part] = np.sum(svals > 1e-12 * svals[:, :1], axis=-1)
-        # ||A* f||^2 via the matrix product, sum_n |<f, f_n>|^2 via columnwise pairings
-        a_conj = a.conj()
-        direct = np.linalg.norm(a_conj.swapaxes(-1, -2) @ f, axis=-2) ** 2
-        analysis = np.sum(np.abs(np.einsum("kin,ij->knj", a_conj, f)) ** 2, axis=-2)
+    # LAPACK SVD of A itself, independent of the frame operator the bounds came from
+    svals = np.linalg.svd(vectors, compute_uv=False)
+    op2 = svals[:, 0] ** 2
+    rank = np.sum(svals > 1e-12 * svals[:, :1], axis=-1)
+    s = _frame_operators(vectors)
+    dev, lo, hi = (np.empty(n) for _ in range(3))
+    for sd in dict.fromkeys(seeds.tolist()):
+        part = np.flatnonzero(seeds == sd)
+        f = _probes(dim, SYNTHESIS_PROBES, int(sd))
+        # ||A* f||^2 by the matrix product against <S f, f> through the frame operator
+        direct = np.linalg.norm(vectors[part].conj().swapaxes(-1, -2) @ f, axis=-2) ** 2
+        analysis = np.real(np.sum(f.conj() * (s[part] @ f), axis=-2))
         dev[part] = np.max(np.abs(analysis - direct) / np.maximum(analysis, 1e-300), axis=-1)
         # frame inequality on the probes
         lo[part], hi[part] = np.min(analysis, axis=-1), np.max(analysis, axis=-1)

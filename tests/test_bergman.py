@@ -384,6 +384,23 @@ class TestSamplingComparison:
         dense = sampling_comparison(t, 1.0, quad, r_lattice(0.4, 0.9))
         assert dense.lattice_sum > sparse.lattice_sum
 
+    def test_lattice_sequence_matches_one_lattice_calls(self, monkeypatch):
+        t = seeded_operators(4, 1, 71)[0]
+        quad = disk_quadrature(32, 32, 0.95)
+        lattices = [r_lattice(0.3, 0.95), r_lattice(0.5, 0.95)]
+        singles = [sampling_comparison(t, 2.0, quad, lattice) for lattice in lattices]
+        integrals = []
+        criterion = bergman.integral_criterion
+
+        def counted(*args):
+            integrals.append(args)
+            return criterion(*args)
+
+        monkeypatch.setattr(bergman, "integral_criterion", counted)
+        assert sampling_comparison(t, 2.0, quad, lattices) == singles
+        assert sampling_comparison(t, 2.0, quad, lattices[:1]) == singles[:1]
+        assert len(integrals) == 2  # one integral per call
+
     @pytest.mark.parametrize("p", [0.0, np.nan, np.inf])
     def test_rejects_p_outside_open_half_line(self, p):
         quad = disk_quadrature(8, 8, 0.9)

@@ -159,6 +159,24 @@ def test_norm_estimate_rejects_p_outside_open_half_line(tmp_path, p):
         run_norm_estimate(tmp_path / "unread.json", p, "singular_basis_exact", config)
 
 
+def test_verify_derives_each_regime_stack_once_per_certificate(monkeypatch):
+    """Each certificate walks every regime of its p-grid once: at the default
+    config the certificates derive 24 Parseval and 32 upper-bound-one stacks,
+    and the synthesis variants 16 of each."""
+    calls = collections.Counter()
+    for name in ("canonical_parseval", "rescale_upper_bound_one"):
+
+        def counted(frame, name=name, derive=getattr(frames, name)):
+            calls[name] += 1
+            return derive(frame)
+
+        monkeypatch.setattr(frames, name, counted)
+        monkeypatch.setattr(campaigns, name, counted)
+    assert run_verify_theorems(CampaignConfig(command="verify-theorems")).passed
+    assert 0 < calls["canonical_parseval"] <= 40
+    assert 0 < calls["rescale_upper_bound_one"] <= 48
+
+
 def test_bergman_builds_each_kernel_base_once(monkeypatch):
     """The stencil grid is built once for every operator and p, each quadrature
     rule once, and the lattice separations are read from the lattices."""

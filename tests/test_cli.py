@@ -186,6 +186,12 @@ class TestCounterexamples:
         assert "growth_control_series_p2.0.csv" in names
         assert any(n.startswith("growth_rank_one_growth") for n in names)
 
+    def test_dim_one_is_usage_error_naming_dim(self, tmp_path, capsys):
+        out = tmp_path / "r"
+        assert main(["counterexamples", "--dim", "1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: counterexamples needs dim >= 2, got dim = 1\n"
+        assert not out.exists()
+
 
 class TestBergman:
     def test_smoke(self, tmp_path):

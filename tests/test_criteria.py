@@ -1,13 +1,18 @@
 """Frame-sum functionals and norm certificates."""
 
+import collections
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import seeded_hermitians, seeded_operators, seeded_psds
+from schattenframes import criteria
 from schattenframes.constructions import truncated_shift
 from schattenframes.criteria import (
+    _witness_budget,
     certify_diag_formula,
     certify_double_formula,
     certify_norm_formula,
@@ -252,6 +257,91 @@ class TestSharedEnsemble:
     def test_rejects_no_trials(self):
         with pytest.raises(ValueError, match="trials"):
             certify_norm_formula(np.eye(2), 2.0, trials=0)
+
+
+P_GRID = st.lists(st.floats(0.0, 8.0, exclude_min=True), min_size=1, max_size=5)
+
+
+class TestCertificateGrid:
+    """A certificate over a p-grid: report j is the one-p call at p[j]."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(
+        dim=st.integers(1, 6),
+        trials=st.integers(1, 12),
+        grid=P_GRID,
+        seed=st.integers(0, 2**16),
+    )
+    def test_grid_reports_equal_one_p_calls(self, dim, trials, grid, seed):
+        ensemble = FrameEnsemble(dim, trials, seed)
+        general = seeded_operators(dim, 1, seed + 1)[0]
+        hermitian = seeded_hermitians(dim, 1, seed + 2)[0]
+        psd = seeded_psds(dim, 1, seed + 3)[0]
+        s1 = {id(t): np.linalg.svd(t, compute_uv=False)[0] for t in (general, hermitian, psd)}
+        eig = {id(t): np.max(np.abs(np.linalg.eigvalsh(t))) for t in (hermitian, psd)}
+        calls = [  # certificate, operator, sub-grid, extra arguments, witness term count and scale
+            (certify_norm_formula, general, grid, {}, dim, s1),
+            (certify_diag_formula, hermitian, [p for p in grid if p >= 1],
+             {"direction": "sup_below"}, dim, eig),
+            (certify_diag_formula, psd, [p for p in grid if p <= 1],
+             {"direction": "inf_above"}, dim, eig),
+            (certify_diag_formula, psd, grid, {}, dim, eig),  # each p its own regime
+            (certify_double_formula, general, [p for p in grid if p >= 2], {}, dim**2, s1),
+            (certify_double_formula, hermitian, grid, {}, dim**2, s1),
+        ]
+        for certify, t, ps, extra, n_terms, scale in calls:
+            reports = certify(t, ps, ensemble=ensemble, **extra)
+            assert len(reports) == len(ps)
+            for p, rep in zip(ps, reports):
+                assert repr(rep) == repr(certify(t, p, ensemble=ensemble, **extra))
+                assert rep.p == p and rep.passed
+                slack = rep.tolerance * max(1.0, rep.norm_value)
+                if rep.direction == "sup_below":
+                    assert rep.extremal_value <= rep.norm_value + slack
+                else:
+                    assert rep.extremal_value >= rep.norm_value - slack
+                if rep.witness_value is not None:
+                    budget = _witness_budget(p, n_terms, float(scale[id(t)]))
+                    assert abs(rep.witness_value - rep.norm_value) <= slack + budget
+                    assert rep.equality_witness
+
+    def test_decomposes_once_and_walks_each_regime_once(self, monkeypatch):
+        calls = collections.Counter()
+        for name in ("svd", "hermitian_eigen"):
+            monkeypatch.setattr(criteria, name, counted(calls, name, getattr(criteria, name)))
+        walk = FrameEnsemble.regime_stacks
+        monkeypatch.setattr(FrameEnsemble, "regime_stacks", counted(calls, "walk", walk))
+        ensemble = FrameEnsemble(3, 7, 0)
+        hermitian = seeded_hermitians(3, 1, 40)[0]
+        reports = certify_double_formula(hermitian, [0.5, 1.0, 2.0, 3.0, 1.5], ensemble=ensemble)
+        directions = [rep.direction for rep in reports]
+        # sup at p = 2 even for a Hermitian operator
+        assert directions == ["inf_above", "inf_above", "sup_below", "sup_below", "inf_above"]
+        assert calls == {"svd": 1, "hermitian_eigen": 1, "walk": 2}
+        calls.clear()
+        certify_norm_formula(hermitian, [3.0, 4.0, 5.0], ensemble=ensemble)
+        assert calls == {"svd": 1, "walk": 1}
+
+    def test_rejections_name_the_offending_p(self):
+        shift = np.array([[0.0, 1.0], [0.0, 0.0]])
+        with pytest.raises(ValueError, match="needs a Hermitian operator, got p = 1.5"):
+            certify_double_formula(shift, [4.0, 1.5])
+        with pytest.raises(ValueError, match="needs p >= 1, got p = 0.5"):
+            certify_diag_formula(np.diag([1.0, -1.0]), [2.0, 0.5], direction="sup_below")
+        with pytest.raises(ValueError, match="needs 0 < p <= 1, got p = 2.0"):
+            certify_diag_formula(np.diag([1.0, 2.0]), [0.5, 2.0], direction="inf_above")
+        with pytest.raises(ValueError, match="got nan"):
+            certify_norm_formula(np.eye(2), [1.0, float("nan")], trials=2)
+
+
+def counted(calls, name, fn):
+    """`fn`, counting its calls in calls[name]."""
+
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+
+    return wrapper
 
 
 class TestCertifyNormFormula:

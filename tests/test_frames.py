@@ -446,8 +446,8 @@ def assert_same_certificate(stacked, k, single):
 
 
 def reference_synthesis_measurements(frame, seed, n_probes=200):
-    """op_norm_sq, analysis_identity_dev and rank of one frame on 2-D arrays
-    (the pre-batching certificate code)."""
+    """op_norm_sq, analysis_identity_dev and rank of one frame on 2-D arrays:
+    ||A* f||^2 against <S f, f> with S = A A* made exactly Hermitian."""
     a = frame.vectors
     svals = np.linalg.svd(a, compute_uv=False)
     rng = np.random.default_rng(seed)
@@ -456,7 +456,9 @@ def reference_synthesis_measurements(frame, seed, n_probes=200):
     )
     probes /= np.linalg.norm(probes, axis=0)
     direct = np.linalg.norm(a.conj().T @ probes, axis=0) ** 2
-    analysis = np.sum(np.abs(np.einsum("in,ij->nj", a.conj(), probes)) ** 2, axis=0)
+    s = a @ a.conj().T
+    s = 0.5 * (s + s.conj().T)
+    analysis = np.real(np.sum(probes.conj() * (s @ probes), axis=0))
     dev = float(np.max(np.abs(analysis - direct) / np.maximum(analysis, 1e-300)))
     return float(svals[0]) ** 2, dev, int(np.sum(svals > 1e-12 * svals[0]))
 
