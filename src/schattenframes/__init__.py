@@ -11,7 +11,6 @@ disk's analytic function space.
 from .bergman import (
     DiskQuadrature,
     SamplingLattice,
-    TruncatedBergman,
     bergman_kernel,
     bergman_metric,
     disk_quadrature,

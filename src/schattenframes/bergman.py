@@ -16,10 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .frames import Frame, make_frame
-from .linalg import _check_p, as_matrix
+from .linalg import _check_count, _check_p, as_matrix
 
 __all__ = [
-    "TruncatedBergman",
     "DiskQuadrature",
     "SamplingLattice",
     "SamplingFrameReport",
@@ -48,31 +47,6 @@ def _check_in_disk(*points) -> None:
             raise ValueError(f"point {z} is not in the open unit disk")
 
 
-def _check_count(name: str, value) -> None:
-    """Reject `value` unless it is an integer >= 1 (numpy integers count, bool does not)."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
-        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-
-
-@dataclass(frozen=True)
-class TruncatedBergman:
-    """Degree-d truncation spanned by the monomial ONB sqrt(n+1) z^n."""
-
-    degree: int
-
-    @property
-    def onb_scaling(self) -> np.ndarray:
-        return np.sqrt(np.arange(1, self.degree + 1, dtype=float))
-
-    def evaluate(self, coeffs, z: complex) -> complex:
-        """Value at z of the function with the given ONB coefficients."""
-        coeffs = np.asarray(coeffs, dtype=np.complex128).reshape(-1)
-        if coeffs.size != self.degree:
-            raise ValueError(f"expected {self.degree} coefficients, got {coeffs.size}")
-        powers = z ** np.arange(self.degree)
-        return complex(np.sum(coeffs * self.onb_scaling * powers))
-
-
 def bergman_kernel(z: complex, w: complex) -> complex:
     """Reproducing kernel K(z, w) = 1/(1 - z conj(w))^2."""
     _check_in_disk(z, w)
@@ -86,6 +60,28 @@ def _coefficient_matrix(points: np.ndarray, degree: int, normalized: bool) -> np
     if normalized:
         base = base * (1.0 - np.abs(points) ** 2)[:, None]
     return base
+
+
+# Most points whose kernel coefficients `_kernel_norms` holds at once (>= 3).
+_BLOCK_ROWS = 512
+
+
+def _kernel_norms(points: np.ndarray, jobs, normalized: bool = True) -> np.ndarray:
+    """Row j holds ||T (s K_w)|| (k_w if normalized) at each point w, for jobs[j] = (T, s).
+
+    Each block of points has its coefficients built once for every job (s is
+    None or scales each row).  Nearly equal blocks of at most _BLOCK_ROWS rows
+    have two or more rows each (one point aside), which gives the one-shot
+    norms bit for bit; one row of many would not (GEMV).
+    """
+    norms, stop = np.empty((len(jobs), points.size)), 0
+    for block in np.array_split(points, max(1, -(-points.size // _BLOCK_ROWS))):
+        rows, stop = slice(stop, stop + block.size), stop + block.size
+        base = _coefficient_matrix(block, jobs[0][0].shape[1], normalized)
+        for norm, (t, scale) in zip(norms, jobs):
+            scaled = base if scale is None else base * scale[rows, None]
+            norm[rows] = np.linalg.norm(scaled @ t.T, axis=1)
+    return norms
 
 
 def kernel_coefficients(w: complex, d: int, normalized: bool = True) -> np.ndarray:
@@ -264,15 +260,8 @@ def sampling_frame(lattice: SamplingLattice, d: int) -> tuple[Frame, SamplingFra
             f"lattice too sparse for degree {d} "
             f"({lattice.points.size} points, separation {lattice.separation}): {exc}"
         ) from exc
-    report = SamplingFrameReport(
-        degree=d,
-        count=frame.count,
-        separation=lattice.separation,
-        lower_bound=frame.lower_bound,
-        upper_bound=frame.upper_bound,
-        condition=frame.condition,
-    )
-    return frame, report
+    bounds = (frame.lower_bound, frame.upper_bound, frame.condition)
+    return frame, SamplingFrameReport(d, frame.count, lattice.separation, *bounds)
 
 
 @dataclass(frozen=True, eq=False)
@@ -323,8 +312,11 @@ def monomial_gram(quad: DiskQuadrature, degree: int) -> np.ndarray:
     The exact value is diag(rmax^(2n+2)): orthogonality is killed by the
     angular rule and the diagonal carries the truncated radial mass.
     """
-    basis = np.sqrt(np.arange(1, degree + 1)) * quad.nodes[:, None] ** np.arange(degree)
-    return (basis.conj() * quad.weights_da[:, None]).T @ basis
+    basis = quad.nodes[:, None] ** np.arange(degree)
+    basis *= np.sqrt(np.arange(1, degree + 1))
+    lhs = basis.conj()
+    lhs *= quad.weights_da[:, None]
+    return lhs.T @ basis
 
 
 def integral_criterion(t, p: float, quad: DiskQuadrature) -> float:
@@ -333,14 +325,13 @@ def integral_criterion(t, p: float, quad: DiskQuadrature) -> float:
     Finiteness of this integral over the whole disk forces Schatten-p
     membership for 0 < p <= 2 and follows from it for p >= 2; at fixed
     rmax < 1 the value is a truncated surrogate (see `sampling_comparison`
-    for the lattice-sum side of the chain).
+    for the lattice-sum side of the chain).  Kernels go in blocks of nodes.
     """
     t = as_matrix(t)
     _check_p(p)
     if t.shape[0] != t.shape[1]:
         raise ValueError("operator must be square")
-    coeffs = _coefficient_matrix(quad.nodes, t.shape[1], normalized=True)
-    norms = np.linalg.norm(coeffs @ t.T, axis=1)
+    norms = _kernel_norms(quad.nodes, [(t, None)])[0]
     return float(np.sum(quad.weights_dlambda * norms**p))
 
 
@@ -365,7 +356,8 @@ def sampling_comparison(
     integral (the metric balls around lattice points are disjoint); the
     constant is not explicit, so it is measured and reported.  Only lattice
     points inside the quadrature radius enter the sum.  `lattice` may be a
-    sequence of lattices, giving one report per lattice from one integral.
+    sequence of lattices, giving one report per lattice from one integral;
+    kernels go in blocks of points, as in `integral_criterion`.
     """
     t = as_matrix(t)
     integral = integral_criterion(t, p, quad)  # also validates p and the shape of t
@@ -373,8 +365,7 @@ def sampling_comparison(
     reports = []
     for lat in lattice if many else [lattice]:
         inside = lat.points[np.abs(lat.points) <= quad.rmax]
-        coeffs = _coefficient_matrix(inside, t.shape[1], normalized=True)
-        lattice_sum = float(np.sum(np.linalg.norm(coeffs @ t.T, axis=1) ** p))
+        lattice_sum = float(np.sum(_kernel_norms(inside, [(t, None)])[0] ** p))
         reports.append(
             SamplingChainReport(
                 separation=lat.separation,
@@ -409,16 +400,18 @@ class HSIdentityReport:
 
 
 def hs_identity_check(t, quad: DiskQuadrature, tol: float = 1e-10) -> HSIdentityReport:
-    """Check the Hilbert-Schmidt kernel-integral identity under quadrature."""
+    """Check the Hilbert-Schmidt kernel-integral identity under quadrature.
+
+    Both norms come from one pass over blocks of nodes: each kernel is built once.
+    """
     t = as_matrix(t)
     if t.shape[0] != t.shape[1]:
         raise ValueError("operator must be square")
     d = t.shape[1]
-    big = _coefficient_matrix(quad.nodes, d, normalized=False)
     # k_w = (1-|w|^2) K_w: the row scaling _coefficient_matrix applies when normalized
-    norm_k = np.linalg.norm((big * (1.0 - np.abs(quad.nodes) ** 2)[:, None]) @ t.T, axis=1)
-    norm_big = np.linalg.norm(big @ t.T, axis=1)
-    integrand_dlambda = norm_k**2 / (1.0 - np.abs(quad.nodes) ** 2) ** 2
+    shrink = 1.0 - np.abs(quad.nodes) ** 2
+    norm_k, norm_big = _kernel_norms(quad.nodes, [(t, shrink), (t, None)], normalized=False)
+    integrand_dlambda = norm_k**2 / shrink**2
     integrand_da = norm_big**2
     scale = np.maximum(integrand_da, 1e-300)
     pointwise_dev = float(np.max(np.abs(integrand_dlambda - integrand_da) / scale))
@@ -473,8 +466,9 @@ def subharmonicity_check(
 
     `t` may be a stack (n, d, d) and `p` a sequence; reports[k][j] is then
     the one-operator report of operator k at p[j], bit for bit, and a single
-    operator or p drops its list level.  The grid and its kernels are built
-    once and ||T K_w|| once per operator; only the power and stencil run per p.
+    operator or p drops its list level.  The grid is built once, the kernels
+    once per block of grid points for all operators, and ||T K_w|| once per
+    operator; only the power and stencil run per p.
     """
     stacked, many_p = np.ndim(t) == 3, np.ndim(p) == 1
     ops = [as_matrix(op) for op in (t if stacked else [t])]
@@ -491,11 +485,10 @@ def subharmonicity_check(
     re, im = np.meshgrid(axis, axis, indexing="ij")
     w = re + 1j * im
     inside = np.abs(w) <= rmax
-    coeffs = _coefficient_matrix(w[inside], np.shape(t)[-1], normalized=False)
+    all_norms = _kernel_norms(w[inside], [(op, None) for op in ops], normalized=False)
     values = np.full(w.shape, np.nan)
     reports = []
-    for op in ops:
-        norms = np.linalg.norm(coeffs @ op.T, axis=1)
+    for norms in all_norms:
         row = []
         for q in ps:
             with np.errstate(over="ignore"):

@@ -65,6 +65,12 @@ def _check_p(p: float) -> None:
         raise ValueError(f"p must be finite and positive, got {p}")
 
 
+def _check_count(name: str, value) -> None:
+    """Reject `value` unless it is an integer >= 1 (numpy integers count, bool does not)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+
+
 def inner(x: np.ndarray, y: np.ndarray) -> complex:
     """Inner product <x, y>, linear in x and conjugate-linear in y."""
     return complex(np.vdot(y, x))

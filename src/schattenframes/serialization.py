@@ -16,7 +16,7 @@ import numpy as np
 
 from .constructions import GrowthSeries
 from .frames import Frame, _one_frame, make_frame
-from .linalg import as_matrix
+from .linalg import _check_count, as_matrix
 
 __all__ = [
     "matrix_to_dict",
@@ -47,11 +47,13 @@ def matrix_to_dict(m) -> dict:
 def matrix_from_dict(d: dict) -> np.ndarray:
     """Decode the matrix exchange format."""
     try:
-        rows, cols = int(d["rows"]), int(d["cols"])
+        rows, cols = d["rows"], d["cols"]
         re = np.asarray(d["re"], dtype=float)
         im = np.asarray(d["im"], dtype=float)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed matrix object: {exc}") from exc
+    _check_count("rows", rows)
+    _check_count("cols", cols)
     if re.size != rows * cols or im.size != rows * cols:
         raise ValueError(
             f"matrix payload length {re.size}/{im.size} != rows*cols = {rows * cols}"
@@ -77,10 +79,11 @@ def frame_to_dict(frame: Frame) -> dict:
 
 def frame_from_dict(d: dict) -> Frame:
     try:
-        dim = int(d["dim"])
+        dim = d["dim"]
         vectors = [matrix_from_dict(v).reshape(-1) for v in d["vectors"]]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed frame object: {exc}") from exc
+    _check_count("dim", dim)
     return make_frame(vectors, dim=dim)
 
 

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from conftest import seeded_operators
 from schattenframes import bergman
 from schattenframes.bergman import (
-    TruncatedBergman,
     bergman_kernel,
     bergman_metric,
     disk_quadrature,
@@ -69,13 +68,12 @@ class TestKernelCoefficients:
     def test_reproducing_property(self):
         # <f, K_w> = f(w) for f in the truncated space
         d = 12
-        space = TruncatedBergman(d)
         w = 0.4 - 0.3j
         big = kernel_coefficients(w, d, normalized=False)
         f = np.zeros(d, dtype=complex)
         f[2] = 1.0  # the monomial ONB element of degree 2
         pairing = np.vdot(big, f)  # <f, K_w>
-        assert pairing == pytest.approx(space.evaluate(f, w), rel=1e-12)
+        assert pairing == pytest.approx(np.sqrt(3.0) * w**2, rel=1e-12)  # e_2(w) = sqrt(3) w^2
 
     def test_rejects_outside_disk(self):
         with pytest.raises(ValueError, match="disk"):
@@ -91,6 +89,37 @@ class TestKernelCoefficients:
 
     def test_defect_accepts_numpy_integer_degree(self):
         assert kernel_truncation_defect(0.5, np.int64(40)) == kernel_truncation_defect(0.5, 40)
+
+
+class TestKernelNorms:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @given(
+        block=st.sampled_from([3, 5, 7, 64]),
+        blocks=st.integers(0, 3),
+        extra=st.sampled_from([0, 1, 2, "any"]),
+        degree=st.integers(1, 64),
+        count=st.integers(1, 5),
+        normalized=st.booleans(),
+        scaled=st.booleans(),
+        seed=st.integers(0, 10_000),
+    )
+    def test_blocks_equal_one_shot_product(
+        self, block, blocks, extra, degree, count, normalized, scaled, seed
+    ):
+        # counts blocks * block + 1 and + 2 would leave tails of 1 and 2 rows
+        rng = np.random.default_rng(seed)
+        n = max(1, blocks * block + (rng.integers(block) if extra == "any" else extra))
+        points = np.sqrt(rng.uniform(0, 0.9, n)) * np.exp(2j * np.pi * rng.uniform(size=n))
+        ops = seeded_operators(degree, count, seed)
+        scale = rng.uniform(0.1, 2.0, n) if scaled else None
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(bergman, "_BLOCK_ROWS", block)
+            norms = bergman._kernel_norms(points, [(t, scale) for t in ops], normalized)
+        base = bergman._coefficient_matrix(points, degree, normalized)
+        if scaled:
+            base = base * scale[:, None]
+        for got, t in zip(norms, ops):
+            np.testing.assert_array_equal(got, np.linalg.norm(base @ t.T, axis=1))
 
 
 class TestBergmanMetric:
@@ -477,19 +506,3 @@ class TestSubharmonicity:
         assert repr(by_p) == repr(full[1])
         assert repr(by_operator) == repr([row[1] for row in full])
 
-
-class TestTruncatedBergman:
-    def test_scaling_vector(self):
-        space = TruncatedBergman(3)
-        np.testing.assert_allclose(space.onb_scaling, [1.0, np.sqrt(2.0), np.sqrt(3.0)])
-
-    def test_evaluate_monomial(self):
-        space = TruncatedBergman(4)
-        coeffs = np.zeros(4)
-        coeffs[3] = 1.0
-        z = 0.3 + 0.2j
-        assert space.evaluate(coeffs, z) == pytest.approx(2.0 * z**3)
-
-    def test_rejects_wrong_length(self):
-        with pytest.raises(ValueError, match="coefficients"):
-            TruncatedBergman(3).evaluate(np.ones(2), 0.1)

@@ -1,9 +1,10 @@
 """Campaign reports: golden reports of every command, the verify-theorems
-frame-generation counts and the bergman kernel-base counts."""
+frame-generation counts, the bergman kernel-base counts and its traced memory."""
 
 import collections
 import csv
 import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -209,5 +210,22 @@ def test_bergman_builds_each_kernel_base_once(monkeypatch):
     monkeypatch.setattr(bergman, "min_pairwise_separation", forbidden)
     report = run_bergman(CampaignConfig(command="bergman", dim=32))
     assert sum(rec["tag"] == "subharmonicity" for rec in report.records) == 25
-    assert stencil_points == [6353]  # one grid for 5 operators x 5 values of p
+    # each grid point once for 5 operators x 5 values of p, in blocks
+    assert sum(stencil_points) == 6353
+    assert max(stencil_points) <= bergman._BLOCK_ROWS
     assert len(rules) == 10 and set(rules.values()) == {1}
+
+
+@pytest.mark.parametrize("dim, limit_mib", [(32, 4.0), (64, 18.0)])
+def test_bergman_traced_peak_memory(dim, limit_mib):
+    """tracemalloc counts numpy buffers alike on every machine, unlike RSS.  The
+    kernel norms go in blocks of points, so the peak stays far below the
+    12.7 (dim 32) and 49.8 MiB (dim 64) of building every kernel matrix whole."""
+    run_bergman(CampaignConfig(command="bergman", dim=2, trials=1))  # lazy imports, not traced
+    tracemalloc.start()
+    try:
+        run_bergman(CampaignConfig(command="bergman", dim=dim))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= limit_mib * 2**20

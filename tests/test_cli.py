@@ -117,7 +117,30 @@ INVALID_INPUTS = {
 }
 
 
+# matrix-file entries that override a valid 2 x 2 matrix, and the error naming key and value;
+# the one-row payload makes 1.5 and true read as 1 if truncated
+ONE_ROW = {"re": [1.0, 0.0], "im": [0.0, 0.0]}
+INVALID_MATRICES = {
+    "float-rows": ({"rows": 1.5, **ONE_ROW}, "rows must be an integer >= 1, got 1.5"),
+    "bool-rows": ({"rows": True, **ONE_ROW}, "rows must be an integer >= 1, got True"),
+    "negative-shape": ({"rows": -1, "cols": -1}, "rows must be an integer >= 1, got -1"),
+    "zero-cols": ({"cols": 0}, "cols must be an integer >= 1, got 0"),
+    "string-cols": ({"cols": "2"}, "cols must be an integer >= 1, got '2'"),
+}
+
+
 class TestInvalidInput:
+    @pytest.mark.parametrize("entries,named", INVALID_MATRICES.values(), ids=INVALID_MATRICES)
+    def test_matrix_file_shape_is_usage_error_naming_the_key(
+        self, tmp_path, monkeypatch, capsys, entries, named
+    ):
+        monkeypatch.chdir(tmp_path)  # the default report directory is relative
+        matrix = {"rows": 2, "cols": 2, "re": [1.0, 0.0, 0.0, 1.0], "im": [0.0] * 4}
+        Path("m.json").write_text(json.dumps({**matrix, **entries}))
+        assert main(["norm-estimate", "m.json", "--p", "2"]) == 2
+        assert named in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.json"]
+
     @pytest.mark.parametrize("flags,config,named", INVALID_INPUTS.values(), ids=INVALID_INPUTS)
     def test_is_usage_error_naming_the_input(
         self, tmp_path, monkeypatch, capsys, flags, config, named
@@ -221,6 +244,22 @@ class TestNormEstimate:
         write_matrix(path, rng.standard_normal((5, 8)) + 1j * rng.standard_normal((5, 8)))
         out = tmp_path / "r"
         assert main(["norm-estimate", str(path), "--p", "1.5", "--out", str(out)]) == 0
+        assert "[PASS] norm_estimate" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("p", ["0.5", "0.9"])
+    @pytest.mark.parametrize("shape", ["wide", "rank-two"])
+    def test_exact_strategy_below_one_on_kernel_vectors(self, tmp_path, capsys, shape, p):
+        # the witness basis holds kernel vectors with ||T v|| ~ eps s_1, whose p-th
+        # powers (p < 1) exceed the flat slack; they fall within the witness budget
+        rng = np.random.default_rng(5 if shape == "wide" else 3)
+        if shape == "wide":
+            t = rng.standard_normal((5, 8)) + 1j * rng.standard_normal((5, 8))
+        else:
+            a = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
+            t = a @ (rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4)))
+        path = tmp_path / "m.json"
+        write_matrix(path, t)
+        assert main(["norm-estimate", str(path), "--p", p, "--out", str(tmp_path / "r")]) == 0
         assert "[PASS] norm_estimate" in capsys.readouterr().out
 
     def test_ensemble_strategy_sup(self, tmp_path):

@@ -71,6 +71,12 @@ class TestFrameFormat:
         with pytest.raises(ValueError, match="malformed"):
             frame_from_dict({"dim": 2})
 
+    @pytest.mark.parametrize("dim", [1.5, True, 0, -1, "2"])
+    def test_rejects_dim_that_is_not_a_positive_integer(self, dim):
+        vectors = [matrix_to_dict(np.ones((2, 1)))]
+        with pytest.raises(ValueError, match=f"dim must be an integer >= 1, got {dim!r}"):
+            frame_from_dict({"dim": dim, "vectors": vectors})
+
 
 class TestNodesCsv:
     def test_quadrature_nodes_with_weights(self, tmp_path):
