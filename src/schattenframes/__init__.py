@@ -33,8 +33,6 @@ from .campaigns import (
 )
 from .constructions import (
     GrowthSeries,
-    compose_with_synthesis,
-    conjugations,
     diag_divergence_frame,
     divergence_demo_double_sum,
     divergence_demo_sum_norms,
@@ -42,7 +40,6 @@ from .constructions import (
     log_weight_norm_series,
     log_weight_vector,
     nonvanishing_direction,
-    rank_one,
     scaled_copies_frame,
     truncated_shift,
 )
@@ -72,18 +69,12 @@ from .frames import (
     union_frame,
 )
 from .linalg import (
-    SelfAdjointParts,
     SpectralData,
     hermitian_eigen,
-    operator_norm,
-    positive_four_parts,
     psd_power,
-    psd_sqrt,
     schatten_norm,
-    self_adjoint_parts,
     singular_values,
     svd,
-    trace_pairing,
 )
 from .serialization import (
     frame_from_dict,

@@ -248,8 +248,7 @@ def sampling_frame(lattice: SamplingLattice, d: int) -> tuple[Frame, SamplingFra
 
     Fails with diagnostics when the lattice is too sparse to span degree d.
     """
-    if d < 1:
-        raise ValueError(f"d must be >= 1, got {d}")
+    _check_count("d", d)
     if lattice.points.size == 0:
         raise ValueError("lattice is empty")
     coeffs = _coefficient_matrix(lattice.points, d, normalized=True)

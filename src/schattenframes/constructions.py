@@ -11,27 +11,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frames import Frame, _one_frame, make_frame
-from .linalg import as_matrix, psd_sqrt, svd
+from .frames import Frame, make_frame
+from .linalg import _check_count, as_matrix, svd
 
 __all__ = [
     "GrowthSeries",
     "ScaledCopiesFrame",
     "DoubleSumDemo",
-    "ConjugationFamily",
     "DEFAULT_GRID",
     "growth_series",
     "log_weight_vector",
     "log_weight_norm_series",
-    "rank_one",
     "divergence_demo_sum_norms",
     "scaled_copies_frame",
-    "compose_with_synthesis",
     "nonvanishing_direction",
     "diag_divergence_frame",
     "truncated_shift",
     "divergence_demo_double_sum",
-    "conjugations",
 ]
 
 #: Default truncation grid for growth diagnostics.
@@ -73,15 +69,26 @@ def _verdict(partial_sums: np.ndarray) -> str:
     return "bounded_trend" if stalled or collapsing else "divergent_trend"
 
 
+def _check_grid(name: str, grid) -> tuple[int, ...]:
+    """`grid` as a tuple of ints; rejects it unless strictly increasing positive integers."""
+    truncs = tuple(grid)
+    if (
+        not truncs
+        or any(isinstance(n, bool) or not isinstance(n, (int, np.integer)) for n in truncs)
+        or truncs[0] < 1
+        or any(a >= b for a, b in zip(truncs, truncs[1:]))
+    ):
+        raise ValueError(f"{name} must be strictly increasing positive integers, got {grid!r}")
+    return tuple(int(n) for n in truncs)
+
+
 def growth_series(terms: np.ndarray, truncations=DEFAULT_GRID) -> GrowthSeries:
     """Classify a nonnegative term sequence from its partial sums.
 
     `terms` must cover the largest truncation.
     """
     terms = np.asarray(terms, dtype=float)
-    truncs = tuple(int(n) for n in truncations)
-    if any(n < 1 for n in truncs) or list(truncs) != sorted(set(truncs)):
-        raise ValueError("truncations must be strictly increasing positive integers")
+    truncs = _check_grid("truncations", truncations)
     if terms.size < truncs[-1]:
         raise ValueError(f"need {truncs[-1]} terms, got {terms.size}")
     if np.any(terms < 0):
@@ -99,24 +106,15 @@ def log_weight_vector(d: int) -> np.ndarray:
     The squared entries are summable, so the vectors have a finite norm
     limit, while the entries themselves fail to be p-summable for p < 2.
     """
-    if d < 1:
-        raise ValueError(f"d must be >= 1, got {d}")
+    _check_count("d", d)
     n = np.arange(1, d + 1, dtype=float)
     return 1.0 / (np.sqrt(n) * np.log(n + 1.0))
 
 
 def log_weight_norm_series(d_grid=DEFAULT_GRID) -> GrowthSeries:
     """Partial sums of 1/(n log^2(n+1)): the convergent control series."""
-    d_max = int(max(d_grid))
-    return growth_series(log_weight_vector(d_max) ** 2, d_grid)
-
-
-def rank_one(h) -> np.ndarray:
-    """The rank-one operator x -> <x, h> h, as the matrix h h*."""
-    h = np.asarray(h, dtype=np.complex128).reshape(-1)
-    if not np.any(h):
-        raise ValueError("rank_one needs a nonzero vector")
-    return np.outer(h, h.conj())
+    truncs = _check_grid("d_grid", d_grid)
+    return growth_series(log_weight_vector(truncs[-1]) ** 2, truncs)
 
 
 def divergence_demo_sum_norms(p: float, d_grid=DEFAULT_GRID) -> GrowthSeries:
@@ -130,11 +128,10 @@ def divergence_demo_sum_norms(p: float, d_grid=DEFAULT_GRID) -> GrowthSeries:
     """
     if not 0 < p < 2:
         raise ValueError(f"this divergence demo needs 0 < p < 2, got p = {p}")
-    d_max = int(max(d_grid))
-    a = log_weight_vector(d_max)
+    truncs = _check_grid("d_grid", d_grid)
+    a = log_weight_vector(truncs[-1])
     norm_factor = np.cumsum(a**2) ** (p / 2.0)
     partial = np.cumsum(a**p) * norm_factor
-    truncs = tuple(int(n) for n in d_grid)
     sums = partial[np.asarray(truncs) - 1]
     return GrowthSeries(truncations=truncs, partial_sums=sums, verdict=_verdict(sums))
 
@@ -195,8 +192,7 @@ def scaled_copies_frame(
         raise ValueError(f"scaled copies need p > 2 (the scale exponent degenerates), got {p}")
     if epsilon <= 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
-    if n_terms < 1:
-        raise ValueError(f"n_terms must be >= 1, got {n_terms}")
+    _check_count("n_terms", n_terms)
     values = _lambda_values(lambda_spec, p, n_terms)
     scales = values ** (epsilon / (p - 2.0))
     counts = np.maximum(np.round(1.0 / scales**2), 1.0)
@@ -215,19 +211,6 @@ def scaled_copies_frame(
         counts=counts,
         frame=frame,
     )
-
-
-def compose_with_synthesis(t, frame: Frame) -> np.ndarray:
-    """The composition T A of an operator with the frame's synthesis matrix.
-
-    Column n of the result is T f_n, so norm sums of the composition over the
-    coefficient-space standard basis equal norm sums of T over the frame.
-    """
-    t = as_matrix(t)
-    a = _one_frame(frame).vectors
-    if t.shape[1] != a.shape[0]:
-        raise ValueError(f"operator acts on C^{t.shape[1]}, frame lives in C^{a.shape[0]}")
-    return t @ a
 
 
 def nonvanishing_direction(t) -> np.ndarray:
@@ -275,8 +258,7 @@ def diag_divergence_frame(t, copies: int) -> Frame:
     partial sum of 1/(n log^2(n+1)) (for dim >= 2).
     """
     t = as_matrix(t)
-    if copies < 1:
-        raise ValueError(f"copies must be >= 1, got {copies}")
+    _check_count("copies", copies)
     h = nonvanishing_direction(t)
     d = t.shape[0]
     weights = log_weight_vector(copies)
@@ -291,6 +273,7 @@ def truncated_shift(d: int) -> np.ndarray:
     equal 1, so diagonal sums carry no norm information without a
     positivity assumption.
     """
+    _check_count("d", d)
     if d < 2:
         raise ValueError(f"d must be >= 2, got {d}")
     m = np.zeros((d, d), dtype=np.complex128)
@@ -353,6 +336,7 @@ def divergence_demo_double_sum(d: int, p: float, d_grid=DEFAULT_GRID) -> DoubleS
     """
     if not 0 < p < 2:
         raise ValueError(f"this divergence demo needs 0 < p < 2, got p = {p}")
+    _check_count("d", d)
     if d < 2:
         raise ValueError(f"d must be >= 2, got {d}")
     if d > 4096:
@@ -361,7 +345,7 @@ def divergence_demo_double_sum(d: int, p: float, d_grid=DEFAULT_GRID) -> DoubleS
     reflector = np.eye(d) - beta * np.outer(v, v)
     weights = 2.0 ** (-np.arange(1, d + 1, dtype=float))
     matrix = (weights[:, None] * reflector).astype(np.complex128)
-    truncs = tuple(int(n) for n in d_grid)
+    truncs = _check_grid("d_grid", d_grid)
     double_sums = np.array([_double_sum_closed_form(g, p) for g in truncs])
     double_series = GrowthSeries(
         truncations=truncs, partial_sums=double_sums, verdict=_verdict(double_sums)
@@ -374,35 +358,3 @@ def divergence_demo_double_sum(d: int, p: float, d_grid=DEFAULT_GRID) -> DoubleS
         double_series=double_series,
         norm_series=norm_series,
     )
-
-
-@dataclass(frozen=True, eq=False)
-class ConjugationFamily:
-    """Frame conjugates and powers with exact transfer identities.
-
-    ``analysis`` is A* T A on coefficient space (its diagonal reproduces the
-    frame pairings <T f_n, f_n> entry by entry); ``sandwich`` is
-    A (A* T A) A* = S T S with S the frame operator; ``square`` is T* T
-    (whose pairings are ||T f_n||^2); ``root`` is the PSD square root of T
-    when requested.
-    """
-
-    analysis: np.ndarray
-    sandwich: np.ndarray
-    square: np.ndarray
-    root: np.ndarray | None
-
-
-def conjugations(t, frame: Frame, include_root: bool = False) -> ConjugationFamily:
-    """Conjugate T by the synthesis operator and form its square/root."""
-    t = as_matrix(t)
-    if t.shape[0] != t.shape[1] or t.shape[0] != _one_frame(frame).dim:
-        raise ValueError(
-            f"operator shape {t.shape} incompatible with frame dimension {frame.dim}"
-        )
-    a = frame.vectors
-    analysis = a.conj().T @ t @ a
-    sandwich = a @ analysis @ a.conj().T
-    square = t.conj().T @ t
-    root = psd_sqrt(t, tol=1e-10) if include_root else None
-    return ConjugationFamily(analysis=analysis, sandwich=sandwich, square=square, root=root)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix
+from .linalg import _check_count, as_matrix
 
 __all__ = [
     "Frame",
@@ -341,10 +341,8 @@ class FrameEnsemble:
     """
 
     def __init__(self, dim: int, trials: int, seed: int):
-        if dim < 1:
-            raise ValueError(f"dim must be >= 1, got {dim}")
-        if trials < 1:
-            raise ValueError(f"trials must be >= 1, got {trials}")
+        _check_count("dim", dim)
+        _check_count("trials", trials)
         self.dim, self.trials, self.seed = dim, trials, seed
         groups = []
         for residue in range(min(dim, trials)):
@@ -396,8 +394,7 @@ def random_onb(dim: int, seed: int) -> Frame:
     (first nonzero entry of each column real positive) makes the output
     reproducible across platforms.
     """
-    if dim < 1:
-        raise ValueError(f"dim must be >= 1, got {dim}")
+    _check_count("dim", dim)
     return make_frame(_onb_stack(dim, [seed])[0])
 
 
@@ -408,9 +405,11 @@ def _random_frames(dim: int, count: int, condition_target: float, seeds) -> Fram
     one stacked QR and blends every frame that misses the target in batch,
     with the same attempts and spanning test as one frame at a time.
     """
+    _check_count("dim", dim)
+    _check_count("count", count)
     if count < dim:
         raise ValueError(f"count {count} must be >= dim {dim}")
-    if condition_target < 1.0:
+    if not condition_target >= 1.0:
         raise ValueError(f"condition_target must be >= 1, got {condition_target}")
     n_bases = -(-count // dim)
     block_seeds = np.empty((len(seeds), n_bases), dtype=np.int64)

@@ -3,10 +3,8 @@
 import numpy as np
 import pytest
 
-from conftest import seeded_psds
+from schattenframes.bergman import r_lattice, sampling_frame
 from schattenframes.constructions import (
-    compose_with_synthesis,
-    conjugations,
     diag_divergence_frame,
     divergence_demo_double_sum,
     divergence_demo_sum_norms,
@@ -14,13 +12,12 @@ from schattenframes.constructions import (
     log_weight_norm_series,
     log_weight_vector,
     nonvanishing_direction,
-    rank_one,
     scaled_copies_frame,
     truncated_shift,
 )
 from schattenframes.criteria import sum_diag, sum_norms
-from schattenframes.frames import make_frame, random_onb
-from schattenframes.linalg import inner, operator_norm, schatten_norm, singular_values
+from schattenframes.frames import FrameEnsemble, make_frame, random_frame, random_onb
+from schattenframes.linalg import inner, schatten_norm, singular_values
 
 GRID = (100, 1_000, 10_000, 100_000)
 
@@ -41,30 +38,12 @@ class TestLogWeightVector:
             log_weight_vector(0)
 
 
-class TestRankOne:
-    def test_basis_vector(self):
-        np.testing.assert_allclose(rank_one([1.0, 0.0]), np.diag([1.0, 0.0]))
-
-    def test_uniform_vector(self):
-        t = rank_one(np.array([1.0, 1.0]) / np.sqrt(2.0))
-        np.testing.assert_allclose(t, 0.5 * np.ones((2, 2)), atol=1e-15)
-
-    @pytest.mark.parametrize("p", [0.5, 1.0, 2.0, 3.0])
-    def test_norm_is_squared_length(self, p):
-        h = log_weight_vector(20)
-        assert schatten_norm(rank_one(h), p) == pytest.approx(np.linalg.norm(h) ** 2)
-
-    def test_rejects_zero(self):
-        with pytest.raises(ValueError):
-            rank_one([0.0, 0.0])
-
-
 class TestDivergenceDemoSumNorms:
     def test_matches_explicit_operator(self):
         # dual route: closed-form partial sums vs literal rank-one matrix
         d = 50
         h = log_weight_vector(d)
-        t = rank_one(h)
+        t = np.outer(h, h.conj())
         basis = make_frame(np.eye(d))
         explicit = sum_norms(t, basis, 1.0).value
         series = divergence_demo_sum_norms(1.0, (10, d))
@@ -160,33 +139,6 @@ class TestScaledCopiesFrame:
             scaled_copies_frame(3.0, 1.0, 4, lambda_spec="nope")
 
 
-class TestComposeWithSynthesis:
-    def test_identity_frame(self):
-        t = np.array([[1.0, 2.0], [3.0, 4.0]])
-        frame = make_frame(np.eye(2))
-        np.testing.assert_allclose(compose_with_synthesis(t, frame), t)
-
-    def test_sum_transfer(self):
-        built = scaled_copies_frame(3.0, 3.0, 12)
-        t = np.diag(built.values).astype(complex)
-        composed = compose_with_synthesis(t, built.frame)
-        # columns of the composition are T f_n
-        lhs = float(np.sum(np.linalg.norm(composed, axis=0) ** 3.0))
-        rhs = sum_norms(t, built.frame, 3.0).value
-        assert lhs == pytest.approx(rhs, rel=1e-10)
-
-    def test_rank_bound(self):
-        built = scaled_copies_frame(3.0, 3.0, 6)
-        t = np.diag(built.values).astype(complex)
-        composed = compose_with_synthesis(t, built.frame)
-        rank_a = np.linalg.matrix_rank(built.frame.vectors)
-        assert np.linalg.matrix_rank(composed) <= rank_a
-
-    def test_rejects_mismatch(self):
-        with pytest.raises(ValueError):
-            compose_with_synthesis(np.eye(3), make_frame(np.eye(2)))
-
-
 class TestNonvanishingDirection:
     def test_generic_operator_uses_top_vector(self):
         t = np.diag([3.0, 1.0]).astype(complex)
@@ -248,7 +200,7 @@ class TestTruncatedShift:
             assert schatten_norm(shift, p) ** p == pytest.approx(d - 1, rel=1e-12)
 
     def test_operator_norm_one(self):
-        assert operator_norm(truncated_shift(5)) == pytest.approx(1.0)
+        assert np.linalg.norm(truncated_shift(5), 2) == pytest.approx(1.0)
 
 
 class TestDoubleSumDemo:
@@ -287,46 +239,30 @@ class TestDoubleSumDemo:
             divergence_demo_double_sum(16, 2.0, GRID)
 
 
-class TestConjugations:
-    def test_onb_recovers_operator(self):
-        t = np.array([[1.0, 2.0], [3.0, 4.0]], dtype=complex)
-        frame = make_frame(np.eye(2))
-        family = conjugations(t, frame)
-        np.testing.assert_allclose(family.analysis, t)
-        np.testing.assert_allclose(family.sandwich, t)
+#: Counts, truncation grids and condition targets across the library; each
+#: error names the input.
+BAD_INPUTS = {
+    "sampling_frame-degree": ("d", lambda: sampling_frame(r_lattice(0.5, 0.9), 2.5)),
+    "log_weight_vector-d": ("d", lambda: log_weight_vector(2.5)),
+    "diag_divergence_frame-copies": ("copies", lambda: diag_divergence_frame(np.eye(2), 2.5)),
+    "truncated_shift-d": ("d", lambda: truncated_shift(2.5)),
+    "scaled_copies_frame-n_terms": ("n_terms", lambda: scaled_copies_frame(3.0, 1.0, 2.5)),
+    "double_sum-d": ("d", lambda: divergence_demo_double_sum(2.5, 1.0, (2, 4))),
+    "double_sum-grid": ("d_grid", lambda: divergence_demo_double_sum(4, 1.0, (2.5, 4))),
+    "sum_norms-zero-truncation": ("d_grid", lambda: divergence_demo_sum_norms(1.0, (0, 5))),
+    "control_series-float-truncation": ("d_grid", lambda: log_weight_norm_series((2.5, 5))),
+    "growth_series-float-truncation": ("truncations", lambda: growth_series(np.ones(5), (2.5, 5))),
+    "random_frame-zero-dim": ("dim", lambda: random_frame(0, 0, 100.0, 0)),
+    "random_frame-negative-dim": ("dim", lambda: random_frame(-1, 2, 100.0, 0)),
+    "random_frame-float-count": ("count", lambda: random_frame(2, 2.5, 100.0, 0)),
+    "random_frame-nan-target": ("condition_target", lambda: random_frame(2, 3, np.nan, 0)),
+    "random_onb-float-dim": ("dim", lambda: random_onb(2.5, 0)),
+    "ensemble-float-trials": ("trials", lambda: FrameEnsemble(2, 2.5, 0)),
+    "ensemble-bool-trials": ("trials", lambda: FrameEnsemble(2, True, 0)),
+}
 
-    def test_diag_transfer_identity(self):
-        t = seeded_psds(4, 1, 31)[0]
-        frame = make_frame(random_onb(4, 0).vectors[:, :4] @ np.diag([1.0, 2.0, 0.5, 1.5]))
-        family = conjugations(t, frame)
-        lhs = np.real(np.diag(family.analysis))
-        rhs = np.array(
-            [np.real(inner(t @ frame.vectors[:, n], frame.vectors[:, n])) for n in range(4)]
-        )
-        np.testing.assert_allclose(lhs, rhs, atol=1e-10)
 
-    def test_root_transfer_identity(self):
-        t = seeded_psds(4, 1, 32)[0]
-        family = conjugations(t, make_frame(np.eye(4)), include_root=True)
-        for n in range(4):
-            e = np.zeros(4)
-            e[n] = 1.0
-            assert np.linalg.norm(family.root @ e) ** 2 == pytest.approx(
-                np.real(inner(t @ e, e)), abs=1e-10
-            )
-
-    def test_square_pairing_route(self):
-        # ||T f_n||^(2p) = <(T* T) f_n, f_n>^p
-        t = seeded_psds(3, 1, 33)[0] + 0.5j * (truncated_shift(3) - truncated_shift(3).T)
-        frame = make_frame(np.eye(3) + 0.1 * np.ones((3, 3)))
-        family = conjugations(t, frame)
-        for p in (0.5, 1.0, 2.0):
-            for n in range(3):
-                f = frame.vectors[:, n]
-                lhs = np.linalg.norm(t @ f) ** (2.0 * p)
-                rhs = np.real(inner(family.square @ f, f)) ** p
-                assert lhs == pytest.approx(rhs, rel=1e-9)
-
-    def test_rejects_root_of_indefinite(self):
-        with pytest.raises(ValueError, match="PSD"):
-            conjugations(np.diag([1.0, -1.0]), make_frame(np.eye(2)), include_root=True)
+@pytest.mark.parametrize("name, call", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
+def test_bad_count_grid_or_target_is_named(name, call):
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        call()

@@ -5,27 +5,24 @@ import pytest
 
 from schattenframes.bergman import disk_quadrature, r_lattice
 from schattenframes.constructions import (
-    conjugations,
     divergence_demo_double_sum,
     growth_series,
     scaled_copies_frame,
 )
 from schattenframes.criteria import double_sum_comparison
 from schattenframes.frames import Frame, certify_synthesis, make_frame
-from schattenframes.linalg import self_adjoint_parts, svd
+from schattenframes.linalg import svd
 
 FACTORIES = {
     "Frame": lambda: make_frame(np.eye(2)),
     "SynthesisCertificate": lambda: certify_synthesis(make_frame(np.eye(2))),
     "SpectralData": lambda: svd(np.eye(2)),
-    "SelfAdjointParts": lambda: self_adjoint_parts(np.eye(2)),
     "DoubleSumComparison": lambda: double_sum_comparison(
         np.stack([np.eye(2)] * 2), Frame.of(np.stack([np.eye(2), 2.0 * np.eye(2)])), 2.0
     ),
     "GrowthSeries": lambda: growth_series(np.ones(10), (2, 4, 8)),
     "ScaledCopiesFrame": lambda: scaled_copies_frame(3.0, 1.0, 4, lambda_spec="constant"),
     "DoubleSumDemo": lambda: divergence_demo_double_sum(4, 1.0, (2, 4)),
-    "ConjugationFamily": lambda: conjugations(np.eye(2), make_frame(np.eye(2))),
     "SamplingLattice": lambda: r_lattice(0.5, 0.9),
     "DiskQuadrature": lambda: disk_quadrature(4, 4, 0.9),
 }

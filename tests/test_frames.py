@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from schattenframes import frames
-from schattenframes.constructions import compose_with_synthesis, conjugations
 from schattenframes.criteria import (
     double_sum_comparison,
     sum_diag,
@@ -520,8 +519,6 @@ ONE_FRAME_CALLS = {
     "sum_diag": lambda f: sum_diag(np.eye(3), f, 1.0),
     "sum_double": lambda f: sum_double(np.eye(3), f, 1.0),
     "weighted_sum": lambda f: weighted_sum("weighted_norms", np.eye(3), f, 1.0),
-    "compose_with_synthesis": lambda f: compose_with_synthesis(np.eye(3), f),
-    "conjugations": lambda f: conjugations(np.eye(3), f),
     "union_frame": lambda f: union_frame(f, np.eye(3)),
     "union_frame_appended": lambda f: union_frame(make_frame(np.eye(3)), f),
     "make_frame": make_frame,

@@ -1,4 +1,4 @@
-"""Spectral kernel tests: eigensystems, SVD, Schatten norms, splittings."""
+"""Spectral kernel tests: eigensystems, SVD, Schatten norms, PSD powers."""
 
 import numpy as np
 import pytest
@@ -9,15 +9,10 @@ from conftest import seeded_operators, seeded_psds
 from schattenframes.linalg import (
     hermitian_eigen,
     inner,
-    operator_norm,
-    positive_four_parts,
     psd_power,
-    psd_sqrt,
     schatten_norm,
-    self_adjoint_parts,
     singular_values,
     svd,
-    trace_pairing,
 )
 
 EPS = np.finfo(float).eps
@@ -190,139 +185,16 @@ class TestSchattenNorm:
         ):
             for p in (0.5, 1.0, 2.0, 3.0):
                 lhs = schatten_norm(a @ t @ b, p)
-                rhs = operator_norm(a) * schatten_norm(t, p) * operator_norm(b)
+                rhs = np.linalg.norm(a, 2) * schatten_norm(t, p) * np.linalg.norm(b, 2)
                 assert lhs <= rhs * (1 + 1e-9), (i, p)
 
     def test_hoelder_trace_inequality(self):
         for t, s in zip(seeded_operators(6, 10, 0), seeded_operators(6, 10, 50)):
             for p in (1.5, 2.0, 3.0):
                 q = p / (p - 1.0)
-                lhs = abs(trace_pairing(t, s))
+                lhs = abs(np.trace(t @ s))
                 rhs = schatten_norm(t, p) * schatten_norm(s, q)
                 assert lhs <= rhs * (1 + 1e-9)
-
-
-class TestOperatorNorm:
-    def test_values(self):
-        assert operator_norm(np.diag([2.0, 7.0, 1.0])) == pytest.approx(7.0)
-        assert operator_norm(np.zeros((2, 2))) == 0.0
-        assert operator_norm([[0.0, 2.0], [0.0, 0.0]]) == pytest.approx(2.0)
-
-
-class TestPsdSqrt:
-    def test_diagonal(self):
-        np.testing.assert_allclose(psd_sqrt(np.diag([4.0, 9.0])), np.diag([2.0, 3.0]), atol=1e-13)
-
-    def test_identity(self):
-        np.testing.assert_allclose(psd_sqrt(np.eye(3)), np.eye(3), atol=1e-14)
-
-    def test_eigen_reconstruction(self):
-        s = np.array([[2.0, 1.0], [1.0, 2.0]])
-        r = psd_sqrt(s)
-        np.testing.assert_allclose(sorted(np.linalg.eigvalsh(r)), [1.0, np.sqrt(3)], atol=1e-12)
-        np.testing.assert_allclose(r @ r, s, atol=1e-12)
-
-    def test_rejects_indefinite(self):
-        with pytest.raises(ValueError, match="-1"):
-            psd_sqrt(np.diag([1.0, -1.0]))
-
-    def test_square_roundtrip(self):
-        for s in seeded_psds(6, 5):
-            r = psd_sqrt(s)
-            np.testing.assert_allclose(r @ r, s, atol=1e-11 * np.linalg.norm(s))
-
-
-class TestSelfAdjointParts:
-    def test_hermitian_input(self):
-        h = np.array([[1.0, 1j], [-1j, 2.0]])
-        parts = self_adjoint_parts(h)
-        np.testing.assert_allclose(parts.t1, h, atol=1e-14)
-        np.testing.assert_allclose(parts.t2, 0.0, atol=1e-14)
-
-    def test_skew_input(self):
-        parts = self_adjoint_parts(1j * np.eye(2))
-        np.testing.assert_allclose(parts.t1, 0.0, atol=1e-14)
-        np.testing.assert_allclose(parts.t2, np.eye(2), atol=1e-14)
-
-    def test_jordan_block_roundtrip(self):
-        t = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-        parts = self_adjoint_parts(t)
-        np.testing.assert_allclose(parts.t1, [[0.0, 0.5], [0.5, 0.0]], atol=1e-15)
-        np.testing.assert_allclose(parts.reconstruct(), t, atol=1e-15)
-        for h in (parts.t1, parts.t2):
-            np.testing.assert_allclose(h, h.conj().T, atol=1e-12)
-
-    def test_rejects_rectangular(self):
-        with pytest.raises(ValueError, match="square"):
-            self_adjoint_parts(np.ones((2, 3)))
-
-    def test_pairing_decomposition_identity(self, rng):
-        # |<Tf, f>|^2 = <T1 f, f>^2 + <T2 f, f>^2 for unit vectors f
-        for t in seeded_operators(6, 10):
-            parts = self_adjoint_parts(t)
-            for _ in range(20):
-                f = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-                f /= np.linalg.norm(f)
-                full = abs(inner(t @ f, f)) ** 2
-                split = inner(parts.t1 @ f, f).real ** 2 + inner(parts.t2 @ f, f).real ** 2
-                assert abs(full - split) < 1e-10 * (1 + full)
-
-
-class TestPositiveFourParts:
-    def test_psd_passthrough(self):
-        s = np.diag([2.0, 1.0]).astype(complex)
-        s1, s2, s3, s4 = positive_four_parts(s)
-        np.testing.assert_allclose(s1, s, atol=1e-14)
-        for part in (s2, s3, s4):
-            np.testing.assert_allclose(part, 0.0, atol=1e-14)
-
-    def test_sign_split(self):
-        s1, s2, s3, s4 = positive_four_parts(np.diag([1.0, -1.0]))
-        np.testing.assert_allclose(s1, np.diag([1.0, 0.0]), atol=1e-14)
-        np.testing.assert_allclose(s2, np.diag([0.0, 1.0]), atol=1e-14)
-        np.testing.assert_allclose(s3, 0.0, atol=1e-14)
-        np.testing.assert_allclose(s4, 0.0, atol=1e-14)
-
-    def test_skew_split(self):
-        s1, s2, s3, s4 = positive_four_parts(1j * np.diag([1.0, -1.0]))
-        np.testing.assert_allclose(s1, 0.0, atol=1e-14)
-        np.testing.assert_allclose(s2, 0.0, atol=1e-14)
-        np.testing.assert_allclose(s3, np.diag([1.0, 0.0]), atol=1e-14)
-        np.testing.assert_allclose(s4, np.diag([0.0, 1.0]), atol=1e-14)
-
-    def test_reconstruction_and_psd(self):
-        for t in seeded_operators(5, 8):
-            s1, s2, s3, s4 = positive_four_parts(t)
-            np.testing.assert_allclose((s1 - s2) + 1j * (s3 - s4), t, atol=1e-12)
-            for part in (s1, s2, s3, s4):
-                assert np.linalg.eigvalsh(part).min() >= -1e-12
-
-    def test_split_norms_bounded_by_part(self):
-        # eigenvalue-sign splits take a subset of the singular values
-        for t in seeded_operators(5, 5, 40):
-            parts = self_adjoint_parts(t)
-            s1, s2, s3, s4 = positive_four_parts(t)
-            for p in (0.5, 1.0, 2.0, 3.0):
-                for whole, half in ((parts.t1, s1), (parts.t1, s2), (parts.t2, s3), (parts.t2, s4)):
-                    assert schatten_norm(half, p) <= schatten_norm(whole, p) * (1 + 1e-9)
-
-
-class TestTracePairing:
-    def test_identity(self):
-        assert trace_pairing(np.eye(3), np.eye(3)) == pytest.approx(3.0)
-
-    def test_diagonal(self):
-        assert trace_pairing(np.diag([1.0, 2.0]), np.diag([3.0, 4.0])) == pytest.approx(11.0)
-
-    def test_entrywise_oracle(self, rng):
-        t = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        s = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        oracle = sum(t[i, j] * s[j, i] for i in range(4) for j in range(4))
-        assert trace_pairing(t, s) == pytest.approx(oracle)
-
-    def test_rejects_mismatch(self):
-        with pytest.raises(ValueError, match="square"):
-            trace_pairing(np.eye(2), np.eye(3))
 
 
 class TestPsdPower:
@@ -344,3 +216,17 @@ class TestPsdPower:
     def test_square_matches_product(self):
         s = np.array([[2.0, 1.0], [1.0, 2.0]])
         np.testing.assert_allclose(psd_power(s, 2.0), s @ s, atol=1e-12)
+
+    def test_square_root_of_diagonal(self):
+        np.testing.assert_allclose(
+            psd_power(np.diag([4.0, 9.0]), 0.5), np.diag([2.0, 3.0]), atol=1e-13
+        )
+
+    def test_rejects_indefinite(self):
+        with pytest.raises(ValueError, match="-1"):
+            psd_power(np.diag([1.0, -1.0]), 0.5)
+
+    def test_square_root_roundtrip(self):
+        for s in seeded_psds(6, 5):
+            r = psd_power(s, 0.5)
+            np.testing.assert_allclose(r @ r, s, atol=1e-11 * np.linalg.norm(s))
