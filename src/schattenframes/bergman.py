@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .frames import Frame, make_frame
-from .linalg import _check_count, _check_p, as_matrix
+from .linalg import _as_square, _check_count, _check_p, _exponents, as_matrix
 
 __all__ = [
     "DiskQuadrature",
@@ -326,10 +326,8 @@ def integral_criterion(t, p: float, quad: DiskQuadrature) -> float:
     rmax < 1 the value is a truncated surrogate (see `sampling_comparison`
     for the lattice-sum side of the chain).  Kernels go in blocks of nodes.
     """
-    t = as_matrix(t)
+    t = _as_square(t)
     _check_p(p)
-    if t.shape[0] != t.shape[1]:
-        raise ValueError("operator must be square")
     norms = _kernel_norms(quad.nodes, [(t, None)])[0]
     return float(np.sum(quad.weights_dlambda * norms**p))
 
@@ -403,9 +401,7 @@ def hs_identity_check(t, quad: DiskQuadrature, tol: float = 1e-10) -> HSIdentity
 
     Both norms come from one pass over blocks of nodes: each kernel is built once.
     """
-    t = as_matrix(t)
-    if t.shape[0] != t.shape[1]:
-        raise ValueError("operator must be square")
+    t = _as_square(t)
     d = t.shape[1]
     # k_w = (1-|w|^2) K_w: the row scaling _coefficient_matrix applies when normalized
     shrink = 1.0 - np.abs(quad.nodes) ** 2
@@ -469,13 +465,9 @@ def subharmonicity_check(
     once per block of grid points for all operators, and ||T K_w|| once per
     operator; only the power and stencil run per p.
     """
-    stacked, many_p = np.ndim(t) == 3, np.ndim(p) == 1
-    ops = [as_matrix(op) for op in (t if stacked else [t])]
-    ps = list(p) if many_p else [p]
-    for q in ps:
-        _check_p(q)
-    if any(op.shape[0] != op.shape[1] for op in ops):
-        raise ValueError("operator must be square")
+    stacked = np.ndim(t) == 3
+    ops = [_as_square(op) for op in (t if stacked else [t])]
+    ps, many_p = _exponents(p)
     if not 0 < rmax < 1:
         raise ValueError(f"rmax must lie in (0, 1), got {rmax}")
     if grid_step <= 0 or grid_step > rmax:

@@ -26,7 +26,7 @@ from .frames import (
     make_frame,
     rescale_upper_bound_one,
 )
-from .linalg import _check_p, schatten_norm, svd
+from .linalg import _check_count, _check_p, _check_seed, schatten_norm, svd
 
 __all__ = [
     "CampaignConfig",
@@ -83,14 +83,9 @@ class CampaignConfig:
     output_dir: str | None = None
 
     def __post_init__(self):
-        for name in ("seed", "dim", "trials"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.dim < 1:
-            raise ValueError(f"dim must be >= 1, got {self.dim}")
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
+        _check_seed(self.seed)
+        _check_count("dim", self.dim)
+        _check_count("trials", self.trials)
         if not (
             isinstance(self.p_grid, (list, tuple))
             and self.p_grid

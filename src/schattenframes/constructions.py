@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .frames import Frame, make_frame
-from .linalg import _check_count, as_matrix, svd
+from .linalg import _as_square, _check_count, as_matrix, svd
 
 __all__ = [
     "GrowthSeries",
@@ -223,9 +223,7 @@ def nonvanishing_direction(t) -> np.ndarray:
     samples determine every matrix entry, so they cannot all vanish unless
     T = 0.
     """
-    t = as_matrix(t)
-    if t.shape[0] != t.shape[1]:
-        raise ValueError("need a square operator")
+    t = _as_square(t)
     d = t.shape[0]
     scale = float(np.abs(t).max())
     if scale == 0.0:

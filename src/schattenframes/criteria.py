@@ -26,7 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .frames import Frame, FrameEnsemble, _one_frame, _per_frame, rescale_lower_bound_one
-from .linalg import _check_p, as_matrix, hermitian_defect, hermitian_eigen, schatten_norm, svd
+from .linalg import _check_p, _exponents, _is_hermitian, _is_psd, _psd_eigenvalues, as_matrix
+from .linalg import hermitian_eigen, schatten_norm, svd
 
 __all__ = [
     "SumReport",
@@ -45,7 +46,6 @@ __all__ = [
 ]
 
 WEIGHTED_KINDS = ("weighted_norms", "weighted_diag", "weighted_double")
-SUM_KINDS = ("norms", "diag", "double") + WEIGHTED_KINDS
 #: Report tag stem of the certificate of each plain sum
 _TAGS = {"norms": "norm_sum", "diag": "diag_sum", "double": "double_sum"}
 
@@ -93,19 +93,6 @@ def _check_dims(t: np.ndarray, frame: Frame) -> None:
         raise ValueError(f"operator acts on C^{t.shape[-1]}, frame lives in C^{frame.dim}")
 
 
-def _psd_eigenvalues(t: np.ndarray, what: str | None = None) -> np.ndarray | None:
-    """Eigenvalues of t when it is Hermitian PSD; else None, or a ValueError naming `what`."""
-    defect = hermitian_defect(t)
-    w = np.linalg.eigvalsh(0.5 * (t + t.conj().T)) if defect <= 1e-10 else None
-    if w is not None and w[0] >= -1e-10 * max(1.0, abs(w[-1])):
-        return w
-    if what is None:
-        return None
-    if w is None:
-        raise ValueError(f"{what} requires a Hermitian matrix (defect {defect:.3e})")
-    raise ValueError(f"{what} requires a PSD matrix (min eigenvalue {w[0]:.3e})")
-
-
 # Sum kernels: frame vectors (dim, count) or a stack (n, dim, count), with T one
 # operator or n stacked; one value per frame.  A sum is split into its
 # p-independent terms and their p-th powers, so that a p-grid takes the terms
@@ -117,14 +104,6 @@ def _diag_values(t: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.einsum("...in,...in->...n", v.conj(), t @ v)
 
 
-def _real_psd_diag(t: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """<T f_n, f_n> as nonnegative reals, asserting the imaginary defect."""
-    vals = _diag_values(t, v)
-    if np.any(np.abs(vals.imag) > 1e-10 * (1.0 + np.abs(vals))):
-        raise ValueError("diagonal pairings of a Hermitian matrix must be real")
-    return np.maximum(vals.real, 0.0)
-
-
 def _terms(kind: str, t: np.ndarray, v: np.ndarray):
     """The p-independent terms of the sum of `kind`.
 
@@ -133,7 +112,7 @@ def _terms(kind: str, t: np.ndarray, v: np.ndarray):
     weighted_diag takes <T f_n, f_n> real.
     """
     if kind == "weighted_diag":
-        return np.linalg.norm(v, axis=-2), _real_psd_diag(t, v)
+        return np.linalg.norm(v, axis=-2), np.maximum(_diag_values(t, v).real, 0.0)
     if kind in WEIGHTED_KINDS:
         return np.linalg.norm(v, axis=-2), _terms(kind.removeprefix("weighted_"), t, v)
     if kind == "norms":
@@ -283,14 +262,6 @@ def _ensemble(t: np.ndarray, trials: int, seed: int, ensemble: FrameEnsemble | N
     return ensemble
 
 
-def _exponents(p) -> tuple[list, bool]:
-    """The exponents of `p`, one or a sequence, each checked; and whether p is a sequence."""
-    ps = list(p) if np.ndim(p) == 1 else [p]
-    for q in ps:
-        _check_p(q)
-    return ps, np.ndim(p) == 1
-
-
 def _certify(kind, t, ps, many, inf, ensemble, spectrum, basis, tol):
     """The certificate reports of the sum of `kind` at each exponent ps[j].
 
@@ -387,27 +358,19 @@ def certify_diag_formula(
     """
     t = as_matrix(t)
     ps, many = _exponents(p)
-    defect = hermitian_defect(t)
-    if defect > 1e-10:
-        raise ValueError(
-            f"diagonal-sum certificates need a Hermitian operator (defect {defect:.3e})"
-        )
+    eigvals, eigvecs = hermitian_eigen(t)
     if direction not in (None, "sup_below", "inf_above"):
         raise ValueError(f"direction must be None, 'sup_below' or 'inf_above', got {direction!r}")
-    if direction is None:
-        psd = any(q <= 1 for q in ps) and _psd_eigenvalues(t) is not None
-        inf = [q <= 1 and psd for q in ps]
-    else:
-        inf = [direction == "inf_above"] * len(ps)
+    psd = _is_psd(eigvals)
+    inf = [(q <= 1 and psd) if direction is None else direction == "inf_above" for q in ps]
     for q, q_inf in zip(ps, inf):
         if not q_inf and q < 1:
             raise ValueError(f"the sup-regime diagonal formula needs p >= 1, got p = {q}")
         if q_inf and q > 1:
             raise ValueError(f"the inf-regime diagonal formula needs 0 < p <= 1, got p = {q}")
     if any(inf):
-        _psd_eigenvalues(t, "the inf-regime diagonal formula")
+        _is_psd(eigvals, "the inf-regime diagonal formula")
     ensemble = _ensemble(t, trials, seed, ensemble)
-    eigvals, eigvecs = hermitian_eigen(0.5 * (t + t.conj().T))
     return _certify("diag", t, ps, many, inf, ensemble, np.abs(eigvals), eigvecs, tol)
 
 
@@ -425,7 +388,7 @@ def certify_double_formula(
     """
     t = as_matrix(t)
     ps, many = _exponents(p)
-    hermitian = hermitian_defect(t) <= 1e-10
+    hermitian = _is_hermitian(t)
     inf = [q < 2 for q in ps]
     if not hermitian and any(inf):
         raise ValueError(
@@ -433,7 +396,7 @@ def certify_double_formula(
             f" got p = {ps[inf.index(True)]}"
         )
     ensemble = _ensemble(t, trials, seed, ensemble)
-    basis = hermitian_eigen(0.5 * (t + t.conj().T))[1] if hermitian else None
+    basis = hermitian_eigen(t)[1] if hermitian else None
     return _certify("double", t, ps, many, inf, ensemble, svd(t).singular_values, basis, tol)
 
 
@@ -467,8 +430,8 @@ def endpoint_suites(
 ) -> EndpointReport:
     """Run the p = 1 and p = 2 endpoint suites over the ensemble's raw frames."""
     t = as_matrix(t)
-    ensemble = _ensemble(t, trials, seed, ensemble)
     w = _psd_eigenvalues(t)
+    ensemble = _ensemble(t, trials, seed, ensemble)
     psd = w is not None
     if psd:
         trace_norm_value = float(np.sum(np.maximum(w, 0.0)))
@@ -481,7 +444,7 @@ def endpoint_suites(
         raw = group.raw
         c1, c2 = raw.lower_bound, raw.upper_bound
         if psd:
-            diag_total = np.sum(_real_psd_diag(t, raw.vectors), axis=-1)
+            diag_total = np.sum(np.maximum(_diag_values(t, raw.vectors).real, 0.0), axis=-1)
             margin, fits = _enclosure(diag_total, c1 * trace_norm_value, c2 * trace_norm_value, tol)
             trace_margin = min(trace_margin, margin)
             ok = ok and fits

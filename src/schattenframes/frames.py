@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _check_count, as_matrix
+from .linalg import _check_count, _check_seed, as_matrix
 
 __all__ = [
     "Frame",
@@ -229,6 +229,8 @@ def certify_synthesis(
     c1, c2 = np.reshape(frame.lower_bound, -1), np.reshape(frame.upper_bound, -1)
     n, dim, count = vectors.shape
     seeds = np.reshape(seed, -1)
+    for sd in seeds.tolist():
+        _check_seed(sd)
     # LAPACK SVD of A itself, independent of the frame operator the bounds came from
     svals = np.linalg.svd(vectors, compute_uv=False)
     op2 = svals[:, 0] ** 2
@@ -343,6 +345,7 @@ class FrameEnsemble:
     def __init__(self, dim: int, trials: int, seed: int):
         _check_count("dim", dim)
         _check_count("trials", trials)
+        _check_seed(seed)
         self.dim, self.trials, self.seed = dim, trials, seed
         groups = []
         for residue in range(min(dim, trials)):
@@ -395,6 +398,7 @@ def random_onb(dim: int, seed: int) -> Frame:
     reproducible across platforms.
     """
     _check_count("dim", dim)
+    _check_seed(seed)
     return make_frame(_onb_stack(dim, [seed])[0])
 
 
@@ -456,6 +460,7 @@ def random_frame(dim: int, count: int, condition_target: float, seed: int) -> Fr
     exactly 1 returns the Parseval projection itself.  This is the one-seed
     case of the batched generator that FrameEnsemble uses.
     """
+    _check_seed(seed)
     return _random_frames(dim, count, condition_target, [seed])[0]
 
 

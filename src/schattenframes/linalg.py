@@ -30,8 +30,15 @@ __all__ = [
     "psd_power",
 ]
 
-#: Absolute tolerance for structural checks (hermiticity, PSD clamps).
-STRUCTURAL_TOL = 1e-12
+#: The one rule for structure: h is Hermitian when its hermiticity defect is at
+#: most STRUCTURAL_TOL * max|h|, and PSD when also lambda_min >= -STRUCTURAL_TOL
+#: * rho(h).  A computed Gram product G G* (inner dimension n) has a defect of at
+#: most 2 gamma_n max|h|, gamma_n = n u / (1 - n u), u = eps / 2 (Higham,
+#: *Accuracy and Stability of Numerical Algorithms*, section 3.5, with
+#: (|G| |G*|)_ij <= max|h| by Cauchy-Schwarz); eigh is backward stable, so by
+#: Weyl's bound a PSD matrix shows eigenvalues >= -c n u rho(h).  1e-10 covers
+#: both for c n <= 9e5, past any dense complex matrix that fits in memory.
+STRUCTURAL_TOL = 1e-10
 
 
 def as_matrix(a) -> np.ndarray:
@@ -51,16 +58,38 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
+def _as_square(a) -> np.ndarray:
+    """`as_matrix(a)`, rejected with its shape unless it is square."""
+    m = as_matrix(a)
+    if m.shape[0] != m.shape[1]:
+        raise ValueError(f"operator must be square, got shape {m.shape}")
+    return m
+
+
 def _check_p(p: float) -> None:
     """Reject an exponent outside 0 < p < inf (nan included)."""
     if not 0 < p < np.inf:
         raise ValueError(f"p must be finite and positive, got {p}")
 
 
+def _exponents(p) -> tuple[list, bool]:
+    """The exponents of `p`, one or a sequence, each checked; and whether p is a sequence."""
+    ps = list(p) if np.ndim(p) == 1 else [p]
+    for q in ps:
+        _check_p(q)
+    return ps, np.ndim(p) == 1
+
+
 def _check_count(name: str, value) -> None:
     """Reject `value` unless it is an integer >= 1 (numpy integers count, bool does not)."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
         raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+
+
+def _check_seed(value) -> None:
+    """Reject a seed unless it is an integer >= 0 (numpy integers count, bool does not)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
+        raise ValueError(f"seed must be an integer >= 0, got {value!r}")
 
 
 def inner(x: np.ndarray, y: np.ndarray) -> complex:
@@ -72,6 +101,29 @@ def hermitian_defect(h: np.ndarray) -> float:
     """Max-entry deviation of `h` from its conjugate transpose."""
     h = np.asarray(h)
     return float(np.abs(h - h.conj().T).max())
+
+
+def _is_hermitian(h: np.ndarray) -> bool:
+    """Whether `h`, rejected unless square, is Hermitian by the rule of `STRUCTURAL_TOL`."""
+    h = _as_square(h)
+    return hermitian_defect(h) <= STRUCTURAL_TOL * np.abs(h).max()
+
+
+def _is_psd(w: np.ndarray, what: str | None = None) -> bool:
+    """PSD rule on the eigenvalues `w`; a failure raises a ValueError naming `what`, if given."""
+    if w.min() >= -STRUCTURAL_TOL * np.abs(w).max():
+        return True
+    if what is not None:
+        raise ValueError(f"{what} requires a PSD matrix (min eigenvalue {w.min():.3e})")
+    return False
+
+
+def _psd_eigenvalues(h: np.ndarray, what: str | None = None) -> np.ndarray | None:
+    """Ascending eigenvalues of a Hermitian PSD `h`; else None, or a ValueError naming `what`."""
+    w = np.linalg.eigvalsh(0.5 * (h + h.conj().T)) if _is_hermitian(h) else None
+    if w is None and what is not None:
+        raise ValueError(f"{what} requires a Hermitian matrix (defect {hermitian_defect(h):.3e})")
+    return w if w is not None and _is_psd(w, what) else None
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,15 +150,13 @@ class SpectralData:
 def hermitian_eigen(h) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (nonincreasing) and orthonormal eigenvectors of a Hermitian matrix.
 
-    Rejects inputs whose hermiticity defect exceeds `STRUCTURAL_TOL` in max norm.
+    Rejects a non-square or, by the rule of `STRUCTURAL_TOL`, non-Hermitian input.
     Solver non-convergence surfaces as `numpy.linalg.LinAlgError`.
     """
     h = as_matrix(h)
-    if h.shape[0] != h.shape[1]:
-        raise ValueError(f"matrix must be square, got shape {h.shape}")
-    defect = hermitian_defect(h)
-    if defect > STRUCTURAL_TOL:
-        raise ValueError(f"matrix is not Hermitian: defect {defect:.3e} > tol {STRUCTURAL_TOL:.3e}")
+    if not _is_hermitian(h):
+        defect = hermitian_defect(h)
+        raise ValueError(f"matrix is not Hermitian: defect {defect:.3e} > {STRUCTURAL_TOL} max|h|")
     w, v = np.linalg.eigh(0.5 * (h + h.conj().T))
     order = np.argsort(w)[::-1]
     return w[order].copy(), v[:, order].copy()
@@ -157,12 +207,11 @@ def schatten_norm(t, p: float) -> float:
 def psd_power(s, p: float) -> np.ndarray:
     """Hermitian PSD power s^p formed in the eigenbasis, p > 0.
 
-    Eigenvalues in [-STRUCTURAL_TOL, 0) are clamped to zero; anything below
-    is rejected with the most negative eigenvalue in the message.
+    Negative eigenvalues that the PSD rule of `STRUCTURAL_TOL` accepts are
+    clamped to zero; otherwise the most negative one is named in the error.
     """
     _check_p(p)
     w, v = hermitian_eigen(s)
-    if w[-1] < -STRUCTURAL_TOL:
-        raise ValueError(f"matrix is not PSD: most negative eigenvalue {w[-1]:.3e}")
+    _is_psd(w, "psd_power")
     m = (v * np.maximum(w, 0.0) ** p) @ v.conj().T
     return 0.5 * (m + m.conj().T)

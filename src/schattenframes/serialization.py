@@ -58,7 +58,9 @@ def matrix_from_dict(d: dict) -> np.ndarray:
         raise ValueError(
             f"matrix payload length {re.size}/{im.size} != rows*cols = {rows * cols}"
         )
-    return as_matrix((re + 1j * im).reshape(rows, cols))
+    m = np.empty((rows, cols), dtype=np.complex128)  # re + 1j * im would turn -0.0 into 0.0
+    m.real, m.imag = re.reshape(rows, cols), im.reshape(rows, cols)
+    return as_matrix(m)
 
 
 def write_matrix(path, m) -> None:

@@ -108,6 +108,7 @@ INVALID_INPUTS = {
     "rmax-string": ([], {"rmax": "0.5"}, "rmax"),
     "float-seed": ([], {"seed": 1.5}, "seed"),
     "bool-seed": ([], {"seed": True}, "seed"),
+    "negative-seed": (["--seed", "-3"], None, "seed must be an integer >= 0, got -3"),
     "string-trials": ([], {"trials": "10"}, "trials"),
     "float-trials": ([], {"trials": 10.0}, "trials"),
     "tolerances-not-object": ([], {"tolerances": 5}, "tolerances"),

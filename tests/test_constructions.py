@@ -16,7 +16,13 @@ from schattenframes.constructions import (
     truncated_shift,
 )
 from schattenframes.criteria import sum_diag, sum_norms
-from schattenframes.frames import FrameEnsemble, make_frame, random_frame, random_onb
+from schattenframes.frames import (
+    FrameEnsemble,
+    certify_synthesis,
+    make_frame,
+    random_frame,
+    random_onb,
+)
 from schattenframes.linalg import inner, schatten_norm, singular_values
 
 GRID = (100, 1_000, 10_000, 100_000)
@@ -239,8 +245,8 @@ class TestDoubleSumDemo:
             divergence_demo_double_sum(16, 2.0, GRID)
 
 
-#: Counts, truncation grids and condition targets across the library; each
-#: error names the input.
+#: Counts, truncation grids, condition targets and seeds across the library;
+#: each error names the input.
 BAD_INPUTS = {
     "sampling_frame-degree": ("d", lambda: sampling_frame(r_lattice(0.5, 0.9), 2.5)),
     "log_weight_vector-d": ("d", lambda: log_weight_vector(2.5)),
@@ -259,6 +265,16 @@ BAD_INPUTS = {
     "random_onb-float-dim": ("dim", lambda: random_onb(2.5, 0)),
     "ensemble-float-trials": ("trials", lambda: FrameEnsemble(2, 2.5, 0)),
     "ensemble-bool-trials": ("trials", lambda: FrameEnsemble(2, True, 0)),
+    "random_onb-float-seed": ("seed", lambda: random_onb(2, 1.5)),
+    "random_onb-negative-seed": ("seed", lambda: random_onb(2, -1)),
+    "random_frame-negative-seed": ("seed", lambda: random_frame(2, 3, 100.0, -1)),
+    "ensemble-negative-seed": ("seed", lambda: FrameEnsemble(2, 2, -1)),
+    "ensemble-bool-seed": ("seed", lambda: FrameEnsemble(2, 2, True)),
+    "synthesis-negative-seed": ("seed", lambda: certify_synthesis(random_onb(2, 0), seed=-1)),
+    "synthesis-float-seeds": (
+        "seed",
+        lambda: certify_synthesis(FrameEnsemble(2, 2, 0).groups[0].raw, seed=[1.5]),
+    ),
 }
 
 

@@ -33,7 +33,7 @@ from schattenframes.frames import (
     rescale_upper_bound_one,
     union_frame,
 )
-from schattenframes.linalg import schatten_norm, svd
+from schattenframes.linalg import psd_power, schatten_norm, svd
 
 E1E1E2 = make_frame([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
@@ -513,3 +513,53 @@ class TestInvariants:
             assert sum_norms(t, extended, p).value >= sum_norms(t, frame, p).value - 1e-12
             assert sum_diag(t, extended, p).value >= sum_diag(t, frame, p).value - 1e-12
             assert sum_double(t, extended, p).value >= sum_double(t, frame, p).value - 1e-12
+
+
+def large_gram():
+    """1e8 G G*, G a 6 x 3 complex Gaussian: PSD of rank 3, Hermitian up to the product's rounding."""
+    rng = np.random.default_rng(0)
+    g = rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3))
+    return 1e8 * (g @ g.conj().T)
+
+
+class TestStructureAtScale:
+    """Hermitian and PSD are judged relative to the operator's scale."""
+
+    def test_tiny_shift_is_rejected_by_the_diagonal_certificate(self):
+        with pytest.raises(ValueError, match="Hermitian"):
+            certify_diag_formula(1e-11 * truncated_shift(4), 2.0, trials=5)
+
+    def test_tiny_shift_is_rejected_by_the_inf_double_certificate(self):
+        with pytest.raises(ValueError, match="Hermitian"):
+            certify_double_formula(1e-11 * truncated_shift(4), 1.0, trials=5)
+
+    def test_large_gram_has_a_psd_power(self):
+        root = psd_power(large_gram(), 0.5)
+        np.testing.assert_allclose(root @ root, large_gram(), atol=1e-10 * 1e8)
+
+    def test_large_gram_has_a_weighted_diagonal_sum(self):
+        frame = rescale_lower_bound_one(random_frame(6, 8, 100.0, 0))
+        value = weighted_sum("weighted_diag", large_gram(), frame, 0.5).value
+        assert value >= schatten_norm(large_gram(), 0.5) ** 0.5 * (1 - 1e-9)
+
+    def test_large_gram_takes_the_inf_diagonal_certificate(self):
+        cert = certify_diag_formula(large_gram(), 0.5, trials=10)
+        assert cert.direction == "inf_above" and cert.passed
+
+    def test_large_gram_gets_the_trace_endpoint(self):
+        rep = endpoint_suites(large_gram(), trials=10)
+        assert rep.trace_checked and rep.passed
+
+
+RECTANGULAR_CALLS = {
+    "certify_diag_formula": lambda t: certify_diag_formula(t, 2.0, trials=2),
+    "certify_double_formula": lambda t: certify_double_formula(t, 4.0, trials=2),
+    "endpoint_suites": lambda t: endpoint_suites(t, trials=2),
+    "weighted_diag": lambda t: weighted_sum("weighted_diag", t, random_onb(3, 0), 0.5),
+}
+
+
+@pytest.mark.parametrize("call", RECTANGULAR_CALLS.values(), ids=RECTANGULAR_CALLS.keys())
+def test_rectangular_operator_is_named_with_its_shape(call):
+    with pytest.raises(ValueError, match=re.escape("must be square, got shape (2, 3)")):
+        call(np.ones((2, 3)))

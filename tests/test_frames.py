@@ -213,6 +213,7 @@ class TestRandomGenerators:
         b = random_onb(4, 1).vectors
         assert np.linalg.norm(a - b) > 1e-6
         np.testing.assert_array_equal(a, random_onb(4, 0).vectors)
+        np.testing.assert_array_equal(a, random_onb(4, np.int64(0)).vectors)  # numpy seeds count
 
     def test_onb_phase_convention(self):
         vecs = random_onb(5, 3).vectors

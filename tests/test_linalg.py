@@ -7,6 +7,9 @@ from hypothesis import strategies as st
 
 from conftest import seeded_operators, seeded_psds
 from schattenframes.linalg import (
+    STRUCTURAL_TOL,
+    _is_hermitian,
+    _psd_eigenvalues,
     hermitian_eigen,
     inner,
     psd_power,
@@ -79,6 +82,45 @@ class TestHermitianEigen:
         w, v = hermitian_eigen(h)
         np.testing.assert_allclose(v.conj().T @ v, np.eye(3), atol=1e-12)
         assert np.all(np.diff(w) <= 0)
+
+
+def structured(rng, dim, family, factor):
+    """A matrix of `family`; the two boundary families sit `factor` times the rule's tolerance
+    from its boundary: a hermiticity defect of factor * STRUCTURAL_TOL * max|h|, or a least
+    eigenvalue of -factor * STRUCTURAL_TOL * rho(h)."""
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    if family == "general":
+        return g
+    if family == "gram":  # G G* of rank < dim, PSD up to the product's rounding
+        return g[:, 1:] @ g[:, 1:].conj().T
+    h = 0.5 * (g + g.conj().T)
+    if family == "near_hermitian":
+        h[0, 1] += 1j * factor * STRUCTURAL_TOL * np.abs(h).max()
+    elif family == "near_psd":
+        w = np.append(rng.uniform(0.5, 1.0, dim - 1), -factor * STRUCTURAL_TOL)
+        u = np.linalg.qr(g)[0]
+        h = (u * w) @ u.conj().T
+    return h
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=80)
+@given(
+    dim=st.integers(2, 6),
+    family=st.sampled_from(["general", "hermitian", "gram", "near_hermitian", "near_psd"]),
+    factor=st.sampled_from([0.5, 2.0]),
+    k=st.integers(-200, 200),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_structure_verdicts_are_scale_invariant(dim, family, factor, k, seed):
+    # 2^k h is exact, so the relative defect and the eigenvalue ratio are unchanged
+    h = structured(np.random.default_rng(seed), dim, family, factor)
+    hermitian, psd = _is_hermitian(h), _psd_eigenvalues(h) is not None
+    assert _is_hermitian(2.0**k * h) == hermitian
+    assert (_psd_eigenvalues(2.0**k * h) is not None) == psd
+    if family == "near_hermitian":
+        assert hermitian == (factor < 1)
+    if family in ("gram", "near_psd"):
+        assert psd == (family == "gram" or factor < 1)
 
 
 class TestSvd:

@@ -5,6 +5,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from schattenframes.constructions import growth_series
 from schattenframes.frames import make_frame
@@ -76,6 +78,53 @@ class TestFrameFormat:
         vectors = [matrix_to_dict(np.ones((2, 1)))]
         with pytest.raises(ValueError, match=f"dim must be an integer >= 1, got {dim!r}"):
             frame_from_dict({"dim": dim, "vectors": vectors})
+
+
+#: Entry parts before scaling: the interval holds both zeros and subnormals, and
+#: the fixed values make -0.0 and the smallest subnormal common.
+PARTS = st.one_of(st.floats(-1.0, 1.0), st.sampled_from([-0.0, 5e-324, -5e-324]))
+
+
+def json_round_trip(d: dict) -> dict:
+    return json.loads(json.dumps(d))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=80)
+@given(
+    rows=st.integers(1, 4),
+    cols=st.integers(1, 4),
+    k=st.integers(-1074, 1023),
+    data=st.data(),
+)
+def test_matrix_round_trip_is_bit_exact_at_every_scale(rows, cols, k, data):
+    n = rows * cols
+    parts = np.ldexp(data.draw(st.lists(PARTS, min_size=2 * n, max_size=2 * n)), k)
+    m = np.empty((rows, cols), dtype=np.complex128)
+    m.real, m.imag = parts[:n].reshape(rows, cols), parts[n:].reshape(rows, cols)
+    decoded = matrix_from_dict(json_round_trip(matrix_to_dict(m)))
+    assert decoded.shape == m.shape and decoded.tobytes() == m.tobytes()
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(
+    dim=st.integers(1, 4),
+    extra=st.integers(0, 3),
+    k=st.integers(-200, 200),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_frame_round_trip_keeps_vectors_and_bounds(dim, extra, k, seed):
+    rng = np.random.default_rng(seed)
+    shape = (dim, dim + extra)
+    v = 2.0**k * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    # signed zeros and subnormals off the diagonal, which keeps the family spanning
+    off = rng.random(shape) < 0.3
+    off[np.arange(dim), np.arange(dim)] = False
+    v.real[off] = -0.0
+    v.imag[off & (rng.random(shape) < 0.5)] = -5e-324
+    frame = make_frame(v)
+    restored = frame_from_dict(json_round_trip(frame_to_dict(frame)))
+    assert restored.vectors.tobytes() == frame.vectors.tobytes()
+    assert (restored.lower_bound, restored.upper_bound) == (frame.lower_bound, frame.upper_bound)
 
 
 class TestNodesCsv:
