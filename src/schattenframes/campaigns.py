@@ -19,8 +19,8 @@ import numpy as np
 
 from . import bergman, constructions, criteria, serialization
 from .frames import (
-    Frame,
     FrameEnsemble,
+    _certify_synthesis,
     canonical_parseval,
     certify_synthesis,
     make_frame,
@@ -194,42 +194,39 @@ def _enclosure_records(config: CampaignConfig, tol: float) -> list[dict]:
     """One double_sum_enclosure record per p, over seeded (operator, frame) pairs.
 
     Pair i is random_operator(dim, seed + 1000 + i) with the raw frame of
-    trial i of a FrameEnsemble on seed + 2000; the pairs are built once and
-    every p is evaluated on them.
+    trial i of a FrameEnsemble on seed + 2000; each group of pairs is built
+    once and compared at every p.
     """
     pairs = FrameEnsemble(config.dim, min(config.trials, 200), config.seed + 2000)
-    operators = [
-        np.stack([random_operator(config.dim, config.seed + 1000 + i) for i in group.indices])
-        for group in pairs.groups
-    ]
-    records = []
-    for p in config.p_grid:
-        upper, lower, passed = [], [], True
-        for ops, group in zip(operators, pairs.groups):
-            comp = criteria.double_sum_comparison(ops, group.raw, p, tol)
-            passed = passed and bool(np.all(comp.passed))
+    upper, lower = ([[] for _ in config.p_grid] for _ in range(2))
+    passed = [True] * len(config.p_grid)
+    for group in pairs.groups:
+        ops = np.stack([random_operator(config.dim, config.seed + 1000 + i) for i in group.indices])
+        comps = criteria.double_sum_comparison(ops, group.raw, config.p_grid, tol)
+        for j, comp in enumerate(comps):
+            passed[j] = passed[j] and bool(np.all(comp.passed))
             lhs, rhs = comp.double_sum, comp.norm_sum
             scale = np.maximum(1.0, lhs)
             if comp.upper_constant is not None:
-                upper.append(np.min((comp.upper_constant * rhs - lhs) / scale))
+                upper[j].append(np.min((comp.upper_constant * rhs - lhs) / scale))
             if comp.lower_constant is not None:
-                lower.append(np.min((lhs - comp.lower_constant * rhs) / scale))
-        records.append(
-            {
-                "tag": "double_sum_enclosure",
-                "p": p,
-                "trials": pairs.trials,
-                "min_upper_margin": float(min(upper)) if upper else None,
-                "min_lower_margin": float(min(lower)) if lower else None,
-                "tolerance": tol,
-                "passed": passed,
-            }
-        )
-    return records
+                lower[j].append(np.min((lhs - comp.lower_constant * rhs) / scale))
+    return [
+        {
+            "tag": "double_sum_enclosure",
+            "p": p,
+            "trials": pairs.trials,
+            "min_upper_margin": float(min(upper[j])) if upper[j] else None,
+            "min_lower_margin": float(min(lower[j])) if lower[j] else None,
+            "tolerance": tol,
+            "passed": passed[j],
+        }
+        for j, p in enumerate(config.p_grid)
+    ]
 
 
 def run_verify_theorems(config: CampaignConfig) -> CampaignReport:
-    """Execute every certificate family over one seeded FrameEnsemble."""
+    """Execute every certificate family over one seeded FrameEnsemble, walked once."""
     start = time.perf_counter()
     dim, trials, seed = config.dim, config.trials, config.seed
     tol = config.tol("certificate", 1e-9)
@@ -243,21 +240,30 @@ def run_verify_theorems(config: CampaignConfig) -> CampaignReport:
     ensemble = FrameEnsemble(dim, trials, seed)
     # each certificate runs once over the exponents of the grid it applies to;
     # the records of one p are its certificates in this order, then its enclosure
-    diag = criteria.certify_diag_formula
+    diag = criteria._diag_job
     checks = [
-        (criteria.certify_norm_formula, general, lambda p: True),
+        (criteria._norm_job, general, lambda p: True),
         (partial(diag, direction="sup_below"), hermitian, lambda p: p >= 1),
         (partial(diag, direction="inf_above"), psd, lambda p: p <= 1),
-        (criteria.certify_double_formula, general, lambda p: p >= 2),
-        (criteria.certify_double_formula, hermitian, lambda p: p <= 2),
+        (criteria._double_job, general, lambda p: p >= 2),
+        (criteria._double_job, hermitian, lambda p: p <= 2),
     ]
+    at = [[j for j, p in enumerate(config.p_grid) if applies(p)] for _, _, applies in checks]
+    jobs = [job(op, [config.p_grid[j] for j in js]) for (job, op, _), js in zip(checks, at) if js]
+    synthesis = []  # the certificates of each group's ONB and raw-frame variants
+
+    def check_synthesis(stacks):
+        # the six variants of a trial share its probe seed; they stay six stacks,
+        # as a joined copy of the stacks the walk holds would raise the peak RSS
+        onb = [stacks.onb, canonical_parseval(stacks.onb), rescale_upper_bound_one(stacks.onb)]
+        variants = onb + [stacks.raw, stacks.parseval, stacks.upper_one]
+        synthesis.extend(_certify_synthesis(variants, [stacks.group.seeds] * 6, tol))
+
     per_p: list[list[dict]] = [[] for _ in config.p_grid]
-    for certify, op, applies in checks:
-        at = [j for j, p in enumerate(config.p_grid) if applies(p)]
-        if at:
-            grid = [config.p_grid[j] for j in at]
-            for j, rep in zip(at, certify(op, grid, tol=tol, ensemble=ensemble)):
-                per_p[j].append(asdict(rep))
+    reports = criteria._certify(ensemble, jobs, tol, visit=check_synthesis)
+    for js, job_reports in zip([js for js in at if js], reports):
+        for j, rep in zip(js, job_reports):
+            per_p[j].append(asdict(rep))
     for certificates, enclosure in zip(per_p, enclosures):
         records += certificates + [enclosure]
 
@@ -265,25 +271,13 @@ def run_verify_theorems(config: CampaignConfig) -> CampaignReport:
         rep = criteria.endpoint_suites(op, tol=tol, ensemble=ensemble)
         records.append({"tag": tag, **asdict(rep)})
 
-    synth_ok = True
-    worst_dev = 0.0
-    n_frames = 0
-    for group in ensemble.groups:
-        # the three variants of a trial share its probe seed
-        seeds = [seed + i for i in group.indices] * 3
-        for stack in (group.onb, group.raw):
-            variants = [stack, canonical_parseval(stack), rescale_upper_bound_one(stack)]
-            cert = certify_synthesis(Frame.concat(variants), tol=tol, seed=seeds)
-            synth_ok = synth_ok and bool(np.all(cert.passed))
-            worst_dev = max(worst_dev, float(np.max(cert.analysis_identity_dev)))
-            n_frames += len(seeds)
     records.append(
         {
             "tag": "synthesis_bounds",
-            "frames_certified": n_frames,
-            "max_analysis_dev": worst_dev,
+            "frames_certified": sum(cert.passed.size for cert in synthesis),
+            "max_analysis_dev": max(0.0, *(np.max(c.analysis_identity_dev) for c in synthesis)),
             "tolerance": tol,
-            "passed": synth_ok,
+            "passed": all(np.all(cert.passed) for cert in synthesis),
         }
     )
 

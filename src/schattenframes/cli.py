@@ -81,7 +81,11 @@ def _load_config(args: argparse.Namespace) -> CampaignConfig:
         if flag is not None:
             values[key] = flag
     if args.p_grid is not None:
-        values["p_grid"] = [float(x) for x in args.p_grid.split(",") if x.strip()]
+        try:
+            values["p_grid"] = [float(x) for x in args.p_grid.split(",") if x.strip()]
+        except ValueError:
+            message = f"p-grid must be comma-separated numbers, got {args.p_grid!r}"
+            raise ValueError(message) from None
     if args.out is not None:
         values["output_dir"] = str(args.out)
     return CampaignConfig(command=args.command, **values)

@@ -21,11 +21,12 @@ FrameEnsemble(dim, trials, seed).
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
-from .frames import Frame, FrameEnsemble, _one_frame, _per_frame, rescale_lower_bound_one
+from .frames import Frame, FrameEnsemble, _one_frame, _per_frame, _TrialStacks
 from .linalg import _check_p, _exponents, _is_hermitian, _is_psd, _psd_eigenvalues, as_matrix
 from .linalg import hermitian_eigen, schatten_norm, svd
 
@@ -199,12 +200,16 @@ class DoubleSumComparison:
     passed: bool
 
 
-def double_sum_comparison(t, frame: Frame, p: float, tol: float = 1e-9) -> DoubleSumComparison:
+def double_sum_comparison(
+    t, frame: Frame, p, tol: float = 1e-9
+) -> DoubleSumComparison | list[DoubleSumComparison]:
     """Check the two-sided comparison between double and norm sums.
 
     `t` is one (dim, dim) operator, or for a stack of n frames also a stack
     of one operator per frame, (n, dim, dim); for a stack the sums,
-    constants and verdicts are arrays over it.
+    constants and verdicts are arrays over it.  `p` may be a sequence: the
+    result is then one comparison per exponent, comparison j equal to the
+    call at p[j], and the pairings are taken once for the whole grid.
     """
     t = np.ascontiguousarray(t, dtype=np.complex128)
     square = (frame.dim, frame.dim)
@@ -213,28 +218,33 @@ def double_sum_comparison(t, frame: Frame, p: float, tol: float = 1e-9) -> Doubl
             f"expected a finite operator of shape {square}, or one per frame of the stack,"
             f" for frames of shape {frame.vectors.shape}; got shape {t.shape}"
         )
-    _check_p(p)
-    lhs = _sums("double", t, frame.vectors, p)
-    rhs = _sums("norms", t, frame.vectors, p)
-    scale = np.maximum(1.0, np.maximum(lhs, rhs))
-    ok = np.ones(np.shape(lhs), dtype=bool)
-    upper = lower = None
-    # np.power, not float **, so that one frame gets the bits of a stack member
-    if p >= 2:
-        upper = _per_frame(np.power(frame.upper_bound, p / 2.0))
-        ok &= lhs <= upper * rhs + tol * scale
-    if p <= 2:
-        lower = _per_frame(np.power(frame.lower_bound, p / 2.0))
-        ok &= lhs >= lower * rhs - tol * scale
-    return DoubleSumComparison(
-        p=p,
-        double_sum=_per_frame(lhs),
-        norm_sum=_per_frame(rhs),
-        upper_constant=upper,
-        lower_constant=lower,
-        tolerance=tol,
-        passed=_per_frame(ok),
-    )
+    ps, many = _exponents(p)
+    terms = {kind: _terms(kind, t, frame.vectors) for kind in ("double", "norms")}
+    comparisons = []
+    for q in ps:
+        lhs, rhs = (_power_sums(kind, kind_terms, q) for kind, kind_terms in terms.items())
+        scale = np.maximum(1.0, np.maximum(lhs, rhs))
+        ok = np.ones(np.shape(lhs), dtype=bool)
+        upper = lower = None
+        # np.power, not float **, so that one frame gets the bits of a stack member
+        if q >= 2:
+            upper = _per_frame(np.power(frame.upper_bound, q / 2.0))
+            ok &= lhs <= upper * rhs + tol * scale
+        if q <= 2:
+            lower = _per_frame(np.power(frame.lower_bound, q / 2.0))
+            ok &= lhs >= lower * rhs - tol * scale
+        comparisons.append(
+            DoubleSumComparison(
+                p=q,
+                double_sum=_per_frame(lhs),
+                norm_sum=_per_frame(rhs),
+                upper_constant=upper,
+                lower_constant=lower,
+                tolerance=tol,
+                passed=_per_frame(ok),
+            )
+        )
+    return comparisons if many else comparisons[0]
 
 
 def _witness_budget(p: float, n_terms: int, term_scale: float) -> float:
@@ -262,54 +272,87 @@ def _ensemble(t: np.ndarray, trials: int, seed: int, ensemble: FrameEnsemble | N
     return ensemble
 
 
-def _certify(kind, t, ps, many, inf, ensemble, spectrum, basis, tol):
-    """The certificate reports of the sum of `kind` at each exponent ps[j].
+#: One certificate over a p-grid, checked but not yet sampled: the sum of `kind`
+#: of T = `t` at each ps[j], in the inf regime where inf[j], against ||T||_p^p =
+#: sum spectrum^p, with the sum at `basis` as the witness (None: no witness);
+#: `many` says whether p was a sequence.
+_Job = namedtuple("_Job", "kind t ps many inf spectrum basis")
 
-    ps[j] is sampled over the stacks of its regime, Parseval when inf[j] and
-    upper bound one otherwise, against ||T||_p^p = sum spectrum^p, with the
-    sum at `basis` as the witness (None: no witness).  Each regime is walked
-    once; the terms of a stack are taken once, only the power map and sum run
-    per p, and each stack is dropped after use.
+
+def _certify(ensemble: FrameEnsemble, jobs, tol: float, visit=None) -> list:
+    """The reports of each job, one list per job, from one walk of the ensemble.
+
+    Each ps[j] of a job is sampled over the ONBs and the raw frames of its
+    regime, made Parseval when inf[j] and rescaled to upper bound one
+    otherwise.  A group's stacks are made once, when a job first reads them,
+    and dropped before the next group; a job takes the terms of a stack
+    once, and only the power map and sum run per p.  `visit`, if given, is
+    called with each group's _TrialStacks after the jobs have read them.
     """
-    sampled = [[] for _ in ps]
-    walks = [(kind, regime, ensemble.regime_stacks(regime)) for regime in dict.fromkeys(inf)]
-    if kind == "diag" and any(inf):  # the inf regime also samples weighted sums, lower bound 1
-        lower_one = (rescale_lower_bound_one(group.raw) for group in ensemble.groups)
-        walks.append(("weighted_diag", True, lower_one))
-    for walk_kind, regime, stacks in walks:
-        chosen = [j for j, r in enumerate(inf) if r == regime]
-        for stack in stacks:
-            terms = _terms(walk_kind, t, stack.vectors)
-            for j in chosen:
-                sampled[j].append(_power_sums(walk_kind, terms, ps[j]))
-    witness_terms = None if basis is None else _terms(kind, t, basis)
-    n_terms = t.shape[1] ** (2 if kind == "double" else 1)
+    extremes = [np.where(job.inf, np.inf, -np.inf) for job in jobs]
+    for group in ensemble.groups:
+        stacks = _TrialStacks(group)
+        for job, extreme in zip(jobs, extremes):
+            onb_terms = _terms(job.kind, job.t, stacks.onb.vectors)
+            for regime in dict.fromkeys(job.inf):
+                derived = stacks.parseval if regime else stacks.upper_one
+                derived_terms = _terms(job.kind, job.t, derived.vectors)
+                walks = [(job.kind, onb_terms), (job.kind, derived_terms)]
+                if regime and job.kind == "diag":  # the inf regime also samples weighted sums
+                    lower_one = stacks.lower_one.vectors
+                    walks.append(("weighted_diag", _terms("weighted_diag", job.t, lower_one)))
+                fold, reduce = (np.minimum, np.min) if regime else (np.maximum, np.max)
+                for j in np.flatnonzero(np.equal(job.inf, regime)):
+                    for kind, terms in walks:
+                        extreme[j] = fold(extreme[j], reduce(_power_sums(kind, terms, job.ps[j])))
+        if visit is not None:
+            visit(stacks)
+    return [_reports(job, extreme, ensemble.trials, tol) for job, extreme in zip(jobs, extremes)]
+
+
+def _reports(job: _Job, extremes: np.ndarray, trials: int, tol: float) -> list:
+    """The CertificateReport at each exponent of `job` from its sampled extremes."""
+    witness_terms = None if job.basis is None else _terms(job.kind, job.t, job.basis)
+    n_terms = job.t.shape[1] ** (2 if job.kind == "double" else 1)
     reports = []
-    for p, p_inf, sums in zip(ps, inf, sampled):
-        sums, norm_value = np.concatenate(sums), float(np.sum(spectrum**p))
-        extremal = np.min(sums) if p_inf else np.max(sums)
+    for p, p_inf, extremal in zip(job.ps, job.inf, extremes):
+        norm_value = float(np.sum(job.spectrum**p))
         slack = tol * max(1.0, norm_value)
         direction_ok = extremal >= norm_value - slack if p_inf else extremal <= norm_value + slack
         witness, witness_ok = None, False
-        if basis is not None:
-            witness = float(_power_sums(kind, witness_terms, p))
-            budget = _witness_budget(p, n_terms, float(np.max(spectrum)))
+        if job.basis is not None:
+            witness = float(_power_sums(job.kind, witness_terms, p))
+            budget = _witness_budget(p, n_terms, float(np.max(job.spectrum)))
             witness_ok = bool(abs(witness - norm_value) <= slack + budget)
         reports.append(
             CertificateReport(
-                tag=_TAGS[kind] + ("_inf" if p_inf else "_sup"),
+                tag=_TAGS[job.kind] + ("_inf" if p_inf else "_sup"),
                 p=p,
-                trials=ensemble.trials,
+                trials=trials,
                 direction="inf_above" if p_inf else "sup_below",
                 extremal_value=float(extremal),
                 norm_value=norm_value,
                 witness_value=witness,
                 equality_witness=witness_ok,
                 tolerance=tol,
-                passed=bool(direction_ok) and (basis is None or witness_ok),
+                passed=bool(direction_ok) and (job.basis is None or witness_ok),
             )
         )
-    return reports if many else reports[0]
+    return reports
+
+
+def _certified(job: _Job, trials: int, seed: int, tol: float, ensemble):
+    """The reports of one job, sampled over `ensemble` or a fresh one."""
+    reports = _certify(_ensemble(job.t, trials, seed, ensemble), [job], tol)[0]
+    return reports if job.many else reports[0]
+
+
+def _norm_job(t, p) -> _Job:
+    t = as_matrix(t)
+    ps, many = _exponents(p)
+    decomposition = svd(t)
+    s, basis = decomposition.singular_values, decomposition.right_vectors
+    return _Job("norms", t, ps, many, [q < 2 for q in ps], s, basis)
 
 
 def certify_norm_formula(
@@ -328,12 +371,25 @@ def certify_norm_formula(
     report j equal to the call at p[j], and the SVD, each sampled stack and
     its norms ||T f_n|| are taken once for the whole grid.
     """
+    return _certified(_norm_job(t, p), trials, seed, tol, ensemble)
+
+
+def _diag_job(t, p, direction: str | None = None) -> _Job:
     t = as_matrix(t)
     ps, many = _exponents(p)
-    ensemble = _ensemble(t, trials, seed, ensemble)
-    decomposition = svd(t)
-    s, basis = decomposition.singular_values, decomposition.right_vectors
-    return _certify("norms", t, ps, many, [q < 2 for q in ps], ensemble, s, basis, tol)
+    eigvals, eigvecs = hermitian_eigen(t)
+    if direction not in (None, "sup_below", "inf_above"):
+        raise ValueError(f"direction must be None, 'sup_below' or 'inf_above', got {direction!r}")
+    psd = _is_psd(eigvals)
+    inf = [(q <= 1 and psd) if direction is None else direction == "inf_above" for q in ps]
+    for q, q_inf in zip(ps, inf):
+        if not q_inf and q < 1:
+            raise ValueError(f"the sup-regime diagonal formula needs p >= 1, got p = {q}")
+        if q_inf and q > 1:
+            raise ValueError(f"the inf-regime diagonal formula needs 0 < p <= 1, got p = {q}")
+    if any(inf):
+        _is_psd(eigvals, "the inf-regime diagonal formula")
+    return _Job("diag", t, ps, many, inf, np.abs(eigvals), eigvecs)
 
 
 def certify_diag_formula(
@@ -356,22 +412,21 @@ def certify_diag_formula(
     sequence, as in `certify_norm_formula`; without a `direction` each
     exponent takes its own regime.
     """
+    return _certified(_diag_job(t, p, direction), trials, seed, tol, ensemble)
+
+
+def _double_job(t, p) -> _Job:
     t = as_matrix(t)
     ps, many = _exponents(p)
-    eigvals, eigvecs = hermitian_eigen(t)
-    if direction not in (None, "sup_below", "inf_above"):
-        raise ValueError(f"direction must be None, 'sup_below' or 'inf_above', got {direction!r}")
-    psd = _is_psd(eigvals)
-    inf = [(q <= 1 and psd) if direction is None else direction == "inf_above" for q in ps]
-    for q, q_inf in zip(ps, inf):
-        if not q_inf and q < 1:
-            raise ValueError(f"the sup-regime diagonal formula needs p >= 1, got p = {q}")
-        if q_inf and q > 1:
-            raise ValueError(f"the inf-regime diagonal formula needs 0 < p <= 1, got p = {q}")
-    if any(inf):
-        _is_psd(eigvals, "the inf-regime diagonal formula")
-    ensemble = _ensemble(t, trials, seed, ensemble)
-    return _certify("diag", t, ps, many, inf, ensemble, np.abs(eigvals), eigvecs, tol)
+    hermitian = _is_hermitian(t)
+    inf = [q < 2 for q in ps]
+    if not hermitian and any(inf):
+        raise ValueError(
+            "the inf-regime double-sum formula needs a Hermitian operator,"
+            f" got p = {ps[inf.index(True)]}"
+        )
+    basis = hermitian_eigen(t)[1] if hermitian else None
+    return _Job("double", t, ps, many, inf, svd(t).singular_values, basis)
 
 
 def certify_double_formula(
@@ -386,18 +441,7 @@ def certify_double_formula(
     non-Hermitian T in the sup regime the extremal value is only recorded.
     `p` may be a sequence, as in `certify_norm_formula`.
     """
-    t = as_matrix(t)
-    ps, many = _exponents(p)
-    hermitian = _is_hermitian(t)
-    inf = [q < 2 for q in ps]
-    if not hermitian and any(inf):
-        raise ValueError(
-            "the inf-regime double-sum formula needs a Hermitian operator,"
-            f" got p = {ps[inf.index(True)]}"
-        )
-    ensemble = _ensemble(t, trials, seed, ensemble)
-    basis = hermitian_eigen(t)[1] if hermitian else None
-    return _certify("double", t, ps, many, inf, ensemble, svd(t).singular_values, basis, tol)
+    return _certified(_double_job(t, p), trials, seed, tol, ensemble)
 
 
 @dataclass(frozen=True)

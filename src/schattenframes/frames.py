@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -77,12 +78,6 @@ class Frame:
         lower, upper = _bounds(vectors)
         _require_spanning(vectors.shape[-2], lower, upper, "frame {} of the stack".format)
         return _sealed(vectors, lower, upper)
-
-    @classmethod
-    def concat(cls, stacks) -> Frame:
-        """Join stacks of one frame shape in order; bounds are carried over."""
-        fields = ("vectors", "lower_bound", "upper_bound")
-        return _sealed(*(np.concatenate([getattr(s, f) for s in stacks]) for f in fields))
 
     def __getitem__(self, k) -> Frame:
         """Member k of a stack, sharing the stack's arrays."""
@@ -222,68 +217,101 @@ def certify_synthesis(
     certificate's fields are arrays over the stack; the frames that share a
     seed are evaluated together on that seed's probes, drawn once.
     """
-    shape = frame.vectors.shape[:-2]
-    if np.shape(seed) != shape:
-        raise ValueError(f"frames of stack shape {shape} need one seed per frame, got {seed!r}")
-    vectors = frame.vectors.reshape(-1, frame.dim, frame.count)
-    c1, c2 = np.reshape(frame.lower_bound, -1), np.reshape(frame.upper_bound, -1)
-    n, dim, count = vectors.shape
-    seeds = np.reshape(seed, -1)
-    for sd in seeds.tolist():
-        _check_seed(sd)
-    # LAPACK SVD of A itself, independent of the frame operator the bounds came from
-    svals = np.linalg.svd(vectors, compute_uv=False)
-    op2 = svals[:, 0] ** 2
-    rank = np.sum(svals > 1e-12 * svals[:, :1], axis=-1)
-    s = _frame_operators(vectors)
-    dev, lo, hi = (np.empty(n) for _ in range(3))
-    for sd in dict.fromkeys(seeds.tolist()):
-        part = np.flatnonzero(seeds == sd)
-        f = _probes(dim, SYNTHESIS_PROBES, int(sd))
+    return _certify_synthesis([frame], [seed], tol)[0]
+
+
+def _certify_synthesis(frames, seeds, tol: float) -> list:
+    """The certificates of frames or stacks in one C^dim, seeds[i] the probe seeds of frames[i].
+
+    Each distinct seed's probes are drawn once, applied to every frame with
+    that seed in every stack, and dropped before the next seed.  The frame
+    operators of all stacks share one array, so that the pairings <S f, f>
+    of a seed's frames are one batched product.
+    """
+    stacks = []  # the vectors of each stack, its offset in the joint arrays, its frames by seed
+    offset = 0
+    for frame, seed in zip(frames, seeds):
+        shape = frame.vectors.shape[:-2]
+        if np.shape(seed) != shape:
+            raise ValueError(f"frames of stack shape {shape} need one seed per frame, got {seed!r}")
+        parts: dict = {}
+        for k, sd in enumerate(np.reshape(seed, -1).tolist()):
+            _check_seed(sd)
+            parts.setdefault(sd, []).append(k)
+        vectors = frame.vectors.reshape(-1, frame.dim, frame.count)
+        stacks.append((vectors, offset, parts))
+        offset += len(vectors)
+    dim = frames[0].dim
+    s = np.empty((offset, dim, dim), dtype=np.complex128)
+    for vectors, start, _ in stacks:
+        s[start : start + len(vectors)] = _frame_operators(vectors)
+    measured = np.empty((3, offset))  # dev, lo and hi of each frame, filled seed by seed
+    dev, lo, hi = measured
+    for sd in dict.fromkeys(sd for _, _, parts in stacks for sd in parts):
+        f = _probes(dim, SYNTHESIS_PROBES, sd)
+        held = [(vectors, start, parts[sd]) for vectors, start, parts in stacks if sd in parts]
+        part = [start + k for _, start, ks in held for k in ks]
         # ||A* f||^2 by the matrix product against <S f, f> through the frame operator
-        direct = np.linalg.norm(vectors[part].conj().swapaxes(-1, -2) @ f, axis=-2) ** 2
-        analysis = np.real(np.sum(f.conj() * (s[part] @ f), axis=-2))
-        dev[part] = np.max(np.abs(analysis - direct) / np.maximum(analysis, 1e-300), axis=-1)
+        adjoints = (vectors[ks].conj().swapaxes(-1, -2) for vectors, _, ks in held)
+        direct = np.concatenate([np.linalg.norm(a @ f, axis=-2) ** 2 for a in adjoints])
+        s_f = s[part] @ f
+        analysis = np.real(np.sum(np.multiply(f.conj(), s_f, out=s_f), axis=-2))
+        ratio = np.abs(analysis - direct) / np.maximum(analysis, 1e-300)
+        dev[part] = np.max(ratio, axis=-1)
         # frame inequality on the probes
         lo[part], hi[part] = np.min(analysis, axis=-1), np.max(analysis, axis=-1)
-    scale = np.maximum(1.0, c2)
-    checks = (
-        ~((c1 - tol * scale <= op2) & (op2 <= c2 + tol * scale)),
-        ~(c1 > 0),
-        dev > 1e-10,
-        (lo < c1 * (1 - 1e-10) - tol) | (hi > c2 * (1 + 1e-10) + tol),
-    )
-    failures = [()] * n
-    for k in np.flatnonzero(np.any(checks, axis=0)):
-        b1, b2 = float(c1[k]), float(c2[k])
-        messages = (
-            f"||A||^2 = {op2[k]:.6e} outside [{b1:.6e}, {b2:.6e}]",
-            f"frame operator not invertible: lambda_min = {b1:.3e}",
-            f"analysis identity deviation {dev[k]:.3e}",
-            f"probe sums [{lo[k]:.6e}, {hi[k]:.6e}] escape bounds [{b1}, {b2}]",
+    certificates = []
+    for frame, (vectors, start, _) in zip(frames, stacks):
+        c1, c2 = np.reshape(frame.lower_bound, -1), np.reshape(frame.upper_bound, -1)
+        dev, lo, hi = measured[:, start : start + len(vectors)]
+        # LAPACK SVD of A itself, independent of the frame operator the bounds came from
+        svals = np.linalg.svd(vectors, compute_uv=False)
+        op2 = svals[:, 0] ** 2
+        rank = np.sum(svals > 1e-12 * svals[:, :1], axis=-1)
+        scale = np.maximum(1.0, c2)
+        checks = (
+            ~((c1 - tol * scale <= op2) & (op2 <= c2 + tol * scale)),
+            ~(c1 > 0),
+            dev > 1e-10,
+            (lo < c1 * (1 - 1e-10) - tol) | (hi > c2 * (1 + 1e-10) + tol),
         )
-        failures[k] = tuple(m for m, failed in zip(messages, checks) if failed[k])
-    fields = {
-        "lower_bound": c1,
-        "upper_bound": c2,
-        "op_norm_sq": op2,
-        "analysis_identity_dev": dev,
-        "rank": rank,
-        "passed": ~np.any(checks, axis=0),
-    }
-    return SynthesisCertificate(
-        dim=dim,
-        count=count,
-        tolerance=tol,
-        failures=tuple(failures) if shape else failures[0],
-        **{key: _per_frame(value.reshape(shape)) for key, value in fields.items()},
-    )
+        failures = [()] * len(vectors)
+        for k in np.flatnonzero(np.any(checks, axis=0)):
+            b1, b2 = float(c1[k]), float(c2[k])
+            messages = (
+                f"||A||^2 = {op2[k]:.6e} outside [{b1:.6e}, {b2:.6e}]",
+                f"frame operator not invertible: lambda_min = {b1:.3e}",
+                f"analysis identity deviation {dev[k]:.3e}",
+                f"probe sums [{lo[k]:.6e}, {hi[k]:.6e}] escape bounds [{b1}, {b2}]",
+            )
+            failures[k] = tuple(m for m, failed in zip(messages, checks) if failed[k])
+        fields = {
+            "lower_bound": c1,
+            "upper_bound": c2,
+            "op_norm_sq": op2,
+            "analysis_identity_dev": dev,
+            "rank": rank,
+            "passed": ~np.any(checks, axis=0),
+        }
+        shape = frame.vectors.shape[:-2]
+        certificates.append(
+            SynthesisCertificate(
+                dim=frame.dim,
+                count=frame.count,
+                tolerance=tol,
+                failures=tuple(failures) if shape else failures[0],
+                **{key: _per_frame(value.reshape(shape)) for key, value in fields.items()},
+            )
+        )
+    return certificates
 
 
 def _frame_operators(vectors: np.ndarray) -> np.ndarray:
     """S = sum_n f_n f_n* (made exactly Hermitian) of a frame or of each frame in a stack."""
     s = vectors @ np.conj(vectors).swapaxes(-1, -2)
-    return 0.5 * (s + np.conj(s).swapaxes(-1, -2))
+    s += np.conj(s).swapaxes(-1, -2)
+    s *= 0.5
+    return s
 
 
 def _bounds(vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -322,13 +350,18 @@ def rescale_lower_bound_one(frame: Frame) -> Frame:
 class TrialGroup:
     """The trials of a FrameEnsemble that share one frame count.
 
-    `indices` are the trial indices i (trial seed = ensemble seed + i);
-    `onb` stacks their ONBs and `raw` their raw trial frames.
+    `indices` are the trial indices i and `seeds` their trial seeds
+    (ensemble seed + i); `raw` stacks their raw trial frames and `onb` their
+    ONBs, built on each read and not kept (a walk reads them once).
     """
 
     indices: range
-    onb: Frame
+    seeds: range
     raw: Frame
+
+    @property
+    def onb(self) -> Frame:
+        return Frame.of(_onb_stack(self.raw.dim, self.seeds))
 
 
 class FrameEnsemble:
@@ -337,9 +370,9 @@ class FrameEnsemble:
     Trial i (0 <= i < trials) is the orthonormal basis random_onb(dim, seed + i)
     and the raw frame random_frame(dim, dim + (i % dim) + 1, TRIAL_CONDITION,
     seed + i).  Trials are grouped by frame count into `groups`, each holding
-    the read-only ONB and raw-frame stacks with their bounds; the Parseval
-    and rescaled variants are derived from the stacks when a certificate
-    asks.  Results do not depend on evaluation order.
+    the read-only raw-frame stack with its bounds.  A walk of the groups
+    builds the ONB stack and derives the Parseval and rescaled variants in a
+    _TrialStacks.  Results do not depend on evaluation order.
     """
 
     def __init__(self, dim: int, trials: int, seed: int):
@@ -349,23 +382,28 @@ class FrameEnsemble:
         self.dim, self.trials, self.seed = dim, trials, seed
         groups = []
         for residue in range(min(dim, trials)):
-            indices = range(residue, trials, dim)
-            seeds = [seed + i for i in indices]
-            onb = Frame.of(_onb_stack(dim, seeds))
+            seeds = range(seed + residue, seed + trials, dim)
             raw = _random_frames(dim, dim + residue + 1, TRIAL_CONDITION, seeds)
-            groups.append(TrialGroup(indices, onb, raw))
+            groups.append(TrialGroup(range(residue, trials, dim), seeds, raw))
         self.groups: tuple[TrialGroup, ...] = tuple(groups)
 
-    def regime_stacks(self, parseval: bool):
-        """Yield the sampled stacks of one regime, group by group.
 
-        Each group gives its ONBs, then its raw frames made Parseval
-        (``parseval=True``, the inf regime) or rescaled to upper bound 1
-        (the sup regime).
-        """
-        for group in self.groups:
-            yield group.onb
-            yield canonical_parseval(group.raw) if parseval else rescale_upper_bound_one(group.raw)
+class _TrialStacks:
+    """One group's trial frames and the stacks derived from them, each made on first read.
+
+    `onb` is the group's ONB stack; `parseval`, `upper_one` and `lower_one`
+    are its raw frames made Parseval (the inf regime) and rescaled to upper
+    bound 1 (the sup regime) or to lower bound 1.  A walk makes one
+    _TrialStacks per group and drops it before the next group.
+    """
+
+    def __init__(self, group: TrialGroup):
+        self.group, self.raw = group, group.raw
+
+    onb = cached_property(lambda self: self.group.onb)
+    parseval = cached_property(lambda self: canonical_parseval(self.raw))
+    upper_one = cached_property(lambda self: rescale_upper_bound_one(self.raw))
+    lower_one = cached_property(lambda self: rescale_lower_bound_one(self.raw))
 
 
 def _phase_fix(q: np.ndarray) -> np.ndarray:

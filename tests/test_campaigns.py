@@ -22,6 +22,7 @@ from schattenframes.campaigns import (
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "verify_dim3_trials20.json"
 GOLDEN_DEFAULT = DATA / "verify_default.json"
+GOLDEN_SCALED = DATA / "verify_dim16_trials48.json"
 
 
 def test_golden_report():
@@ -39,6 +40,15 @@ def test_golden_default_report():
     report = run_verify_theorems(CampaignConfig(command="verify-theorems"))
     actual = json.loads(json.dumps(report.numeric_content()))
     assert_same_report(actual, json.loads(GOLDEN_DEFAULT.read_text()))
+
+
+def test_golden_scaled_report():
+    """numeric_content() of `verify-theorems --dim 16 --trials 48`, recorded
+    before the certificates and the synthesis checks shared one walk of the
+    trial ensemble (numpy 2.4, OpenBLAS)."""
+    report = run_verify_theorems(CampaignConfig(command="verify-theorems", dim=16, trials=48))
+    actual = json.loads(json.dumps(report.numeric_content()))
+    assert_same_report(actual, json.loads(GOLDEN_SCALED.read_text()))
 
 
 def _norm_estimate(tmp_path, strategy):
@@ -134,10 +144,11 @@ def test_each_trial_frame_generated_once(counts):
     enclosure = family_frames(dim, trials, seed + 2000)
     assert set(counts.frames) == sampled | enclosure
     assert set(counts.frames.values()) == {1}
-    trial_onbs = [seed + i for i in range(trials)] + [seed + 2000 + i for i in range(trials)]
-    assert [counts.onb_seeds[s] for s in trial_onbs] == [1] * len(trial_onbs)
+    assert [counts.onb_seeds[seed + i] for i in range(trials)] == [1] * trials
+    # the enclosure reads raw frames only, so the ONBs of its trials are never built
+    assert [counts.onb_seeds[seed + 2000 + i] for i in range(trials)] == [0] * trials
     # the other ONBs are the blocks the frame generator draws: two per trial frame here
-    assert sum(counts.onb_seeds.values()) == len(trial_onbs) + 2 * len(counts.frames)
+    assert sum(counts.onb_seeds.values()) == trials + 2 * len(counts.frames)
     pair_operators = [seed + 1000 + i for i in range(trials)]
     assert [counts.operators[s] for s in pair_operators] == [1] * trials
     assert len(counts.ensembles) == 2
@@ -161,21 +172,25 @@ def test_norm_estimate_rejects_p_outside_open_half_line(tmp_path, p):
 
 
 def test_verify_derives_each_regime_stack_once_per_certificate(monkeypatch):
-    """Each certificate walks every regime of its p-grid once: at the default
-    config the certificates derive 24 Parseval and 32 upper-bound-one stacks,
-    and the synthesis variants 16 of each."""
+    """The certificates and the synthesis checks share one walk of the ensemble:
+    at the default config each of the 8 groups makes its raw frames Parseval
+    and rescales them to upper bound 1 once, and the synthesis checks do the
+    same once to its ONBs, so 16 of each in all."""
     calls = collections.Counter()
-    for name in ("canonical_parseval", "rescale_upper_bound_one"):
 
-        def counted(frame, name=name, derive=getattr(frames, name)):
+    def counted(name, derive):
+        def wrapper(*args):
             calls[name] += 1
-            return derive(frame)
+            return derive(*args)
 
-        monkeypatch.setattr(frames, name, counted)
-        monkeypatch.setattr(campaigns, name, counted)
+        return wrapper
+
+    monkeypatch.setattr(frames, "_parseval_vectors", counted("parseval", frames._parseval_vectors))
+    upper_one = counted("upper_one", frames.rescale_upper_bound_one)
+    monkeypatch.setattr(frames, "rescale_upper_bound_one", upper_one)
+    monkeypatch.setattr(campaigns, "rescale_upper_bound_one", upper_one)
     assert run_verify_theorems(CampaignConfig(command="verify-theorems")).passed
-    assert 0 < calls["canonical_parseval"] <= 40
-    assert 0 < calls["rescale_upper_bound_one"] <= 48
+    assert calls == {"parseval": 16, "upper_one": 16}
 
 
 def test_bergman_builds_each_kernel_base_once(monkeypatch):
@@ -229,3 +244,18 @@ def test_bergman_traced_peak_memory(dim, limit_mib):
     finally:
         tracemalloc.stop()
     assert peak <= limit_mib * 2**20
+
+
+def test_verify_traced_peak_memory():
+    """The walk of the trial ensemble holds one group's stacks and one trial
+    seed's synthesis probes at a time: the peak reads 1.28 MiB at the default
+    config, where holding a group's 25 probe matrices (1.87 MiB) or every
+    group's derived stacks (2.24 MiB) at once would pass the bound."""
+    run_verify_theorems(CampaignConfig(command="verify-theorems", dim=2, trials=1))
+    tracemalloc.start()
+    try:
+        run_verify_theorems(CampaignConfig(command="verify-theorems"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * 2**20

@@ -98,6 +98,7 @@ INVALID_INPUTS = {
     "p-grid-nan": (["--p-grid", "nan,1"], None, "p_grid"),
     "p-grid-inf": (["--p-grid", "inf"], None, "p_grid"),
     "p-grid-string": ([], {"p-grid": "1,2"}, "p_grid"),
+    "p-grid-word": (["--p-grid", "1,abc"], None, "p-grid must be comma-separated numbers, got '1,abc'"),
     "unknown-key": ([], {"dimm": 3}, "dimm"),
     "string-dim": ([], {"dim": "3"}, "dim"),
     "top-level-list": ([], [3], "JSON object"),

@@ -1,6 +1,7 @@
 """Frame-sum functionals and norm certificates."""
 
 import collections
+import dataclasses
 import re
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import seeded_hermitians, seeded_operators, seeded_psds
-from schattenframes import criteria
+from schattenframes import criteria, frames
 from schattenframes.constructions import truncated_shift
 from schattenframes.criteria import (
     _witness_budget,
@@ -25,6 +26,7 @@ from schattenframes.criteria import (
 )
 from schattenframes.frames import (
     FrameEnsemble,
+    _TrialStacks,
     canonical_parseval,
     make_frame,
     random_frame,
@@ -304,23 +306,58 @@ class TestCertificateGrid:
                     budget = _witness_budget(p, n_terms, float(scale[id(t)]))
                     assert abs(rep.witness_value - rep.norm_value) <= slack + budget
                     assert rep.equality_witness
+        # the campaign's path: the jobs of every call sampled in one walk of the ensemble
+        job_of = {
+            certify_norm_formula: criteria._norm_job,
+            certify_diag_formula: criteria._diag_job,
+            certify_double_formula: criteria._double_job,
+        }
+        jobs = [job_of[certify](t, ps, **extra) for certify, t, ps, extra, *_ in calls]
+        walked = criteria._certify(ensemble, jobs, 1e-9)
+        for (certify, t, ps, extra, *_), reports in zip(calls, walked):
+            assert repr(reports) == repr(certify(t, ps, ensemble=ensemble, **extra))
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(
+        dim=st.integers(1, 5),
+        trials=st.integers(1, 10),
+        grid=P_GRID,
+        seed=st.integers(0, 2**16),
+    )
+    def test_double_sum_comparison_grid_equals_one_p_calls(self, dim, trials, grid, seed):
+        group = FrameEnsemble(dim, trials, seed).groups[0]
+        ops = np.stack(seeded_operators(dim, len(group.indices), seed))
+        for t, frame in ((ops, group.raw), (ops[0], group.raw[0])):  # a stack, one frame
+            comparisons = double_sum_comparison(t, frame, grid)
+            assert len(comparisons) == len(grid)
+            for p, comparison in zip(grid, comparisons):
+                expected = double_sum_comparison(t, frame, p)
+                for field in dataclasses.fields(expected):
+                    value, one_p = getattr(comparison, field.name), getattr(expected, field.name)
+                    assert repr(np.asarray(value).tolist()) == repr(np.asarray(one_p).tolist())
 
     def test_decomposes_once_and_walks_each_regime_once(self, monkeypatch):
         calls = collections.Counter()
         for name in ("svd", "hermitian_eigen"):
             monkeypatch.setattr(criteria, name, counted(calls, name, getattr(criteria, name)))
-        walk = FrameEnsemble.regime_stacks
-        monkeypatch.setattr(FrameEnsemble, "regime_stacks", counted(calls, "walk", walk))
+        # one _TrialStacks per group and walk; each derives a regime's stack once
+        monkeypatch.setattr(criteria, "_TrialStacks", counted(calls, "group", _TrialStacks))
+        for name in ("canonical_parseval", "rescale_upper_bound_one"):
+            monkeypatch.setattr(frames, name, counted(calls, name, getattr(frames, name)))
         ensemble = FrameEnsemble(3, 7, 0)
         hermitian = seeded_hermitians(3, 1, 40)[0]
         reports = certify_double_formula(hermitian, [0.5, 1.0, 2.0, 3.0, 1.5], ensemble=ensemble)
         directions = [rep.direction for rep in reports]
         # sup at p = 2 even for a Hermitian operator
         assert directions == ["inf_above", "inf_above", "sup_below", "sup_below", "inf_above"]
-        assert calls == {"svd": 1, "hermitian_eigen": 1, "walk": 2}
+        groups = len(ensemble.groups)
+        assert calls == {
+            "svd": 1, "hermitian_eigen": 1, "group": groups,
+            "canonical_parseval": groups, "rescale_upper_bound_one": groups,
+        }
         calls.clear()
         certify_norm_formula(hermitian, [3.0, 4.0, 5.0], ensemble=ensemble)
-        assert calls == {"svd": 1, "walk": 1}
+        assert calls == {"svd": 1, "group": groups, "rescale_upper_bound_one": groups}
 
     def test_rejections_name_the_offending_p(self):
         shift = np.array([[0.0, 1.0], [0.0, 0.0]])

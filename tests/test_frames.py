@@ -21,6 +21,7 @@ from schattenframes.frames import (
     TRIAL_CONDITION,
     Frame,
     FrameEnsemble,
+    _TrialStacks,
     canonical_parseval,
     certify_synthesis,
     make_frame,
@@ -425,15 +426,32 @@ class TestFrameEnsemble:
             FrameEnsemble(0, 3, 0)
 
     def test_regime_stacks(self):
-        ensemble = FrameEnsemble(3, 6, 2)
-        for parseval in (True, False):
-            stacks = list(ensemble.regime_stacks(parseval))
-            assert len(stacks) == 2 * len(ensemble.groups)
-            for onb, variant in zip(stacks[::2], stacks[1::2]):
-                np.testing.assert_allclose(onb.upper_bound, 1.0, atol=1e-12)
-                np.testing.assert_allclose(variant.upper_bound, 1.0, atol=1e-12)
-                if parseval:
-                    np.testing.assert_allclose(variant.lower_bound, 1.0, atol=1e-12)
+        """The stacks a walk derives from a group's raw frames, each made once."""
+        for group in FrameEnsemble(3, 6, 2).groups:
+            stacks = _TrialStacks(group)
+            np.testing.assert_allclose(stacks.onb.upper_bound, 1.0, atol=1e-12)
+            for name in ("parseval", "upper_one"):
+                np.testing.assert_allclose(getattr(stacks, name).upper_bound, 1.0, atol=1e-12)
+            for name in ("parseval", "lower_one"):
+                np.testing.assert_allclose(getattr(stacks, name).lower_bound, 1.0, atol=1e-12)
+            assert all(getattr(stacks, name) is getattr(stacks, name)
+                       for name in ("parseval", "upper_one", "lower_one"))
+
+    def test_onbs_built_when_read(self, monkeypatch):
+        built = []
+        onb_stack = frames._onb_stack
+
+        def counted(dim, seeds):
+            built.append(list(seeds))
+            return onb_stack(dim, seeds)
+
+        ensemble = FrameEnsemble(3, 7, 4)
+        monkeypatch.setattr(frames, "_onb_stack", counted)
+        group = ensemble.groups[1]
+        assert built == [] and list(group.seeds) == [5, 8]
+        stacks = _TrialStacks(group)
+        assert stacks.onb is stacks.onb
+        assert built == [[5, 8]]
 
 
 def assert_same_certificate(stacked, k, single):
@@ -464,7 +482,9 @@ def reference_synthesis_measurements(frame, seed, n_probes=200):
 
 
 def synthesis_variants(stack):
-    return Frame.concat([stack, canonical_parseval(stack), rescale_upper_bound_one(stack)])
+    """The stack, its Parseval and its upper-bound-one variants joined in one stack."""
+    variants = (stack, canonical_parseval(stack), rescale_upper_bound_one(stack))
+    return Frame.of(np.concatenate([variant.vectors for variant in variants]))
 
 
 class TestStackedSynthesisCertificate:
@@ -570,6 +590,13 @@ def test_stack_members_equal_one_frame_path(dim, extra, n, exponent, p, seed):
         for k in range(n):
             assert_same_frame(stacked, k, variant(singles[k]))
     cert = certify_synthesis(stack, seed=seeds)
+    # stacks of several shapes in one call share each seed's probes
+    joint = frames._certify_synthesis([stack, singles[0]], [seeds, seeds[0]], 1e-9)
+    for together, alone in zip(joint, (cert, certify_synthesis(singles[0], seed=seeds[0]))):
+        for field in dataclasses.fields(alone):
+            value, expected = getattr(together, field.name), getattr(alone, field.name)
+            same = value == expected if field.name == "failures" else np.array_equal(value, expected)
+            assert same, field.name
     comparison = double_sum_comparison(ops, stack, p)
     for k, single in enumerate(singles):
         assert_same_certificate(cert, k, certify_synthesis(single, seed=seeds[k]))
