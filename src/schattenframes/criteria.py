@@ -299,8 +299,8 @@ def _certify(ensemble: FrameEnsemble, jobs, tol: float, visit=None) -> list:
                 derived_terms = _terms(job.kind, job.t, derived.vectors)
                 walks = [(job.kind, onb_terms), (job.kind, derived_terms)]
                 if regime and job.kind == "diag":  # the inf regime also samples weighted sums
-                    lower_one = stacks.lower_one.vectors
-                    walks.append(("weighted_diag", _terms("weighted_diag", job.t, lower_one)))
+                    weighted = _terms("weighted_diag", job.t, stacks.lower_one)
+                    walks.append(("weighted_diag", weighted))
                 fold, reduce = (np.minimum, np.min) if regime else (np.maximum, np.max)
                 for j in np.flatnonzero(np.equal(job.inf, regime)):
                     for kind, terms in walks:

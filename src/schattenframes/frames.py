@@ -391,10 +391,11 @@ class FrameEnsemble:
 class _TrialStacks:
     """One group's trial frames and the stacks derived from them, each made on first read.
 
-    `onb` is the group's ONB stack; `parseval`, `upper_one` and `lower_one`
-    are its raw frames made Parseval (the inf regime) and rescaled to upper
-    bound 1 (the sup regime) or to lower bound 1.  A walk makes one
-    _TrialStacks per group and drops it before the next group.
+    `onb` is the group's ONB stack; `parseval` and `upper_one` are its raw
+    frames made Parseval (the inf regime) and rescaled to upper bound 1 (the
+    sup regime).  `lower_one` is the vectors alone of the raw frames
+    rescaled to lower bound 1, as no reader needs their bounds.  A walk
+    makes one _TrialStacks per group and drops it before the next group.
     """
 
     def __init__(self, group: TrialGroup):
@@ -403,7 +404,9 @@ class _TrialStacks:
     onb = cached_property(lambda self: self.group.onb)
     parseval = cached_property(lambda self: canonical_parseval(self.raw))
     upper_one = cached_property(lambda self: rescale_upper_bound_one(self.raw))
-    lower_one = cached_property(lambda self: rescale_lower_bound_one(self.raw))
+    lower_one = cached_property(
+        lambda self: self.raw.vectors / np.sqrt(self.raw.lower_bound)[..., None, None]
+    )
 
 
 def _phase_fix(q: np.ndarray) -> np.ndarray:

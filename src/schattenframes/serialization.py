@@ -11,12 +11,15 @@ from __future__ import annotations
 import csv
 import json
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .constructions import GrowthSeries
 from .frames import Frame, _one_frame, make_frame
 from .linalg import _check_count, as_matrix
+
+if TYPE_CHECKING:  # only the counterexamples command loads constructions
+    from .constructions import GrowthSeries
 
 __all__ = [
     "matrix_to_dict",

@@ -93,7 +93,13 @@ class TestConfigFile:
         assert main(["verify-theorems", "--config", str(cfg)]) == 2
 
 
-# (flags, config file contents or None, text the error must name)
+# a 2 x 2 matrix whose ||T||_p^p at p = 0.5 is 2e154, with no representable p-th root
+HUGE = {"rows": 2, "cols": 2, "re": [1e308, 0.0, 0.0, 1e308], "im": [0.0] * 4}
+ESTIMATE_HUGE = ["norm-estimate", "huge.json", "--p", "0.5"]
+NO_ROOT = "||T||_p^p = 2e+154 at p = 0.5 has no representable p-th root"
+
+# (verify-theorems flags or a norm-estimate argv, config file contents or None,
+# text the error must name)
 INVALID_INPUTS = {
     "p-grid-nan": (["--p-grid", "nan,1"], None, "p_grid"),
     "p-grid-inf": (["--p-grid", "inf"], None, "p_grid"),
@@ -116,6 +122,8 @@ INVALID_INPUTS = {
     "tolerance-nan": ([], {"tolerances": {"certificate": float("nan")}}, "tolerances"),
     "tolerance-unknown-name": ([], {"tolerances": {"certifcate": 1e-3}}, "certifcate"),
     "output-dir-number": ([], {"output_dir": 5}, "output_dir"),
+    "root-overflow-exact": (ESTIMATE_HUGE, None, NO_ROOT),
+    "root-overflow-ensemble": ([*ESTIMATE_HUGE, "--strategy", "frame_ensemble"], None, NO_ROOT),
 }
 
 
@@ -148,13 +156,18 @@ class TestInvalidInput:
         self, tmp_path, monkeypatch, capsys, flags, config, named
     ):
         monkeypatch.chdir(tmp_path)  # the default report directory is relative
-        args = ["verify-theorems", *flags]
+        args, inputs = ["verify-theorems", *flags], []
+        if flags[:1] == ["norm-estimate"]:
+            args = list(flags)
+            inputs.append("huge.json")
+            Path("huge.json").write_text(json.dumps(HUGE))
         if config is not None:
             Path("cfg.json").write_text(json.dumps(config))
             args += ["--config", "cfg.json"]
+            inputs.append("cfg.json")
         assert main(args) == 2
         assert named in capsys.readouterr().err
-        assert sorted(p.name for p in tmp_path.iterdir()) == (["cfg.json"] if config else [])
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(inputs)
 
 
 # Front-door inputs: each parameter is a flag, a config-file entry or absent.

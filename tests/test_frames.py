@@ -432,8 +432,10 @@ class TestFrameEnsemble:
             np.testing.assert_allclose(stacks.onb.upper_bound, 1.0, atol=1e-12)
             for name in ("parseval", "upper_one"):
                 np.testing.assert_allclose(getattr(stacks, name).upper_bound, 1.0, atol=1e-12)
-            for name in ("parseval", "lower_one"):
-                np.testing.assert_allclose(getattr(stacks, name).lower_bound, 1.0, atol=1e-12)
+            np.testing.assert_allclose(stacks.parseval.lower_bound, 1.0, atol=1e-12)
+            # the vectors alone of the public rescale, whose bounds its own tests check
+            lower_one = rescale_lower_bound_one(group.raw).vectors
+            np.testing.assert_array_equal(stacks.lower_one, lower_one)
             assert all(getattr(stacks, name) is getattr(stacks, name)
                        for name in ("parseval", "upper_one", "lower_one"))
 
