@@ -19,14 +19,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import serialization
-from .frames import (
-    FrameEnsemble,
-    _certify_synthesis,
-    canonical_parseval,
-    certify_synthesis,
-    make_frame,
-    rescale_upper_bound_one,
-)
+from .frames import Frame, FrameEnsemble, _certify_synthesis, certify_synthesis, make_frame
 from .linalg import _check_count, _check_p, _check_seed, schatten_norm, svd
 
 # the run functions import the modules only their command runs
@@ -195,42 +188,6 @@ def random_psd(dim: int, seed: int) -> np.ndarray:
     return (g @ g.conj().T) / dim
 
 
-def _enclosure_records(config: CampaignConfig, tol: float) -> list[dict]:
-    """One double_sum_enclosure record per p, over seeded (operator, frame) pairs.
-
-    Pair i is random_operator(dim, seed + 1000 + i) with the raw frame of
-    trial i of a FrameEnsemble on seed + 2000; each group of pairs is built
-    once and compared at every p.
-    """
-    from . import criteria
-    pairs = FrameEnsemble(config.dim, min(config.trials, 200), config.seed + 2000)
-    upper, lower = ([[] for _ in config.p_grid] for _ in range(2))
-    passed = [True] * len(config.p_grid)
-    for group in pairs.groups:
-        ops = np.stack([random_operator(config.dim, config.seed + 1000 + i) for i in group.indices])
-        comps = criteria.double_sum_comparison(ops, group.raw, config.p_grid, tol)
-        for j, comp in enumerate(comps):
-            passed[j] = passed[j] and bool(np.all(comp.passed))
-            lhs, rhs = comp.double_sum, comp.norm_sum
-            scale = np.maximum(1.0, lhs)
-            if comp.upper_constant is not None:
-                upper[j].append(np.min((comp.upper_constant * rhs - lhs) / scale))
-            if comp.lower_constant is not None:
-                lower[j].append(np.min((lhs - comp.lower_constant * rhs) / scale))
-    return [
-        {
-            "tag": "double_sum_enclosure",
-            "p": p,
-            "trials": pairs.trials,
-            "min_upper_margin": float(min(upper[j])) if upper[j] else None,
-            "min_lower_margin": float(min(lower[j])) if lower[j] else None,
-            "tolerance": tol,
-            "passed": passed[j],
-        }
-        for j, p in enumerate(config.p_grid)
-    ]
-
-
 def run_verify_theorems(config: CampaignConfig) -> CampaignReport:
     """Execute every certificate family over one seeded FrameEnsemble, walked once."""
     from . import criteria
@@ -243,7 +200,6 @@ def run_verify_theorems(config: CampaignConfig) -> CampaignReport:
     hermitian = random_hermitian(dim, seed + 22)
     psd = random_psd(dim, seed + 33)
 
-    enclosures = _enclosure_records(config, tol)
     ensemble = FrameEnsemble(dim, trials, seed)
     # each certificate runs once over the exponents of the grid it applies to;
     # the records of one p are its certificates in this order, then its enclosure
@@ -258,20 +214,45 @@ def run_verify_theorems(config: CampaignConfig) -> CampaignReport:
     at = [[j for j, p in enumerate(config.p_grid) if applies(p)] for _, _, applies in checks]
     jobs = [job(op, [config.p_grid[j] for j in js]) for (job, op, _), js in zip(checks, at) if js]
     synthesis = []  # the certificates of each group's ONB and raw-frame variants
+    enclosures = []  # each group's double-sum comparisons, one per p
 
-    def check_synthesis(stacks):
-        # the six variants of a trial share its probe seed; they stay six stacks,
-        # as a joined copy of the stacks the walk holds would raise the peak RSS
-        onb = [stacks.onb, canonical_parseval(stacks.onb), rescale_upper_bound_one(stacks.onb)]
-        variants = onb + [stacks.raw, stacks.parseval, stacks.upper_one]
-        synthesis.extend(_certify_synthesis(variants, [stacks.group.seeds] * 6, tol))
+    def visit(stacks):
+        # the ONB, raw, Parseval and upper-bound-one frames of a trial share its
+        # probe seed; they stay four stacks, as a joined copy of the stacks the
+        # walk holds would raise the peak RSS
+        group = stacks.group
+        onb, parseval, upper_one = map(Frame.of, (stacks.onb, stacks.parseval, stacks.upper_one))
+        variants = [onb, group.raw, parseval, upper_one]
+        synthesis.extend(_certify_synthesis(variants, [group.seeds] * 4, tol))
+        # trial i's raw frame is paired with operator seed + 1000 + i
+        ops = np.stack([random_operator(dim, seed + 1000 + i) for i in group.indices])
+        enclosures.append(criteria.double_sum_comparison(ops, group.raw, config.p_grid, tol))
 
     per_p: list[list[dict]] = [[] for _ in config.p_grid]
-    reports = criteria._certify(ensemble, jobs, tol, visit=check_synthesis)
+    reports = criteria._certify(ensemble, jobs, tol, visit=visit)
     for js, job_reports in zip([js for js in at if js], reports):
         for j, rep in zip(js, job_reports):
             per_p[j].append(asdict(rep))
-    for certificates, enclosure in zip(per_p, enclosures):
+    for p, certificates, comps in zip(config.p_grid, per_p, zip(*enclosures)):
+        upper = [
+            np.min((c.upper_constant * c.norm_sum - c.double_sum) / np.maximum(1.0, c.double_sum))
+            for c in comps
+            if c.upper_constant is not None
+        ]
+        lower = [
+            np.min((c.double_sum - c.lower_constant * c.norm_sum) / np.maximum(1.0, c.double_sum))
+            for c in comps
+            if c.lower_constant is not None
+        ]
+        enclosure = {
+            "tag": "double_sum_enclosure",
+            "p": p,
+            "trials": trials,
+            "min_upper_margin": float(min(upper)) if upper else None,
+            "min_lower_margin": float(min(lower)) if lower else None,
+            "tolerance": tol,
+            "passed": all(np.all(c.passed) for c in comps),
+        }
         records += certificates + [enclosure]
 
     for tag, op in (("trace_endpoint", psd), ("hs_endpoint", general)):

@@ -284,8 +284,8 @@ def _certify(ensemble: FrameEnsemble, jobs, tol: float, visit=None) -> list:
 
     Each ps[j] of a job is sampled over the ONBs and the raw frames of its
     regime, made Parseval when inf[j] and rescaled to upper bound one
-    otherwise.  A group's stacks are made once, when a job first reads them,
-    and dropped before the next group; a job takes the terms of a stack
+    otherwise.  A group's stacks are bare vectors, made once when a job first
+    reads them and dropped before the next group; a job takes the terms of a stack
     once, and only the power map and sum run per p.  `visit`, if given, is
     called with each group's _TrialStacks after the jobs have read them.
     """
@@ -293,10 +293,10 @@ def _certify(ensemble: FrameEnsemble, jobs, tol: float, visit=None) -> list:
     for group in ensemble.groups:
         stacks = _TrialStacks(group)
         for job, extreme in zip(jobs, extremes):
-            onb_terms = _terms(job.kind, job.t, stacks.onb.vectors)
+            onb_terms = _terms(job.kind, job.t, stacks.onb)
             for regime in dict.fromkeys(job.inf):
                 derived = stacks.parseval if regime else stacks.upper_one
-                derived_terms = _terms(job.kind, job.t, derived.vectors)
+                derived_terms = _terms(job.kind, job.t, derived)
                 walks = [(job.kind, onb_terms), (job.kind, derived_terms)]
                 if regime and job.kind == "diag":  # the inf regime also samples weighted sums
                     weighted = _terms("weighted_diag", job.t, stacks.lower_one)

@@ -371,8 +371,10 @@ class FrameEnsemble:
     and the raw frame random_frame(dim, dim + (i % dim) + 1, TRIAL_CONDITION,
     seed + i).  Trials are grouped by frame count into `groups`, each holding
     the read-only raw-frame stack with its bounds.  A walk of the groups
-    builds the ONB stack and derives the Parseval and rescaled variants in a
-    _TrialStacks.  Results do not depend on evaluation order.
+    builds the ONB vectors and derives the vectors of the Parseval and
+    rescaled variants in a _TrialStacks.  A campaign builds one ensemble and
+    every check it samples reads it.  Results do not depend on evaluation
+    order.
     """
 
     def __init__(self, dim: int, trials: int, seed: int):
@@ -389,21 +391,24 @@ class FrameEnsemble:
 
 
 class _TrialStacks:
-    """One group's trial frames and the stacks derived from them, each made on first read.
+    """The vectors of one group's trial stacks, each made on first read.
 
-    `onb` is the group's ONB stack; `parseval` and `upper_one` are its raw
-    frames made Parseval (the inf regime) and rescaled to upper bound 1 (the
-    sup regime).  `lower_one` is the vectors alone of the raw frames
-    rescaled to lower bound 1, as no reader needs their bounds.  A walk
-    makes one _TrialStacks per group and drops it before the next group.
+    `onb` is the group's ONB vectors; `parseval`, `upper_one` and `lower_one`
+    are its raw frames made Parseval (the inf regime) and rescaled to upper
+    bound 1 (the sup regime) and to lower bound 1.  They are bare
+    (n, dim, count) arrays without bounds, as the sums read nothing else; a
+    reader that needs bounds builds the Frame with `Frame.of`.  A walk makes
+    one _TrialStacks per group and drops it before the next group.
     """
 
     def __init__(self, group: TrialGroup):
         self.group, self.raw = group, group.raw
 
-    onb = cached_property(lambda self: self.group.onb)
-    parseval = cached_property(lambda self: canonical_parseval(self.raw))
-    upper_one = cached_property(lambda self: rescale_upper_bound_one(self.raw))
+    onb = cached_property(lambda self: _onb_stack(self.raw.dim, self.group.seeds))
+    parseval = cached_property(lambda self: _parseval_vectors(self.raw.vectors))
+    upper_one = cached_property(
+        lambda self: self.raw.vectors / np.sqrt(self.raw.upper_bound)[..., None, None]
+    )
     lower_one = cached_property(
         lambda self: self.raw.vectors / np.sqrt(self.raw.lower_bound)[..., None, None]
     )

@@ -174,7 +174,8 @@ def svd(t) -> SpectralData:
 
     Values at or below the noise floor max(rows, cols) * eps * s_1 are
     reported as exact zeros: they are indistinguishable from rounding noise,
-    and for p < 1 that noise would otherwise leak into p-th power sums.
+    and for p < 1 that noise would otherwise leak into p-th power sums.  An
+    s_1 that overflows raises a ValueError naming the scale of T.
 
     The right factor is requested in full, so `right_basis` is an
     orthonormal basis of C^cols whose first min(rows, cols) columns are the
@@ -183,6 +184,9 @@ def svd(t) -> SpectralData:
     t = as_matrix(t)
     rows, cols = t.shape
     left, s, vh = np.linalg.svd(t, full_matrices=cols > rows)
+    if not np.isfinite(s[0]):
+        scale = np.abs(t.view(float)).max()  # real and imaginary parts: their modulus may overflow
+        raise ValueError(f"s_1 overflows at the scale of T: entries reach {scale:.3e}")
     s[s <= max(rows, cols) * np.finfo(float).eps * s[0]] = 0.0
     basis = vh.conj().T
     for arr in (s, left, basis):

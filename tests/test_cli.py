@@ -97,6 +97,9 @@ class TestConfigFile:
 HUGE = {"rows": 2, "cols": 2, "re": [1e308, 0.0, 0.0, 1e308], "im": [0.0] * 4}
 ESTIMATE_HUGE = ["norm-estimate", "huge.json", "--p", "0.5"]
 NO_ROOT = "||T||_p^p = 2e+154 at p = 0.5 has no representable p-th root"
+# a 2 x 2 matrix of 1e308s, whose largest singular value 2e308 overflows
+OVERFLOW = {"rows": 2, "cols": 2, "re": [1e308] * 4, "im": [0.0] * 4}
+MATRIX_FILES = {"huge.json": HUGE, "overflow.json": OVERFLOW}
 
 # (verify-theorems flags or a norm-estimate argv, config file contents or None,
 # text the error must name)
@@ -124,6 +127,11 @@ INVALID_INPUTS = {
     "output-dir-number": ([], {"output_dir": 5}, "output_dir"),
     "root-overflow-exact": (ESTIMATE_HUGE, None, NO_ROOT),
     "root-overflow-ensemble": ([*ESTIMATE_HUGE, "--strategy", "frame_ensemble"], None, NO_ROOT),
+    "singular-value-overflow": (
+        ["norm-estimate", "overflow.json", "--p", "2"],
+        None,
+        "error: s_1 overflows at the scale of T: entries reach 1.000e+308",
+    ),
 }
 
 
@@ -159,8 +167,8 @@ class TestInvalidInput:
         args, inputs = ["verify-theorems", *flags], []
         if flags[:1] == ["norm-estimate"]:
             args = list(flags)
-            inputs.append("huge.json")
-            Path("huge.json").write_text(json.dumps(HUGE))
+            inputs.append(flags[1])
+            Path(flags[1]).write_text(json.dumps(MATRIX_FILES[flags[1]]))
         if config is not None:
             Path("cfg.json").write_text(json.dumps(config))
             args += ["--config", "cfg.json"]

@@ -341,9 +341,19 @@ class TestCertificateGrid:
         for name in ("svd", "hermitian_eigen"):
             monkeypatch.setattr(criteria, name, counted(calls, name, getattr(criteria, name)))
         # one _TrialStacks per group and walk; each derives a regime's stack once
-        monkeypatch.setattr(criteria, "_TrialStacks", counted(calls, "group", _TrialStacks))
-        for name in ("canonical_parseval", "rescale_upper_bound_one"):
-            monkeypatch.setattr(frames, name, counted(calls, name, getattr(frames, name)))
+        walked = []
+
+        def recorded(group):
+            calls["group"] += 1
+            walked.append(_TrialStacks(group))
+            return walked[-1]
+
+        monkeypatch.setattr(criteria, "_TrialStacks", recorded)
+        parseval = counted(calls, "parseval", frames._parseval_vectors)
+        monkeypatch.setattr(frames, "_parseval_vectors", parseval)
+        # the walk sums bare vectors: it builds no Frame
+        frame_of = counted(calls, "Frame.of", frames.Frame.of.__func__)
+        monkeypatch.setattr(frames.Frame, "of", classmethod(frame_of))
         ensemble = FrameEnsemble(3, 7, 0)
         hermitian = seeded_hermitians(3, 1, 40)[0]
         reports = certify_double_formula(hermitian, [0.5, 1.0, 2.0, 3.0, 1.5], ensemble=ensemble)
@@ -351,13 +361,15 @@ class TestCertificateGrid:
         # sup at p = 2 even for a Hermitian operator
         assert directions == ["inf_above", "inf_above", "sup_below", "sup_below", "inf_above"]
         groups = len(ensemble.groups)
-        assert calls == {
-            "svd": 1, "hermitian_eigen": 1, "group": groups,
-            "canonical_parseval": groups, "rescale_upper_bound_one": groups,
-        }
+        assert calls == {"svd": 1, "hermitian_eigen": 1, "group": groups, "parseval": groups}
+        for stacks in walked:
+            assert_walked_vectors(stacks, {"onb", "parseval", "upper_one"})
         calls.clear()
+        walked.clear()
         certify_norm_formula(hermitian, [3.0, 4.0, 5.0], ensemble=ensemble)
-        assert calls == {"svd": 1, "group": groups, "rescale_upper_bound_one": groups}
+        assert calls == {"svd": 1, "group": groups}
+        for stacks in walked:
+            assert_walked_vectors(stacks, {"onb", "upper_one"})
 
     def test_rejections_name_the_offending_p(self):
         shift = np.array([[0.0, 1.0], [0.0, 0.0]])
@@ -369,6 +381,20 @@ class TestCertificateGrid:
             certify_diag_formula(np.diag([1.0, 2.0]), [0.5, 2.0], direction="inf_above")
         with pytest.raises(ValueError, match="got nan"):
             certify_norm_formula(np.eye(2), [1.0, float("nan")], trials=2)
+
+
+def assert_walked_vectors(stacks, names):
+    """The stacks of a walked _TrialStacks are `names`, each bit for bit the
+    vectors of the public frame it stands for."""
+    group = stacks.group
+    public = {
+        "onb": group.onb,
+        "parseval": canonical_parseval(group.raw),
+        "upper_one": rescale_upper_bound_one(group.raw),
+    }
+    assert vars(stacks).keys() - {"group", "raw"} == names
+    for name in names:
+        assert vars(stacks)[name].tobytes() == public[name].vectors.tobytes(), name
 
 
 def counted(calls, name, fn):

@@ -426,18 +426,24 @@ class TestFrameEnsemble:
             FrameEnsemble(0, 3, 0)
 
     def test_regime_stacks(self):
-        """The stacks a walk derives from a group's raw frames, each made once."""
+        """The stacks a walk derives from a group's raw frames, each made once: the
+        vectors alone, bit for bit, of the public frames whose bounds are checked."""
         for group in FrameEnsemble(3, 6, 2).groups:
             stacks = _TrialStacks(group)
-            np.testing.assert_allclose(stacks.onb.upper_bound, 1.0, atol=1e-12)
+            public = {
+                "onb": group.onb,
+                "parseval": canonical_parseval(group.raw),
+                "upper_one": rescale_upper_bound_one(group.raw),
+                "lower_one": rescale_lower_bound_one(group.raw),
+            }
+            for name, frame in public.items():
+                vectors = getattr(stacks, name)
+                assert isinstance(vectors, np.ndarray) and vectors is getattr(stacks, name)
+                assert vectors.tobytes() == frame.vectors.tobytes(), name
+            np.testing.assert_allclose(public["onb"].upper_bound, 1.0, atol=1e-12)
             for name in ("parseval", "upper_one"):
-                np.testing.assert_allclose(getattr(stacks, name).upper_bound, 1.0, atol=1e-12)
-            np.testing.assert_allclose(stacks.parseval.lower_bound, 1.0, atol=1e-12)
-            # the vectors alone of the public rescale, whose bounds its own tests check
-            lower_one = rescale_lower_bound_one(group.raw).vectors
-            np.testing.assert_array_equal(stacks.lower_one, lower_one)
-            assert all(getattr(stacks, name) is getattr(stacks, name)
-                       for name in ("parseval", "upper_one", "lower_one"))
+                np.testing.assert_allclose(public[name].upper_bound, 1.0, atol=1e-12)
+            np.testing.assert_allclose(public["parseval"].lower_bound, 1.0, atol=1e-12)
 
     def test_onbs_built_when_read(self, monkeypatch):
         built = []

@@ -159,6 +159,19 @@ class TestSvd:
         np.testing.assert_allclose(data.singular_values, 0.0)
         np.testing.assert_allclose(data.reconstruct(), 0.0, atol=1e-15)
 
+    def test_overflowing_largest_value_names_the_scale(self):
+        # gesdd returns s = [inf, 0]; the noise floor inf * eps once zeroed both
+        # values, so ||T||_2 read 0.0
+        big = np.full((2, 2), 1e308)
+        named = r"s_1 overflows at the scale of T: entries reach 1\.000e\+308"
+        with pytest.raises(ValueError, match=named):
+            svd(big)
+        with pytest.raises(ValueError, match=named):
+            schatten_norm(big, 2)
+        # the scale is named by the entries' parts, whose modulus 2.1e308 overflows
+        with pytest.raises(ValueError, match=r"entries reach 1\.500e\+308"):
+            svd(np.full((2, 2), 1.5e308 + 1.5e308j))
+
     @pytest.mark.parametrize("d", [25, 32, 64, 192])
     def test_graded_spectrum(self, d):
         # Q diag(2^-n) Q*: exact singular values far below sqrt(eps) * s_1
