@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .frames import Frame, make_frame
-from .linalg import _as_square, _check_count, _check_p, _exponents, as_matrix
+from .linalg import ELEMENTWISE_TOL, IDENTITY_TOL, STENCIL_TOL, _as_square, _check_count
+from .linalg import _check_p, _exponents, _verdict, as_matrix
 
 __all__ = [
     "DiskQuadrature",
@@ -298,7 +299,7 @@ def disk_quadrature(n_radial: int, n_angular: int, rmax: float) -> DiskQuadratur
     nodes = (np.sqrt(t)[:, None] * np.exp(1j * theta)[None, :]).ravel()
     weights = np.repeat(vt / n_angular, n_angular)
     mass = float(np.sum(weights))
-    if abs(mass - rmax**2) > 1e-10:
+    if abs(mass - rmax**2) > IDENTITY_TOL:
         raise AssertionError(f"quadrature mass {mass} != rmax^2 {rmax**2}")
     nodes.flags.writeable = False
     weights.flags.writeable = False
@@ -396,7 +397,7 @@ class HSIdentityReport:
     passed: bool
 
 
-def hs_identity_check(t, quad: DiskQuadrature, tol: float = 1e-10) -> HSIdentityReport:
+def hs_identity_check(t, quad: DiskQuadrature) -> HSIdentityReport:
     """Check the Hilbert-Schmidt kernel-integral identity under quadrature.
 
     Both norms come from one pass over blocks of nodes: each kernel is built once.
@@ -417,13 +418,10 @@ def hs_identity_check(t, quad: DiskQuadrature, tol: float = 1e-10) -> HSIdentity
     masses = quad.rmax ** (2.0 * np.arange(1, d + 1))
     closed = float(np.sum(col_norms_sq * masses))
     truncation = float(np.sum(col_norms_sq * (1.0 - masses)))
-    budget = tol * max(1.0, hs_sq)
-    passed = (
-        pointwise_dev <= 1e-12
-        and abs(integral_dlambda - integral_da) <= budget
-        and abs(integral_da - closed) <= budget
-        and abs(integral_da - hs_sq) <= truncation + budget
-    )
+    # the two integrals and the closed form agree; the HS norm also loses the truncation
+    gaps = np.array([integral_dlambda - integral_da, integral_da - closed, integral_da - hs_sq])
+    fits = _verdict(gaps, 0.0, 0.0, IDENTITY_TOL, hs_sq, np.array([0.0, 0.0, truncation]))[1]
+    passed = pointwise_dev <= ELEMENTWISE_TOL and bool(fits.all())
     return HSIdentityReport(
         integral_dlambda=integral_dlambda,
         integral_da=integral_da,
@@ -456,8 +454,8 @@ def subharmonicity_check(
     The function is subharmonic for every p > 0 (it is the p-th power of the
     norm of an antianalytic vector-valued polynomial), so the five-point
     stencil minimum should only dip below zero by the discretization budget
-    tol = 1e-6 (1 + max F)(1 + 1/grid_step^2).  A p at which F or its
-    stencil overflows on the grid is rejected.
+    tol = STENCIL_TOL (1 + max F)(1 + 1/grid_step^2), STENCIL_TOL = 1e-6.  A p
+    at which F or its stencil overflows on the grid is rejected.
 
     `t` may be a stack (n, d, d) and `p` a sequence; reports[k][j] is then
     the one-operator report of operator k at p[j], bit for bit, and a single
@@ -500,7 +498,7 @@ def subharmonicity_check(
             least, location = float(flat[idx]), complex(w[1:-1, 1:-1][idx])
             if least == np.inf:
                 raise ValueError("no grid point has a full five-point stencil inside the disk")
-            tol = 1e-6 * (1.0 + max_f) * (1.0 + 1.0 / grid_step**2)
+            tol = STENCIL_TOL * (1.0 + max_f) * (1.0 + 1.0 / grid_step**2)
             row.append(
                 SubharmonicityReport(least, location, tol, max_f, grid_step, rmax, least >= -tol)
             )

@@ -20,7 +20,9 @@ import numpy as np
 
 from . import serialization
 from .frames import Frame, FrameEnsemble, _certify_synthesis, certify_synthesis, make_frame
-from .linalg import _check_count, _check_p, _check_seed, schatten_norm, svd
+from .linalg import CERTIFICATE_TOL, CHAIN_STABILITY_TOL, ELEMENTWISE_TOL, IDENTITY_TOL
+from .linalg import ORTHONORMALITY_TOL, SV_TOL, _check_count, _check_p, _check_seed, _verdict
+from .linalg import _witness_budget, schatten_norm, svd
 
 # the run functions import the modules only their command runs
 if TYPE_CHECKING:
@@ -108,8 +110,10 @@ class CampaignConfig:
         if not isinstance(self.output_dir, (str, type(None))):
             raise ValueError(f"output_dir must be a path string, got {self.output_dir!r}")
 
-    def tol(self, name: str, default: float) -> float:
-        return float(self.tolerances.get(name, default))
+    @property
+    def tol(self) -> float:
+        """The certificate tolerance: `tolerances["certificate"]`, else CERTIFICATE_TOL."""
+        return float(self.tolerances.get("certificate", CERTIFICATE_TOL))
 
 
 @dataclass
@@ -193,7 +197,7 @@ def run_verify_theorems(config: CampaignConfig) -> CampaignReport:
     from . import criteria
     start = time.perf_counter()
     dim, trials, seed = config.dim, config.trials, config.seed
-    tol = config.tol("certificate", 1e-9)
+    tol = config.tol
     records: list[dict] = []
 
     general = random_operator(dim, seed + 11)
@@ -234,22 +238,19 @@ def run_verify_theorems(config: CampaignConfig) -> CampaignReport:
         for j, rep in zip(js, job_reports):
             per_p[j].append(asdict(rep))
     for p, certificates, comps in zip(config.p_grid, per_p, zip(*enclosures)):
-        upper = [
-            np.min((c.upper_constant * c.norm_sum - c.double_sum) / np.maximum(1.0, c.double_sum))
-            for c in comps
-            if c.upper_constant is not None
-        ]
-        lower = [
-            np.min((c.double_sum - c.lower_constant * c.norm_sum) / np.maximum(1.0, c.double_sum))
-            for c in comps
-            if c.lower_constant is not None
-        ]
+        # every trial's double sum against each side's bound, relative to max(1, double sum)
+        ds, ns, c2, c1 = (
+            None if getattr(comps[0], k) is None else np.concatenate([getattr(c, k) for c in comps])
+            for k in ("double_sum", "norm_sum", "upper_constant", "lower_constant")
+        )
+        upper = None if c2 is None else float(np.min(_verdict(ds, -np.inf, c2 * ns, tol, ds)[0]))
+        lower = None if c1 is None else float(np.min(_verdict(ds, c1 * ns, np.inf, tol, ds)[0]))
         enclosure = {
             "tag": "double_sum_enclosure",
             "p": p,
             "trials": trials,
-            "min_upper_margin": float(min(upper)) if upper else None,
-            "min_lower_margin": float(min(lower)) if lower else None,
+            "min_upper_margin": upper,
+            "min_lower_margin": lower,
             "tolerance": tol,
             "passed": all(np.all(c.passed) for c in comps),
         }
@@ -325,7 +326,7 @@ def run_counterexamples(config: CampaignConfig) -> CampaignReport:
             "p_series_verdict": div_series.verdict,
             "p_eps_series_verdict": conv_series.verdict,
             "passed": (
-                abs(lhs - rhs) <= 1e-12 * max(1.0, rhs)
+                bool(_verdict(lhs - rhs, 0.0, 0.0, ELEMENTWISE_TOL, rhs)[1])
                 and 0.5 <= built.frame.lower_bound
                 and built.frame.upper_bound <= 2.0
                 and div_series.verdict == "divergent_trend"
@@ -337,10 +338,8 @@ def run_counterexamples(config: CampaignConfig) -> CampaignReport:
     shift = constructions.truncated_shift(config.dim)
     shift_frame = make_frame(np.eye(config.dim, dtype=np.complex128))
     diag_sums = [criteria.sum_diag(shift, shift_frame, p).value for p in config.p_grid]
-    norm_ok = all(
-        abs(schatten_norm(shift, p) ** p - (config.dim - 1)) <= 1e-9 * config.dim
-        for p in config.p_grid
-    )
+    gaps = np.array([schatten_norm(shift, p) ** p - (config.dim - 1) for p in config.p_grid])
+    norm_ok = bool(_verdict(gaps, 0.0, 0.0, CERTIFICATE_TOL, config.dim)[1].all())
     records.append(
         {
             "tag": "shift_diag_vanishing",
@@ -371,21 +370,18 @@ def run_counterexamples(config: CampaignConfig) -> CampaignReport:
         "copies": copies,
         "bound_closed_form_dev": bound_dev,
     }
-    passed = bound_dev <= 1e-10 * (1.0 + gamma) and tail_series.verdict == "divergent_trend"
+    passed = bound_dev <= IDENTITY_TOL * (1.0 + gamma) and tail_series.verdict == "divergent_trend"
     records.append(_growth_record(exports, head, tail_series, passed=passed))
 
     demo = constructions.divergence_demo_double_sum(min(4 * config.dim, 64), 1.0, grid)
     sv = svd(demo.matrix).singular_values
     expected_sv = 2.0 ** (-np.arange(1, sv.size + 1, dtype=float))
-    # Weyl: |s_n - 2^-n| <= ||E||_2 for the SVD's backward error E, a modest
-    # multiple of n * eps * s_1; c = 10 also covers rounding in forming the matrix
-    sv_tol = 10 * sv.size * np.finfo(float).eps * sv[0]
     sv_dev = float(np.max(np.abs(sv - expected_sv)))
     head = {"tag": "double_sum_growth", "p": 1.0, "norm_series_verdict": demo.norm_series.verdict}
     passed = (
         demo.norm_series.verdict == "bounded_trend"
         and demo.double_series.verdict == "divergent_trend"
-        and sv_dev <= sv_tol
+        and sv_dev <= SV_TOL * sv.size * np.finfo(float).eps * sv[0]
     )
     records.append(
         _growth_record(exports, head, demo.double_series, singular_value_dev=sv_dev, passed=passed)
@@ -414,7 +410,7 @@ def run_bergman(config: CampaignConfig) -> CampaignReport:
             "tag": "monomial_orthonormality",
             "degree": degree,
             "max_dev": ortho_dev,
-            "passed": ortho_dev <= 1e-6,
+            "passed": ortho_dev <= ORTHONORMALITY_TOL,
         }
     )
 
@@ -460,7 +456,7 @@ def run_bergman(config: CampaignConfig) -> CampaignReport:
         separation = lattice.separation
         exports[f"lattice_sep{separation}.csv"] = partial(write_nodes, points=lattice.points)
         frame, frame_rep = bergman.sampling_frame(lattice, degree)
-        cert = certify_synthesis(frame, seed=config.seed)
+        cert = certify_synthesis(frame, tol=config.tol, seed=config.seed)
         stability = abs(chain_c.constant - chain_f.constant) / max(1e-300, chain_f.constant)
         records.append(
             {
@@ -477,7 +473,7 @@ def run_bergman(config: CampaignConfig) -> CampaignReport:
                 "passed": lattice.measured_separation >= separation
                 and cert.passed
                 and np.isfinite(chain_f.constant)
-                and stability <= 1e-3,
+                and stability <= CHAIN_STABILITY_TOL,
             }
         )
 
@@ -515,14 +511,13 @@ def run_norm_estimate(matrix_file, p: float, strategy: str, config: CampaignConf
         witness = float(criteria._sums("norms", t, basis, p))
         gap = witness - norm_pth_power
         # the kernel vectors give ||T v|| ~ eps s_1, not 0: the certificates' witness budget
-        s_1 = float(np.max(decomposition.singular_values))
-        budget = criteria._witness_budget(p, t.shape[1], s_1)
-        slack = config.tol("certificate", 1e-9) * max(1.0, norm_pth_power)
-        record.update(witness_sum=witness, gap=gap, passed=abs(gap) <= slack + budget)
+        budget = _witness_budget(p, t.shape[1], float(np.max(decomposition.singular_values)))
+        ok = _verdict(gap, 0.0, 0.0, config.tol, norm_pth_power, budget)[1]
+        record.update(witness_sum=witness, gap=gap, passed=bool(ok))
     else:
         # the certificate factors T again: its norm_value is norm_pth_power, bit for bit
         cert = criteria.certify_norm_formula(
-            t, p, trials=config.trials, seed=config.seed, tol=config.tol("certificate", 1e-9)
+            t, p, trials=config.trials, seed=config.seed, tol=config.tol
         )
         gap = cert.norm_value - cert.extremal_value
         record.update(ensemble_extremal=cert.extremal_value, gap=gap)

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .frames import Frame, make_frame
-from .linalg import _as_square, _check_count, as_matrix, svd
+from .linalg import ELEMENTWISE_TOL, PAIRING_FLOOR, PAIRING_TOL, _as_square, _check_count
+from .linalg import as_matrix, svd
 
 __all__ = [
     "GrowthSeries",
@@ -56,11 +57,11 @@ class GrowthSeries:
             return np.where(inc[:-1] > 0, inc[1:] / inc[:-1], 0.0)
 
 
-def _verdict(partial_sums: np.ndarray) -> str:
+def _trend(partial_sums: np.ndarray) -> str:
     s = np.asarray(partial_sums, dtype=float)
     if s.size < 2:
         raise ValueError("need at least two truncations for a growth verdict")
-    if np.any(np.diff(s) < -1e-12 * max(1.0, float(s[-1]))):
+    if np.any(np.diff(s) < -ELEMENTWISE_TOL * max(1.0, float(s[-1]))):
         raise ValueError("partial sums of a nonnegative series must be nondecreasing")
     stalled = (s[-1] - s[-2]) <= STALL_FRACTION * s[-2]
     inc = np.diff(s)
@@ -96,7 +97,7 @@ def growth_series(terms: np.ndarray, truncations=DEFAULT_GRID) -> GrowthSeries:
     cumulative = np.cumsum(terms)
     partial = cumulative[np.asarray(truncs) - 1]
     return GrowthSeries(
-        truncations=truncs, partial_sums=partial, verdict=_verdict(partial)
+        truncations=truncs, partial_sums=partial, verdict=_trend(partial)
     )
 
 
@@ -133,7 +134,7 @@ def divergence_demo_sum_norms(p: float, d_grid=DEFAULT_GRID) -> GrowthSeries:
     norm_factor = np.cumsum(a**2) ** (p / 2.0)
     partial = np.cumsum(a**p) * norm_factor
     sums = partial[np.asarray(truncs) - 1]
-    return GrowthSeries(truncations=truncs, partial_sums=sums, verdict=_verdict(sums))
+    return GrowthSeries(truncations=truncs, partial_sums=sums, verdict=_trend(sums))
 
 
 _LAMBDA_SPECS = ("power", "power_log", "constant")
@@ -229,20 +230,16 @@ def nonvanishing_direction(t) -> np.ndarray:
     if scale == 0.0:
         raise ValueError("the zero operator has no nonvanishing direction")
     top = svd(t).left_vectors[:, 0]
-    if abs(np.vdot(top, t @ top)) > 1e-8 * scale:
+    if abs(np.vdot(top, t @ top)) > PAIRING_TOL * scale:
         return top
-    best, best_val = None, 0.0
     eye = np.eye(d, dtype=np.complex128)
     candidates = [eye[:, i] for i in range(d)]
     for i in range(d):
         for j in range(i + 1, d):
             for coef in (1.0, -1.0, 1j, -1j):
                 candidates.append((eye[:, i] + coef * eye[:, j]) / np.sqrt(2.0))
-    for h in candidates:
-        val = abs(np.vdot(h, t @ h))
-        if val > best_val:
-            best, best_val = h, val
-    if best is None or best_val <= 1e-14 * scale:
+    best = max(candidates, key=lambda h: abs(np.vdot(h, t @ h)))
+    if abs(np.vdot(best, t @ best)) <= PAIRING_FLOOR * scale:
         raise ValueError("could not find a direction with a nonvanishing pairing")
     return best
 
@@ -346,7 +343,7 @@ def divergence_demo_double_sum(d: int, p: float, d_grid=DEFAULT_GRID) -> DoubleS
     truncs = _check_grid("d_grid", d_grid)
     double_sums = np.array([_double_sum_closed_form(g, p) for g in truncs])
     double_series = GrowthSeries(
-        truncations=truncs, partial_sums=double_sums, verdict=_verdict(double_sums)
+        truncations=truncs, partial_sums=double_sums, verdict=_trend(double_sums)
     )
     norm_terms = 2.0 ** (-p * np.arange(1, truncs[-1] + 1, dtype=float))
     norm_series = growth_series(norm_terms, truncs)

@@ -27,8 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .frames import Frame, FrameEnsemble, _one_frame, _per_frame, _TrialStacks
-from .linalg import _check_p, _exponents, _is_hermitian, _is_psd, _psd_eigenvalues, as_matrix
-from .linalg import hermitian_eigen, schatten_norm, svd
+from .linalg import CERTIFICATE_TOL, IDENTITY_TOL, _check_p, _exponents, _is_hermitian, _is_psd
+from .linalg import _psd_eigenvalues, _verdict, _witness_budget, as_matrix, hermitian_eigen
+from .linalg import schatten_norm, svd
 
 __all__ = [
     "SumReport",
@@ -201,7 +202,7 @@ class DoubleSumComparison:
 
 
 def double_sum_comparison(
-    t, frame: Frame, p, tol: float = 1e-9
+    t, frame: Frame, p, tol: float = CERTIFICATE_TOL
 ) -> DoubleSumComparison | list[DoubleSumComparison]:
     """Check the two-sided comparison between double and norm sums.
 
@@ -223,16 +224,12 @@ def double_sum_comparison(
     comparisons = []
     for q in ps:
         lhs, rhs = (_power_sums(kind, kind_terms, q) for kind, kind_terms in terms.items())
-        scale = np.maximum(1.0, np.maximum(lhs, rhs))
-        ok = np.ones(np.shape(lhs), dtype=bool)
-        upper = lower = None
         # np.power, not float **, so that one frame gets the bits of a stack member
-        if q >= 2:
-            upper = _per_frame(np.power(frame.upper_bound, q / 2.0))
-            ok &= lhs <= upper * rhs + tol * scale
-        if q <= 2:
-            lower = _per_frame(np.power(frame.lower_bound, q / 2.0))
-            ok &= lhs >= lower * rhs - tol * scale
+        upper = _per_frame(np.power(frame.upper_bound, q / 2.0)) if q >= 2 else None
+        lower = _per_frame(np.power(frame.lower_bound, q / 2.0)) if q <= 2 else None
+        lo = -np.inf if lower is None else lower * rhs
+        hi = np.inf if upper is None else upper * rhs
+        ok = _verdict(lhs, lo, hi, tol, np.maximum(lhs, rhs))[1]
         comparisons.append(
             DoubleSumComparison(
                 p=q,
@@ -245,22 +242,6 @@ def double_sum_comparison(
             )
         )
     return comparisons if many else comparisons[0]
-
-
-def _witness_budget(p: float, n_terms: int, term_scale: float) -> float:
-    """Rounding allowance for a sum of n p-th powers of computed pairings.
-
-    Each pairing carries absolute rounding error ~ delta = O(eps * scale).
-    For p < 1 the power map amplifies a zero-crossing error to delta^p,
-    which dominates witness sums whose off-diagonal terms vanish exactly in
-    the algebra.
-    """
-    delta = 64.0 * np.finfo(float).eps * max(term_scale, 1e-300)
-    if p <= 1.0:
-        per_term = delta**p
-    else:
-        per_term = p * (term_scale + delta) ** (p - 1.0) * delta
-    return n_terms * per_term
 
 
 def _ensemble(t: np.ndarray, trials: int, seed: int, ensemble: FrameEnsemble | None):
@@ -317,13 +298,13 @@ def _reports(job: _Job, extremes: np.ndarray, trials: int, tol: float) -> list:
     reports = []
     for p, p_inf, extremal in zip(job.ps, job.inf, extremes):
         norm_value = float(np.sum(job.spectrum**p))
-        slack = tol * max(1.0, norm_value)
-        direction_ok = extremal >= norm_value - slack if p_inf else extremal <= norm_value + slack
+        lo, hi = (norm_value, np.inf) if p_inf else (-np.inf, norm_value)
+        direction_ok = _verdict(extremal, lo, hi, tol, norm_value)[1]
         witness, witness_ok = None, False
         if job.basis is not None:
             witness = float(_power_sums(job.kind, witness_terms, p))
             budget = _witness_budget(p, n_terms, float(np.max(job.spectrum)))
-            witness_ok = bool(abs(witness - norm_value) <= slack + budget)
+            witness_ok = bool(_verdict(witness - norm_value, 0.0, 0.0, tol, norm_value, budget)[1])
         reports.append(
             CertificateReport(
                 tag=_TAGS[job.kind] + ("_inf" if p_inf else "_sup"),
@@ -356,7 +337,7 @@ def _norm_job(t, p) -> _Job:
 
 
 def certify_norm_formula(
-    t, p, trials: int = 200, seed: int = 0, tol: float = 1e-9, ensemble=None
+    t, p, trials: int = 200, seed: int = 0, tol: float = CERTIFICATE_TOL, ensemble=None
 ) -> CertificateReport | list[CertificateReport]:
     """Certify the norm-sum formula for ||T||_p^p, T square.
 
@@ -397,7 +378,7 @@ def certify_diag_formula(
     p,
     trials: int = 200,
     seed: int = 0,
-    tol: float = 1e-9,
+    tol: float = CERTIFICATE_TOL,
     direction: str | None = None,
     ensemble=None,
 ) -> CertificateReport | list[CertificateReport]:
@@ -430,7 +411,7 @@ def _double_job(t, p) -> _Job:
 
 
 def certify_double_formula(
-    t, p, trials: int = 200, seed: int = 0, tol: float = 1e-9, ensemble=None
+    t, p, trials: int = 200, seed: int = 0, tol: float = CERTIFICATE_TOL, ensemble=None
 ) -> CertificateReport | list[CertificateReport]:
     """Certify the double-sum formula.
 
@@ -462,15 +443,8 @@ class EndpointReport:
     passed: bool
 
 
-def _enclosure(total, lo, hi, tol: float) -> tuple[float, bool]:
-    """Smallest relative margin of `total` inside [lo, hi], and whether all fit."""
-    scale = np.maximum(1.0, hi)
-    margin = np.min(np.minimum(total - lo, hi - total) / scale)
-    return float(margin), bool(np.all((total >= lo - tol * scale) & (total <= hi + tol * scale)))
-
-
 def endpoint_suites(
-    t, trials: int = 200, seed: int = 0, tol: float = 1e-9, ensemble=None
+    t, trials: int = 200, seed: int = 0, tol: float = CERTIFICATE_TOL, ensemble=None
 ) -> EndpointReport:
     """Run the p = 1 and p = 2 endpoint suites over the ensemble's raw frames."""
     t = as_matrix(t)
@@ -478,7 +452,7 @@ def endpoint_suites(
     ensemble = _ensemble(t, trials, seed, ensemble)
     psd = w is not None
     if psd:
-        trace_norm_value = float(np.sum(np.maximum(w, 0.0)))
+        trace_norm = float(np.sum(np.maximum(w, 0.0)))
     hs_sq = schatten_norm(t, 2) ** 2
     gram = t.conj().T @ t
     trace_margin = hs_margin = np.inf
@@ -488,17 +462,17 @@ def endpoint_suites(
         raw = group.raw
         c1, c2 = raw.lower_bound, raw.upper_bound
         if psd:
-            diag_total = np.sum(np.maximum(_diag_values(t, raw.vectors).real, 0.0), axis=-1)
-            margin, fits = _enclosure(diag_total, c1 * trace_norm_value, c2 * trace_norm_value, tol)
-            trace_margin = min(trace_margin, margin)
-            ok = ok and fits
+            diag = np.sum(np.maximum(_diag_values(t, raw.vectors).real, 0.0), axis=-1)
+            margin, fits = _verdict(diag, c1 * trace_norm, c2 * trace_norm, tol, c2 * trace_norm)
+            trace_margin = min(trace_margin, float(np.min(margin)))
+            ok = ok and bool(np.all(fits))
         norm_total = _sums("norms", t, raw.vectors, 2)
         via_trace = np.real(np.trace(gram @ raw.frame_operator, axis1=-2, axis2=-1))
         dev = np.abs(norm_total - via_trace) / np.maximum(1.0, np.abs(via_trace))
         hs_dev = max(hs_dev, float(np.max(dev)))
-        margin, fits = _enclosure(norm_total, c1 * hs_sq, c2 * hs_sq, tol)
-        hs_margin = min(hs_margin, margin)
-        ok = ok and fits and hs_dev <= 1e-10
+        margin, fits = _verdict(norm_total, c1 * hs_sq, c2 * hs_sq, tol, c2 * hs_sq)
+        hs_margin = min(hs_margin, float(np.min(margin)))
+        ok = ok and bool(np.all(fits)) and hs_dev <= IDENTITY_TOL
     return EndpointReport(
         trials=ensemble.trials,
         trace_checked=psd,

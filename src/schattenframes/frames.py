@@ -21,7 +21,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import _check_count, _check_seed, as_matrix
+from .linalg import CERTIFICATE_TOL, IDENTITY_TOL, RANK_TOL, SPANNING_TOL, _check_count, _check_seed
+from .linalg import _verdict, as_matrix
 
 __all__ = [
     "Frame",
@@ -37,9 +38,6 @@ __all__ = [
     "random_frame",
     "union_frame",
 ]
-
-#: A family is accepted as a frame when lambda_min(S) > SPANNING_TOL * lambda_max(S).
-SPANNING_TOL = 1e-10
 
 #: Condition number C2/C1 that the raw frames of a FrameEnsemble stay below.
 TRIAL_CONDITION = 100.0
@@ -208,7 +206,7 @@ def _probes(dim: int, n_probes: int, seed: int) -> np.ndarray:
 
 
 def certify_synthesis(
-    frame: Frame, tol: float = 1e-9, seed: "int | Sequence[int]" = 0
+    frame: Frame, tol: float = CERTIFICATE_TOL, seed: "int | Sequence[int]" = 0
 ) -> SynthesisCertificate:
     """Certify the synthesis operator's norm bracket and analysis identity.
 
@@ -267,13 +265,12 @@ def _certify_synthesis(frames, seeds, tol: float) -> list:
         # LAPACK SVD of A itself, independent of the frame operator the bounds came from
         svals = np.linalg.svd(vectors, compute_uv=False)
         op2 = svals[:, 0] ** 2
-        rank = np.sum(svals > 1e-12 * svals[:, :1], axis=-1)
-        scale = np.maximum(1.0, c2)
+        rank = np.sum(svals > RANK_TOL * svals[:, :1], axis=-1)
         checks = (
-            ~((c1 - tol * scale <= op2) & (op2 <= c2 + tol * scale)),
+            ~_verdict(op2, c1, c2, tol, c2)[1],
             ~(c1 > 0),
-            dev > 1e-10,
-            (lo < c1 * (1 - 1e-10) - tol) | (hi > c2 * (1 + 1e-10) + tol),
+            dev > IDENTITY_TOL,
+            (lo < c1 * (1 - IDENTITY_TOL) - tol) | (hi > c2 * (1 + IDENTITY_TOL) + tol),
         )
         failures = [()] * len(vectors)
         for k in np.flatnonzero(np.any(checks, axis=0)):

@@ -40,6 +40,65 @@ __all__ = [
 #: both for c n <= 9e5, past any dense complex matrix that fits in memory.
 STRUCTURAL_TOL = 1e-10
 
+# The verdict budgets, each beside its source: a rounding analysis by Higham's bounds
+# (H, the book above) or by Weyl's bound with gesdd's backward error (W, see `svd`), or
+# a discretization bound (D).  `_verdict` judges a value against its target with them.
+#: Policy slack of a sampled or witness sum against ||T||_p^p, relative to
+#: max(1, ||T||_p^p), ten times IDENTITY_TOL; `tolerances.certificate` replaces it.
+CERTIFICATE_TOL = 1e-9
+#: H: the sides of one identity (analysis, HS, quadrature mass and integrals, closed-form
+#: bounds, probe sums) computed through sums of n products differ by gamma_n, as above.
+IDENTITY_TOL = 1e-10
+#: H: the same with a few operations per term (one quadrature node, <= 40 rebalanced
+#: powers, successive partial sums): gamma_k covers k <= 9e3.
+ELEMENTWISE_TOL = 1e-12
+#: W: a family spans when lambda_min(S) > SPANNING_TOL lambda_max(S), past eigh's c n u.
+SPANNING_TOL = 1e-10
+#: W: singular values above RANK_TOL s_1 count towards the numerical rank.
+RANK_TOL = 1e-12
+#: W: each computed s_n of an n x n matrix lies within SV_TOL n eps s_1 of its exact value,
+#: a modest multiple that also covers rounding in forming the matrix.
+SV_TOL = 10
+#: H: a pairing <T h, h> errs by about n u max|T|; one above PAIRING_TOL max|T| is kept
+#: without a scan, and one above PAIRING_FLOOR max|T| (45 eps) is told apart from zero.
+PAIRING_TOL, PAIRING_FLOOR = 1e-8, 1e-14
+#: D: the monomial Gram at radius 1 - 1e-9 misses the mass 1 - r^(2n+2) <= 2e-9 (n+1).
+ORTHONORMALITY_TOL = 1e-6
+#: D: the five-point stencil's truncation and rounding, per (1 + max F)(1 + 1/h^2).
+STENCIL_TOL = 1e-6
+#: D: relative change of the sampling-chain constant from the coarse to the fine quadrature.
+CHAIN_STABILITY_TOL = 1e-3
+
+
+def _witness_budget(p: float, n_terms: int, term_scale: float) -> float:
+    """Rounding allowance (H) for a sum of n p-th powers of computed pairings.
+
+    Each pairing carries absolute rounding error ~ delta = O(eps * scale).
+    For p < 1 the power map amplifies a zero-crossing error to delta^p,
+    which dominates witness sums whose off-diagonal terms vanish exactly in
+    the algebra.
+    """
+    delta = 64.0 * np.finfo(float).eps * max(term_scale, 1e-300)
+    if p <= 1.0:
+        per_term = delta**p
+    else:
+        per_term = p * (term_scale + delta) ** (p - 1.0) * delta
+    return n_terms * per_term
+
+
+def _verdict(value, lo, hi, tol: float, scale, extra=0.0):
+    """The margin of `value` inside [lo, hi] and whether it fits, elementwise.
+
+    The margin is min(value - lo, hi - value) / max(1, scale); `value` fits when it
+    lies within tol * max(1, scale) + extra of [lo, hi].  A one-sided check passes
+    -inf or inf as its open end.  nan never fits; inf raises no float warning.
+    """
+    floor = np.maximum(1.0, scale)
+    slack = tol * floor + extra
+    with np.errstate(invalid="ignore", over="ignore"):
+        margin = np.minimum(value - lo, hi - value) / floor
+        return margin, (value >= lo - slack) & (value <= hi + slack)
+
 
 def as_matrix(a) -> np.ndarray:
     """Validate and return `a` as a read-only complex128 2-d array.

@@ -265,6 +265,21 @@ def test_bergman_builds_each_kernel_base_once(monkeypatch):
     assert len(rules) == 10 and set(rules.values()) == {1}
 
 
+def test_bergman_certifies_sampling_frames_at_the_configured_tolerance(monkeypatch):
+    """`tolerances.certificate` reaches the sampling-frame certificates too."""
+    tolerances, certify = [], campaigns.certify_synthesis
+
+    def spy(*args, **kwargs):
+        cert = certify(*args, **kwargs)
+        tolerances.append(cert.tolerance)
+        return cert
+
+    monkeypatch.setattr(campaigns, "certify_synthesis", spy)
+    config = CampaignConfig(command="bergman", dim=4, trials=2, tolerances={"certificate": 1e-3})
+    assert run_bergman(config).passed
+    assert tolerances == [1e-3, 1e-3]
+
+
 @pytest.mark.parametrize("dim, limit_mib", [(32, 4.0), (64, 18.0)])
 def test_bergman_traced_peak_memory(dim, limit_mib):
     """tracemalloc counts numpy buffers alike on every machine, unlike RSS.  The

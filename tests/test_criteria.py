@@ -13,7 +13,6 @@ from conftest import seeded_hermitians, seeded_operators, seeded_psds
 from schattenframes import criteria, frames
 from schattenframes.constructions import truncated_shift
 from schattenframes.criteria import (
-    _witness_budget,
     certify_diag_formula,
     certify_double_formula,
     certify_norm_formula,
@@ -35,7 +34,7 @@ from schattenframes.frames import (
     rescale_upper_bound_one,
     union_frame,
 )
-from schattenframes.linalg import psd_power, schatten_norm, svd
+from schattenframes.linalg import _witness_budget, psd_power, schatten_norm, svd
 
 E1E1E2 = make_frame([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 

@@ -1,5 +1,7 @@
 """Spectral kernel tests: eigensystems, SVD, Schatten norms, PSD powers."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from schattenframes.linalg import (
     STRUCTURAL_TOL,
     _is_hermitian,
     _psd_eigenvalues,
+    _verdict,
     hermitian_eigen,
     inner,
     psd_power,
@@ -285,3 +288,51 @@ class TestPsdPower:
         for s in seeded_psds(6, 5):
             r = psd_power(s, 0.5)
             np.testing.assert_allclose(r @ r, s, atol=1e-11 * np.linalg.norm(s))
+
+
+#: The checks `_verdict` replaced, as they were written: the ends (lo, hi), the
+#: scale ("value": the value itself), whether v fits with slack s, and the margin
+#: they reported (None: none).  A two-sided equality is judged as its gap against [0, 0].
+REPLACED = {
+    "sup_below": (-np.inf, 5.0, 5.0, lambda v, s: v <= 5.0 + s, None),
+    "inf_above": (5.0, np.inf, 5.0, lambda v, s: v >= 5.0 - s, None),
+    "equality_gap": (0.0, 0.0, 5.0, lambda v, s: abs(v) <= s, None),
+    "enclosure": (
+        2.0, 7.0, 7.0,
+        lambda v, s: (v >= 2.0 - s) & (v <= 7.0 + s),
+        lambda v: np.minimum(v - 2.0, 7.0 - v) / np.maximum(1.0, 7.0),
+    ),
+    "upper_margin": (-np.inf, 7.0, "value", None, lambda v: (7.0 - v) / np.maximum(1.0, v)),
+    "lower_margin": (2.0, np.inf, "value", None, lambda v: (v - 2.0) / np.maximum(1.0, v)),
+}
+
+
+@pytest.mark.parametrize("check", REPLACED)
+def test_verdict_reproduces_each_check_it_replaced(check):
+    lo, hi, scale, fits, margin_of = REPLACED[check]
+    tol, extra = 1e-9, 1e-7
+
+    def scale_of(value):
+        return value if scale == "value" else scale
+
+    values = np.array([-3.0, 0.0, 0.5, 2.0, 4.75, 5.0, 6.5, 7.0, 11.0, 1e3])
+    margin, ok = _verdict(values, lo, hi, tol, scale_of(values), extra)
+    if margin_of is not None:  # the reported margins, bit for bit
+        assert margin.tobytes() == margin_of(values).tobytes()
+    if fits is not None:
+        slack = tol * max(1.0, scale) + extra
+        assert np.array_equal(ok, fits(values, slack))
+        # a value exactly at a finite end plus the slack fits, the next float out does not
+        for end, out in ((hi, np.inf), (lo, -np.inf)):
+            if np.isfinite(end):
+                edge = end + slack if out > 0 else end - slack
+                assert _verdict(edge, lo, hi, tol, scale, extra)[1]
+                assert not _verdict(np.nextafter(edge, out), lo, hi, tol, scale, extra)[1]
+    # infinite and nan values as Python or numpy floats: the old verdict, and no float warning
+    for v in (np.inf, -np.inf, np.nan):
+        for value in (float(v), np.float64(v)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                judged = _verdict(value, lo, hi, tol, scale_of(value), extra)
+            if fits is not None:
+                assert bool(judged[1]) == bool(fits(value, slack)), (value, judged)
