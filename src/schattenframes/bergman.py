@@ -44,7 +44,7 @@ __all__ = [
 
 def _check_in_disk(*points) -> None:
     for z in points:
-        if abs(z) >= 1.0:
+        if not abs(z) < 1.0:
             raise ValueError(f"point {z} is not in the open unit disk")
 
 
@@ -468,7 +468,7 @@ def subharmonicity_check(
     ps, many_p = _exponents(p)
     if not 0 < rmax < 1:
         raise ValueError(f"rmax must lie in (0, 1), got {rmax}")
-    if grid_step <= 0 or grid_step > rmax:
+    if not 0 < grid_step <= rmax:
         raise ValueError("grid_step must be positive and small relative to rmax")
     axis = np.arange(-rmax, rmax + grid_step / 2.0, grid_step)
     re, im = np.meshgrid(axis, axis, indexing="ij")

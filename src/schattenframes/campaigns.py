@@ -227,7 +227,7 @@ def run_verify_theorems(config: CampaignConfig) -> CampaignReport:
         group = stacks.group
         onb, parseval, upper_one = map(Frame.of, (stacks.onb, stacks.parseval, stacks.upper_one))
         variants = [onb, group.raw, parseval, upper_one]
-        synthesis.extend(_certify_synthesis(variants, [group.seeds] * 4, tol))
+        synthesis.extend(_certify_synthesis(variants, group.seeds, tol))
         # trial i's raw frame is paired with operator seed + 1000 + i
         ops = np.stack([random_operator(dim, seed + 1000 + i) for i in group.indices])
         enclosures.append(criteria.double_sum_comparison(ops, group.raw, config.p_grid, tol))

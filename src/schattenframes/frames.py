@@ -211,57 +211,47 @@ def certify_synthesis(
     """Certify the synthesis operator's norm bracket and analysis identity.
 
     The SVD of A and the frame operator S are taken once for the whole stack.
-    For a stack of frames `seed` holds one probe seed per frame, and the
-    certificate's fields are arrays over the stack; the frames that share a
-    seed are evaluated together on that seed's probes, drawn once.
+    For a stack of frames `seed` holds one probe seed per frame, member k
+    being probed with seed[k], and the certificate's fields are arrays over
+    the stack.
     """
-    return _certify_synthesis([frame], [seed], tol)[0]
+    return _certify_synthesis([frame], seed, tol)[0]
 
 
 def _certify_synthesis(frames, seeds, tol: float) -> list:
-    """The certificates of frames or stacks in one C^dim, seeds[i] the probe seeds of frames[i].
+    """The certificates of frames in one C^dim, each one frame or a stack of one common shape.
 
-    Each distinct seed's probes are drawn once, applied to every frame with
-    that seed in every stack, and dropped before the next seed.  The frame
-    operators of all stacks share one array, so that the pairings <S f, f>
-    of a seed's frames are one batched product.
+    Member k of every frame is probed with seeds[k]; for one frame `seeds` is
+    one int.  Trial by trial, the probes of seeds[k] are drawn once, applied
+    to member k of each frame and dropped before the next trial.  The frame
+    operators and the SVD are taken once per stack.
     """
-    stacks = []  # the vectors of each stack, its offset in the joint arrays, its frames by seed
-    offset = 0
-    for frame, seed in zip(frames, seeds):
-        shape = frame.vectors.shape[:-2]
-        if np.shape(seed) != shape:
-            raise ValueError(f"frames of stack shape {shape} need one seed per frame, got {seed!r}")
-        parts: dict = {}
-        for k, sd in enumerate(np.reshape(seed, -1).tolist()):
-            _check_seed(sd)
-            parts.setdefault(sd, []).append(k)
-        vectors = frame.vectors.reshape(-1, frame.dim, frame.count)
-        stacks.append((vectors, offset, parts))
-        offset += len(vectors)
-    dim = frames[0].dim
-    s = np.empty((offset, dim, dim), dtype=np.complex128)
-    for vectors, start, _ in stacks:
-        s[start : start + len(vectors)] = _frame_operators(vectors)
-    measured = np.empty((3, offset))  # dev, lo and hi of each frame, filled seed by seed
-    dev, lo, hi = measured
-    for sd in dict.fromkeys(sd for _, _, parts in stacks for sd in parts):
-        f = _probes(dim, SYNTHESIS_PROBES, sd)
-        held = [(vectors, start, parts[sd]) for vectors, start, parts in stacks if sd in parts]
-        part = [start + k for _, start, ks in held for k in ks]
-        # ||A* f||^2 by the matrix product against <S f, f> through the frame operator
-        adjoints = (vectors[ks].conj().swapaxes(-1, -2) for vectors, _, ks in held)
-        direct = np.concatenate([np.linalg.norm(a @ f, axis=-2) ** 2 for a in adjoints])
-        s_f = s[part] @ f
-        analysis = np.real(np.sum(np.multiply(f.conj(), s_f, out=s_f), axis=-2))
-        ratio = np.abs(analysis - direct) / np.maximum(analysis, 1e-300)
-        dev[part] = np.max(ratio, axis=-1)
-        # frame inequality on the probes
-        lo[part], hi[part] = np.min(analysis, axis=-1), np.max(analysis, axis=-1)
+    shape = np.shape(seeds)
+    for frame in frames:
+        if frame.vectors.shape[:-2] != shape:
+            raise ValueError(
+                f"frames of stack shape {frame.vectors.shape[:-2]} need one seed per frame,"
+                f" got {seeds!r}"
+            )
+    seeds = np.reshape(seeds, -1).tolist()
+    for seed in seeds:
+        _check_seed(seed)
+    stacks = [frame.vectors.reshape(-1, frame.dim, frame.count) for frame in frames]
+    operators = [_frame_operators(vectors) for vectors in stacks]
+    dev, lo, hi = np.empty((3, len(frames), len(seeds)))  # at [frame, k], filled trial by trial
+    for k, seed in enumerate(seeds):
+        f = _probes(frames[0].dim, SYNTHESIS_PROBES, seed)
+        for i, (vectors, s) in enumerate(zip(stacks, operators)):
+            # ||A* f||^2 by the matrix product against <S f, f> through the frame operator
+            direct = np.linalg.norm(vectors[k].conj().T @ f, axis=0) ** 2
+            s_f = s[k] @ f
+            analysis = np.real(np.sum(np.multiply(f.conj(), s_f, out=s_f), axis=0))
+            ratio = np.abs(analysis - direct) / np.maximum(analysis, 1e-300)
+            # the identity's worst deviation and the probe sums' range for the frame inequality
+            dev[i, k], lo[i, k], hi[i, k] = np.max(ratio), np.min(analysis), np.max(analysis)
     certificates = []
-    for frame, (vectors, start, _) in zip(frames, stacks):
+    for frame, vectors, dev, lo, hi in zip(frames, stacks, dev, lo, hi):
         c1, c2 = np.reshape(frame.lower_bound, -1), np.reshape(frame.upper_bound, -1)
-        dev, lo, hi = measured[:, start : start + len(vectors)]
         # LAPACK SVD of A itself, independent of the frame operator the bounds came from
         svals = np.linalg.svd(vectors, compute_uv=False)
         op2 = svals[:, 0] ** 2
@@ -290,7 +280,6 @@ def _certify_synthesis(frames, seeds, tol: float) -> list:
             "rank": rank,
             "passed": ~np.any(checks, axis=0),
         }
-        shape = frame.vectors.shape[:-2]
         certificates.append(
             SynthesisCertificate(
                 dim=frame.dim,
@@ -448,9 +437,9 @@ def random_onb(dim: int, seed: int) -> Frame:
 def _random_frames(dim: int, count: int, condition_target: float, seeds) -> Frame:
     """The frames random_frame(dim, count, condition_target, seed) for each seed, stacked.
 
-    Draws each seed's blocks and perturbation, orthonormalizes all blocks in
-    one stacked QR and blends every frame that misses the target in batch,
-    with the same attempts and spanning test as one frame at a time.
+    Draws each seed's blocks and perturbation and orthonormalizes all blocks
+    in one stacked QR; then each frame that misses the target is blended on
+    its own, with the same attempts and spanning test as random_frame.
     """
     _check_count("dim", dim)
     _check_count("count", count)
@@ -472,25 +461,20 @@ def _random_frames(dim: int, count: int, condition_target: float, seeds) -> Fram
     _require_spanning(dim, lower, upper, lambda k: f"seed {seeds[k]}")
     if condition_target == 1.0:
         return Frame.of(_parseval_vectors(raw))
-    pending = np.flatnonzero(upper / lower > condition_target)
-    if pending.size:
-        parseval = _parseval_vectors(raw[pending])
+    for k in np.flatnonzero(upper / lower > condition_target):
+        parseval = _parseval_vectors(raw[k])
         for attempt in range(1, 51):
             t = 2.0**-attempt
-            candidate = (1.0 - t) * parseval + t * raw[pending]
+            candidate = (1.0 - t) * parseval + t * raw[k]
             with np.errstate(divide="ignore", invalid="ignore"):
                 c1, c2 = _bounds(candidate)
-                met = _spanning(c1, c2) & (c2 / c1 <= condition_target)
-            # a blended frame replaces its raw one; the frames still pending stay raw
-            done = pending[met]
-            raw[done], lower[done], upper[done] = candidate[met], c1[met], c2[met]
-            pending, parseval = pending[~met], parseval[~met]
-            if not pending.size:
-                break
+                if _spanning(c1, c2) and c2 / c1 <= condition_target:
+                    break
         else:
             raise ValueError(
                 f"could not reach condition target {condition_target} after 50 attempts"
             )
+        raw[k], lower[k], upper[k] = candidate, c1, c2
     return _sealed(raw, lower, upper)
 
 

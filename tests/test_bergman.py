@@ -42,8 +42,9 @@ class TestKernel:
             assert bergman_kernel(z, w) == pytest.approx(np.conj(bergman_kernel(w, z)))
 
     def test_rejects_boundary(self):
-        with pytest.raises(ValueError, match="disk"):
-            bergman_kernel(1.0, 0.0)
+        for z, w in ((1.0, 0.0), (np.nan + 0j, 0.1)):
+            with pytest.raises(ValueError, match="not in the open unit disk"):
+                bergman_kernel(z, w)
 
 
 class TestKernelCoefficients:
@@ -78,6 +79,9 @@ class TestKernelCoefficients:
     def test_rejects_outside_disk(self):
         with pytest.raises(ValueError, match="disk"):
             kernel_coefficients(1.2, 3)
+        for call in (kernel_coefficients, kernel_truncation_defect):
+            with pytest.raises(ValueError, match="not in the open unit disk"):
+                call(np.nan, 3)
 
     @pytest.mark.parametrize("d", [0, -1, 2.5, True])
     @pytest.mark.parametrize("w", [0.0, 1e-9, 0.5])
@@ -145,8 +149,9 @@ class TestBergmanMetric:
             )
 
     def test_rejects_boundary(self):
-        with pytest.raises(ValueError, match="disk"):
-            bergman_metric(0.0, 1.0)
+        for z, w in ((0.0, 1.0), (np.nan, 0.0)):
+            with pytest.raises(ValueError, match="not in the open unit disk"):
+                bergman_metric(z, w)
 
 
 class TestRLattice:
@@ -463,8 +468,9 @@ class TestSubharmonicity:
             assert report.passed
 
     def test_rejects_coarse_grid(self):
-        with pytest.raises(ValueError, match="grid_step"):
-            subharmonicity_check(np.eye(2), 1.0, grid_step=0.95, rmax=0.9)
+        for grid_step in (0.95, np.nan):
+            with pytest.raises(ValueError, match="grid_step"):
+                subharmonicity_check(np.eye(2), 1.0, grid_step=grid_step, rmax=0.9)
 
     @pytest.mark.parametrize("p", [261.0, 300.0, 400.0, [2.0, 300.0]])
     def test_rejects_p_at_which_the_values_overflow(self, p):

@@ -212,6 +212,21 @@ def test_verify_derives_each_regime_stack_once_per_certificate(monkeypatch):
     assert calls == {"parseval": 8}
 
 
+def test_verify_draws_each_trial_seeds_probes_once(monkeypatch):
+    """A trial's ONB, raw, Parseval and upper-bound-one frames share its probe
+    seed: a default verify draws 200 probe matrices, one per trial seed."""
+    drawn = collections.Counter()
+    probes = frames._probes
+
+    def counted(dim, n_probes, seed):
+        drawn[seed] += 1
+        return probes(dim, n_probes, seed)
+
+    monkeypatch.setattr(frames, "_probes", counted)
+    assert run_verify_theorems(CampaignConfig(command="verify-theorems")).passed
+    assert drawn == {seed: 1 for seed in range(200)}
+
+
 def test_verify_builds_three_frames_per_group(monkeypatch):
     """The synthesis checks build the Frames of each group's ONB, Parseval and
     upper-bound-one stacks; the raw frames are the ensemble's own."""
@@ -297,7 +312,7 @@ def test_bergman_traced_peak_memory(dim, limit_mib):
 
 def test_verify_traced_peak_memory():
     """The walk of the trial ensemble holds one group's stacks and one trial
-    seed's synthesis probes at a time: the peak reads 1.13 MiB at the default
+    seed's synthesis probes at a time: the peak reads 1.02 MiB at the default
     config, where holding a group's 25 probe matrices (1.87 MiB) or every
     group's derived stacks (2.24 MiB) at once would pass the bound."""
     run_verify_theorems(CampaignConfig(command="verify-theorems", dim=2, trials=1))

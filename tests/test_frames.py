@@ -321,7 +321,7 @@ class TestBatchedGenerator:
             np.testing.assert_array_equal(single.frame_operator, expected.frame_operator)
             assert single.bounds == expected.bounds
         if dim > 1 and 1.0 < target <= 5.0:  # every frame in C^1 has condition 1
-            assert blended > 0  # the masked blend loop ran
+            assert blended > 0  # the blend loop ran
 
 
 class TestUnionFrame:
@@ -532,8 +532,10 @@ class TestStackedSynthesisCertificate:
             return probes(dim, n_probes, seed)
 
         monkeypatch.setattr(frames, "_probes", counted)
-        variants = synthesis_variants(FrameEnsemble(3, 9, 0).groups[0].raw)
-        assert certify_synthesis(variants, seed=[4, 5, 6] * 3).passed.all()
+        stack = FrameEnsemble(3, 9, 0).groups[0].raw
+        variants = [stack, canonical_parseval(stack), rescale_upper_bound_one(stack)]
+        certificates = frames._certify_synthesis(variants, [4, 5, 6], 1e-9)
+        assert all(cert.passed.all() for cert in certificates)
         assert drawn == {4: 1, 5: 1, 6: 1}
 
     def test_rejects_seed_count_mismatch(self):
@@ -541,6 +543,19 @@ class TestStackedSynthesisCertificate:
         for seed in (0, [1, 2]):
             with pytest.raises(ValueError, match="one seed per frame"):
                 certify_synthesis(stack, seed=seed)
+
+    def test_rejects_frames_of_different_stack_shapes(self):
+        stack = FrameEnsemble(3, 9, 0).groups[0].raw
+        pair = Frame.of(stack.vectors[:2].copy())
+        mixes = [
+            ([stack, stack[0]], [4, 5, 6]),
+            ([stack[0], stack], 4),
+            ([stack, pair], [4, 5, 6]),
+            ([pair, stack], [4, 5]),
+        ]
+        for together, seeds in mixes:
+            with pytest.raises(ValueError, match="one seed per frame"):
+                frames._certify_synthesis(together, seeds, 1e-9)
 
 
 ONE_FRAME_CALLS = {
@@ -598,9 +613,10 @@ def test_stack_members_equal_one_frame_path(dim, extra, n, exponent, p, seed):
         for k in range(n):
             assert_same_frame(stacked, k, variant(singles[k]))
     cert = certify_synthesis(stack, seed=seeds)
-    # stacks of several shapes in one call share each seed's probes
-    joint = frames._certify_synthesis([stack, singles[0]], [seeds, seeds[0]], 1e-9)
-    for together, alone in zip(joint, (cert, certify_synthesis(singles[0], seed=seeds[0]))):
+    # stacks of one shape in one call share each trial's probes
+    parseval = canonical_parseval(stack)
+    joint = frames._certify_synthesis([stack, parseval], seeds, 1e-9)
+    for together, alone in zip(joint, (cert, certify_synthesis(parseval, seed=seeds))):
         for field in dataclasses.fields(alone):
             value, expected = getattr(together, field.name), getattr(alone, field.name)
             same = value == expected if field.name == "failures" else np.array_equal(value, expected)
