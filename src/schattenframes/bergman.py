@@ -132,6 +132,7 @@ def _pair_distances(z: np.ndarray, w: np.ndarray) -> np.ndarray:
 def min_pairwise_separation(points: np.ndarray) -> float:
     """Brute-force minimum Bergman distance over all point pairs."""
     pts = np.asarray(points, dtype=np.complex128).reshape(-1)
+    _check_in_disk(*pts)
     if pts.size < 2:
         return float("inf")
     beta = _pair_distances(pts[:, None], pts[None, :])

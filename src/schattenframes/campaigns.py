@@ -22,7 +22,7 @@ from . import serialization
 from .frames import Frame, FrameEnsemble, _certify_synthesis, certify_synthesis, make_frame
 from .linalg import CERTIFICATE_TOL, CHAIN_STABILITY_TOL, ELEMENTWISE_TOL, IDENTITY_TOL
 from .linalg import ORTHONORMALITY_TOL, SV_TOL, _check_count, _check_p, _check_seed, _verdict
-from .linalg import _witness_budget, schatten_norm, svd
+from .linalg import schatten_norm, svd
 
 # the run functions import the modules only their command runs
 if TYPE_CHECKING:
@@ -257,7 +257,7 @@ def run_verify_theorems(config: CampaignConfig) -> CampaignReport:
         records += certificates + [enclosure]
 
     for tag, op in (("trace_endpoint", psd), ("hs_endpoint", general)):
-        rep = criteria.endpoint_suites(op, tol=tol, ensemble=ensemble)
+        rep = criteria._endpoints(op, ensemble, tol)
         records.append({"tag": tag, **asdict(rep)})
 
     records.append(
@@ -492,11 +492,9 @@ def run_norm_estimate(matrix_file, p: float, strategy: str, config: CampaignConf
     _check_p(p)
     if strategy not in ("singular_basis_exact", "frame_ensemble"):
         raise ValueError(f"unknown strategy {strategy!r}")
-    t = serialization.read_matrix(matrix_file)
-    # one decomposition gives the norm and the witness basis; the full
-    # right factor spans C^cols also when T is wide
-    decomposition = svd(t)
-    norm_pth_power = float(np.sum(decomposition.singular_values**p))
+    # one decomposition gives the norm, the witness and the certificate
+    job = criteria._norm_job(serialization.read_matrix(matrix_file), p)
+    norm_pth_power = float(np.sum(job.spectrum**p))
     try:
         norm = norm_pth_power ** (1.0 / p)
     except OverflowError:
@@ -507,18 +505,10 @@ def run_norm_estimate(matrix_file, p: float, strategy: str, config: CampaignConf
         tag="norm_estimate", strategy=strategy, p=p, norm=norm, norm_pth_power=norm_pth_power
     )
     if strategy == "singular_basis_exact":
-        basis = np.ascontiguousarray(decomposition.right_basis)
-        witness = float(criteria._sums("norms", t, basis, p))
-        gap = witness - norm_pth_power
-        # the kernel vectors give ||T v|| ~ eps s_1, not 0: the certificates' witness budget
-        budget = _witness_budget(p, t.shape[1], float(np.max(decomposition.singular_values)))
-        ok = _verdict(gap, 0.0, 0.0, config.tol, norm_pth_power, budget)[1]
-        record.update(witness_sum=witness, gap=gap, passed=bool(ok))
+        witness, ok = criteria._witness(job, p, norm_pth_power, config.tol)
+        record.update(witness_sum=witness, gap=witness - norm_pth_power, passed=ok)
     else:
-        # the certificate factors T again: its norm_value is norm_pth_power, bit for bit
-        cert = criteria.certify_norm_formula(
-            t, p, trials=config.trials, seed=config.seed, tol=config.tol
-        )
+        cert = criteria._certified(job, config.trials, config.seed, config.tol)
         gap = cert.norm_value - cert.extremal_value
         record.update(ensemble_extremal=cert.extremal_value, gap=gap)
         record.update(direction=cert.direction, passed=cert.passed)

@@ -14,9 +14,9 @@ For p >= 2 the norm sums over frames with upper bound <= 1 stay below
 ||T||_p^p and the supremum attains it; for p <= 2 the sums over Parseval
 frames stay above and the infimum attains it.  The extremum is attained at
 the singular-vector (or eigenvector) basis, which the certificates evaluate
-as an exact witness alongside a seeded sampling ensemble: the FrameEnsemble
-passed as `ensemble` (a campaign builds one and shares it), or else a fresh
-FrameEnsemble(dim, trials, seed).
+as an exact witness alongside the seeded sampling ensemble
+FrameEnsemble(dim, trials, seed).  A campaign that shares one ensemble among
+its checks runs the bodies `_certify` and `_endpoints` on it.
 """
 
 from __future__ import annotations
@@ -244,15 +244,6 @@ def double_sum_comparison(
     return comparisons if many else comparisons[0]
 
 
-def _ensemble(t: np.ndarray, trials: int, seed: int, ensemble: FrameEnsemble | None):
-    """The campaign's ensemble, or a fresh one for a stand-alone call."""
-    if ensemble is None:
-        return FrameEnsemble(t.shape[1], trials, seed)
-    if ensemble.dim != t.shape[1]:
-        raise ValueError(f"operator acts on C^{t.shape[1]}, ensemble lives in C^{ensemble.dim}")
-    return ensemble
-
-
 #: One certificate over a p-grid, checked but not yet sampled: the sum of `kind`
 #: of T = `t` at each ps[j], in the inf regime where inf[j], against ||T||_p^p =
 #: sum spectrum^p, with the sum at `basis` as the witness (None: no witness);
@@ -291,10 +282,24 @@ def _certify(ensemble: FrameEnsemble, jobs, tol: float, visit=None) -> list:
     return [_reports(job, extreme, ensemble.trials, tol) for job, extreme in zip(jobs, extremes)]
 
 
+def _witness(job: _Job, p: float, norm_value: float, tol: float, terms=None) -> tuple[float, bool]:
+    """The sum of `job` at p over its witness basis, and whether it equals `norm_value`.
+
+    `terms` are the basis's `_terms`, if already taken (a p-grid takes them
+    once).  The pairings at the basis carry rounding, for which
+    `_witness_budget` allows: a kernel vector gives ||T v|| ~ eps s_1, not 0.
+    """
+    if terms is None:
+        terms = _terms(job.kind, job.t, job.basis)
+    witness = float(_power_sums(job.kind, terms, p))
+    n_terms = job.t.shape[1] ** (2 if job.kind == "double" else 1)
+    budget = _witness_budget(p, n_terms, float(np.max(job.spectrum)))
+    return witness, bool(_verdict(witness - norm_value, 0.0, 0.0, tol, norm_value, budget)[1])
+
+
 def _reports(job: _Job, extremes: np.ndarray, trials: int, tol: float) -> list:
     """The CertificateReport at each exponent of `job` from its sampled extremes."""
     witness_terms = None if job.basis is None else _terms(job.kind, job.t, job.basis)
-    n_terms = job.t.shape[1] ** (2 if job.kind == "double" else 1)
     reports = []
     for p, p_inf, extremal in zip(job.ps, job.inf, extremes):
         norm_value = float(np.sum(job.spectrum**p))
@@ -302,9 +307,7 @@ def _reports(job: _Job, extremes: np.ndarray, trials: int, tol: float) -> list:
         direction_ok = _verdict(extremal, lo, hi, tol, norm_value)[1]
         witness, witness_ok = None, False
         if job.basis is not None:
-            witness = float(_power_sums(job.kind, witness_terms, p))
-            budget = _witness_budget(p, n_terms, float(np.max(job.spectrum)))
-            witness_ok = bool(_verdict(witness - norm_value, 0.0, 0.0, tol, norm_value, budget)[1])
+            witness, witness_ok = _witness(job, p, norm_value, tol, witness_terms)
         reports.append(
             CertificateReport(
                 tag=_TAGS[job.kind] + ("_inf" if p_inf else "_sup"),
@@ -322,37 +325,40 @@ def _reports(job: _Job, extremes: np.ndarray, trials: int, tol: float) -> list:
     return reports
 
 
-def _certified(job: _Job, trials: int, seed: int, tol: float, ensemble):
-    """The reports of one job, sampled over `ensemble` or a fresh one."""
-    reports = _certify(_ensemble(job.t, trials, seed, ensemble), [job], tol)[0]
+def _certified(job: _Job, trials: int, seed: int, tol: float):
+    """The reports of one job, sampled over FrameEnsemble(dim, trials, seed)."""
+    reports = _certify(FrameEnsemble(job.t.shape[1], trials, seed), [job], tol)[0]
     return reports if job.many else reports[0]
 
 
 def _norm_job(t, p) -> _Job:
+    """The norm-sum job of T: one SVD gives the spectrum and, as the witness
+    basis, `right_basis`, which spans C^cols also when T is wide."""
     t = as_matrix(t)
     ps, many = _exponents(p)
     decomposition = svd(t)
-    s, basis = decomposition.singular_values, decomposition.right_vectors
+    s, basis = decomposition.singular_values, decomposition.right_basis
     return _Job("norms", t, ps, many, [q < 2 for q in ps], s, basis)
 
 
 def certify_norm_formula(
-    t, p, trials: int = 200, seed: int = 0, tol: float = CERTIFICATE_TOL, ensemble=None
+    t, p, trials: int = 200, seed: int = 0, tol: float = CERTIFICATE_TOL
 ) -> CertificateReport | list[CertificateReport]:
-    """Certify the norm-sum formula for ||T||_p^p, T square.
+    """Certify the norm-sum formula for ||T||_p^p.
 
     p >= 2 engages the sup regime over frames with upper bound <= 1, p < 2
     the inf regime over Parseval frames.  The samples are `trials` seeded
-    ONBs and as many random frames (trial seeds seed + index), or those of
-    `ensemble`; `tol` bounds the direction check and the equality witness.
-    The right-singular-vector basis is the exact witness: there ||T e_n|| is
-    the n-th singular value, so the sum equals ||T||_p^p in finite dimension.
+    ONBs and as many random frames (trial seeds seed + index); `tol` bounds
+    the direction check and the equality witness.  The right-singular-vector
+    basis is the exact witness: there ||T e_n|| is the n-th singular value,
+    so the sum equals ||T||_p^p in finite dimension.  For a wide T the basis
+    is completed by kernel vectors to span C^cols.
 
     `p` may be a sequence: the result is then one report per exponent,
     report j equal to the call at p[j], and the SVD, each sampled stack and
     its norms ||T f_n|| are taken once for the whole grid.
     """
-    return _certified(_norm_job(t, p), trials, seed, tol, ensemble)
+    return _certified(_norm_job(t, p), trials, seed, tol)
 
 
 def _diag_job(t, p, direction: str | None = None) -> _Job:
@@ -380,7 +386,6 @@ def certify_diag_formula(
     seed: int = 0,
     tol: float = CERTIFICATE_TOL,
     direction: str | None = None,
-    ensemble=None,
 ) -> CertificateReport | list[CertificateReport]:
     """Certify the diagonal-sum formula for a self-adjoint operator.
 
@@ -393,7 +398,7 @@ def certify_diag_formula(
     sequence, as in `certify_norm_formula`; without a `direction` each
     exponent takes its own regime.
     """
-    return _certified(_diag_job(t, p, direction), trials, seed, tol, ensemble)
+    return _certified(_diag_job(t, p, direction), trials, seed, tol)
 
 
 def _double_job(t, p) -> _Job:
@@ -411,7 +416,7 @@ def _double_job(t, p) -> _Job:
 
 
 def certify_double_formula(
-    t, p, trials: int = 200, seed: int = 0, tol: float = CERTIFICATE_TOL, ensemble=None
+    t, p, trials: int = 200, seed: int = 0, tol: float = CERTIFICATE_TOL
 ) -> CertificateReport | list[CertificateReport]:
     """Certify the double-sum formula.
 
@@ -422,7 +427,7 @@ def certify_double_formula(
     non-Hermitian T in the sup regime the extremal value is only recorded.
     `p` may be a sequence, as in `certify_norm_formula`.
     """
-    return _certified(_double_job(t, p), trials, seed, tol, ensemble)
+    return _certified(_double_job(t, p), trials, seed, tol)
 
 
 @dataclass(frozen=True)
@@ -444,12 +449,17 @@ class EndpointReport:
 
 
 def endpoint_suites(
-    t, trials: int = 200, seed: int = 0, tol: float = CERTIFICATE_TOL, ensemble=None
+    t, trials: int = 200, seed: int = 0, tol: float = CERTIFICATE_TOL
 ) -> EndpointReport:
-    """Run the p = 1 and p = 2 endpoint suites over the ensemble's raw frames."""
+    """Run the p = 1 and p = 2 endpoint suites over the raw frames of
+    FrameEnsemble(dim, trials, seed)."""
     t = as_matrix(t)
+    return _endpoints(t, FrameEnsemble(t.shape[1], trials, seed), tol)
+
+
+def _endpoints(t: np.ndarray, ensemble: FrameEnsemble, tol: float) -> EndpointReport:
+    """The endpoint suites of a complex (dim, dim) T over the raw frames of `ensemble`."""
     w = _psd_eigenvalues(t)
-    ensemble = _ensemble(t, trials, seed, ensemble)
     psd = w is not None
     if psd:
         trace_norm = float(np.sum(np.maximum(w, 0.0)))

@@ -337,17 +337,13 @@ class TrialGroup:
     """The trials of a FrameEnsemble that share one frame count.
 
     `indices` are the trial indices i and `seeds` their trial seeds
-    (ensemble seed + i); `raw` stacks their raw trial frames and `onb` their
-    ONBs, built on each read and not kept (a walk reads them once).
+    (ensemble seed + i); `raw` stacks their raw trial frames.  Their ONBs are
+    not kept: a walk builds them in a _TrialStacks.
     """
 
     indices: range
     seeds: range
     raw: Frame
-
-    @property
-    def onb(self) -> Frame:
-        return Frame.of(_onb_stack(self.raw.dim, self.seeds))
 
 
 class FrameEnsemble:

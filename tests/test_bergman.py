@@ -164,6 +164,15 @@ class TestRLattice:
         assert lattice.points.size > 1
         assert min_pairwise_separation(lattice.points) >= 0.5
 
+    def test_pairwise_separation_rejects_point_outside_disk(self):
+        # the distance to 1.5 would clip to arctanh(1 - 1e-16) and drop out of the minimum
+        with pytest.raises(ValueError, match="not in the open unit disk"):
+            min_pairwise_separation([0.0, 1.5, 0.5])
+
+    def test_pairwise_separation_rejects_nan_point(self):
+        with pytest.raises(ValueError, match="not in the open unit disk"):
+            min_pairwise_separation([0.0, np.nan, 0.5])
+
     def test_point_count_grows_with_rmax(self):
         counts = [r_lattice(0.4, rmax).points.size for rmax in (0.6, 0.8, 0.95)]
         assert counts[0] <= counts[1] <= counts[2]

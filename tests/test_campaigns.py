@@ -7,10 +7,11 @@ import json
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 from conftest import assert_same_report
 
-from schattenframes import bergman, campaigns, frames, serialization
+from schattenframes import bergman, campaigns, criteria, frames, serialization
 from schattenframes.campaigns import (
     CampaignConfig,
     run_bergman,
@@ -60,6 +61,39 @@ def _norm_estimate(tmp_path, strategy):
     matrix = tmp_path / "matrix.json"
     serialization.write_matrix(matrix, campaigns.random_operator(12, 3))
     return run_norm_estimate(matrix, 1.5, strategy, CampaignConfig(command="norm-estimate"))
+
+
+@pytest.mark.parametrize("strategy", ["singular_basis_exact", "frame_ensemble"])
+def test_norm_estimate_takes_one_full_svd(monkeypatch, tmp_path, strategy):
+    """The norm, the witness and the certificate all come from one decomposition."""
+    full, numpy_svd = [], np.linalg.svd
+
+    def spy(a, *args, **kwargs):
+        if kwargs.get("compute_uv", True):
+            full.append(a.shape)
+        return numpy_svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    matrix = tmp_path / "matrix.json"
+    serialization.write_matrix(matrix, campaigns.random_operator(6, 3))
+    config = CampaignConfig(command="norm-estimate", trials=5)
+    assert run_norm_estimate(matrix, 1.5, strategy, config).passed
+    assert full == [(6, 6)]
+
+
+@pytest.mark.parametrize("p", [0.5, 3.0])
+def test_wide_certificate_witness_is_the_exact_estimate(tmp_path, p):
+    """On a wide T the certificate sums over the whole right basis, as the
+    exact estimate does, so the two witnesses agree bit for bit."""
+    rng = np.random.default_rng(4)
+    t = rng.standard_normal((3, 7)) + 1j * rng.standard_normal((3, 7))
+    matrix = tmp_path / "wide.json"
+    serialization.write_matrix(matrix, t)
+    config = CampaignConfig(command="norm-estimate")
+    record = run_norm_estimate(matrix, p, "singular_basis_exact", config).records[0]
+    cert = criteria.certify_norm_formula(serialization.read_matrix(matrix), p, trials=5)
+    assert cert.witness_value == record["witness_sum"]
+    assert cert.equality_witness and record["passed"]
 
 
 REPORT_CASES = {

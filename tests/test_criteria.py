@@ -24,6 +24,7 @@ from schattenframes.criteria import (
     weighted_sum,
 )
 from schattenframes.frames import (
+    Frame,
     FrameEnsemble,
     _TrialStacks,
     canonical_parseval,
@@ -228,7 +229,8 @@ class TestDoubleSumComparison:
 
 
 class TestSharedEnsemble:
-    """A campaign's shared ensemble and a stand-alone (trials, seed) call agree."""
+    """The bodies a campaign runs on its shared ensemble and a stand-alone
+    (trials, seed) call agree."""
 
     @pytest.mark.parametrize("dim,trials", [(1, 3), (3, 7)])
     def test_certificates_match_stand_alone(self, dim, trials):
@@ -237,23 +239,19 @@ class TestSharedEnsemble:
         hermitian = seeded_hermitians(dim, 1, 32)[0]
         psd = seeded_psds(dim, 1, 33)[0]
         calls = [
-            (certify_norm_formula, general, 0.5, {}),
-            (certify_norm_formula, general, 3.0, {}),
-            (certify_diag_formula, hermitian, 1.5, {"direction": "sup_below"}),
-            (certify_diag_formula, psd, 0.5, {"direction": "inf_above"}),
-            (certify_double_formula, general, 4.0, {}),
-            (certify_double_formula, hermitian, 1.0, {}),
+            (certify_norm_formula, criteria._norm_job, general, 0.5, {}),
+            (certify_norm_formula, criteria._norm_job, general, 3.0, {}),
+            (certify_diag_formula, criteria._diag_job, hermitian, 1.5, {"direction": "sup_below"}),
+            (certify_diag_formula, criteria._diag_job, psd, 0.5, {"direction": "inf_above"}),
+            (certify_double_formula, criteria._double_job, general, 4.0, {}),
+            (certify_double_formula, criteria._double_job, hermitian, 1.0, {}),
         ]
-        for certify, t, p, extra in calls:
-            shared = certify(t, p, ensemble=ensemble, **extra)
+        for certify, job, t, p, extra in calls:
+            [[shared]] = criteria._certify(ensemble, [job(t, p, **extra)], 1e-9)
             assert shared == certify(t, p, trials, 9, **extra)
             assert shared.trials == trials
             assert shared.passed
-        assert endpoint_suites(psd, ensemble=ensemble) == endpoint_suites(psd, trials, 9)
-
-    def test_rejects_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="ensemble"):
-            certify_norm_formula(np.eye(3), 2.0, ensemble=FrameEnsemble(2, 4, 0))
+        assert criteria._endpoints(psd, ensemble, 1e-9) == endpoint_suites(psd, trials, 9)
 
     def test_rejects_no_trials(self):
         with pytest.raises(ValueError, match="trials"):
@@ -274,7 +272,6 @@ class TestCertificateGrid:
         seed=st.integers(0, 2**16),
     )
     def test_grid_reports_equal_one_p_calls(self, dim, trials, grid, seed):
-        ensemble = FrameEnsemble(dim, trials, seed)
         general = seeded_operators(dim, 1, seed + 1)[0]
         hermitian = seeded_hermitians(dim, 1, seed + 2)[0]
         psd = seeded_psds(dim, 1, seed + 3)[0]
@@ -291,10 +288,10 @@ class TestCertificateGrid:
             (certify_double_formula, hermitian, grid, {}, dim**2, s1),
         ]
         for certify, t, ps, extra, n_terms, scale in calls:
-            reports = certify(t, ps, ensemble=ensemble, **extra)
+            reports = certify(t, ps, trials, seed, **extra)
             assert len(reports) == len(ps)
             for p, rep in zip(ps, reports):
-                assert repr(rep) == repr(certify(t, p, ensemble=ensemble, **extra))
+                assert repr(rep) == repr(certify(t, p, trials, seed, **extra))
                 assert rep.p == p and rep.passed
                 slack = rep.tolerance * max(1.0, rep.norm_value)
                 if rep.direction == "sup_below":
@@ -312,9 +309,9 @@ class TestCertificateGrid:
             certify_double_formula: criteria._double_job,
         }
         jobs = [job_of[certify](t, ps, **extra) for certify, t, ps, extra, *_ in calls]
-        walked = criteria._certify(ensemble, jobs, 1e-9)
+        walked = criteria._certify(FrameEnsemble(dim, trials, seed), jobs, 1e-9)
         for (certify, t, ps, extra, *_), reports in zip(calls, walked):
-            assert repr(reports) == repr(certify(t, ps, ensemble=ensemble, **extra))
+            assert repr(reports) == repr(certify(t, ps, trials, seed, **extra))
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=60)
     @given(
@@ -353,19 +350,18 @@ class TestCertificateGrid:
         # the walk sums bare vectors: it builds no Frame
         frame_of = counted(calls, "Frame.of", frames.Frame.of.__func__)
         monkeypatch.setattr(frames.Frame, "of", classmethod(frame_of))
-        ensemble = FrameEnsemble(3, 7, 0)
         hermitian = seeded_hermitians(3, 1, 40)[0]
-        reports = certify_double_formula(hermitian, [0.5, 1.0, 2.0, 3.0, 1.5], ensemble=ensemble)
+        reports = certify_double_formula(hermitian, [0.5, 1.0, 2.0, 3.0, 1.5], 7, 0)
         directions = [rep.direction for rep in reports]
         # sup at p = 2 even for a Hermitian operator
         assert directions == ["inf_above", "inf_above", "sup_below", "sup_below", "inf_above"]
-        groups = len(ensemble.groups)
+        groups = len(FrameEnsemble(3, 7, 0).groups)
         assert calls == {"svd": 1, "hermitian_eigen": 1, "group": groups, "parseval": groups}
         for stacks in walked:
             assert_walked_vectors(stacks, {"onb", "parseval", "upper_one"})
         calls.clear()
         walked.clear()
-        certify_norm_formula(hermitian, [3.0, 4.0, 5.0], ensemble=ensemble)
+        certify_norm_formula(hermitian, [3.0, 4.0, 5.0], 7, 0)
         assert calls == {"svd": 1, "group": groups}
         for stacks in walked:
             assert_walked_vectors(stacks, {"onb", "upper_one"})
@@ -387,7 +383,7 @@ def assert_walked_vectors(stacks, names):
     vectors of the public frame it stands for."""
     group = stacks.group
     public = {
-        "onb": group.onb,
+        "onb": Frame.of(_TrialStacks(group).onb),
         "parseval": canonical_parseval(group.raw),
         "upper_one": rescale_upper_bound_one(group.raw),
     }

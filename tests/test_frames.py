@@ -370,7 +370,7 @@ class TestFrameEnsemble:
         for group in ensemble.groups:
             count = group.raw.vectors.shape[2]
             assert all(dim + (i % dim) + 1 == count for i in group.indices)
-            assert group.onb.vectors.shape == (len(group.indices), dim, dim)
+            assert _TrialStacks(group).onb.shape == (len(group.indices), dim, dim)
             assert group.raw.vectors.shape == (len(group.indices), dim, count)
             seen += list(group.indices)
         assert sorted(seen) == list(range(trials))
@@ -379,17 +379,18 @@ class TestFrameEnsemble:
     def test_members_match_generators_bitwise(self, dim, trials, seed):
         for group in FrameEnsemble(dim, trials, seed).groups:
             count = group.raw.vectors.shape[2]
+            onbs = Frame.of(_TrialStacks(group).onb)
             for k, i in enumerate(group.indices):
                 onb = random_onb(dim, seed + i)
                 raw = random_frame(dim, count, TRIAL_CONDITION, seed + i)
-                np.testing.assert_array_equal(group.onb.vectors[k], onb.vectors)
+                np.testing.assert_array_equal(onbs.vectors[k], onb.vectors)
                 np.testing.assert_array_equal(group.raw.vectors[k], raw.vectors)
 
     @pytest.mark.parametrize("dim,trials,seed", ENSEMBLE_CASES)
     def test_bounds_and_variants_match_single_frame_path(self, dim, trials, seed):
         for group in FrameEnsemble(dim, trials, seed).groups:
             stacks = {
-                "onb": group.onb,
+                "onb": Frame.of(_TrialStacks(group).onb),
                 "raw": group.raw,
                 "parseval": canonical_parseval(group.raw),
                 "upper_one": rescale_upper_bound_one(group.raw),
@@ -398,7 +399,7 @@ class TestFrameEnsemble:
             for k in range(len(group.indices)):
                 raw = group.raw[k]
                 singles = {
-                    "onb": make_frame(group.onb.vectors[k]),
+                    "onb": make_frame(stacks["onb"].vectors[k]),
                     "raw": make_frame(raw.vectors),
                     "parseval": canonical_parseval(raw),
                     "upper_one": rescale_upper_bound_one(raw),
@@ -414,7 +415,8 @@ class TestFrameEnsemble:
 
     def test_stacks_are_read_only(self):
         group = FrameEnsemble(3, 4, 0).groups[0]
-        for arr in (group.onb.vectors, group.raw.vectors, group.raw.lower_bound,
+        onb = Frame.of(_TrialStacks(group).onb)
+        for arr in (onb.vectors, group.raw.vectors, group.raw.lower_bound,
                     group.raw.upper_bound, group.raw[0].frame_operator):
             with pytest.raises(ValueError):
                 arr.flat[0] = 0.0
@@ -431,7 +433,7 @@ class TestFrameEnsemble:
         for group in FrameEnsemble(3, 6, 2).groups:
             stacks = _TrialStacks(group)
             public = {
-                "onb": group.onb,
+                "onb": Frame.of(_TrialStacks(group).onb),
                 "parseval": canonical_parseval(group.raw),
                 "upper_one": rescale_upper_bound_one(group.raw),
                 "lower_one": rescale_lower_bound_one(group.raw),
@@ -500,7 +502,7 @@ class TestStackedSynthesisCertificate:
     def test_variants_match_single_frame_bitwise(self, dim, trials, seed):
         for group in FrameEnsemble(dim, trials, seed).groups:
             seeds = [seed + i for i in group.indices] * 3
-            for stack in (group.onb, group.raw):
+            for stack in (Frame.of(_TrialStacks(group).onb), group.raw):
                 variants = synthesis_variants(stack)
                 cert = certify_synthesis(variants, seed=seeds)
                 assert cert.passed.shape == (len(seeds),)
