@@ -39,13 +39,9 @@ from .linalg import (
     svd,
 )
 from .serialization import (
-    frame_from_dict,
-    frame_to_dict,
     matrix_from_dict,
     matrix_to_dict,
-    read_frame,
     read_matrix,
-    write_frame,
     write_matrix,
 )
 

@@ -217,20 +217,30 @@ def run_verify_theorems(config: CampaignConfig) -> CampaignReport:
     ]
     at = [[j for j, p in enumerate(config.p_grid) if applies(p)] for _, _, applies in checks]
     jobs = [job(op, [config.p_grid[j] for j in js]) for (job, op, _), js in zip(checks, at) if js]
+    endpoints = {"trace_endpoint": psd, "hs_endpoint": general}
     synthesis = []  # the certificates of each group's ONB and raw-frame variants
     enclosures = []  # each group's double-sum comparisons, one per p
+    endpoint_sums = {tag: [] for tag in endpoints}  # each group's raw-frame sums, per suite
 
     def visit(stacks):
         # the ONB, raw, Parseval and upper-bound-one frames of a trial share its
-        # probe seed; they stay four stacks, as a joined copy of the stacks the
-        # walk holds would raise the peak RSS
+        # probe seed; each derived stack is certified at the bounds its
+        # derivation claims, and they stay separate stacks, as a joined copy of
+        # the stacks the walk holds would raise the peak RSS
         group = stacks.group
-        onb, parseval, upper_one = map(Frame.of, (stacks.onb, stacks.parseval, stacks.upper_one))
-        variants = [onb, group.raw, parseval, upper_one]
+        raw, ones = group.raw, np.ones(len(group.seeds))
+        variants = [
+            Frame(stacks.onb, ones, ones),
+            raw,
+            Frame(stacks.parseval, ones, ones),
+            Frame(stacks.upper_one, raw.lower_bound / raw.upper_bound, ones),
+        ]
         synthesis.extend(_certify_synthesis(variants, group.seeds, tol))
         # trial i's raw frame is paired with operator seed + 1000 + i
         ops = np.stack([random_operator(dim, seed + 1000 + i) for i in group.indices])
-        enclosures.append(criteria.double_sum_comparison(ops, group.raw, config.p_grid, tol))
+        enclosures.append(criteria.double_sum_comparison(ops, raw, config.p_grid, tol))
+        for tag, op in endpoints.items():
+            endpoint_sums[tag].append(criteria._endpoint_sums(op, raw))
 
     per_p: list[list[dict]] = [[] for _ in config.p_grid]
     reports = criteria._certify(ensemble, jobs, tol, visit=visit)
@@ -256,8 +266,8 @@ def run_verify_theorems(config: CampaignConfig) -> CampaignReport:
         }
         records += certificates + [enclosure]
 
-    for tag, op in (("trace_endpoint", psd), ("hs_endpoint", general)):
-        rep = criteria._endpoints(op, ensemble, tol)
+    for tag, op in endpoints.items():
+        rep = criteria._endpoint_report(op, endpoint_sums[tag], trials, tol)
         records.append({"tag": tag, **asdict(rep)})
 
     records.append(

@@ -16,7 +16,8 @@ frames stay above and the infimum attains it.  The extremum is attained at
 the singular-vector (or eigenvector) basis, which the certificates evaluate
 as an exact witness alongside the seeded sampling ensemble
 FrameEnsemble(dim, trials, seed).  A campaign that shares one ensemble among
-its checks runs the bodies `_certify` and `_endpoints` on it.
+its checks walks it once with `_certify`, taking each group's
+`_endpoint_sums` in the walk's visit and judging them with `_endpoint_report`.
 """
 
 from __future__ import annotations
@@ -27,9 +28,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .frames import Frame, FrameEnsemble, _one_frame, _per_frame, _TrialStacks
-from .linalg import CERTIFICATE_TOL, IDENTITY_TOL, _check_p, _exponents, _is_hermitian, _is_psd
-from .linalg import _psd_eigenvalues, _verdict, _witness_budget, as_matrix, hermitian_eigen
-from .linalg import schatten_norm, svd
+from .linalg import CERTIFICATE_TOL, IDENTITY_TOL, _as_square, _check_p, _exponents, _is_hermitian
+from .linalg import _is_psd, _psd_eigenvalues, _verdict, _witness_budget, as_matrix
+from .linalg import hermitian_eigen, schatten_norm, svd
 
 __all__ = [
     "SumReport",
@@ -453,41 +454,39 @@ def endpoint_suites(
 ) -> EndpointReport:
     """Run the p = 1 and p = 2 endpoint suites over the raw frames of
     FrameEnsemble(dim, trials, seed)."""
-    t = as_matrix(t)
-    return _endpoints(t, FrameEnsemble(t.shape[1], trials, seed), tol)
+    t = _as_square(t)
+    ensemble = FrameEnsemble(t.shape[1], trials, seed)
+    sums = [_endpoint_sums(t, group.raw) for group in ensemble.groups]
+    return _endpoint_report(t, sums, trials, tol)
 
 
-def _endpoints(t: np.ndarray, ensemble: FrameEnsemble, tol: float) -> EndpointReport:
-    """The endpoint suites of a complex (dim, dim) T over the raw frames of `ensemble`."""
+def _endpoint_sums(t: np.ndarray, raw: Frame) -> np.ndarray:
+    """The rows C1, C2, sum_n max(0, Re <T f_n, f_n>), sum_n ||T f_n||^2 and
+    trace(T* T S) of a complex (dim, dim) T over a stack of raw frames."""
+    diag = np.sum(np.maximum(_diag_values(t, raw.vectors).real, 0.0), axis=-1)
+    via_trace = np.real(np.trace((t.conj().T @ t) @ raw.frame_operator, axis1=-2, axis2=-1))
+    norms = _sums("norms", t, raw.vectors, 2)
+    return np.stack([raw.lower_bound, raw.upper_bound, diag, norms, via_trace])
+
+
+def _endpoint_report(t: np.ndarray, sums, trials: int, tol: float) -> EndpointReport:
+    """The endpoint suites of T judged on the `_endpoint_sums` of every group."""
+    c1, c2, diag, norm_total, via_trace = np.concatenate(sums, axis=1)
     w = _psd_eigenvalues(t)
     psd = w is not None
+    trace_margin, ok = np.nan, True
     if psd:
         trace_norm = float(np.sum(np.maximum(w, 0.0)))
+        margin, fits = _verdict(diag, c1 * trace_norm, c2 * trace_norm, tol, c2 * trace_norm)
+        trace_margin, ok = float(np.min(margin)), bool(np.all(fits))
     hs_sq = schatten_norm(t, 2) ** 2
-    gram = t.conj().T @ t
-    trace_margin = hs_margin = np.inf
-    hs_dev = 0.0
-    ok = True
-    for group in ensemble.groups:
-        raw = group.raw
-        c1, c2 = raw.lower_bound, raw.upper_bound
-        if psd:
-            diag = np.sum(np.maximum(_diag_values(t, raw.vectors).real, 0.0), axis=-1)
-            margin, fits = _verdict(diag, c1 * trace_norm, c2 * trace_norm, tol, c2 * trace_norm)
-            trace_margin = min(trace_margin, float(np.min(margin)))
-            ok = ok and bool(np.all(fits))
-        norm_total = _sums("norms", t, raw.vectors, 2)
-        via_trace = np.real(np.trace(gram @ raw.frame_operator, axis1=-2, axis2=-1))
-        dev = np.abs(norm_total - via_trace) / np.maximum(1.0, np.abs(via_trace))
-        hs_dev = max(hs_dev, float(np.max(dev)))
-        margin, fits = _verdict(norm_total, c1 * hs_sq, c2 * hs_sq, tol, c2 * hs_sq)
-        hs_margin = min(hs_margin, float(np.min(margin)))
-        ok = ok and bool(np.all(fits)) and hs_dev <= IDENTITY_TOL
+    hs_dev = float(np.max(np.abs(norm_total - via_trace) / np.maximum(1.0, np.abs(via_trace))))
+    margin, fits = _verdict(norm_total, c1 * hs_sq, c2 * hs_sq, tol, c2 * hs_sq)
     return EndpointReport(
-        trials=ensemble.trials,
+        trials=trials,
         trace_checked=psd,
-        trace_margin=float(trace_margin) if psd else float("nan"),
-        hs_identity_dev=float(hs_dev),
-        hs_enclosure_margin=float(hs_margin),
-        passed=ok,
+        trace_margin=trace_margin,
+        hs_identity_dev=hs_dev,
+        hs_enclosure_margin=float(np.min(margin)),
+        passed=ok and bool(np.all(fits)) and hs_dev <= IDENTITY_TOL,
     )

@@ -172,9 +172,12 @@ def make_frame(vectors, dim: int | None = None) -> Frame:
 class SynthesisCertificate:
     """Measured synthesis-operator properties with pass/fail verdict.
 
-    Certifies C1 <= ||A||^2 <= C2, invertibility of S = A A* (C1 > 0), and on
-    seeded unit probes f the analysis identity sum_n |<f, f_n>|^2 = <S f, f>
-    (||A* f||^2 against Re <S f, f>) and the frame inequality.  `rank` is the
+    Certifies that the extreme eigenvalues of S = A A*, s_min(A)^2 (0 when
+    count < dim) and ||A||^2 = s_1(A)^2 from the singular values of A, lie in
+    [C1, C2], that C1 > 0, and on seeded unit probes f the analysis identity
+    sum_n |<f, f_n>|^2 = <S f, f> (||A* f||^2 against Re <S f, f>) and the
+    frame inequality.  Valid bounds pass even when not optimal; a claimed C1
+    above lambda_min(S) or a C2 below lambda_max(S) fails.  `rank` is the
     numerical rank of A (not injective in general, e.g. for repeated vectors).
     For a stack of frames the bounds, measurements, `rank` and `passed` are
     arrays over the stack and `failures` holds one tuple of messages per frame.
@@ -252,12 +255,14 @@ def _certify_synthesis(frames, seeds, tol: float) -> list:
     certificates = []
     for frame, vectors, dev, lo, hi in zip(frames, stacks, dev, lo, hi):
         c1, c2 = np.reshape(frame.lower_bound, -1), np.reshape(frame.upper_bound, -1)
-        # LAPACK SVD of A itself, independent of the frame operator the bounds came from
+        # LAPACK SVD of A itself, independent of the frame operator the bounds came from;
+        # lambda(S) runs from s_min(A)^2, 0 when fewer vectors than dim, to s_1(A)^2
         svals = np.linalg.svd(vectors, compute_uv=False)
         op2 = svals[:, 0] ** 2
+        least2 = svals[:, -1] ** 2 if frame.count >= frame.dim else np.zeros(len(vectors))
         rank = np.sum(svals > RANK_TOL * svals[:, :1], axis=-1)
         checks = (
-            ~_verdict(op2, c1, c2, tol, c2)[1],
+            ~np.all(_verdict(np.stack([least2, op2]), c1, c2, tol, c2)[1], axis=0),
             ~(c1 > 0),
             dev > IDENTITY_TOL,
             (lo < c1 * (1 - IDENTITY_TOL) - tol) | (hi > c2 * (1 + IDENTITY_TOL) + tol),
@@ -266,7 +271,8 @@ def _certify_synthesis(frames, seeds, tol: float) -> list:
         for k in np.flatnonzero(np.any(checks, axis=0)):
             b1, b2 = float(c1[k]), float(c2[k])
             messages = (
-                f"||A||^2 = {op2[k]:.6e} outside [{b1:.6e}, {b2:.6e}]",
+                f"s_min(A)^2, ||A||^2 = {least2[k]:.6e}, {op2[k]:.6e}"
+                f" outside [{b1:.6e}, {b2:.6e}]",
                 f"frame operator not invertible: lambda_min = {b1:.3e}",
                 f"analysis identity deviation {dev[k]:.3e}",
                 f"probe sums [{lo[k]:.6e}, {hi[k]:.6e}] escape bounds [{b1}, {b2}]",
@@ -379,7 +385,9 @@ class _TrialStacks:
     are its raw frames made Parseval (the inf regime) and rescaled to upper
     bound 1 (the sup regime) and to lower bound 1.  They are bare
     (n, dim, count) arrays without bounds, as the sums read nothing else; a
-    reader that needs bounds builds the Frame with `Frame.of`.  A walk makes
+    reader that needs a Frame gives each stack the bounds its derivation
+    claims, (1, 1) for `onb` and `parseval`, (C1/C2, 1) for `upper_one` and
+    (1, C2/C1) for `lower_one`, with C1 and C2 the raw bounds.  A walk makes
     one _TrialStacks per group and drops it before the next group.
     """
 

@@ -1,9 +1,8 @@
-"""JSON exchange formats for matrices and frames, plus CSV report writers.
+"""The JSON exchange format for matrices, plus CSV report writers.
 
 Matrix format: {"rows": r, "cols": c, "re": [...], "im": [...]} with entries
-row-major.  Frame format: {"dim": d, "vectors": [matrix, ...]} where each
-vector is a rows x 1 matrix object.  Round-trips are bit-exact for finite
-doubles (Python's float repr is shortest-round-trip).
+row-major.  Round-trips are bit-exact for finite doubles (Python's float repr
+is shortest-round-trip).
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .frames import Frame, _one_frame, make_frame
 from .linalg import _check_count, as_matrix
 
 if TYPE_CHECKING:  # only the counterexamples command loads constructions
@@ -26,10 +24,6 @@ __all__ = [
     "matrix_from_dict",
     "write_matrix",
     "read_matrix",
-    "frame_to_dict",
-    "frame_from_dict",
-    "write_frame",
-    "read_frame",
     "write_growth_csv",
     "write_records_csv",
     "write_nodes_csv",
@@ -72,32 +66,6 @@ def write_matrix(path, m) -> None:
 
 def read_matrix(path) -> np.ndarray:
     return matrix_from_dict(json.loads(Path(path).read_text()))
-
-
-def frame_to_dict(frame: Frame) -> dict:
-    """Encode a frame as its dimension plus per-vector matrix objects."""
-    return {
-        "dim": _one_frame(frame).dim,
-        "vectors": [matrix_to_dict(frame.vectors[:, k : k + 1]) for k in range(frame.count)],
-    }
-
-
-def frame_from_dict(d: dict) -> Frame:
-    try:
-        dim = d["dim"]
-        vectors = [matrix_from_dict(v).reshape(-1) for v in d["vectors"]]
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed frame object: {exc}") from exc
-    _check_count("dim", dim)
-    return make_frame(vectors, dim=dim)
-
-
-def write_frame(path, frame: Frame) -> None:
-    Path(path).write_text(json.dumps(frame_to_dict(frame)) + "\n")
-
-
-def read_frame(path) -> Frame:
-    return frame_from_dict(json.loads(Path(path).read_text()))
 
 
 def write_growth_csv(path, series: GrowthSeries) -> None:

@@ -261,19 +261,35 @@ def test_verify_draws_each_trial_seeds_probes_once(monkeypatch):
     assert drawn == {seed: 1 for seed in range(200)}
 
 
-def test_verify_builds_three_frames_per_group(monkeypatch):
-    """The synthesis checks build the Frames of each group's ONB, Parseval and
-    upper-bound-one stacks; the raw frames are the ensemble's own."""
-    built = []
-    of = frames.Frame.of.__func__
+def test_verify_certifies_claimed_bounds_without_eigh(monkeypatch):
+    """The synthesis checks certify each derived stack at the bounds its
+    derivation claims, so verify measures no bounds for them: no `Frame.of`,
+    19 eigh calls (43 when the derived stacks were measured), and one
+    _TrialStacks per group, in the one walk of the ensemble."""
+    calls = collections.Counter()
 
-    def counted(cls, vectors):
-        built.append(vectors.shape[0])
-        return of(cls, vectors)
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
 
-    monkeypatch.setattr(frames.Frame, "of", classmethod(counted))
+        return wrapper
+
+    monkeypatch.setattr(frames.Frame, "of", classmethod(counted("Frame.of", frames.Frame.of.__func__)))
+    monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
+    monkeypatch.setattr(criteria, "_TrialStacks", counted("stacks", criteria._TrialStacks))
     assert run_verify_theorems(CampaignConfig(command="verify-theorems")).passed
-    assert len(built) == 24 and sum(built) == 3 * 200
+    assert calls == {"eigh": 19, "stacks": 8}
+
+
+def test_verify_fails_parseval_vectors_one_percent_too_long(monkeypatch):
+    """Parseval vectors 1% too long (bounds 1.0201) fail the synthesis checks
+    and nothing else: the inf-regime sums over longer frames stay above
+    ||T||_p^p, so only the bounds the derivation claims catch them."""
+    parseval = frames._parseval_vectors
+    monkeypatch.setattr(frames, "_parseval_vectors", lambda v: 1.01 * parseval(v))
+    report = run_verify_theorems(CampaignConfig(command="verify-theorems"))
+    assert [rec["tag"] for rec in report.records if not rec["passed"]] == ["synthesis_bounds"]
 
 
 def test_bergman_builds_each_kernel_base_once(monkeypatch):

@@ -251,7 +251,18 @@ class TestSharedEnsemble:
             assert shared == certify(t, p, trials, 9, **extra)
             assert shared.trials == trials
             assert shared.passed
-        assert criteria._endpoints(psd, ensemble, 1e-9) == endpoint_suites(psd, trials, 9)
+        # the endpoint suites judged on sums taken in a walk's visit
+        sums = {id(psd): [], id(general): []}
+
+        def visit(stacks):
+            for t in (psd, general):
+                sums[id(t)].append(criteria._endpoint_sums(t, stacks.group.raw))
+
+        criteria._certify(ensemble, [criteria._norm_job(general, 0.5)], 1e-9, visit=visit)
+        for t in (psd, general):
+            walked = criteria._endpoint_report(t, sums[id(t)], trials, 1e-9)
+            assert walked == endpoint_suites(t, trials, 9)
+            assert walked.passed and walked.trace_checked == (t is psd)
 
     def test_rejects_no_trials(self):
         with pytest.raises(ValueError, match="trials"):

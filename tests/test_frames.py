@@ -31,7 +31,6 @@ from schattenframes.frames import (
     rescale_upper_bound_one,
     union_frame,
 )
-from schattenframes.serialization import frame_to_dict
 
 
 def mercedes_frame():
@@ -148,6 +147,20 @@ class TestCertifySynthesis:
         cert = certify_synthesis(broken)
         assert not cert.passed
         assert cert.failures
+
+    def test_claimed_lower_bound_above_lambda_min_fails(self):
+        """Vectors shrunk by 1% below lower bound 1 (lambda_min(S) = 0.9801)
+        fail on s_min(A)^2, which the random probes alone miss."""
+        raw = random_frame(8, 12, 100.0, 3)
+        c1, c2 = raw.bounds
+        shrunk = Frame(0.99 * raw.vectors / np.sqrt(c1), 1.0, c2 / c1)
+        cert = certify_synthesis(shrunk, seed=3)
+        assert not cert.passed
+        assert cert.failures == (
+            f"s_min(A)^2, ||A||^2 = {0.9801:.6e}, {cert.op_norm_sq:.6e}"
+            f" outside [{1.0:.6e}, {c2 / c1:.6e}]",
+        )
+        assert certify_synthesis(Frame(raw.vectors / np.sqrt(c1), 1.0, c2 / c1), seed=3).passed
 
     def test_rectangular_norm_from_lapack_svd(self):
         frame = random_frame(8, 13, 100.0, 4)
@@ -568,7 +581,6 @@ ONE_FRAME_CALLS = {
     "union_frame": lambda f: union_frame(f, np.eye(3)),
     "union_frame_appended": lambda f: union_frame(make_frame(np.eye(3)), f),
     "make_frame": make_frame,
-    "frame_to_dict": frame_to_dict,
 }
 
 

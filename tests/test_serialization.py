@@ -9,15 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from schattenframes.constructions import growth_series
-from schattenframes.frames import make_frame
 from schattenframes.serialization import (
-    frame_from_dict,
-    frame_to_dict,
     matrix_from_dict,
     matrix_to_dict,
-    read_frame,
     read_matrix,
-    write_frame,
     write_growth_csv,
     write_matrix,
     write_nodes_csv,
@@ -55,31 +50,6 @@ class TestMatrixFormat:
             matrix_to_dict(np.array([[np.inf]]))
 
 
-class TestFrameFormat:
-    def test_round_trip(self, rng):
-        frame = make_frame(rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5)))
-        restored = frame_from_dict(frame_to_dict(frame))
-        np.testing.assert_array_equal(restored.vectors, frame.vectors)
-        assert restored.bounds == pytest.approx(frame.bounds)
-
-    def test_file_round_trip(self, tmp_path):
-        frame = make_frame([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-        path = tmp_path / "frame.json"
-        write_frame(path, frame)
-        restored = read_frame(path)
-        np.testing.assert_array_equal(restored.vectors, frame.vectors)
-
-    def test_rejects_malformed(self):
-        with pytest.raises(ValueError, match="malformed"):
-            frame_from_dict({"dim": 2})
-
-    @pytest.mark.parametrize("dim", [1.5, True, 0, -1, "2"])
-    def test_rejects_dim_that_is_not_a_positive_integer(self, dim):
-        vectors = [matrix_to_dict(np.ones((2, 1)))]
-        with pytest.raises(ValueError, match=f"dim must be an integer >= 1, got {dim!r}"):
-            frame_from_dict({"dim": dim, "vectors": vectors})
-
-
 #: Entry parts before scaling: the interval holds both zeros and subnormals, and
 #: the fixed values make -0.0 and the smallest subnormal common.
 PARTS = st.one_of(st.floats(-1.0, 1.0), st.sampled_from([-0.0, 5e-324, -5e-324]))
@@ -103,28 +73,6 @@ def test_matrix_round_trip_is_bit_exact_at_every_scale(rows, cols, k, data):
     m.real, m.imag = parts[:n].reshape(rows, cols), parts[n:].reshape(rows, cols)
     decoded = matrix_from_dict(json_round_trip(matrix_to_dict(m)))
     assert decoded.shape == m.shape and decoded.tobytes() == m.tobytes()
-
-
-@settings(derandomize=True, database=None, deadline=None, max_examples=40)
-@given(
-    dim=st.integers(1, 4),
-    extra=st.integers(0, 3),
-    k=st.integers(-200, 200),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_frame_round_trip_keeps_vectors_and_bounds(dim, extra, k, seed):
-    rng = np.random.default_rng(seed)
-    shape = (dim, dim + extra)
-    v = 2.0**k * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-    # signed zeros and subnormals off the diagonal, which keeps the family spanning
-    off = rng.random(shape) < 0.3
-    off[np.arange(dim), np.arange(dim)] = False
-    v.real[off] = -0.0
-    v.imag[off & (rng.random(shape) < 0.5)] = -5e-324
-    frame = make_frame(v)
-    restored = frame_from_dict(json_round_trip(frame_to_dict(frame)))
-    assert restored.vectors.tobytes() == frame.vectors.tobytes()
-    assert (restored.lower_bound, restored.upper_bound) == (frame.lower_bound, frame.upper_bound)
 
 
 class TestNodesCsv:
