@@ -223,10 +223,10 @@ def run_verify_theorems(config: CampaignConfig) -> CampaignReport:
     endpoint_sums = {tag: [] for tag in endpoints}  # each group's raw-frame sums, per suite
 
     def visit(stacks):
-        # the ONB, raw, Parseval and upper-bound-one frames of a trial share its
-        # probe seed; each derived stack is certified at the bounds its
-        # derivation claims, and they stay separate stacks, as a joined copy of
-        # the stacks the walk holds would raise the peak RSS
+        # the ONB, raw and derived frames of a trial share its probe seed; each
+        # derived stack is certified at the bounds its derivation claims, and
+        # they stay separate stacks, as a joined copy of the stacks the walk
+        # holds would raise the peak RSS
         group = stacks.group
         raw, ones = group.raw, np.ones(len(group.seeds))
         variants = [
@@ -234,6 +234,7 @@ def run_verify_theorems(config: CampaignConfig) -> CampaignReport:
             raw,
             Frame(stacks.parseval, ones, ones),
             Frame(stacks.upper_one, raw.lower_bound / raw.upper_bound, ones),
+            Frame(stacks.lower_one, ones, raw.upper_bound / raw.lower_bound),
         ]
         synthesis.extend(_certify_synthesis(variants, group.seeds, tol))
         # trial i's raw frame is paired with operator seed + 1000 + i

@@ -31,7 +31,8 @@ def test_golden_report():
     the trial frames were batched into a FrameEnsemble (numpy 2.4, OpenBLAS).
     The enclosure margins and `frames_certified` were re-recorded when the
     enclosure moved onto the sampled raw frames and the ONB copies left the
-    synthesis checks; no other field moved."""
+    synthesis checks, and `frames_certified` again when the lower-bound-one
+    stacks joined them; no other field moved."""
     report = run_verify_theorems(CampaignConfig(command="verify-theorems", dim=3, trials=20))
     actual = json.loads(json.dumps(report.numeric_content()))
     assert_same_report(actual, json.loads(GOLDEN.read_text()))
@@ -247,8 +248,9 @@ def test_verify_derives_each_regime_stack_once_per_certificate(monkeypatch):
 
 
 def test_verify_draws_each_trial_seeds_probes_once(monkeypatch):
-    """A trial's ONB, raw, Parseval and upper-bound-one frames share its probe
-    seed: a default verify draws 200 probe matrices, one per trial seed."""
+    """A trial's ONB, raw, Parseval, upper-bound-one and lower-bound-one frames
+    share its probe seed: a default verify draws 200 probe matrices, one per
+    trial seed."""
     drawn = collections.Counter()
     probes = frames._probes
 
@@ -288,6 +290,17 @@ def test_verify_fails_parseval_vectors_one_percent_too_long(monkeypatch):
     ||T||_p^p, so only the bounds the derivation claims catch them."""
     parseval = frames._parseval_vectors
     monkeypatch.setattr(frames, "_parseval_vectors", lambda v: 1.01 * parseval(v))
+    report = run_verify_theorems(CampaignConfig(command="verify-theorems"))
+    assert [rec["tag"] for rec in report.records if not rec["passed"]] == ["synthesis_bounds"]
+
+
+def test_verify_fails_lower_one_vectors_one_percent_short(monkeypatch):
+    """The lower-bound-one stack that the weighted diagonal sum samples is
+    certified at (1, C2/C1): shrunk by 1% (lower bound 0.9801) it fails the
+    synthesis checks and nothing else."""
+    lower_one = frames._TrialStacks.lower_one
+    shrunk = property(lambda stacks: 0.99 * lower_one.__get__(stacks))
+    monkeypatch.setattr(frames._TrialStacks, "lower_one", shrunk)
     report = run_verify_theorems(CampaignConfig(command="verify-theorems"))
     assert [rec["tag"] for rec in report.records if not rec["passed"]] == ["synthesis_bounds"]
 
