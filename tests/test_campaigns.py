@@ -277,7 +277,8 @@ def test_verify_certifies_claimed_bounds_without_eigh(monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(frames.Frame, "of", classmethod(counted("Frame.of", frames.Frame.of.__func__)))
+    frame_of = counted("Frame.of", frames.Frame.of.__func__)
+    monkeypatch.setattr(frames.Frame, "of", classmethod(frame_of))
     monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
     monkeypatch.setattr(criteria, "_TrialStacks", counted("stacks", criteria._TrialStacks))
     assert run_verify_theorems(CampaignConfig(command="verify-theorems")).passed

@@ -251,17 +251,17 @@ class TestSharedEnsemble:
             assert shared == certify(t, p, trials, 9, **extra)
             assert shared.trials == trials
             assert shared.passed
-        # the endpoint suites judged on sums taken in a walk's visit
-        sums = {id(psd): [], id(general): []}
+        # the endpoint suites judged on the sums a walk's visit takes
+        ops, sums = (psd, general), ([], [])
 
         def visit(stacks):
-            for t in (psd, general):
-                sums[id(t)].append(criteria._endpoint_sums(t, stacks.group.raw))
+            for t, taken in zip(ops, sums):
+                taken.append(criteria._endpoint_sums(t, stacks.group.raw))
 
         criteria._certify(ensemble, [criteria._norm_job(general, 0.5)], 1e-9, visit=visit)
-        for t in (psd, general):
-            walked = criteria._endpoint_report(t, sums[id(t)], trials, 1e-9)
-            assert walked == endpoint_suites(t, trials, 9)
+        for t, taken in zip(ops, sums):
+            walked = criteria._endpoint_report(t, taken, trials, 1e-9)
+            assert repr(walked) == repr(endpoint_suites(t, trials, 9))  # repr: nan margins
             assert walked.passed and walked.trace_checked == (t is psd)
 
     def test_rejects_no_trials(self):
