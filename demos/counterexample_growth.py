@@ -49,7 +49,7 @@ d = 8
 shift = truncated_shift(d)
 basis = make_frame(np.eye(d))
 print(f"\ntruncated shift, d={d}:")
-print(f"  sum |<T e_n, e_n>|^p = {sum_diag(shift, basis, 1.0).value} for every p")
+print(f"  sum |<T e_n, e_n>|^p = {sum_diag(shift, basis, 1.0)} for every p")
 print(f"  but ||T||_1 = {schatten_norm(shift, 1.0):.1f} (d-1 unit singular values)")
 
 # Bounded Schatten norms with divergent entrywise double sums.

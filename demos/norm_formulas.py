@@ -29,7 +29,7 @@ for p in (0.5, 1.0, 2.0, 4.0):
 # The right-singular basis turns the norm formula into an exact identity.
 basis = make_frame(svd(t).right_vectors)
 for p in (0.5, 1.0, 2.0, 4.0):
-    via_sum = sum_norms(t, basis, p).value
+    via_sum = sum_norms(t, basis, p)
     print(f"p={p}: singular-basis sum {via_sum:.10f}  vs  norm^p {schatten_norm(t, p)**p:.10f}")
 
 # Sampled frames respect the regime direction.
@@ -40,7 +40,7 @@ for p, regime in ((4.0, "upper bound <= 1, sums below"), (1.0, "Parseval, sums a
     for seed in range(30):
         frame = random_frame(5, 7, 100.0, seed)
         frame = rescale_upper_bound_one(frame) if p >= 2 else canonical_parseval(frame)
-        extremes.append(sum_norms(t, frame, p).value)
+        extremes.append(sum_norms(t, frame, p))
     print(f"  p={p} ({regime}): norm^p = {target:.4f},")
     print(f"    sampled range [{min(extremes):.4f}, {max(extremes):.4f}]")
 

@@ -35,7 +35,6 @@ from .linalg import (
     hermitian_eigen,
     psd_power,
     schatten_norm,
-    singular_values,
     svd,
 )
 from .serialization import (
@@ -62,7 +61,7 @@ _LAZY = {
         "nonvanishing_direction", "scaled_copies_frame", "truncated_shift",
     ),
     "criteria": (
-        "CertificateReport", "SumReport", "certify_diag_formula", "certify_double_formula",
+        "CertificateReport", "certify_diag_formula", "certify_double_formula",
         "certify_norm_formula", "double_sum_comparison", "endpoint_suites", "sum_diag",
         "sum_double", "sum_norms", "weighted_sum",
     ),

@@ -69,6 +69,19 @@ def _is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+def _positive_float(value) -> float | None:
+    """`value` as a float if it is a real number whose float is finite and positive, else None.
+
+    The float is judged, not `value`: an int past the float range compares below inf
+    but has no float.
+    """
+    try:
+        v = float(value) if _is_real(value) else math.nan
+    except OverflowError:
+        return None
+    return v if 0 < v < math.inf else None
+
+
 @dataclass
 class CampaignConfig:
     """Parameters shared by all campaign commands."""
@@ -86,20 +99,18 @@ class CampaignConfig:
         _check_seed(self.seed)
         _check_count("dim", self.dim)
         _check_count("trials", self.trials)
-        if not (
-            isinstance(self.p_grid, (list, tuple))
-            and self.p_grid
-            and all(_is_real(p) and 0 < p < math.inf for p in self.p_grid)
-        ):
+        grid = self.p_grid if isinstance(self.p_grid, (list, tuple)) else ()
+        ps = [_positive_float(p) for p in grid]
+        if not ps or None in ps:
             raise ValueError(
                 f"p_grid must be a nonempty list of finite positive numbers, got {self.p_grid!r}"
             )
-        self.p_grid = tuple(float(p) for p in self.p_grid)
+        self.p_grid = tuple(ps)
         if not (_is_real(self.rmax) and 0 < self.rmax < 1):
             raise ValueError(f"rmax must be a number in (0, 1), got {self.rmax!r}")
         if not (
             isinstance(self.tolerances, dict)
-            and all(_is_real(v) and 0 < v < math.inf for v in self.tolerances.values())
+            and all(_positive_float(v) is not None for v in self.tolerances.values())
         ):
             raise ValueError(
                 f"tolerances must map names to finite positive numbers, got {self.tolerances!r}"
@@ -348,7 +359,7 @@ def run_counterexamples(config: CampaignConfig) -> CampaignReport:
 
     shift = constructions.truncated_shift(config.dim)
     shift_frame = make_frame(np.eye(config.dim, dtype=np.complex128))
-    diag_sums = [criteria.sum_diag(shift, shift_frame, p).value for p in config.p_grid]
+    diag_sums = [criteria.sum_diag(shift, shift_frame, p) for p in config.p_grid]
     gaps = np.array([schatten_norm(shift, p) ** p - (config.dim - 1) for p in config.p_grid])
     norm_ok = bool(_verdict(gaps, 0.0, 0.0, CERTIFICATE_TOL, config.dim)[1].all())
     records.append(

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 from pathlib import Path
 
@@ -26,6 +25,7 @@ from .campaigns import (
     run_norm_estimate,
     run_verify_theorems,
 )
+from .serialization import _read_json
 
 _COMMANDS = {
     "verify-theorems": run_verify_theorems,
@@ -67,7 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _load_config(args: argparse.Namespace) -> CampaignConfig:
     values: dict = {}
     if args.config is not None:
-        raw = json.loads(Path(args.config).read_text())
+        raw = _read_json(args.config)
         if not isinstance(raw, dict):
             raise ValueError(f"config file {args.config} must hold a JSON object")
         for key, val in raw.items():
@@ -111,11 +111,10 @@ def main(argv=None) -> int:
             report = run_norm_estimate(args.matrix, args.p, args.strategy, config)
         else:
             report = _COMMANDS[args.command](config)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+        path = report.write(config.output_dir or "reports")
+    except (ValueError, OSError) as exc:  # json.JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    out_dir = config.output_dir or "reports"
-    path = report.write(out_dir)
     _print_summary(report)
     print(f"report written to {path}")
     return 0 if report.passed else 1

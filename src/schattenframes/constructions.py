@@ -137,36 +137,21 @@ def divergence_demo_sum_norms(p: float, d_grid=DEFAULT_GRID) -> GrowthSeries:
     return GrowthSeries(truncations=truncs, partial_sums=sums, verdict=_trend(sums))
 
 
-_LAMBDA_SPECS = ("power", "power_log", "constant")
-
-
-def _lambda_values(lambda_spec: str, p: float, n_terms: int) -> np.ndarray:
-    n = np.arange(1, n_terms + 1, dtype=float)
-    if lambda_spec == "power":
-        return n ** (-1.0 / p)
-    if lambda_spec == "power_log":
-        return (n * np.log(n + 1.0)) ** (-1.0 / p)
-    if lambda_spec == "constant":
-        return np.ones(n_terms)
-    raise ValueError(f"unknown lambda spec {lambda_spec!r}, expected one of {_LAMBDA_SPECS}")
-
-
 @dataclass(frozen=True, eq=False)
 class ScaledCopiesFrame:
     """Frame of repeated scaled basis vectors taming a slow singular decay.
 
-    For a nonincreasing positive sequence `values` (target singular values),
-    p > 2 and epsilon > 0, the scales delta_n satisfy
-    delta_n^(p-2) = values_n^epsilon and each scaled basis vector
-    delta_n e_n is repeated counts_n = round(1/delta_n^2) times.  Then
-    counts_n delta_n^2 stays in [1/2, 2] (so the family is a frame with
-    bounds in that interval) and
+    For the target singular values values_n = n^(-1/p), p > 2 and
+    epsilon > 0, the scales delta_n satisfy delta_n^(p-2) = values_n^epsilon
+    and each scaled basis vector delta_n e_n is repeated
+    counts_n = round(1/delta_n^2) times.  Then counts_n delta_n^2 stays in
+    [1/2, 2] (so the family is a frame with bounds in that interval) and
 
         sum_n counts_n delta_n^p values_n^p
             = sum_n (counts_n delta_n^2) values_n^(p+epsilon),
 
-    which converges whenever `values` is (p+epsilon)-summable even though
-    the p-th power series diverges.
+    which converges, values_n^(p+epsilon) = n^(-1-epsilon/p), even though
+    the p-th power series is the divergent harmonic series.
     """
 
     values: np.ndarray
@@ -185,21 +170,17 @@ class ScaledCopiesFrame:
         return lhs, rhs
 
 
-def scaled_copies_frame(
-    p: float, epsilon: float, n_terms: int, lambda_spec: str = "power"
-) -> ScaledCopiesFrame:
-    """Build the scaled-copies frame for the named singular-value spec."""
+def scaled_copies_frame(p: float, epsilon: float, n_terms: int) -> ScaledCopiesFrame:
+    """Build the scaled-copies frame for the first `n_terms` values n^(-1/p)."""
     if p <= 2:
         raise ValueError(f"scaled copies need p > 2 (the scale exponent degenerates), got {p}")
     if epsilon <= 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     _check_count("n_terms", n_terms)
-    values = _lambda_values(lambda_spec, p, n_terms)
+    values = np.arange(1, n_terms + 1, dtype=float) ** (-1.0 / p)
     scales = values ** (epsilon / (p - 2.0))
-    counts = np.maximum(np.round(1.0 / scales**2), 1.0)
-    products = counts * scales**2
-    if np.any(products < 0.5) or np.any(products > 2.0):
-        raise ValueError("count-scale products escaped [1/2, 2]; bad lambda spec?")
+    # 1/delta_n^2 >= 1 rounds to counts_n >= 1 with counts_n delta_n^2 in [1/2, 3/2]
+    counts = np.round(1.0 / scales**2)
     index = np.repeat(np.arange(n_terms), counts.astype(int))
     matrix = np.zeros((n_terms, index.size), dtype=np.complex128)
     matrix[index, np.arange(index.size)] = scales[index]

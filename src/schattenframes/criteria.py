@@ -33,7 +33,6 @@ from .linalg import _is_psd, _psd_eigenvalues, _verdict, _witness_budget, as_mat
 from .linalg import hermitian_eigen, schatten_norm, svd
 
 __all__ = [
-    "SumReport",
     "CertificateReport",
     "DoubleSumComparison",
     "EndpointReport",
@@ -58,15 +57,6 @@ _WEIGHTED_RANGE = {
     "weighted_diag": (0.0, 1.0),
     "weighted_double": (0.0, 2.0),
 }
-
-
-@dataclass(frozen=True)
-class SumReport:
-    """Value of one frame-sum functional with its parameters."""
-
-    kind: str
-    p: float
-    value: float
 
 
 @dataclass(frozen=True)
@@ -142,29 +132,29 @@ def _sums(kind: str, t: np.ndarray, v: np.ndarray, p: float) -> np.ndarray:
     return _power_sums(kind, _terms(kind, t, v), p)
 
 
-def _frame_sum(kind: str, t, frame: Frame, p: float) -> SumReport:
+def _frame_sum(kind: str, t, frame: Frame, p: float) -> float:
     t = as_matrix(t)
     _check_p(p)
     _check_dims(t, frame)
-    return SumReport(kind=kind, p=p, value=float(_sums(kind, t, frame.vectors, p)))
+    return float(_sums(kind, t, frame.vectors, p))
 
 
-def sum_norms(t, frame: Frame, p: float) -> SumReport:
+def sum_norms(t, frame: Frame, p: float) -> float:
     """sum_n ||T f_n||^p."""
     return _frame_sum("norms", t, frame, p)
 
 
-def sum_diag(t, frame: Frame, p: float) -> SumReport:
+def sum_diag(t, frame: Frame, p: float) -> float:
     """sum_n |<T f_n, f_n>|^p for a general operator."""
     return _frame_sum("diag", t, frame, p)
 
 
-def sum_double(t, frame: Frame, p: float) -> SumReport:
+def sum_double(t, frame: Frame, p: float) -> float:
     """sum_n sum_k |<T f_n, f_k>|^p."""
     return _frame_sum("double", t, frame, p)
 
 
-def weighted_sum(kind: str, t, frame: Frame, p: float) -> SumReport:
+def weighted_sum(kind: str, t, frame: Frame, p: float) -> float:
     """Vector-norm-weighted variants of the three sums.
 
     Zero frame vectors contribute 0 by convention.  ``weighted_diag``
@@ -180,7 +170,7 @@ def weighted_sum(kind: str, t, frame: Frame, p: float) -> SumReport:
         raise ValueError(f"{kind} is defined for {lo} < p <= {hi}, got p = {p}")
     if kind == "weighted_diag":
         _psd_eigenvalues(t, "weighted_diag")
-    return SumReport(kind=kind, p=p, value=float(_sums(kind, t, frame.vectors, p)))
+    return float(_sums(kind, t, frame.vectors, p))
 
 
 @dataclass(frozen=True, eq=False)

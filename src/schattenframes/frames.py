@@ -126,21 +126,24 @@ def _one_frame(frame: Frame) -> Frame:
     return frame
 
 
-def _coerce_vectors(vectors, dim: int | None) -> np.ndarray:
-    """Stack input vectors as columns of a (dim, count) complex matrix."""
+def _coerce_vectors(vectors) -> np.ndarray:
+    """Stack input vectors as columns of a (dim, count) complex matrix.
+
+    An array must be that matrix already; any other shape is rejected by name.
+    """
     if isinstance(vectors, Frame):
-        vectors = _one_frame(vectors).vectors
-    if not (isinstance(vectors, np.ndarray) and vectors.ndim == 2):
-        cols = [np.asarray(v, dtype=np.complex128).reshape(-1) for v in vectors]
-        if not cols:
-            raise ValueError("a frame needs at least one vector")
-        lengths = {c.shape[0] for c in cols}
-        if len(lengths) != 1:
-            raise ValueError(f"vectors have inconsistent lengths {sorted(lengths)}")
-        vectors = np.column_stack(cols)
-    if dim is not None and vectors.shape[0] != dim:
-        raise ValueError(f"vectors have length {vectors.shape[0]}, expected dim {dim}")
-    return vectors
+        return _one_frame(vectors).vectors
+    if isinstance(vectors, np.ndarray):
+        if vectors.ndim != 2:
+            raise ValueError(f"expected vectors of shape (dim, count), got shape {vectors.shape}")
+        return vectors
+    cols = [np.asarray(v, dtype=np.complex128).reshape(-1) for v in vectors]
+    if not cols:
+        raise ValueError("a frame needs at least one vector")
+    lengths = {c.shape[0] for c in cols}
+    if len(lengths) != 1:
+        raise ValueError(f"vectors have inconsistent lengths {sorted(lengths)}")
+    return np.column_stack(cols)
 
 
 def _spanning(lower, upper) -> np.ndarray:
@@ -159,13 +162,13 @@ def _require_spanning(dim: int, lower, upper, member) -> None:
         )
 
 
-def make_frame(vectors, dim: int | None = None) -> Frame:
+def make_frame(vectors) -> Frame:
     """Build one Frame from a vector family: `Frame.of` behind input coercion.
 
-    `vectors` may be a sequence of length-`dim` vectors or a (dim, count)
+    `vectors` may be a sequence of vectors of one length or a (dim, count)
     array whose columns are the vectors.  Fails when the family does not span.
     """
-    return Frame.of(as_matrix(_coerce_vectors(vectors, dim)))
+    return Frame.of(as_matrix(_coerce_vectors(vectors)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -501,7 +504,7 @@ def union_frame(a: Frame, b) -> Frame:
     `b` may be a Frame or a raw vector family (so zero vectors and other
     non-spanning families can be appended to an existing frame).
     """
-    vb = _coerce_vectors(b, None)
+    vb = _coerce_vectors(b)
     if vb.shape[0] != _one_frame(a).dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {vb.shape[0]}")
     return make_frame(np.hstack([a.vectors, vb]))

@@ -25,7 +25,6 @@ __all__ = [
     "hermitian_defect",
     "hermitian_eigen",
     "svd",
-    "singular_values",
     "schatten_norm",
     "psd_power",
 ]
@@ -201,10 +200,6 @@ class SpectralData:
     right_vectors: np.ndarray
     right_basis: np.ndarray
 
-    def reconstruct(self) -> np.ndarray:
-        """Rebuild the matrix from its factors."""
-        return (self.left_vectors * self.singular_values) @ self.right_vectors.conj().T
-
 
 def hermitian_eigen(h) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (nonincreasing) and orthonormal eigenvectors of a Hermitian matrix.
@@ -255,15 +250,10 @@ def svd(t) -> SpectralData:
     )
 
 
-def singular_values(t) -> np.ndarray:
-    """Nonincreasing singular values of `t` (zeros retained)."""
-    return svd(t).singular_values
-
-
 def schatten_norm(t, p: float) -> float:
     """Schatten p-norm (sum of p-th powers of singular values)^(1/p), p > 0."""
     _check_p(p)
-    s = singular_values(t)
+    s = svd(t).singular_values
     return float(np.sum(s**p) ** (1.0 / p))
 
 

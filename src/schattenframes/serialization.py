@@ -65,7 +65,15 @@ def write_matrix(path, m) -> None:
 
 
 def read_matrix(path) -> np.ndarray:
-    return matrix_from_dict(json.loads(Path(path).read_text()))
+    return matrix_from_dict(_read_json(path))
+
+
+def _read_json(path):
+    """The JSON value held in the file at `path`; nesting too deep to decode is a ValueError."""
+    try:
+        return json.loads(Path(path).read_text())
+    except RecursionError:
+        raise ValueError(f"{path} nests JSON too deeply to decode") from None
 
 
 def write_growth_csv(path, series: GrowthSeries) -> None:

@@ -66,7 +66,7 @@ def test_criterion_01_singular_basis_exactness():
         basis = make_frame(svd(t).right_vectors)
         for p in (0.5, 1.0, 1.5, 2.0, 3.0, 4.0):
             expected = schatten_norm(t, p) ** p
-            value = sum_norms(t, basis, p).value
+            value = sum_norms(t, basis, p)
             assert abs(value - expected) <= 1e-9 * expected, (i, p)
     announce(1, "singular-basis norm sums exact")
 
@@ -78,11 +78,11 @@ def test_criterion_02_direction_tests():
         parseval = canonical_parseval(frame)
         for p in (3.0, 4.0):
             bound = schatten_norm(t, p) ** p
-            if sum_norms(t, upper_one, p).value > bound + 1e-9:
+            if sum_norms(t, upper_one, p) > bound + 1e-9:
                 violations += 1
         for p in (0.5, 1.0, 1.5):
             bound = schatten_norm(t, p) ** p
-            if sum_norms(t, parseval, p).value < bound - 1e-9:
+            if sum_norms(t, parseval, p) < bound - 1e-9:
                 violations += 1
     assert violations == 0
     announce(2, "sup/inf directions, zero violations over 200 pairs")
@@ -90,12 +90,12 @@ def test_criterion_02_direction_tests():
 
 def test_criterion_03_hs_exact_identity():
     for t, frame in ensemble_pairs(seed=1):
-        lhs = sum_norms(t, frame, 2.0).value
+        lhs = sum_norms(t, frame, 2.0)
         rhs = float(np.real(np.trace(t.conj().T @ t @ frame.frame_operator)))
         assert abs(lhs - rhs) <= 1e-10 * abs(rhs)
         parseval = canonical_parseval(frame)
         hs_sq = schatten_norm(t, 2.0) ** 2
-        assert abs(sum_norms(t, parseval, 2.0).value - hs_sq) <= 1e-10 * hs_sq
+        assert abs(sum_norms(t, parseval, 2.0) - hs_sq) <= 1e-10 * hs_sq
     announce(3, "p = 2 trace identity exact over 200 pairs")
 
 
@@ -117,10 +117,10 @@ def test_criterion_05_weighted_lower_bound():
         assert frame.lower_bound >= 1.0 - 1e-12
         for p in (0.5, 1.0):
             bound = schatten_norm(t, p) ** p
-            value = weighted_sum("weighted_diag", t, frame, p).value
+            value = weighted_sum("weighted_diag", t, frame, p)
             assert value >= bound - 1e-9, (i, p)
             eigen = make_frame(svd(t).right_vectors)
-            witness = weighted_sum("weighted_diag", t, eigen, p).value
+            witness = weighted_sum("weighted_diag", t, eigen, p)
             assert abs(witness - bound) <= 1e-9 * max(1.0, bound), (i, p)
     announce(5, "weighted diagonal sums bounded below with eigenbasis equality")
 
@@ -159,7 +159,7 @@ def test_criterion_08_shift_positivity_hypothesis():
     shift = truncated_shift(DIM)
     basis = make_frame(np.eye(DIM))
     for p in (0.5, 1.0, 1.5, 2.0, 3.0, 4.0):
-        assert sum_diag(shift, basis, p).value == 0.0
+        assert sum_diag(shift, basis, p) == 0.0
         norm_p = schatten_norm(shift, p) ** p
         assert abs(norm_p - (DIM - 1)) <= 1e-9 * DIM
     announce(8, "shift has vanishing diagonal sums but norm d-1")

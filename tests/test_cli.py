@@ -124,6 +124,9 @@ INVALID_INPUTS = {
     "tolerances-not-object": ([], {"tolerances": 5}, "tolerances"),
     "tolerance-nan": ([], {"tolerances": {"certificate": float("nan")}}, "tolerances"),
     "tolerance-unknown-name": ([], {"tolerances": {"certifcate": 1e-3}}, "certifcate"),
+    # integers below inf that have no float
+    "p-grid-huge-int": ([], {"p_grid": [10**400]}, "p_grid"),
+    "tolerance-huge-int": ([], {"tolerances": {"certificate": 10**400}}, "tolerances"),
     "output-dir-number": ([], {"output_dir": 5}, "output_dir"),
     "root-overflow-exact": (ESTIMATE_HUGE, None, NO_ROOT),
     "root-overflow-ensemble": ([*ESTIMATE_HUGE, "--strategy", "frame_ensemble"], None, NO_ROOT),
@@ -176,6 +179,28 @@ class TestInvalidInput:
         assert main(args) == 2
         assert named in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(inputs)
+
+    @pytest.mark.parametrize("nested_file", ["matrix", "config"])
+    def test_deeply_nested_json_is_usage_error_naming_the_file(self, tmp_path, capsys, nested_file):
+        nested, matrix = tmp_path / "nested.json", tmp_path / "m.json"
+        nested.write_text("[" * 100_000 + "]" * 100_000)  # json.dumps cannot build it
+        write_matrix(matrix, np.eye(2))
+        args = ["norm-estimate", str(matrix), "--p", "2", "--out", str(tmp_path / "r")]
+        if nested_file == "matrix":
+            args[1] = str(nested)
+        else:
+            args += ["--config", str(nested)]
+        assert main(args) == 2
+        assert capsys.readouterr().err == f"error: {nested} nests JSON too deeply to decode\n"
+        assert not (tmp_path / "r").exists()
+
+    def test_out_naming_a_file_is_io_error(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("kept\n")
+        assert main(["verify-theorems", *FAST, "--out", str(taken)]) == 2
+        out, err = capsys.readouterr()
+        assert err.startswith("error: ") and str(taken) in err
+        assert out == "" and taken.read_text() == "kept\n"
 
 
 # Front-door inputs: each parameter is a flag, a config-file entry or absent.

@@ -50,15 +50,15 @@ class TestSumNorms:
         t = np.diag([3.0, 1.0, 0.5])
         basis = make_frame(np.eye(3))
         for p in (0.5, 1.0, 2.0, 4.0):
-            assert sum_norms(t, basis, p).value == pytest.approx(schatten_norm(t, p) ** p)
+            assert sum_norms(t, basis, p) == pytest.approx(schatten_norm(t, p) ** p)
 
     def test_identity_parseval_trace(self):
         frame = parseval_mercedes()
-        assert sum_norms(np.eye(2), frame, 2.0).value == pytest.approx(2.0)
+        assert sum_norms(np.eye(2), frame, 2.0) == pytest.approx(2.0)
 
     def test_identity_mercedes_p1(self):
         # three vectors of norm sqrt(2/3)
-        assert sum_norms(np.eye(2), parseval_mercedes(), 1.0).value == pytest.approx(np.sqrt(6.0))
+        assert sum_norms(np.eye(2), parseval_mercedes(), 1.0) == pytest.approx(np.sqrt(6.0))
 
     def test_rejects_dim_mismatch(self):
         with pytest.raises(ValueError, match="frame"):
@@ -75,27 +75,27 @@ class TestSumDiag:
         t = np.diag([4.0, 1.0, 0.25])
         basis = make_frame(np.eye(3))
         for p in (0.5, 1.0, 3.0):
-            assert sum_diag(t, basis, p).value == pytest.approx(np.sum(np.diag(t) ** p))
+            assert sum_diag(t, basis, p) == pytest.approx(np.sum(np.diag(t) ** p))
 
     @pytest.mark.parametrize("p", [0.5, 1.0, 2.0, 4.0])
     def test_shift_vanishes(self, p):
         shift = truncated_shift(5)
-        assert sum_diag(shift, make_frame(np.eye(5)), p).value == 0.0
+        assert sum_diag(shift, make_frame(np.eye(5)), p) == 0.0
 
     def test_repeated_vector(self):
-        assert sum_diag(np.eye(2), E1E1E2, 1.0).value == pytest.approx(3.0)
+        assert sum_diag(np.eye(2), E1E1E2, 1.0) == pytest.approx(3.0)
 
 
 class TestSumDouble:
     def test_diagonal_offdiag_vanish(self):
         t = np.diag([2.0, -1.0])
-        assert sum_double(t, make_frame(np.eye(2)), 1.5).value == pytest.approx(
+        assert sum_double(t, make_frame(np.eye(2)), 1.5) == pytest.approx(
             2.0**1.5 + 1.0
         )
 
     def test_identity_onb_hs(self):
         frame = random_onb(4, 3)
-        assert sum_double(np.eye(4), frame, 2.0).value == pytest.approx(4.0)
+        assert sum_double(np.eye(4), frame, 2.0) == pytest.approx(4.0)
 
     def test_hermitian_eigenbasis(self):
         for t in seeded_hermitians(3, 5):
@@ -103,7 +103,7 @@ class TestSumDouble:
             eig_frame = make_frame(vecs)
             for p in (1.0, 2.0, 3.0):
                 expected = np.sum(svd(t).singular_values ** p)
-                assert sum_double(t, eig_frame, p).value == pytest.approx(
+                assert sum_double(t, eig_frame, p) == pytest.approx(
                     expected, abs=1e-6, rel=1e-6
                 )
 
@@ -113,30 +113,30 @@ class TestWeightedSum:
         t = np.diag([2.0, 1.0]).astype(complex)
         onb = random_onb(2, 0)
         for p in (0.5, 1.0, 2.0):
-            assert weighted_sum("weighted_norms", t, onb, p).value == pytest.approx(
-                sum_norms(t, onb, p).value
+            assert weighted_sum("weighted_norms", t, onb, p) == pytest.approx(
+                sum_norms(t, onb, p)
             )
 
     def test_weighted_diag_arithmetic(self):
         # frame {sqrt(2) e_n}: weights sqrt(2), pairings 2 t_n -> 2 sum sqrt(t_n)
         t = np.diag([4.0, 9.0])
         frame = make_frame(np.sqrt(2.0) * np.eye(2))
-        value = weighted_sum("weighted_diag", t, frame, 0.5).value
+        value = weighted_sum("weighted_diag", t, frame, 0.5)
         assert value == pytest.approx(2.0 * (2.0 + 3.0))
 
     def test_weighted_double_parseval_weights(self):
         frame = parseval_mercedes()
         lengths = np.linalg.norm(frame.vectors, axis=0)
         assert np.all(lengths <= 1.0 + 1e-12)
-        value = weighted_sum("weighted_double", np.eye(2), frame, 1.0).value
-        plain = sum_double(np.eye(2), frame, 1.0).value
+        value = weighted_sum("weighted_double", np.eye(2), frame, 1.0)
+        plain = sum_double(np.eye(2), frame, 1.0)
         assert value <= plain + 1e-12
 
     def test_zero_vector_contributes_nothing(self):
         frame = union_frame(make_frame(np.eye(2)), np.zeros((2, 1)))
         t = np.diag([1.0, 2.0])
-        assert weighted_sum("weighted_norms", t, frame, 2.0).value == pytest.approx(
-            weighted_sum("weighted_norms", t, make_frame(np.eye(2)), 2.0).value
+        assert weighted_sum("weighted_norms", t, frame, 2.0) == pytest.approx(
+            weighted_sum("weighted_norms", t, make_frame(np.eye(2)), 2.0)
         )
 
     def test_range_rejections(self):
@@ -456,7 +456,7 @@ class TestCertifyDiagFormula:
     def test_identity_sum_is_dim(self):
         for seed in range(3):
             onb = random_onb(4, seed)
-            assert sum_diag(np.eye(4), onb, 1.5).value == pytest.approx(4.0)
+            assert sum_diag(np.eye(4), onb, 1.5) == pytest.approx(4.0)
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError, match="Hermitian"):
@@ -505,15 +505,15 @@ class TestEndpointSuites:
     def test_parseval_hs_exact(self):
         for i, t in enumerate(seeded_operators(4, 5, 800)):
             frame = canonical_parseval(random_frame(4, 7, 100.0, 900 + i))
-            total = sum_norms(t, frame, 2.0).value
+            total = sum_norms(t, frame, 2.0)
             assert total == pytest.approx(schatten_norm(t, 2.0) ** 2, rel=1e-10)
 
     def test_repeated_vector_hs(self):
-        assert sum_norms(np.eye(2), E1E1E2, 2.0).value == pytest.approx(3.0)
+        assert sum_norms(np.eye(2), E1E1E2, 2.0) == pytest.approx(3.0)
 
     def test_repeated_vector_trace_enclosure(self):
         t = np.diag([2.0, 0.0])
-        total = sum_diag(t, E1E1E2, 1.0).value
+        total = sum_diag(t, E1E1E2, 1.0)
         assert total == pytest.approx(4.0)
         assert 2.0 <= total <= 4.0  # [C1, C2] * trace
 
@@ -535,12 +535,12 @@ class TestInvariants:
             basis = make_frame(svd(t).right_vectors)
             for p in (0.5, 1.0, 1.5, 2.0, 3.0, 4.0):
                 expected = schatten_norm(t, p) ** p
-                assert sum_norms(t, basis, p).value == pytest.approx(expected, rel=1e-9)
+                assert sum_norms(t, basis, p) == pytest.approx(expected, rel=1e-9)
 
     def test_hs_sum_equals_weighted_trace(self):
         for i, t in enumerate(seeded_operators(5, 20, 1100)):
             frame = random_frame(5, 5 + i % 4 + 1, 100.0, 1200 + i)
-            lhs = sum_norms(t, frame, 2.0).value
+            lhs = sum_norms(t, frame, 2.0)
             rhs = float(np.real(np.trace(t.conj().T @ t @ frame.frame_operator)))
             assert lhs == pytest.approx(rhs, rel=1e-10)
 
@@ -548,19 +548,19 @@ class TestInvariants:
     def test_sup_direction(self, p):
         for i, t in enumerate(seeded_operators(5, 25, 1300)):
             frame = rescale_upper_bound_one(random_frame(5, 5 + i % 4 + 1, 100.0, 1400 + i))
-            assert sum_norms(t, frame, p).value <= schatten_norm(t, p) ** p + 1e-9
+            assert sum_norms(t, frame, p) <= schatten_norm(t, p) ** p + 1e-9
 
     @pytest.mark.parametrize("p", [0.5, 1.0, 1.5])
     def test_inf_direction(self, p):
         for i, t in enumerate(seeded_operators(5, 25, 1500)):
             frame = canonical_parseval(random_frame(5, 5 + i % 4 + 1, 100.0, 1600 + i))
-            assert sum_norms(t, frame, p).value >= schatten_norm(t, p) ** p - 1e-9
+            assert sum_norms(t, frame, p) >= schatten_norm(t, p) ** p - 1e-9
 
     @pytest.mark.parametrize("p", [0.5, 1.0])
     def test_weighted_inf_direction(self, p):
         for i, t in enumerate(seeded_psds(5, 20, 1700)):
             frame = rescale_lower_bound_one(random_frame(5, 5 + i % 4 + 1, 100.0, 1800 + i))
-            value = weighted_sum("weighted_diag", t, frame, p).value
+            value = weighted_sum("weighted_diag", t, frame, p)
             assert value >= schatten_norm(t, p) ** p - 1e-9
 
     def test_split_comparability(self):
@@ -568,20 +568,20 @@ class TestInvariants:
             t1, t2 = (t + t.conj().T) / 2, (t - t.conj().T) / 2j
             frame = random_frame(4, 6, 100.0, 2000 + i)
             for p in (0.5, 1.0, 2.0, 3.0):
-                full = sum_diag(t, frame, p).value
-                split = sum_diag(t1, frame, p).value + sum_diag(t2, frame, p).value
+                full = sum_diag(t, frame, p)
+                split = sum_diag(t1, frame, p) + sum_diag(t2, frame, p)
                 assert full <= 2.0**p * split + 1e-9
-                assert sum_diag(t1, frame, p).value <= full + 1e-9
-                assert sum_diag(t2, frame, p).value <= full + 1e-9
+                assert sum_diag(t1, frame, p) <= full + 1e-9
+                assert sum_diag(t2, frame, p) <= full + 1e-9
 
     def test_refinement_monotonicity(self, rng):
         t = seeded_operators(3, 1, 2100)[0]
         frame = make_frame(np.eye(3))
         extended = union_frame(frame, rng.standard_normal((3, 2)))
         for p in (0.5, 2.0, 4.0):
-            assert sum_norms(t, extended, p).value >= sum_norms(t, frame, p).value - 1e-12
-            assert sum_diag(t, extended, p).value >= sum_diag(t, frame, p).value - 1e-12
-            assert sum_double(t, extended, p).value >= sum_double(t, frame, p).value - 1e-12
+            assert sum_norms(t, extended, p) >= sum_norms(t, frame, p) - 1e-12
+            assert sum_diag(t, extended, p) >= sum_diag(t, frame, p) - 1e-12
+            assert sum_double(t, extended, p) >= sum_double(t, frame, p) - 1e-12
 
 
 def large_gram():
@@ -608,7 +608,7 @@ class TestStructureAtScale:
 
     def test_large_gram_has_a_weighted_diagonal_sum(self):
         frame = rescale_lower_bound_one(random_frame(6, 8, 100.0, 0))
-        value = weighted_sum("weighted_diag", large_gram(), frame, 0.5).value
+        value = weighted_sum("weighted_diag", large_gram(), frame, 0.5)
         assert value >= schatten_norm(large_gram(), 0.5) ** 0.5 * (1 - 1e-9)
 
     def test_large_gram_takes_the_inf_diagonal_certificate(self):

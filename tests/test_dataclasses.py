@@ -21,7 +21,7 @@ FACTORIES = {
         np.stack([np.eye(2)] * 2), Frame.of(np.stack([np.eye(2), 2.0 * np.eye(2)])), 2.0
     ),
     "GrowthSeries": lambda: growth_series(np.ones(10), (2, 4, 8)),
-    "ScaledCopiesFrame": lambda: scaled_copies_frame(3.0, 1.0, 4, lambda_spec="constant"),
+    "ScaledCopiesFrame": lambda: scaled_copies_frame(3.0, 1.0, 4),
     "DoubleSumDemo": lambda: divergence_demo_double_sum(4, 1.0, (2, 4)),
     "SamplingLattice": lambda: r_lattice(0.5, 0.9),
     "DiskQuadrature": lambda: disk_quadrature(4, 4, 0.9),

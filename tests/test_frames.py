@@ -58,11 +58,13 @@ class TestMakeFrame:
 
     def test_rejects_non_spanning(self):
         with pytest.raises(ValueError, match="span"):
-            make_frame([[1.0, 0.0]], dim=2)
+            make_frame([[1.0, 0.0]])
 
-    def test_rejects_dim_mismatch(self):
-        with pytest.raises(ValueError, match="dim"):
-            make_frame([[1.0, 0.0, 0.0]], dim=2)
+    @pytest.mark.parametrize("shape", [(8, 2, 1), (3, 2, 4), (4,)])
+    def test_rejects_array_that_is_not_2d(self, shape, rng):
+        # read as a sequence, (8, 2, 1) would be 8 vectors in C^2 and (3, 2, 4) 3 in C^8
+        with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+            make_frame(rng.standard_normal(shape))
 
     def test_operator_matches_gram_accumulation(self, rng):
         vecs = rng.standard_normal((4, 9)) + 1j * rng.standard_normal((4, 9))
