@@ -13,7 +13,7 @@ import numpy as np
 
 from .frames import Frame, make_frame
 from .linalg import ELEMENTWISE_TOL, PAIRING_FLOOR, PAIRING_TOL, _as_square, _check_count
-from .linalg import as_matrix, svd
+from .linalg import _check_p, as_matrix, svd
 
 __all__ = [
     "GrowthSeries",
@@ -92,6 +92,9 @@ def growth_series(terms: np.ndarray, truncations=DEFAULT_GRID) -> GrowthSeries:
     truncs = _check_grid("truncations", truncations)
     if terms.size < truncs[-1]:
         raise ValueError(f"need {truncs[-1]} terms, got {terms.size}")
+    if not np.all(np.isfinite(terms)):
+        k = np.argmin(np.isfinite(terms))
+        raise ValueError(f"terms must be finite, got terms[{k}] = {terms[k]}")
     if np.any(terms < 0):
         raise ValueError("terms must be nonnegative")
     cumulative = np.cumsum(terms)
@@ -171,16 +174,25 @@ class ScaledCopiesFrame:
 
 
 def scaled_copies_frame(p: float, epsilon: float, n_terms: int) -> ScaledCopiesFrame:
-    """Build the scaled-copies frame for the first `n_terms` values n^(-1/p)."""
+    """Build the scaled-copies frame for the first `n_terms` values n^(-1/p).
+
+    Fails naming p and epsilon when a scale delta_n is so small that
+    1/delta_n^2 is not a finite float.
+    """
+    _check_p(p)
     if p <= 2:
         raise ValueError(f"scaled copies need p > 2 (the scale exponent degenerates), got {p}")
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    if not 0 < epsilon < np.inf:
+        raise ValueError(f"epsilon must be finite and positive, got {epsilon}")
     _check_count("n_terms", n_terms)
     values = np.arange(1, n_terms + 1, dtype=float) ** (-1.0 / p)
     scales = values ** (epsilon / (p - 2.0))
+    with np.errstate(divide="ignore", over="ignore"):
+        inverse_squares = 1.0 / scales**2
+    if not np.all(np.isfinite(inverse_squares)):
+        raise ValueError(f"the scales delta_n underflow at p = {p}, epsilon = {epsilon}")
     # 1/delta_n^2 >= 1 rounds to counts_n >= 1 with counts_n delta_n^2 in [1/2, 3/2]
-    counts = np.round(1.0 / scales**2)
+    counts = np.round(inverse_squares)
     index = np.repeat(np.arange(n_terms), counts.astype(int))
     matrix = np.zeros((n_terms, index.size), dtype=np.complex128)
     matrix[index, np.arange(index.size)] = scales[index]

@@ -15,9 +15,10 @@ For p >= 2 the norm sums over frames with upper bound <= 1 stay below
 frames stay above and the infimum attains it.  The extremum is attained at
 the singular-vector (or eigenvector) basis, which the certificates evaluate
 as an exact witness alongside the seeded sampling ensemble
-FrameEnsemble(dim, trials, seed).  A campaign that shares one ensemble among
-its checks walks it once with `_certify`, taking each group's
-`_endpoint_sums` in the walk's visit and judging them with `_endpoint_report`.
+FrameEnsemble(dim, trials, seed), whose trial groups are built as a walk
+reaches them.  A campaign that shares one ensemble among its checks walks it
+once with `_certify`, taking each TrialGroup's `_endpoint_sums` in the walk's
+visit and judging them with `_endpoint_report`.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frames import Frame, FrameEnsemble, _one_frame, _per_frame, _TrialStacks
+from .frames import Frame, FrameEnsemble, _one_frame, _per_frame
 from .linalg import CERTIFICATE_TOL, IDENTITY_TOL, _as_square, _check_p, _exponents, _is_hermitian
 from .linalg import _is_psd, _psd_eigenvalues, _verdict, _witness_budget, as_matrix
 from .linalg import hermitian_eigen, schatten_norm, svd
@@ -248,28 +249,28 @@ def _certify(ensemble: FrameEnsemble, jobs, tol: float, visit=None) -> list:
     Each ps[j] of a job is sampled over the ONBs and the raw frames of its
     regime, made Parseval when inf[j] and rescaled to upper bound one
     otherwise.  A group's stacks are bare vectors, made once when a job first
-    reads them and dropped before the next group; a job takes the terms of a stack
-    once, and only the power map and sum run per p.  `visit`, if given, is
-    called with each group's _TrialStacks after the jobs have read them.
+    reads them and dropped with their group when the walk moves on; a job
+    takes the terms of a stack once, and only the power map and sum run per
+    p.  `visit`, if given, is called with each TrialGroup after the jobs have
+    read it.
     """
     extremes = [np.where(job.inf, np.inf, -np.inf) for job in jobs]
-    for group in ensemble.groups:
-        stacks = _TrialStacks(group)
+    for group in ensemble:
         for job, extreme in zip(jobs, extremes):
-            onb_terms = _terms(job.kind, job.t, stacks.onb)
+            onb_terms = _terms(job.kind, job.t, group.onb)
             for regime in dict.fromkeys(job.inf):
-                derived = stacks.parseval if regime else stacks.upper_one
+                derived = group.parseval if regime else group.upper_one
                 derived_terms = _terms(job.kind, job.t, derived)
                 walks = [(job.kind, onb_terms), (job.kind, derived_terms)]
                 if regime and job.kind == "diag":  # the inf regime also samples weighted sums
-                    weighted = _terms("weighted_diag", job.t, stacks.lower_one)
+                    weighted = _terms("weighted_diag", job.t, group.lower_one)
                     walks.append(("weighted_diag", weighted))
                 fold, reduce = (np.minimum, np.min) if regime else (np.maximum, np.max)
                 for j in np.flatnonzero(np.equal(job.inf, regime)):
                     for kind, terms in walks:
                         extreme[j] = fold(extreme[j], reduce(_power_sums(kind, terms, job.ps[j])))
         if visit is not None:
-            visit(stacks)
+            visit(group)
     return [_reports(job, extreme, ensemble.trials, tol) for job, extreme in zip(jobs, extremes)]
 
 
@@ -445,8 +446,7 @@ def endpoint_suites(
     """Run the p = 1 and p = 2 endpoint suites over the raw frames of
     FrameEnsemble(dim, trials, seed)."""
     t = _as_square(t)
-    ensemble = FrameEnsemble(t.shape[1], trials, seed)
-    sums = [_endpoint_sums(t, group.raw) for group in ensemble.groups]
+    sums = [_endpoint_sums(t, group.raw) for group in FrameEnsemble(t.shape[1], trials, seed)]
     return _endpoint_report(t, sums, trials, tol)
 
 

@@ -1,7 +1,8 @@
 """Finite frames and stacks of frames: frame operators, exact frame bounds,
 the synthesis-operator certificate, canonical Parseval rescaling, seeded
 generators for random orthonormal bases and random frames, and the seeded
-trial-frame ensemble that the sampled certificates share.
+trial-frame ensemble that the sampled certificates share, which builds its
+trial groups one at a time as a walk reaches them.
 
 A family {f_n} in C^d is a frame when C1 ||f||^2 <= sum_n |<f, f_n>|^2 <=
 C2 ||f||^2 for all f with C1 > 0; in finite dimension the optimal bounds are
@@ -331,28 +332,43 @@ def canonical_parseval(frame: Frame) -> Frame:
     return Frame.of(_parseval_vectors(frame.vectors))
 
 
+def _divided(frame: Frame, bound) -> np.ndarray:
+    """The vectors of `frame` divided by sqrt(bound), frame by frame."""
+    return frame.vectors / np.sqrt(bound)[..., None, None]
+
+
 def rescale_upper_bound_one(frame: Frame) -> Frame:
     """Divide all vectors by sqrt(C2), frame by frame; new bounds are (C1/C2, 1)."""
-    return Frame.of(frame.vectors / np.sqrt(frame.upper_bound)[..., None, None])
+    return Frame.of(_divided(frame, frame.upper_bound))
 
 
 def rescale_lower_bound_one(frame: Frame) -> Frame:
     """Divide all vectors by sqrt(C1), frame by frame; new bounds are (1, C2/C1)."""
-    return Frame.of(frame.vectors / np.sqrt(frame.lower_bound)[..., None, None])
+    return Frame.of(_divided(frame, frame.lower_bound))
 
 
-@dataclass(frozen=True)
 class TrialGroup:
     """The trials of a FrameEnsemble that share one frame count.
 
-    `indices` are the trial indices i and `seeds` their trial seeds
-    (ensemble seed + i); `raw` stacks their raw trial frames.  Their ONBs are
-    not kept: a walk builds them in a _TrialStacks.
+    `seeds` are their trial seeds (ensemble seed + i for trial i) and `raw`
+    stacks their raw trial frames.  The other stacks are made on first read
+    and kept with the group: `onb` is the ONB vectors, and `parseval`,
+    `upper_one` and `lower_one` are the raw frames made Parseval (the inf
+    regime) and rescaled to upper bound 1 (the sup regime) and to lower
+    bound 1.  They are bare (n, dim, count) arrays without bounds, as the
+    sums read nothing else; a reader that needs a Frame gives each stack the
+    bounds its derivation claims, (1, 1) for `onb` and `parseval`,
+    (C1/C2, 1) for `upper_one` and (1, C2/C1) for `lower_one`, with C1 and
+    C2 the raw bounds.
     """
 
-    indices: range
-    seeds: range
-    raw: Frame
+    def __init__(self, seeds: range, raw: Frame):
+        self.seeds, self.raw = seeds, raw
+
+    onb = cached_property(lambda self: _onb_stack(self.raw.dim, self.seeds))
+    parseval = cached_property(lambda self: _parseval_vectors(self.raw.vectors))
+    upper_one = cached_property(lambda self: _divided(self.raw, self.raw.upper_bound))
+    lower_one = cached_property(lambda self: _divided(self.raw, self.raw.lower_bound))
 
 
 class FrameEnsemble:
@@ -360,12 +376,11 @@ class FrameEnsemble:
 
     Trial i (0 <= i < trials) is the orthonormal basis random_onb(dim, seed + i)
     and the raw frame random_frame(dim, dim + (i % dim) + 1, TRIAL_CONDITION,
-    seed + i).  Trials are grouped by frame count into `groups`, each holding
-    the read-only raw-frame stack with its bounds.  A walk of the groups
-    builds the ONB vectors and derives the vectors of the Parseval and
-    rescaled variants in a _TrialStacks.  A campaign builds one ensemble and
-    every check it samples reads it.  Results do not depend on evaluation
-    order.
+    seed + i).  The ensemble holds only `dim`, `trials` and `seed`; iterating
+    it yields the trials grouped by frame count, one TrialGroup at a time,
+    each built when the walk reaches it, so a walk keeps no group it has
+    moved past.  A campaign builds one ensemble and walks it once for every
+    check it samples.  Results do not depend on evaluation order.
     """
 
     def __init__(self, dim: int, trials: int, seed: int):
@@ -373,38 +388,12 @@ class FrameEnsemble:
         _check_count("trials", trials)
         _check_seed(seed)
         self.dim, self.trials, self.seed = dim, trials, seed
-        groups = []
+
+    def __iter__(self):
+        dim, trials, seed = self.dim, self.trials, self.seed
         for residue in range(min(dim, trials)):
             seeds = range(seed + residue, seed + trials, dim)
-            raw = _random_frames(dim, dim + residue + 1, TRIAL_CONDITION, seeds)
-            groups.append(TrialGroup(range(residue, trials, dim), seeds, raw))
-        self.groups: tuple[TrialGroup, ...] = tuple(groups)
-
-
-class _TrialStacks:
-    """The vectors of one group's trial stacks, each made on first read.
-
-    `onb` is the group's ONB vectors; `parseval`, `upper_one` and `lower_one`
-    are its raw frames made Parseval (the inf regime) and rescaled to upper
-    bound 1 (the sup regime) and to lower bound 1.  They are bare
-    (n, dim, count) arrays without bounds, as the sums read nothing else; a
-    reader that needs a Frame gives each stack the bounds its derivation
-    claims, (1, 1) for `onb` and `parseval`, (C1/C2, 1) for `upper_one` and
-    (1, C2/C1) for `lower_one`, with C1 and C2 the raw bounds.  A walk makes
-    one _TrialStacks per group and drops it before the next group.
-    """
-
-    def __init__(self, group: TrialGroup):
-        self.group, self.raw = group, group.raw
-
-    onb = cached_property(lambda self: _onb_stack(self.raw.dim, self.group.seeds))
-    parseval = cached_property(lambda self: _parseval_vectors(self.raw.vectors))
-    upper_one = cached_property(
-        lambda self: self.raw.vectors / np.sqrt(self.raw.upper_bound)[..., None, None]
-    )
-    lower_one = cached_property(
-        lambda self: self.raw.vectors / np.sqrt(self.raw.lower_bound)[..., None, None]
-    )
+            yield TrialGroup(seeds, _random_frames(dim, dim + residue + 1, TRIAL_CONDITION, seeds))
 
 
 def _phase_fix(q: np.ndarray) -> np.ndarray:

@@ -267,7 +267,7 @@ def test_verify_certifies_claimed_bounds_without_eigh(monkeypatch):
     """The synthesis checks certify each derived stack at the bounds its
     derivation claims, so verify measures no bounds for them: no `Frame.of`,
     19 eigh calls (43 when the derived stacks were measured), and one
-    _TrialStacks per group, in the one walk of the ensemble."""
+    TrialGroup per group, in the one walk of the ensemble."""
     calls = collections.Counter()
 
     def counted(name, fn):
@@ -280,9 +280,9 @@ def test_verify_certifies_claimed_bounds_without_eigh(monkeypatch):
     frame_of = counted("Frame.of", frames.Frame.of.__func__)
     monkeypatch.setattr(frames.Frame, "of", classmethod(frame_of))
     monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
-    monkeypatch.setattr(criteria, "_TrialStacks", counted("stacks", criteria._TrialStacks))
+    monkeypatch.setattr(frames, "TrialGroup", counted("groups", frames.TrialGroup))
     assert run_verify_theorems(CampaignConfig(command="verify-theorems")).passed
-    assert calls == {"eigh": 19, "stacks": 8}
+    assert calls == {"eigh": 19, "groups": 8}
 
 
 def test_verify_fails_parseval_vectors_one_percent_too_long(monkeypatch):
@@ -299,9 +299,9 @@ def test_verify_fails_lower_one_vectors_one_percent_short(monkeypatch):
     """The lower-bound-one stack that the weighted diagonal sum samples is
     certified at (1, C2/C1): shrunk by 1% (lower bound 0.9801) it fails the
     synthesis checks and nothing else."""
-    lower_one = frames._TrialStacks.lower_one
-    shrunk = property(lambda stacks: 0.99 * lower_one.__get__(stacks))
-    monkeypatch.setattr(frames._TrialStacks, "lower_one", shrunk)
+    lower_one = frames.TrialGroup.lower_one
+    shrunk = property(lambda group: 0.99 * lower_one.__get__(group))
+    monkeypatch.setattr(frames.TrialGroup, "lower_one", shrunk)
     report = run_verify_theorems(CampaignConfig(command="verify-theorems"))
     assert [rec["tag"] for rec in report.records if not rec["passed"]] == ["synthesis_bounds"]
 
@@ -374,16 +374,20 @@ def test_bergman_traced_peak_memory(dim, limit_mib):
     assert peak <= limit_mib * 2**20
 
 
-def test_verify_traced_peak_memory():
-    """The walk of the trial ensemble holds one group's stacks and one trial
-    seed's synthesis probes at a time: the peak reads 1.02 MiB at the default
-    config, where holding a group's 25 probe matrices (1.87 MiB) or every
-    group's derived stacks (2.24 MiB) at once would pass the bound."""
+@pytest.mark.parametrize("dim, limit_mib", [(None, 1.5), (32, 4.0)], ids=["default", "dim32"])
+def test_verify_traced_peak_memory(dim, limit_mib):
+    """The walk of the trial ensemble builds each group when it reaches it and
+    holds one group's stacks and one trial seed's synthesis probes at a time:
+    the peak reads 0.81 MiB at the default config, where holding a group's 25
+    probe matrices (1.87 MiB) or every group's derived stacks (2.24 MiB) at
+    once would pass the bound, and 2.97 MiB at dim 32, where keeping every
+    group's raw frames for the whole run read 7.48 MiB."""
     run_verify_theorems(CampaignConfig(command="verify-theorems", dim=2, trials=1))
+    config = CampaignConfig(command="verify-theorems", **({} if dim is None else {"dim": dim}))
     tracemalloc.start()
     try:
-        run_verify_theorems(CampaignConfig(command="verify-theorems"))
+        run_verify_theorems(config)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.5 * 2**20
+    assert peak <= limit_mib * 2**20

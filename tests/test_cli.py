@@ -257,6 +257,15 @@ class TestCounterexamples:
         assert "growth_control_series_p2.0.csv" in names
         assert any(n.startswith("growth_rank_one_growth") for n in names)
 
+    def test_shift_norms_hold_at_tiny_p(self, tmp_path, capsys):
+        """At p = 0.001 the shift's ||T||_p^p = dim - 1 is judged as the sum of
+        s^p; through the norm, the 1/p-th root 7^1000 overflowed and failed it."""
+        out = tmp_path / "r"
+        assert main(["counterexamples", "--p-grid", "0.001", "--out", str(out)]) == 0
+        assert "[PASS] shift_diag_vanishing" in capsys.readouterr().out
+        [shift] = [r for r in read_report(out)["records"] if r["tag"] == "shift_diag_vanishing"]
+        assert shift["norms_equal_dim_minus_one"]
+
     def test_dim_one_is_usage_error_naming_dim(self, tmp_path, capsys):
         out = tmp_path / "r"
         assert main(["counterexamples", "--dim", "1", "--out", str(out)]) == 2

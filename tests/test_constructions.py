@@ -1,5 +1,7 @@
 """Counterexample constructions and growth diagnostics."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -88,6 +90,14 @@ class TestGrowthSeries:
         with pytest.raises(ValueError, match="nonnegative"):
             growth_series(np.array([-1.0, 1.0]), (1, 2))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_terms(self, bad):
+        terms = np.ones(10)
+        terms[3] = bad
+        message = f"terms must be finite, got terms[3] = {bad}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            growth_series(terms, (5, 10))
+
     def test_geometric_series_bounded(self):
         terms = 0.5 ** np.arange(1, 101, dtype=float)
         assert growth_series(terms, (10, 20, 50, 100)).verdict == "bounded_trend"
@@ -132,6 +142,22 @@ class TestScaledCopiesFrame:
     def test_rejects_small_p(self):
         with pytest.raises(ValueError, match="p > 2"):
             scaled_copies_frame(2.0, 1.0, 4)
+
+    @pytest.mark.parametrize(
+        "p, epsilon, message",
+        [
+            (np.nan, 3.0, "p must be finite and positive, got nan"),
+            (np.inf, 3.0, "p must be finite and positive, got inf"),
+            (3.0, np.nan, "epsilon must be finite and positive, got nan"),
+            (3.0, np.inf, "epsilon must be finite and positive, got inf"),
+            (3.0, 0.0, "epsilon must be finite and positive, got 0.0"),
+            (2.0001, 3.0, "underflow at p = 2.0001, epsilon = 3.0"),
+        ],
+        ids=["nan-p", "inf-p", "nan-epsilon", "inf-epsilon", "zero-epsilon", "underflow"],
+    )
+    def test_rejects_bad_exponents_by_name(self, p, epsilon, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            scaled_copies_frame(p, epsilon, 40)
 
 
 class TestNonvanishingDirection:
@@ -262,7 +288,7 @@ BAD_INPUTS = {
     "synthesis-negative-seed": ("seed", lambda: certify_synthesis(random_onb(2, 0), seed=-1)),
     "synthesis-float-seeds": (
         "seed",
-        lambda: certify_synthesis(FrameEnsemble(2, 2, 0).groups[0].raw, seed=[1.5]),
+        lambda: certify_synthesis(next(iter(FrameEnsemble(2, 2, 0))).raw, seed=[1.5]),
     ),
 }
 

@@ -26,7 +26,6 @@ from schattenframes.criteria import (
 from schattenframes.frames import (
     Frame,
     FrameEnsemble,
-    _TrialStacks,
     canonical_parseval,
     make_frame,
     random_frame,
@@ -187,10 +186,10 @@ class TestDoubleSumComparison:
 
     @pytest.mark.parametrize("p", [0.5, 2.0, 3.0])
     def test_frame_stack_matches_single_frames(self, p):
-        group = FrameEnsemble(4, 10, 40).groups[1]
-        ops = np.stack(seeded_operators(4, len(group.indices), 700))
+        group = list(FrameEnsemble(4, 10, 40))[1]
+        ops = np.stack(seeded_operators(4, len(group.seeds), 700))
         batch = double_sum_comparison(ops, group.raw, p)
-        for k in range(len(group.indices)):
+        for k in range(len(group.seeds)):
             frame = group.raw[k]
             single = double_sum_comparison(ops[k], frame, p)
             assert batch.double_sum[k] == pytest.approx(single.double_sum, rel=1e-12)
@@ -210,14 +209,14 @@ class TestDoubleSumComparison:
     )
     def test_rejects_operator_shapes(self, member, shape):
         # a stack of three frames in C^3, or its first member
-        stack = FrameEnsemble(3, 9, 0).groups[0].raw
+        stack = next(iter(FrameEnsemble(3, 9, 0))).raw
         frame = stack if member is None else stack[member]
         with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
             double_sum_comparison(np.ones(shape), frame, 2.0)
 
     def test_frame_stack_rejects_non_finite_operators(self):
-        group = FrameEnsemble(2, 2, 0).groups[0]
-        ops = np.full((len(group.indices), 2, 2), np.nan)
+        group = next(iter(FrameEnsemble(2, 2, 0)))
+        ops = np.full((len(group.seeds), 2, 2), np.nan)
         with pytest.raises(ValueError, match="finite"):
             double_sum_comparison(ops, group.raw, 2.0)
 
@@ -254,9 +253,9 @@ class TestSharedEnsemble:
         # the endpoint suites judged on the sums a walk's visit takes
         ops, sums = (psd, general), ([], [])
 
-        def visit(stacks):
+        def visit(group):
             for t, taken in zip(ops, sums):
-                taken.append(criteria._endpoint_sums(t, stacks.group.raw))
+                taken.append(criteria._endpoint_sums(t, group.raw))
 
         criteria._certify(ensemble, [criteria._norm_job(general, 0.5)], 1e-9, visit=visit)
         for t, taken in zip(ops, sums):
@@ -332,8 +331,8 @@ class TestCertificateGrid:
         seed=st.integers(0, 2**16),
     )
     def test_double_sum_comparison_grid_equals_one_p_calls(self, dim, trials, grid, seed):
-        group = FrameEnsemble(dim, trials, seed).groups[0]
-        ops = np.stack(seeded_operators(dim, len(group.indices), seed))
+        group = next(iter(FrameEnsemble(dim, trials, seed)))
+        ops = np.stack(seeded_operators(dim, len(group.seeds), seed))
         for t, frame in ((ops, group.raw), (ops[0], group.raw[0])):  # a stack, one frame
             comparisons = double_sum_comparison(t, frame, grid)
             assert len(comparisons) == len(grid)
@@ -347,15 +346,16 @@ class TestCertificateGrid:
         calls = collections.Counter()
         for name in ("svd", "hermitian_eigen"):
             monkeypatch.setattr(criteria, name, counted(calls, name, getattr(criteria, name)))
-        # one _TrialStacks per group and walk; each derives a regime's stack once
+        # one TrialGroup per group and walk; each derives a regime's stack once
         walked = []
 
-        def recorded(group):
+        def recorded(*args):
             calls["group"] += 1
-            walked.append(_TrialStacks(group))
+            walked.append(trial_group(*args))
             return walked[-1]
 
-        monkeypatch.setattr(criteria, "_TrialStacks", recorded)
+        trial_group = frames.TrialGroup
+        monkeypatch.setattr(frames, "TrialGroup", recorded)
         parseval = counted(calls, "parseval", frames._parseval_vectors)
         monkeypatch.setattr(frames, "_parseval_vectors", parseval)
         # the walk sums bare vectors: it builds no Frame
@@ -366,16 +366,16 @@ class TestCertificateGrid:
         directions = [rep.direction for rep in reports]
         # sup at p = 2 even for a Hermitian operator
         assert directions == ["inf_above", "inf_above", "sup_below", "sup_below", "inf_above"]
-        groups = len(FrameEnsemble(3, 7, 0).groups)
+        groups = 3  # one per frame count, min(dim, trials)
         assert calls == {"svd": 1, "hermitian_eigen": 1, "group": groups, "parseval": groups}
-        for stacks in walked:
-            assert_walked_vectors(stacks, {"onb", "parseval", "upper_one"})
+        for group in walked:
+            assert_walked_vectors(group, {"onb", "parseval", "upper_one"})
         calls.clear()
         walked.clear()
         certify_norm_formula(hermitian, [3.0, 4.0, 5.0], 7, 0)
         assert calls == {"svd": 1, "group": groups}
-        for stacks in walked:
-            assert_walked_vectors(stacks, {"onb", "upper_one"})
+        for group in walked:
+            assert_walked_vectors(group, {"onb", "upper_one"})
 
     def test_rejections_name_the_offending_p(self):
         shift = np.array([[0.0, 1.0], [0.0, 0.0]])
@@ -389,18 +389,18 @@ class TestCertificateGrid:
             certify_norm_formula(np.eye(2), [1.0, float("nan")], trials=2)
 
 
-def assert_walked_vectors(stacks, names):
-    """The stacks of a walked _TrialStacks are `names`, each bit for bit the
+def assert_walked_vectors(group, names):
+    """The stacks a walk made in a TrialGroup are `names`, each bit for bit the
     vectors of the public frame it stands for."""
-    group = stacks.group
+    dim = group.raw.dim
     public = {
-        "onb": Frame.of(_TrialStacks(group).onb),
+        "onb": Frame.of(np.stack([random_onb(dim, s).vectors for s in group.seeds])),
         "parseval": canonical_parseval(group.raw),
         "upper_one": rescale_upper_bound_one(group.raw),
     }
-    assert vars(stacks).keys() - {"group", "raw"} == names
+    assert vars(group).keys() - {"seeds", "raw"} == names
     for name in names:
-        assert vars(stacks)[name].tobytes() == public[name].vectors.tobytes(), name
+        assert vars(group)[name].tobytes() == public[name].vectors.tobytes(), name
 
 
 def counted(calls, name, fn):

@@ -21,7 +21,6 @@ from schattenframes.frames import (
     TRIAL_CONDITION,
     Frame,
     FrameEnsemble,
-    _TrialStacks,
     canonical_parseval,
     certify_synthesis,
     make_frame,
@@ -382,36 +381,36 @@ class TestFrameEnsemble:
     def test_groups_partition_trials_by_count(self, dim, trials, seed):
         ensemble = FrameEnsemble(dim, trials, seed)
         seen = []
-        for group in ensemble.groups:
+        for group in ensemble:
             count = group.raw.vectors.shape[2]
-            assert all(dim + (i % dim) + 1 == count for i in group.indices)
-            assert _TrialStacks(group).onb.shape == (len(group.indices), dim, dim)
-            assert group.raw.vectors.shape == (len(group.indices), dim, count)
-            seen += list(group.indices)
-        assert sorted(seen) == list(range(trials))
+            assert all(dim + ((s - seed) % dim) + 1 == count for s in group.seeds)
+            assert group.onb.shape == (len(group.seeds), dim, dim)
+            assert group.raw.vectors.shape == (len(group.seeds), dim, count)
+            seen += list(group.seeds)
+        assert sorted(seen) == list(range(seed, seed + trials))
 
     @pytest.mark.parametrize("dim,trials,seed", ENSEMBLE_CASES)
     def test_members_match_generators_bitwise(self, dim, trials, seed):
-        for group in FrameEnsemble(dim, trials, seed).groups:
+        for group in FrameEnsemble(dim, trials, seed):
             count = group.raw.vectors.shape[2]
-            onbs = Frame.of(_TrialStacks(group).onb)
-            for k, i in enumerate(group.indices):
-                onb = random_onb(dim, seed + i)
-                raw = random_frame(dim, count, TRIAL_CONDITION, seed + i)
+            onbs = Frame.of(group.onb)
+            for k, s in enumerate(group.seeds):
+                onb = random_onb(dim, s)
+                raw = random_frame(dim, count, TRIAL_CONDITION, s)
                 np.testing.assert_array_equal(onbs.vectors[k], onb.vectors)
                 np.testing.assert_array_equal(group.raw.vectors[k], raw.vectors)
 
     @pytest.mark.parametrize("dim,trials,seed", ENSEMBLE_CASES)
     def test_bounds_and_variants_match_single_frame_path(self, dim, trials, seed):
-        for group in FrameEnsemble(dim, trials, seed).groups:
+        for group in FrameEnsemble(dim, trials, seed):
             stacks = {
-                "onb": Frame.of(_TrialStacks(group).onb),
+                "onb": Frame.of(group.onb),
                 "raw": group.raw,
                 "parseval": canonical_parseval(group.raw),
                 "upper_one": rescale_upper_bound_one(group.raw),
                 "lower_one": rescale_lower_bound_one(group.raw),
             }
-            for k in range(len(group.indices)):
+            for k in range(len(group.seeds)):
                 raw = group.raw[k]
                 singles = {
                     "onb": make_frame(stacks["onb"].vectors[k]),
@@ -429,8 +428,8 @@ class TestFrameEnsemble:
                                            rtol=0, atol=1e-12 * raw.upper_bound)
 
     def test_stacks_are_read_only(self):
-        group = FrameEnsemble(3, 4, 0).groups[0]
-        onb = Frame.of(_TrialStacks(group).onb)
+        group = next(iter(FrameEnsemble(3, 4, 0)))
+        onb = Frame.of(group.onb)
         for arr in (onb.vectors, group.raw.vectors, group.raw.lower_bound,
                     group.raw.upper_bound, group.raw[0].frame_operator):
             with pytest.raises(ValueError):
@@ -442,20 +441,57 @@ class TestFrameEnsemble:
         with pytest.raises(ValueError, match="dim"):
             FrameEnsemble(0, 3, 0)
 
+    def test_holds_no_frames(self):
+        """The ensemble keeps its three arguments; a walk builds the groups."""
+        ensemble = FrameEnsemble(64, 200, 0)
+        assert vars(ensemble) == {"dim": 64, "trials": 200, "seed": 0}
+        assert all(type(value) is int for value in vars(ensemble).values())
+
+    def test_groups_built_when_reached(self, monkeypatch):
+        built = []
+        random_frames = frames._random_frames
+
+        def counted(dim, count, condition_target, seeds):
+            built.append(list(seeds))
+            return random_frames(dim, count, condition_target, seeds)
+
+        monkeypatch.setattr(frames, "_random_frames", counted)
+        walk = iter(FrameEnsemble(3, 7, 4))
+        assert built == []
+        assert list(next(walk).seeds) == [4, 7, 10] and built == [[4, 7, 10]]
+        assert [list(group.seeds) for group in walk] == [[5, 8], [6, 9]]
+        assert built == [[4, 7, 10], [5, 8], [6, 9]]
+
+    @pytest.mark.parametrize("dim,trials,seed", ENSEMBLE_CASES)
+    def test_two_walks_are_bit_identical(self, dim, trials, seed):
+        ensemble = FrameEnsemble(dim, trials, seed)
+        names = ("onb", "parseval", "upper_one", "lower_one")
+        first, second = (
+            [
+                [group.raw.vectors, group.raw.lower_bound, group.raw.upper_bound]
+                + [getattr(group, name) for name in names]
+                for group in ensemble
+            ]
+            for _ in range(2)
+        )
+        assert len(first) == len(second) == min(dim, trials)
+        for one, other in zip(first, second):
+            for a, b in zip(one, other):
+                assert a is not b and a.tobytes() == b.tobytes()
+
     def test_regime_stacks(self):
         """The stacks a walk derives from a group's raw frames, each made once: the
         vectors alone, bit for bit, of the public frames whose bounds are checked."""
-        for group in FrameEnsemble(3, 6, 2).groups:
-            stacks = _TrialStacks(group)
+        for group in FrameEnsemble(3, 6, 2):
             public = {
-                "onb": Frame.of(_TrialStacks(group).onb),
+                "onb": Frame.of(np.stack([random_onb(3, s).vectors for s in group.seeds])),
                 "parseval": canonical_parseval(group.raw),
                 "upper_one": rescale_upper_bound_one(group.raw),
                 "lower_one": rescale_lower_bound_one(group.raw),
             }
             for name, frame in public.items():
-                vectors = getattr(stacks, name)
-                assert isinstance(vectors, np.ndarray) and vectors is getattr(stacks, name)
+                vectors = getattr(group, name)
+                assert isinstance(vectors, np.ndarray) and vectors is getattr(group, name)
                 assert vectors.tobytes() == frame.vectors.tobytes(), name
             np.testing.assert_allclose(public["onb"].upper_bound, 1.0, atol=1e-12)
             for name in ("parseval", "upper_one"):
@@ -470,12 +506,12 @@ class TestFrameEnsemble:
             built.append(list(seeds))
             return onb_stack(dim, seeds)
 
-        ensemble = FrameEnsemble(3, 7, 4)
+        walk = iter(FrameEnsemble(3, 7, 4))
+        next(walk)
+        group = next(walk)
         monkeypatch.setattr(frames, "_onb_stack", counted)
-        group = ensemble.groups[1]
         assert built == [] and list(group.seeds) == [5, 8]
-        stacks = _TrialStacks(group)
-        assert stacks.onb is stacks.onb
+        assert group.onb is group.onb
         assert built == [[5, 8]]
 
 
@@ -515,9 +551,9 @@ def synthesis_variants(stack):
 class TestStackedSynthesisCertificate:
     @pytest.mark.parametrize("dim,trials,seed", [(3, 7, 5), (3, 20, 0), (8, 19, 100), (8, 40, 3)])
     def test_variants_match_single_frame_bitwise(self, dim, trials, seed):
-        for group in FrameEnsemble(dim, trials, seed).groups:
-            seeds = [seed + i for i in group.indices] * 3
-            for stack in (Frame.of(_TrialStacks(group).onb), group.raw):
+        for group in FrameEnsemble(dim, trials, seed):
+            seeds = list(group.seeds) * 3
+            for stack in (Frame.of(group.onb), group.raw):
                 variants = synthesis_variants(stack)
                 cert = certify_synthesis(variants, seed=seeds)
                 assert cert.passed.shape == (len(seeds),)
@@ -529,7 +565,7 @@ class TestStackedSynthesisCertificate:
                     )
 
     def test_falsified_member_fails_at_its_index(self):
-        stack = FrameEnsemble(3, 9, 0).groups[0].raw
+        stack = next(iter(FrameEnsemble(3, 9, 0))).raw
         k = 1
         lower, upper = stack.lower_bound.copy(), stack.upper_bound.copy()
         lower[k], upper[k] = 2.0, 3.0
@@ -549,20 +585,20 @@ class TestStackedSynthesisCertificate:
             return probes(dim, n_probes, seed)
 
         monkeypatch.setattr(frames, "_probes", counted)
-        stack = FrameEnsemble(3, 9, 0).groups[0].raw
+        stack = next(iter(FrameEnsemble(3, 9, 0))).raw
         variants = [stack, canonical_parseval(stack), rescale_upper_bound_one(stack)]
         certificates = frames._certify_synthesis(variants, [4, 5, 6], 1e-9)
         assert all(cert.passed.all() for cert in certificates)
         assert drawn == {4: 1, 5: 1, 6: 1}
 
     def test_rejects_seed_count_mismatch(self):
-        stack = FrameEnsemble(3, 9, 0).groups[0].raw
+        stack = next(iter(FrameEnsemble(3, 9, 0))).raw
         for seed in (0, [1, 2]):
             with pytest.raises(ValueError, match="one seed per frame"):
                 certify_synthesis(stack, seed=seed)
 
     def test_rejects_frames_of_different_stack_shapes(self):
-        stack = FrameEnsemble(3, 9, 0).groups[0].raw
+        stack = next(iter(FrameEnsemble(3, 9, 0))).raw
         pair = Frame.of(stack.vectors[:2].copy())
         mixes = [
             ([stack, stack[0]], [4, 5, 6]),
@@ -588,7 +624,7 @@ ONE_FRAME_CALLS = {
 
 @pytest.mark.parametrize("call", ONE_FRAME_CALLS.values(), ids=ONE_FRAME_CALLS.keys())
 def test_one_frame_functions_reject_a_stack(call):
-    stack = FrameEnsemble(3, 9, 0).groups[0].raw
+    stack = next(iter(FrameEnsemble(3, 9, 0))).raw
     with pytest.raises(ValueError, match=r"expected one frame, got a stack of shape \(3, 3, 4\)"):
         call(stack)
     call(stack[0])  # each member is accepted
