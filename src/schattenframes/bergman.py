@@ -17,7 +17,7 @@ import numpy as np
 
 from .frames import Frame, make_frame
 from .linalg import ELEMENTWISE_TOL, IDENTITY_TOL, STENCIL_TOL, _as_square, _check_count
-from .linalg import _check_p, _exponents, _verdict, as_matrix
+from .linalg import _BLOCK_ENTRIES, _check_p, _exponents, _verdict, as_matrix
 
 __all__ = [
     "DiskQuadrature",
@@ -63,22 +63,21 @@ def _coefficient_matrix(points: np.ndarray, degree: int, normalized: bool) -> np
     return base
 
 
-# Most points whose kernel coefficients `_kernel_norms` holds at once (>= 3).
-_BLOCK_ROWS = 512
-
-
 def _kernel_norms(points: np.ndarray, jobs, normalized: bool = True) -> np.ndarray:
     """Row j holds ||T (s K_w)|| (k_w if normalized) at each point w, for jobs[j] = (T, s).
 
     Each block of points has its coefficients built once for every job (s is
-    None or scales each row).  Nearly equal blocks of at most _BLOCK_ROWS rows
-    have two or more rows each (one point aside), which gives the one-shot
-    norms bit for bit; one row of many would not (GEMV).
+    None or scales each row).  Nearly equal blocks of at most
+    max(3, _BLOCK_ENTRIES // degree) rows (256 at degree 32) have two or more
+    rows each (one point aside), which gives the one-shot norms bit for bit;
+    one row of many would not (GEMV).
     """
+    degree = jobs[0][0].shape[1]
+    blocks = -(-points.size // max(3, _BLOCK_ENTRIES // degree))
     norms, stop = np.empty((len(jobs), points.size)), 0
-    for block in np.array_split(points, max(1, -(-points.size // _BLOCK_ROWS))):
+    for block in np.array_split(points, max(1, blocks)):
         rows, stop = slice(stop, stop + block.size), stop + block.size
-        base = _coefficient_matrix(block, jobs[0][0].shape[1], normalized)
+        base = _coefficient_matrix(block, degree, normalized)
         for norm, (t, scale) in zip(norms, jobs):
             scaled = base if scale is None else base * scale[rows, None]
             norm[rows] = np.linalg.norm(scaled @ t.T, axis=1)

@@ -177,7 +177,8 @@ def scaled_copies_frame(p: float, epsilon: float, n_terms: int) -> ScaledCopiesF
     """Build the scaled-copies frame for the first `n_terms` values n^(-1/p).
 
     Fails naming p and epsilon when a scale delta_n is so small that
-    1/delta_n^2 is not a finite float.
+    1/delta_n^2 is not a finite float, or its copy count is past numpy's
+    index range.
     """
     _check_p(p)
     if p <= 2:
@@ -193,6 +194,11 @@ def scaled_copies_frame(p: float, epsilon: float, n_terms: int) -> ScaledCopiesF
         raise ValueError(f"the scales delta_n underflow at p = {p}, epsilon = {epsilon}")
     # 1/delta_n^2 >= 1 rounds to counts_n >= 1 with counts_n delta_n^2 in [1/2, 3/2]
     counts = np.round(inverse_squares)
+    if not counts.max() < np.iinfo(np.intp).max:
+        raise ValueError(
+            f"the copy count {counts.max():.3e} at p = {p}, epsilon = {epsilon}"
+            f" exceeds the largest index {np.iinfo(np.intp).max}"
+        )
     index = np.repeat(np.arange(n_terms), counts.astype(int))
     matrix = np.zeros((n_terms, index.size), dtype=np.complex128)
     matrix[index, np.arange(index.size)] = scales[index]

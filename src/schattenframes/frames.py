@@ -23,7 +23,7 @@ from functools import cached_property
 import numpy as np
 
 from .linalg import CERTIFICATE_TOL, IDENTITY_TOL, RANK_TOL, SPANNING_TOL, _check_count, _check_seed
-from .linalg import _verdict, as_matrix
+from .linalg import _BLOCK_ENTRIES, _verdict, as_matrix
 
 __all__ = [
     "Frame",
@@ -231,7 +231,14 @@ def _certify_synthesis(frames, seeds, tol: float) -> list:
     Member k of every frame is probed with seeds[k]; for one frame `seeds` is
     one int.  Trial by trial, the probes of seeds[k] are drawn once, applied
     to member k of each frame and dropped before the next trial.  The frame
-    operators and the SVD are taken once per stack.
+    operators and the SVD are taken once per stack.  The products A_k* F go
+    over blocks of probes of at most _BLOCK_ENTRIES entries (but 8 probes at
+    least): 16 probes at a time for the 399 vectors of a Bergman lattice
+    frame, all 200 at once for at most 40 vectors.  Every block starts at a
+    multiple of 8 probes and holds a multiple of 8, so the norms keep the
+    one-shot product's bits: OpenBLAS's zgemm takes these columns in groups
+    of 4 and rounds a column of a ragged group differently, so blocks of,
+    say, 41 probes would not.
     """
     shape = np.shape(seeds)
     for frame in frames:
@@ -245,12 +252,17 @@ def _certify_synthesis(frames, seeds, tol: float) -> list:
         _check_seed(seed)
     stacks = [frame.vectors.reshape(-1, frame.dim, frame.count) for frame in frames]
     operators = [_frame_operators(vectors) for vectors in stacks]
+    widths = [max(8, _BLOCK_ENTRIES // frame.count // 8 * 8) for frame in frames]
+    blocks = [[slice(j, j + w) for j in range(0, SYNTHESIS_PROBES, w)] for w in widths]
     dev, lo, hi = np.empty((3, len(frames), len(seeds)))  # at [frame, k], filled trial by trial
+    direct = np.empty(SYNTHESIS_PROBES)
     for k, seed in enumerate(seeds):
         f = _probes(frames[0].dim, SYNTHESIS_PROBES, seed)
         for i, (vectors, s) in enumerate(zip(stacks, operators)):
             # ||A* f||^2 by the matrix product against <S f, f> through the frame operator
-            direct = np.linalg.norm(vectors[k].conj().T @ f, axis=0) ** 2
+            adjoint = vectors[k].conj().T
+            for cols in blocks[i]:
+                direct[cols] = np.linalg.norm(adjoint @ f[:, cols], axis=0) ** 2
             s_f = s[k] @ f
             analysis = np.real(np.sum(np.multiply(f.conj(), s_f, out=s_f), axis=0))
             ratio = np.abs(analysis - direct) / np.maximum(analysis, 1e-300)

@@ -68,6 +68,14 @@ STENCIL_TOL = 1e-6
 #: D: relative change of the sampling-chain constant from the coarse to the fine quadrature.
 CHAIN_STABILITY_TOL = 1e-3
 
+#: Most complex entries of one blocked matrix product, 2^13 (128 KiB): the synthesis
+#: probe products A_k* F of `frames` and the kernel coefficients of `bergman` go in
+#: blocks of at most this many where the shape allows.  A fresh `bergman --dim 32`,
+#: whose widest probe product is 399 x 200, peaked at 43.6 MiB of RSS with that
+#: product held whole and 512-point kernel blocks, and at 40.5 MiB with this budget
+#: (256-point blocks); 2^14 read 41.5 MiB and 2^15 41.6 MiB.
+_BLOCK_ENTRIES = 2**13
+
 
 def _witness_budget(p: float, n_terms: int, term_scale: float) -> float:
     """Rounding allowance (H) for a sum of n p-th powers of computed pairings.
@@ -139,9 +147,12 @@ def _exponents(p) -> tuple[list, bool]:
 
 
 def _check_count(name: str, value) -> None:
-    """Reject `value` unless it is an integer >= 1 (numpy integers count, bool does not)."""
+    """Reject `value` unless it is an integer >= 1 (numpy integers count, bool does not)
+    that numpy can take as an array length or index."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
         raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+    if value > np.iinfo(np.intp).max:
+        raise ValueError(f"{name} must be at most {np.iinfo(np.intp).max}, got {value!r}")
 
 
 def _check_seed(value) -> None:

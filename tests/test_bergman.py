@@ -117,7 +117,7 @@ class TestKernelNorms:
         ops = seeded_operators(degree, count, seed)
         scale = rng.uniform(0.1, 2.0, n) if scaled else None
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(bergman, "_BLOCK_ROWS", block)
+            patch.setattr(bergman, "_BLOCK_ENTRIES", block * degree)  # blocks of `block` rows
             norms = bergman._kernel_norms(points, [(t, scale) for t in ops], normalized)
         base = bergman._coefficient_matrix(points, degree, normalized)
         if scaled:

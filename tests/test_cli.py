@@ -121,6 +121,9 @@ INVALID_INPUTS = {
     "negative-seed": (["--seed", "-3"], None, "seed must be an integer >= 0, got -3"),
     "string-trials": ([], {"trials": "10"}, "trials"),
     "float-trials": ([], {"trials": 10.0}, "trials"),
+    # counts past numpy's index range, which reached the trial frames as an OverflowError
+    "huge-trials-flag": (["--trials", str(10**20)], None, "error: trials must be at most"),
+    "huge-trials-config": ([], {"trials": 10**400}, "error: trials must be at most"),
     "tolerances-not-object": ([], {"tolerances": 5}, "tolerances"),
     "tolerance-nan": ([], {"tolerances": {"certificate": float("nan")}}, "tolerances"),
     "tolerance-unknown-name": ([], {"tolerances": {"certifcate": 1e-3}}, "certifcate"),

@@ -152,8 +152,14 @@ class TestScaledCopiesFrame:
             (3.0, np.inf, "epsilon must be finite and positive, got inf"),
             (3.0, 0.0, "epsilon must be finite and positive, got 0.0"),
             (2.0001, 3.0, "underflow at p = 2.0001, epsilon = 3.0"),
+            # finite scales whose copy counts, near 1e77 and 1e256, have no index
+            (2.5, 30.0, "the copy count 7.923e+76 at p = 2.5, epsilon = 30.0 exceeds"),
+            (2.5, 100.0, "the copy count 2.136e+256 at p = 2.5, epsilon = 100.0 exceeds"),
         ],
-        ids=["nan-p", "inf-p", "nan-epsilon", "inf-epsilon", "zero-epsilon", "underflow"],
+        ids=[
+            "nan-p", "inf-p", "nan-epsilon", "inf-epsilon", "zero-epsilon", "underflow",
+            "huge-count", "huger-count",
+        ],
     )
     def test_rejects_bad_exponents_by_name(self, p, epsilon, message):
         with pytest.raises(ValueError, match=re.escape(message)):

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from schattenframes import frames
+from schattenframes.bergman import r_lattice, sampling_frame
 from schattenframes.criteria import (
     double_sum_comparison,
     sum_diag,
@@ -542,6 +543,19 @@ def reference_synthesis_measurements(frame, seed, n_probes=200):
     return float(svals[0]) ** 2, dev, int(np.sum(svals > 1e-12 * svals[0]))
 
 
+def assert_equal_certificates(got, want):
+    """Two certificates, of one frame or of a stack, agree field for field, bit for bit."""
+    for field in dataclasses.fields(want):
+        value, expected = getattr(got, field.name), getattr(want, field.name)
+        same = value == expected if field.name == "failures" else np.array_equal(value, expected)
+        assert same, field.name
+
+
+def lattice_frame():
+    """The widest sampling frame of a bergman run: 399 normalized kernels in C^32."""
+    return sampling_frame(r_lattice(0.3, 0.95), 32)[0]
+
+
 def synthesis_variants(stack):
     """The stack, its Parseval and its upper-bound-one variants joined in one stack."""
     variants = (stack, canonical_parseval(stack), rescale_upper_bound_one(stack))
@@ -563,6 +577,26 @@ class TestStackedSynthesisCertificate:
                     assert reference_synthesis_measurements(frame, seeds[k]) == (
                         cert.op_norm_sq[k], cert.analysis_identity_dev[k], cert.rank[k]
                     )
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_wide_frame_matches_reference_bitwise(self, seed):
+        frame = lattice_frame()  # its probe products go 16 probes at a time
+        cert = certify_synthesis(frame, seed=seed)
+        assert cert.passed
+        assert reference_synthesis_measurements(frame, seed) == (
+            cert.op_norm_sq, cert.analysis_identity_dev, cert.rank
+        )
+
+    @pytest.mark.parametrize("entries", [1, 24 * 9, 2**30], ids=["floor", "small", "whole"])
+    def test_probe_blocks_give_the_same_certificate(self, monkeypatch, entries):
+        # floor: 8 probes a block; small: 24 probes for the 9-vector stack, 8 for the
+        # 399-vector frame; whole: one product of all 200 probes
+        group = next(iter(FrameEnsemble(8, 9, 3)))
+        cases = [(synthesis_variants(group.raw), list(group.seeds) * 3), (lattice_frame(), 5)]
+        expected = [certify_synthesis(frame, seed=seeds) for frame, seeds in cases]
+        monkeypatch.setattr(frames, "_BLOCK_ENTRIES", entries)
+        for (frame, seeds), want in zip(cases, expected):
+            assert_equal_certificates(certify_synthesis(frame, seed=seeds), want)
 
     def test_falsified_member_fails_at_its_index(self):
         stack = next(iter(FrameEnsemble(3, 9, 0))).raw
@@ -669,10 +703,7 @@ def test_stack_members_equal_one_frame_path(dim, extra, n, exponent, p, seed):
     parseval = canonical_parseval(stack)
     joint = frames._certify_synthesis([stack, parseval], seeds, 1e-9)
     for together, alone in zip(joint, (cert, certify_synthesis(parseval, seed=seeds))):
-        for field in dataclasses.fields(alone):
-            value, expected = getattr(together, field.name), getattr(alone, field.name)
-            same = value == expected if field.name == "failures" else np.array_equal(value, expected)
-            assert same, field.name
+        assert_equal_certificates(together, alone)
     comparison = double_sum_comparison(ops, stack, p)
     for k, single in enumerate(singles):
         assert_same_certificate(cert, k, certify_synthesis(single, seed=seeds[k]))
