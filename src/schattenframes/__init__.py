@@ -51,9 +51,8 @@ __version__ = "0.1.0"
 _LAZY = {
     "bergman": (
         "DiskQuadrature", "SamplingLattice", "bergman_kernel", "bergman_metric", "disk_quadrature",
-        "hs_identity_check", "integral_criterion", "kernel_coefficients",
-        "kernel_truncation_defect", "r_lattice", "sampling_comparison", "sampling_frame",
-        "subharmonicity_check",
+        "hs_identity_check", "integral_criterion", "kernel_coefficients", "r_lattice",
+        "sampling_comparison", "sampling_frame", "subharmonicity_check",
     ),
     "constructions": (
         "GrowthSeries", "diag_divergence_frame", "divergence_demo_double_sum",

@@ -28,9 +28,7 @@ __all__ = [
     "SubharmonicityReport",
     "bergman_kernel",
     "kernel_coefficients",
-    "kernel_truncation_defect",
     "bergman_metric",
-    "min_pairwise_separation",
     "r_lattice",
     "sampling_frame",
     "disk_quadrature",
@@ -89,27 +87,11 @@ def kernel_coefficients(w: complex, d: int, normalized: bool = True) -> np.ndarr
 
     For the normalized kernel k_w = K_w / sqrt(K(w, w)) the n-th entry is
     (1-|w|^2) sqrt(n+1) conj(w)^n; without normalization the (1-|w|^2)
-    factor is dropped.  See `kernel_truncation_defect` for the discarded
-    tail mass.
+    factor is dropped.
     """
     _check_in_disk(w)
     _check_count("d", d)
     return _coefficient_matrix(np.array([w]), d, normalized)[0]
-
-
-def kernel_truncation_defect(w: complex, d: int) -> float:
-    """Tail mass ||k_w||^2 - (truncated coefficient mass), in closed form.
-
-    Equals (1-|w|^2)^2 sum_{n>=d} (n+1)|w|^(2n); the geometric tail sum is
-    x^d (d(1-x) + 1) / (1-x)^2 with x = |w|^2.
-    """
-    _check_in_disk(w)
-    _check_count("d", d)
-    x = abs(w) ** 2
-    if x == 0.0:
-        return 0.0
-    tail = x**d * (d * (1.0 - x) + 1.0) / (1.0 - x) ** 2
-    return float((1.0 - x) ** 2 * tail)
 
 
 def bergman_metric(z: complex, w: complex) -> float:
@@ -128,24 +110,13 @@ def _pair_distances(z: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.arctanh(np.clip(rho, 0.0, 1.0 - 1e-16))
 
 
-def min_pairwise_separation(points: np.ndarray) -> float:
-    """Brute-force minimum Bergman distance over all point pairs."""
-    pts = np.asarray(points, dtype=np.complex128).reshape(-1)
-    _check_in_disk(*pts)
-    if pts.size < 2:
-        return float("inf")
-    beta = _pair_distances(pts[:, None], pts[None, :])
-    iu = np.triu_indices(pts.size, k=1)
-    return float(np.min(beta[iu]))
-
-
 @dataclass(frozen=True, eq=False)
 class SamplingLattice:
     """Points in the disk, pairwise separated in the Bergman metric.
 
     `separation` is the requested bound and `measured_separation` the least
     distance over all pairs (inf for one point), which `r_lattice` measures
-    in O(n) bit-identically to the brute-force `min_pairwise_separation`.
+    in O(n) bit-identically to a brute force over all pairs.
     """
 
     points: np.ndarray
@@ -177,7 +148,7 @@ def _ring_separation(rings: list[np.ndarray], offsets: list[np.ndarray]) -> floa
     is paired with its two neighbours on its ring and with the two points of
     the next ring on either side of its angle (the origin with all of ring 1).
     Pairs are taken inner point first, in lattice order, so each distance is
-    the value `min_pairwise_separation` computes for that pair.
+    the value a brute force over all pairs computes for that pair.
     """
     if len(rings) < 2:
         return float("inf")
@@ -306,17 +277,25 @@ def disk_quadrature(n_radial: int, n_angular: int, rmax: float) -> DiskQuadratur
     return DiskQuadrature(nodes=nodes, weights_da=weights, rmax=rmax)
 
 
+#: Nodes per block of `monomial_gram`.  With OpenBLAS's SkylakeX zgemm the blocked
+#: sum keeps the bits of the one-shot product at degrees 2 to 8 and at multiples
+#: of 8, where 256-node blocks do not past degree 8; at `bergman --dim 64` the
+#: blocks cut the traced peak from 16.3 to 2.8 MiB.
+_GRAM_BLOCK = 128
+
+
 def monomial_gram(quad: DiskQuadrature, degree: int) -> np.ndarray:
     """Quadrature Gram matrix of the monomial ONB on |w| <= rmax.
 
     The exact value is diag(rmax^(2n+2)): orthogonality is killed by the
     angular rule and the diagonal carries the truncated radial mass.
     """
-    basis = quad.nodes[:, None] ** np.arange(degree)
-    basis *= np.sqrt(np.arange(1, degree + 1))
-    lhs = basis.conj()
-    lhs *= quad.weights_da[:, None]
-    return lhs.T @ basis
+    gram = np.zeros((degree, degree), dtype=np.complex128)
+    for start in range(0, quad.nodes.size, _GRAM_BLOCK):
+        rows = slice(start, start + _GRAM_BLOCK)
+        basis = _coefficient_matrix(np.conj(quad.nodes[rows]), degree, normalized=False)
+        gram += (basis.conj() * quad.weights_da[rows, None]).T @ basis
+    return gram
 
 
 def integral_criterion(t, p: float, quad: DiskQuadrature) -> float:

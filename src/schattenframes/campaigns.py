@@ -263,8 +263,10 @@ def run_verify_theorems(config: CampaignConfig) -> CampaignReport:
             None if getattr(comps[0], k) is None else np.concatenate([getattr(c, k) for c in comps])
             for k in ("double_sum", "norm_sum", "upper_constant", "lower_constant")
         )
-        upper = None if c2 is None else float(np.min(_verdict(ds, -np.inf, c2 * ns, tol, ds)[0]))
-        lower = None if c1 is None else float(np.min(_verdict(ds, c1 * ns, np.inf, tol, ds)[0]))
+        # C2^(p/2) times a norm sum past the double range is +inf, its correct rounding
+        with np.errstate(over="ignore"):
+            upper = None if c2 is None else float(_verdict(ds, -np.inf, c2 * ns, tol, ds)[0].min())
+        lower = None if c1 is None else float(_verdict(ds, c1 * ns, np.inf, tol, ds)[0].min())
         enclosure = {
             "tag": "double_sum_enclosure",
             "p": p,
@@ -516,7 +518,7 @@ def run_norm_estimate(matrix_file, p: float, strategy: str, config: CampaignConf
         raise ValueError(f"unknown strategy {strategy!r}")
     # one decomposition gives the norm, the witness and the certificate
     job = criteria._norm_job(serialization.read_matrix(matrix_file), p)
-    norm_pth_power = float(np.sum(job.spectrum**p))
+    norm_pth_power = float(criteria._power_sums("norms", job.spectrum, p))
     try:
         norm = norm_pth_power ** (1.0 / p)
     except OverflowError:

@@ -27,6 +27,8 @@ from .campaigns import (
 )
 from .serialization import _read_json
 
+__all__ = ["main"]
+
 _COMMANDS = {
     "verify-theorems": run_verify_theorems,
     "counterexamples": run_counterexamples,
@@ -44,7 +46,7 @@ def _add_common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--out", type=Path, default=None, help="report directory")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="schattenframes",
         description="Frame-based Schatten-norm verification campaigns",
@@ -103,7 +105,7 @@ def _print_summary(report) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _build_parser()
     args = parser.parse_args(argv)
     try:
         config = _load_config(args)

@@ -280,7 +280,6 @@ class DoubleSumDemo:
     """Operator with geometric singular values but heavy-tailed entries."""
 
     matrix: np.ndarray
-    reflector: np.ndarray
     double_series: GrowthSeries
     norm_series: GrowthSeries
 
@@ -348,7 +347,6 @@ def divergence_demo_double_sum(d: int, p: float, d_grid=DEFAULT_GRID) -> DoubleS
     norm_series = growth_series(norm_terms, truncs)
     return DoubleSumDemo(
         matrix=matrix,
-        reflector=reflector,
         double_series=double_series,
         norm_series=norm_series,
     )

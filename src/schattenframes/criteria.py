@@ -115,17 +115,23 @@ def _terms(kind: str, t: np.ndarray, v: np.ndarray):
 
 
 def _power_sums(kind: str, terms, p: float) -> np.ndarray:
-    """The sum of `kind` at p from its `_terms`; zero frame vectors add 0 to weighted sums."""
-    if kind not in WEIGHTED_KINDS:
-        return np.sum(terms**p, axis=(-2, -1) if kind == "double" else -1)
-    lengths, plain = terms
-    if kind == "weighted_diag":
-        summands = lengths ** (2.0 * (1.0 - p)) * plain**p
-    elif kind == "weighted_norms":
-        summands = lengths ** (2.0 - p) * plain**p
-    else:  # weighted_double: inner sums over k for each n
-        summands = lengths ** (2.0 - p) * np.sum(plain**p, axis=-2)
-    return np.sum(np.where(lengths > 0.0, summands, 0.0), axis=-1)
+    """The sum of `kind` at p from its `_terms`; zero frame vectors add 0 to weighted sums.
+
+    A sum past the double range is a ValueError naming p and the largest term.
+    """
+    lengths, plain = terms if kind in WEIGHTED_KINDS else (None, terms)
+    with np.errstate(over="ignore"):
+        if lengths is None:
+            sums = np.sum(plain**p, axis=(-2, -1) if kind == "double" else -1)
+        else:  # weighted_double takes the inner sums over k for each n
+            powers = np.sum(plain**p, axis=-2) if kind == "weighted_double" else plain**p
+            exponent = 2.0 * (1.0 - p) if kind == "weighted_diag" else 2.0 - p
+            sums = np.sum(np.where(lengths > 0.0, lengths**exponent * powers, 0.0), axis=-1)
+    if not np.isfinite(sums).all():
+        raise ValueError(
+            f"a p-th power sum overflows at p = {p}: its largest term is {float(np.max(plain))}"
+        )
+    return sums
 
 
 def _sums(kind: str, t: np.ndarray, v: np.ndarray, p: float) -> np.ndarray:
@@ -220,7 +226,10 @@ def double_sum_comparison(
         upper = _per_frame(np.power(frame.upper_bound, q / 2.0)) if q >= 2 else None
         lower = _per_frame(np.power(frame.lower_bound, q / 2.0)) if q <= 2 else None
         lo = -np.inf if lower is None else lower * rhs
-        hi = np.inf if upper is None else upper * rhs
+        # C2^(p/2) times the norm sum may pass the double range; its +inf is the
+        # correctly rounded bound, so the check holds as in exact arithmetic
+        with np.errstate(over="ignore"):
+            hi = np.inf if upper is None else upper * rhs
         ok = _verdict(lhs, lo, hi, tol, np.maximum(lhs, rhs))[1]
         comparisons.append(
             DoubleSumComparison(
@@ -294,7 +303,7 @@ def _reports(job: _Job, extremes: np.ndarray, trials: int, tol: float) -> list:
     witness_terms = None if job.basis is None else _terms(job.kind, job.t, job.basis)
     reports = []
     for p, p_inf, extremal in zip(job.ps, job.inf, extremes):
-        norm_value = float(np.sum(job.spectrum**p))
+        norm_value = float(_power_sums("norms", job.spectrum, p))
         lo, hi = (norm_value, np.inf) if p_inf else (-np.inf, norm_value)
         direction_ok = _verdict(extremal, lo, hi, tol, norm_value)[1]
         witness, witness_ok = None, False

@@ -78,13 +78,11 @@ def _read_json(path):
 
 def write_growth_csv(path, series: GrowthSeries) -> None:
     """Columns: N, partial_sum, increment_ratio (blank where undefined)."""
-    ratios = series.increment_ratios
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["N", "partial_sum", "increment_ratio"])
-        for i, (n, s) in enumerate(zip(series.truncations, series.partial_sums)):
-            ratio = f"{ratios[i - 2]:.17g}" if 2 <= i < len(series.truncations) else ""
-            writer.writerow([n, f"{s:.17g}", ratio])
+    ratios = [""] * 2 + [f"{r:.17g}" for r in series.increment_ratios]
+    rows = zip(series.truncations, series.partial_sums, ratios)
+    write_records_csv(
+        path, [{"N": n, "partial_sum": f"{s:.17g}", "increment_ratio": r} for n, s, r in rows]
+    )
 
 
 def write_nodes_csv(path, points: np.ndarray, weights: np.ndarray | None = None) -> None:
@@ -93,17 +91,11 @@ def write_nodes_csv(path, points: np.ndarray, weights: np.ndarray | None = None)
     Serves both quadrature rules (nodes with dA weights) and sampling
     lattices (points only).
     """
-    points = np.asarray(points).reshape(-1)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        if weights is None:
-            writer.writerow(["re", "im"])
-            for z in points:
-                writer.writerow([f"{z.real:.17g}", f"{z.imag:.17g}"])
-        else:
-            writer.writerow(["re", "im", "weight"])
-            for z, w in zip(points, np.asarray(weights).reshape(-1)):
-                writer.writerow([f"{z.real:.17g}", f"{z.imag:.17g}", f"{w:.17g}"])
+    records = [{"re": f"{z.real:.17g}", "im": f"{z.imag:.17g}"} for z in np.ravel(points)]
+    if weights is not None:
+        for rec, w in zip(records, np.ravel(weights)):
+            rec["weight"] = f"{w:.17g}"
+    write_records_csv(path, records)
 
 
 def write_records_csv(path, records: list[dict]) -> None:
@@ -111,12 +103,8 @@ def write_records_csv(path, records: list[dict]) -> None:
     if not records:
         Path(path).write_text("")
         return
-    header: list[str] = []
-    for rec in records:
-        for key in rec:
-            if key not in header:
-                header.append(key)
+    header = list(dict.fromkeys(key for rec in records for key in rec))
     with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=header)
-        writer.writeheader()
-        writer.writerows(records)
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([rec.get(key, "") for key in header] for rec in records)

@@ -19,14 +19,32 @@ from schattenframes.bergman import (
     hs_identity_check,
     integral_criterion,
     kernel_coefficients,
-    kernel_truncation_defect,
-    min_pairwise_separation,
     monomial_gram,
     r_lattice,
     sampling_comparison,
     sampling_frame,
     subharmonicity_check,
 )
+
+
+def kernel_truncation_defect(w: complex, d: int) -> float:
+    """Tail mass ||k_w||^2 - (mass of the first d coefficients), in closed form.
+
+    (1-|w|^2)^2 sum_{n>=d} (n+1)|w|^(2n) with the geometric tail sum
+    x^d (d(1-x) + 1) / (1-x)^2, x = |w|^2, which leaves x^d (d(1-x) + 1).
+    """
+    x = abs(w) ** 2
+    return x**d * (d * (1.0 - x) + 1.0)
+
+
+def min_pairwise_separation(points) -> float:
+    """Brute-force minimum Bergman distance over all pairs of `points`."""
+    pts = np.asarray(points, dtype=np.complex128).reshape(-1)
+    bergman._check_in_disk(*pts)
+    if pts.size < 2:
+        return float("inf")
+    beta = bergman._pair_distances(pts[:, None], pts[None, :])
+    return float(np.min(beta[np.triu_indices(pts.size, k=1)]))
 
 
 class TestKernel:
@@ -79,20 +97,21 @@ class TestKernelCoefficients:
     def test_rejects_outside_disk(self):
         with pytest.raises(ValueError, match="disk"):
             kernel_coefficients(1.2, 3)
-        for call in (kernel_coefficients, kernel_truncation_defect):
-            with pytest.raises(ValueError, match="not in the open unit disk"):
-                call(np.nan, 3)
+        with pytest.raises(ValueError, match="not in the open unit disk"):
+            kernel_coefficients(np.nan, 3)
 
     @pytest.mark.parametrize("d", [0, -1, 2.5, True])
     @pytest.mark.parametrize("w", [0.0, 1e-9, 0.5])
     def test_rejects_degree_below_one_or_not_integer(self, w, d):
-        # d = 0 at w = 0 would give defect 0, although the whole mass 1 is in the tail
-        for call in (kernel_truncation_defect, kernel_coefficients):
-            with pytest.raises(ValueError, match="d must be an integer >= 1"):
-                call(w, d)
+        with pytest.raises(ValueError, match="d must be an integer >= 1"):
+            kernel_coefficients(w, d)
 
     def test_defect_accepts_numpy_integer_degree(self):
-        assert kernel_truncation_defect(0.5, np.int64(40)) == kernel_truncation_defect(0.5, 40)
+        coeffs = kernel_coefficients(0.5, np.int64(40))
+        np.testing.assert_array_equal(coeffs, kernel_coefficients(0.5, 40))
+        assert 1.0 - np.linalg.norm(coeffs) ** 2 == pytest.approx(
+            kernel_truncation_defect(0.5, 40), rel=1e-6
+        )
 
 
 class TestKernelNorms:
@@ -311,6 +330,17 @@ class TestDiskQuadrature:
         quad = disk_quadrature(16, 24, 1.0 - 1e-9)
         gram = monomial_gram(quad, 8)
         assert np.max(np.abs(gram - np.eye(8))) < 1e-6
+
+    @pytest.mark.parametrize("degree", [4, 32, 64])
+    def test_blocked_monomial_gram_equals_one_shot_product(self, degree):
+        # the rule of run_bergman at dim = degree: 256, 2048 and 8192 nodes
+        quad = disk_quadrature(max(16, degree), max(16, 2 * degree), 1.0 - 1e-9)
+        basis = quad.nodes[:, None] ** np.arange(degree) * np.sqrt(np.arange(1, degree + 1))
+        lhs = basis.conj() * quad.weights_da[:, None]
+        one_shot = lhs.T @ basis
+        assert quad.nodes.size > bergman._GRAM_BLOCK  # more than one block
+        blocked = monomial_gram(quad, degree)
+        np.testing.assert_array_equal(blocked.view(np.uint64), one_shot.view(np.uint64))
 
     def test_rejects_bad_rmax(self):
         with pytest.raises(ValueError):

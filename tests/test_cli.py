@@ -6,6 +6,7 @@ import io
 import json
 import math
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -250,6 +251,56 @@ def test_front_door_exits_0_1_or_2_without_traceback(command, values, in_file, e
     assert "Traceback" not in out.getvalue() + err.getvalue()
     if code == 2:
         assert err.getvalue().startswith(("error: ", "usage: ")), err.getvalue()
+
+
+def run_quietly(argv):
+    """Exit code, stderr and the warnings of one CLI request."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(argv)
+    return code, err.getvalue(), [str(w.message) for w in caught]
+
+
+class TestExtremeP:
+    @pytest.mark.parametrize(
+        "argv, p",
+        [
+            (["verify-theorems", "--p-grid", "1000"], 1000.0),
+            (["verify-theorems", "--p-grid", "460"], 460.0),
+            (["norm-estimate", "M", "--p", "1000"], 1000.0),
+            (["norm-estimate", "M", "--p", "1000", "--strategy", "frame_ensemble"], 1000.0),
+        ],
+        ids=["verify-1000", "verify-460", "estimate-exact-1000", "estimate-ensemble-1000"],
+    )
+    def test_overflowing_sum_is_usage_error_naming_p(self, tmp_path, argv, p):
+        """These ended in exit 1 with false FAILs (exit 0 at 460) after
+        overflow RuntimeWarnings; the sums are now a named error."""
+        write_matrix(tmp_path / "m.json", [[1, 2, 3], [4, 5, 6]])
+        argv = [str(tmp_path / "m.json") if a == "M" else a for a in argv]
+        code, err, caught = run_quietly([*argv, "--out", str(tmp_path / "r")])
+        assert (code, caught) == (2, [])
+        assert err.startswith("error: ") and f"overflows at p = {p}" in err
+        assert not (tmp_path / "r").exists()
+
+    def test_every_command_keeps_its_exit_contract(self, tmp_path):
+        """All four commands at p = 0.001, 400 and 1000: exit 0, 1 or 2, no
+        float warning and no traceback, and an exit 2 names p."""
+        matrix = tmp_path / "m.json"
+        write_matrix(matrix, [[1, 2, 3], [4, 5, 6]])
+        for p in ("0.001", "400", "1000"):
+            for argv in (
+                ["verify-theorems", "--dim", "4", "--trials", "10", "--p-grid", p],
+                ["counterexamples", "--p-grid", p],
+                ["bergman", "--dim", "4", "--trials", "1", "--p-grid", p],
+                ["norm-estimate", str(matrix), "--p", p],
+            ):
+                code, err, caught = run_quietly([*argv, "--out", str(tmp_path / "r")])
+                assert code in (0, 1, 2) and not caught, (argv, code, caught)
+                assert "Warning" not in err and "Traceback" not in err, (argv, err)
+                if code == 2:
+                    assert err.startswith("error: ") and f"p = {float(p)}" in err, (argv, err)
 
 
 class TestCounterexamples:

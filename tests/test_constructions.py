@@ -233,7 +233,8 @@ class TestTruncatedShift:
 class TestDoubleSumDemo:
     def test_reflector_properties(self):
         demo = divergence_demo_double_sum(64, 1.0, (100, 1000))
-        u = demo.reflector
+        # row n of the matrix is 2^-n times row n of U, a power of two, so U comes back exactly
+        u = demo.matrix / 2.0 ** -np.arange(1, 65, dtype=float)[:, None]
         np.testing.assert_allclose(u.conj().T @ u, np.eye(64), atol=1e-12)
         h1 = log_weight_vector(64)
         h1 /= np.linalg.norm(h1)

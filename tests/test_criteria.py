@@ -632,3 +632,24 @@ RECTANGULAR_CALLS = {
 def test_rectangular_operator_is_named_with_its_shape(call):
     with pytest.raises(ValueError, match=re.escape("must be square, got shape (2, 3)")):
         call(np.ones((2, 3)))
+
+
+OVERFLOWING_SUMS = {
+    "sum_norms": lambda: sum_norms(np.diag([10.0, 2.0]), make_frame(np.eye(2)), 400.0),
+    "certify_norm_formula": lambda: certify_norm_formula([[1, 2, 3], [4, 5, 6]], 1000.0, trials=2),
+    "certify_double_formula": lambda: certify_double_formula(np.diag([10.0, 2.0]), 400.0, trials=2),
+}
+
+
+@pytest.mark.parametrize("call", OVERFLOWING_SUMS.values(), ids=OVERFLOWING_SUMS.keys())
+def test_overflowing_power_sum_is_a_named_error(call):
+    """A p-th power sum past the double range names p and its largest term;
+    it was inf after an overflow RuntimeWarning, and the certificates FAILed."""
+    with pytest.raises(ValueError, match=r"overflows at p = (400|1000)\.0: its largest term is"):
+        call()
+
+
+def test_power_sum_error_names_the_largest_term():
+    with pytest.raises(ValueError, match=re.escape("p = 400.0: its largest term is 10.0")):
+        criteria._power_sums("norms", np.array([2.0, 10.0]), 400.0)
+    assert criteria._power_sums("norms", np.array([2.0, 10.0]), 300.0) == 2.0**300 + 10.0**300

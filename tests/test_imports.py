@@ -50,7 +50,7 @@ def test_public_names_resolve_to_their_module_objects():
     for name in schattenframes.__all__:
         home = importlib.import_module(getattr(schattenframes, name).__module__)
         assert getattr(schattenframes, name) is getattr(home, name) is namespace[name], name
-    assert len(set(schattenframes.__all__)) == len(schattenframes.__all__) == 58
+    assert len(set(schattenframes.__all__)) == len(schattenframes.__all__) == 57
     assert set(schattenframes.__all__) <= set(dir(schattenframes))
     with pytest.raises(AttributeError, match="no_such_name"):
         schattenframes.no_such_name

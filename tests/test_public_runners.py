@@ -1,15 +1,19 @@
 """Every public name has a runner.
 
-A name in `schattenframes.__all__` is run when a campaign, the CLI, a demo
-or an acceptance test uses it: `campaigns.py`, `cli.py`, `demos/*.py` or
-`tests/test_acceptance.py` imports it, names it bare, or reads it off a
-package module (`criteria.sum_diag`).  The check parses those files, because
-a word search would count `svd(t).singular_values` as a use of a function
-`singular_values`.  A public name that only its own unit tests run is code
-to remove, unless it is listed below with the reason it stays.
+The public names are those in the `__all__` of the package or of any of its
+modules; every module declares `__all__`, and it lists each public function
+and class the module defines.  A public name is run when a campaign, the
+CLI, a demo or an acceptance test uses it: `campaigns.py`, `cli.py`,
+`demos/*.py` or `tests/test_acceptance.py` imports it, names it bare, or
+reads it off a package module (`criteria.sum_diag`).  The check parses those
+files, because a word search would count `svd(t).singular_values` as a use
+of a function `singular_values`.  A public name that only its own unit tests
+run is code to remove, unless it is listed below with the reason it stays.
 """
 
 import ast
+import importlib
+import inspect
 from pathlib import Path
 
 import pytest
@@ -24,7 +28,13 @@ RUNNERS = [
     *sorted((ROOT / "demos").glob("*.py")),
     ROOT / "tests" / "test_acceptance.py",
 ]
-MODULES = {"schattenframes", *(path.stem for path in PACKAGE.glob("*.py"))}
+#: The package and each of its modules, by the name a runner reads them off
+NAMESPACES = {"schattenframes": schattenframes} | {
+    path.stem: importlib.import_module(f"schattenframes.{path.stem}")
+    for path in PACKAGE.glob("*.py")
+    if path.stem != "__init__"
+}
+PUBLIC = set().union(*(getattr(module, "__all__", ()) for module in NAMESPACES.values()))
 
 #: Public names without a runner, each with the reason it stays.
 ALLOWED = {
@@ -32,11 +42,22 @@ ALLOWED = {
     "DiskQuadrature": "result type of disk_quadrature, which bergman runs",
     "SamplingLattice": "result type of r_lattice, which bergman runs",
     "SpectralData": "result type of svd, which every command runs",
+    "SynthesisCertificate": "result type of certify_synthesis, which verify and bergman run",
+    "TrialGroup": "what a FrameEnsemble walk yields, which verify and norm-estimate run",
+    "DoubleSumComparison": "result type of double_sum_comparison, which verify runs",
+    "EndpointReport": "result type of the endpoint suites, whose records verify reports",
+    "ScaledCopiesFrame": "result type of scaled_copies_frame, which counterexamples runs",
+    "DoubleSumDemo": "result type of divergence_demo_double_sum, which counterexamples runs",
+    "SamplingFrameReport": "result type of sampling_frame, which bergman runs",
+    "HSIdentityReport": "result type of hs_identity_check, whose records bergman reports",
+    "SamplingChainReport": "result type of sampling_comparison, which bergman runs",
+    "SubharmonicityReport": "result type of subharmonicity_check, which bergman runs",
+    "as_matrix": "the input check of every operator, which every command runs",
+    "hermitian_defect": "the Hermitian test's defect, which every command's certificates run",
     "certify_diag_formula": "library form of the diagonal-sum theorem; verify runs its body",
     "certify_double_formula": "library form of the double-sum theorem; verify runs its body",
     "endpoint_suites": "library form of the p = 1 and p = 2 endpoint checks; verify runs its body",
     "sum_double": "the double frame sum of the paper, beside sum_norms and sum_diag",
-    "kernel_truncation_defect": "closed-form oracle that test_bergman checks the kernel against",
     "hermitian_eigen": "eigensystem that the diagonal and double certificate jobs call",
     "matrix_to_dict": "writer half of the matrix format that norm-estimate reads",
     "matrix_from_dict": "reader of the matrix format, behind read_matrix",
@@ -55,7 +76,7 @@ def used_names(source: str) -> set:
         elif (
             isinstance(node, ast.Attribute)
             and isinstance(node.value, ast.Name)
-            and node.value.id in MODULES
+            and node.value.id in NAMESPACES
         ):
             names.add(node.attr)
     return names
@@ -73,13 +94,37 @@ def test_attribute_of_a_result_is_not_a_use():
     assert names >= {"svd", "psd_power"} and "singular_values" not in names
 
 
-@pytest.mark.parametrize("name", sorted(schattenframes.__all__))
+def defined_public_names(module) -> set:
+    """The public functions and classes that `module` defines."""
+    return {
+        name
+        for name, obj in vars(module).items()
+        if not name.startswith("_")
+        and (inspect.isfunction(obj) or inspect.isclass(obj))
+        and obj.__module__ == module.__name__
+    }
+
+
+@pytest.mark.parametrize("module", sorted(NAMESPACES))
+def test_module_lists_its_public_names(module):
+    namespace = vars(NAMESPACES[module])
+    assert "__all__" in namespace, f"{module} declares no __all__"
+    missing = defined_public_names(NAMESPACES[module]) - set(namespace["__all__"])
+    assert not missing, f"{module} defines public names outside its __all__: {sorted(missing)}"
+
+
+def test_guard_sees_a_public_name_outside_the_package_all():
+    assert "hermitian_defect" in PUBLIC and "hermitian_defect" not in schattenframes.__all__
+    assert {"main", "write_records_csv"} <= PUBLIC
+
+
+@pytest.mark.parametrize("name", sorted(PUBLIC))
 def test_public_name_has_a_runner_or_a_reason(name):
     assert name in RUN or name in ALLOWED, f"{name} has no runner; remove it or allow it"
 
 
 @pytest.mark.parametrize("name", sorted(ALLOWED))
 def test_allowed_name_is_public_and_unrun(name):
-    assert name in schattenframes.__all__, f"{name} is no longer public"
+    assert name in PUBLIC, f"{name} is no longer public"
     assert name not in RUN, f"{name} has a runner now; drop it from ALLOWED"
     assert ALLOWED[name].strip()
