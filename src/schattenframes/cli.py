@@ -2,23 +2,26 @@
 
     schattenframes verify-theorems  [--seed N] [--dim D] [--trials T]
                                     [--p-grid 0.5,1,2] [--out DIR] [--config F]
-    schattenframes counterexamples  [same flags]
-    schattenframes bergman          [same flags, plus --rmax R]
-    schattenframes norm-estimate MATRIX.json --p P [--strategy S] [same flags]
+    schattenframes counterexamples  [--dim D] [--p-grid 0.5,1] [--out DIR] [--config F]
+    schattenframes bergman          [verify-theorems' flags, plus --rmax R]
+    schattenframes norm-estimate MATRIX.json --p P [--strategy S]
+                                    [--seed N] [--trials T] [--out DIR] [--config F]
 
-Exit codes: 0 all checks passed, 1 at least one check failed, 2 usage or
-I/O error.  Flags override values from --config (a JSON file with the same
-kebab-case keys or their snake_case equivalents).
+Each command takes the flags of the settings it reads (`campaigns._SETTINGS`)
+and refuses any other.  Exit codes: 0 all checks passed, 1 at least one check
+failed, 2 usage or I/O error.  Flags override values from --config, a JSON
+file whose keys are the command's settings and `output-dir`, each kebab- or
+snake-case.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 from pathlib import Path
 
 from .campaigns import (
+    _SETTINGS,
     CampaignConfig,
     run_bergman,
     run_counterexamples,
@@ -35,15 +38,14 @@ _COMMANDS = {
     "bergman": run_bergman,
 }
 
-
-def _add_common_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", type=Path, help="JSON config file; flags override it")
-    sub.add_argument("--seed", type=int, default=None)
-    sub.add_argument("--dim", type=int, default=None)
-    sub.add_argument("--trials", type=int, default=None)
-    sub.add_argument("--p-grid", type=str, default=None, help="comma-separated exponents")
-    sub.add_argument("--rmax", type=float, default=None)
-    sub.add_argument("--out", type=Path, default=None, help="report directory")
+#: The argparse options of each setting's flag
+_FLAGS = {
+    "seed": dict(type=int),
+    "dim": dict(type=int),
+    "trials": dict(type=int),
+    "p_grid": dict(help="comma-separated exponents"),
+    "rmax": dict(type=float),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -52,42 +54,48 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Frame-based Schatten-norm verification campaigns",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        _add_common_flags(sub.add_parser(name))
-    est = sub.add_parser("norm-estimate")
-    est.add_argument("matrix", type=Path, help="matrix JSON file")
-    est.add_argument("--p", type=float, required=True)
-    est.add_argument(
-        "--strategy",
-        choices=("singular_basis_exact", "frame_ensemble"),
-        default="singular_basis_exact",
-    )
-    _add_common_flags(est)
+    for name, settings in _SETTINGS.items():
+        command = sub.add_parser(name)
+        if name == "norm-estimate":
+            command.add_argument("matrix", type=Path, help="matrix JSON file")
+            command.add_argument("--p", type=float, required=True)
+            command.add_argument(
+                "--strategy",
+                choices=("singular_basis_exact", "frame_ensemble"),
+                default="singular_basis_exact",
+            )
+        command.add_argument("--config", type=Path, help="JSON config file; flags override it")
+        for key in settings:
+            command.add_argument("--" + key.replace("_", "-"), dest=key, **_FLAGS[key])
+        command.add_argument("--out", type=Path, default=None, help="report directory")
     return parser
 
 
 def _load_config(args: argparse.Namespace) -> CampaignConfig:
+    settings = _SETTINGS[args.command]
     values: dict = {}
     if args.config is not None:
         raw = _read_json(args.config)
         if not isinstance(raw, dict):
             raise ValueError(f"config file {args.config} must hold a JSON object")
-        for key, val in raw.items():
-            values[key.replace("-", "_")] = val
-        values.pop("command", None)
-        unknown = sorted(values.keys() - {f.name for f in dataclasses.fields(CampaignConfig)})
+        values = {key.replace("-", "_"): val for key, val in raw.items()}
+        unknown = sorted(values.keys() - {*settings, "output_dir"})
         if unknown:
-            raise ValueError(f"config file {args.config} has unknown keys {unknown}")
-    for key in ("seed", "dim", "trials", "rmax"):
+            raise ValueError(
+                f"config file {args.config} has keys {unknown} that {args.command} does not "
+                f"read; it reads {[*settings, 'output_dir']}"
+            )
+    for key in settings:
         flag = getattr(args, key)
-        if flag is not None:
-            values[key] = flag
-    if args.p_grid is not None:
-        try:
-            values["p_grid"] = [float(x) for x in args.p_grid.split(",") if x.strip()]
-        except ValueError:
-            message = f"p-grid must be comma-separated numbers, got {args.p_grid!r}"
-            raise ValueError(message) from None
+        if flag is None:
+            continue
+        if key == "p_grid":
+            try:
+                flag = [float(x) for x in flag.split(",") if x.strip()]
+            except ValueError:
+                message = f"p-grid must be comma-separated numbers, got {flag!r}"
+                raise ValueError(message) from None
+        values[key] = flag
     if args.out is not None:
         values["output_dir"] = str(args.out)
     return CampaignConfig(command=args.command, **values)

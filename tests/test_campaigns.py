@@ -12,6 +12,7 @@ import pytest
 from conftest import assert_same_report
 
 from schattenframes import bergman, campaigns, criteria, frames, serialization
+from schattenframes.linalg import CERTIFICATE_TOL
 from schattenframes.campaigns import (
     CampaignConfig,
     run_bergman,
@@ -32,7 +33,8 @@ def test_golden_report():
     The enclosure margins and `frames_certified` were re-recorded when the
     enclosure moved onto the sampled raw frames and the ONB copies left the
     synthesis checks, and `frames_certified` again when the lower-bound-one
-    stacks joined them; no other field moved."""
+    stacks joined them; no other field moved.  Every golden's config echo lost
+    its `tolerances` key when the certificate tolerance stopped being a setting."""
     report = run_verify_theorems(CampaignConfig(command="verify-theorems", dim=3, trials=20))
     actual = json.loads(json.dumps(report.numeric_content()))
     assert_same_report(actual, json.loads(GOLDEN.read_text()))
@@ -341,7 +343,8 @@ def test_bergman_builds_each_kernel_base_once(monkeypatch):
 
 
 def test_bergman_certifies_sampling_frames_at_the_configured_tolerance(monkeypatch):
-    """`tolerances.certificate` reaches the sampling-frame certificates too."""
+    """The sampling-frame certificates are judged at CERTIFICATE_TOL, as every
+    other certificate of the campaigns is."""
     tolerances, certify = [], campaigns.certify_synthesis
 
     def spy(*args, **kwargs):
@@ -350,9 +353,8 @@ def test_bergman_certifies_sampling_frames_at_the_configured_tolerance(monkeypat
         return cert
 
     monkeypatch.setattr(campaigns, "certify_synthesis", spy)
-    config = CampaignConfig(command="bergman", dim=4, trials=2, tolerances={"certificate": 1e-3})
-    assert run_bergman(config).passed
-    assert tolerances == [1e-3, 1e-3]
+    assert run_bergman(CampaignConfig(command="bergman", dim=4, trials=2)).passed
+    assert tolerances == [CERTIFICATE_TOL, CERTIFICATE_TOL]
 
 
 def test_verify_at_p_400_holds_without_float_warnings():

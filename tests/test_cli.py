@@ -14,7 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schattenframes.cli import main
+from schattenframes.campaigns import _SETTINGS, CampaignConfig, run_norm_estimate
+from schattenframes.cli import _COMMANDS, main
 from schattenframes.serialization import write_matrix
 
 FAST = ["--dim", "3", "--trials", "4", "--p-grid", "1,2,3"]
@@ -81,7 +82,7 @@ class TestConfigFile:
         cfg.write_text(json.dumps({"dim": 2, "trials": 3, "p-grid": [1.0, 2.0], "seed": 9}))
         out = tmp_path / "r"
         code = main(
-            ["counterexamples", "--config", str(cfg), "--dim", "4", "--out", str(out)]
+            ["verify-theorems", "--config", str(cfg), "--dim", "4", "--out", str(out)]
         )
         assert code == 0
         report = read_report(out)
@@ -102,8 +103,8 @@ NO_ROOT = "||T||_p^p = 2e+154 at p = 0.5 has no representable p-th root"
 OVERFLOW = {"rows": 2, "cols": 2, "re": [1e308] * 4, "im": [0.0] * 4}
 MATRIX_FILES = {"huge.json": HUGE, "overflow.json": OVERFLOW}
 
-# (verify-theorems flags or a norm-estimate argv, config file contents or None,
-# text the error must name)
+# (verify-theorems flags, or a bergman or norm-estimate argv, config file contents
+# or None, text the error must name)
 INVALID_INPUTS = {
     "p-grid-nan": (["--p-grid", "nan,1"], None, "p_grid"),
     "p-grid-inf": (["--p-grid", "inf"], None, "p_grid"),
@@ -112,11 +113,11 @@ INVALID_INPUTS = {
     "unknown-key": ([], {"dimm": 3}, "dimm"),
     "string-dim": ([], {"dim": "3"}, "dim"),
     "top-level-list": ([], [3], "JSON object"),
-    "rmax-nan": (["--rmax", "nan"], None, "rmax"),
-    "rmax-inf": (["--rmax", "inf"], None, "rmax"),
-    "rmax-zero": (["--rmax", "0"], None, "rmax"),
-    "rmax-one": (["--rmax", "1"], None, "rmax"),
-    "rmax-string": ([], {"rmax": "0.5"}, "rmax"),
+    "rmax-nan": (["bergman", "--rmax", "nan"], None, "rmax must be a number in (0, 1), got nan"),
+    "rmax-inf": (["bergman", "--rmax", "inf"], None, "rmax must be a number in (0, 1), got inf"),
+    "rmax-zero": (["bergman", "--rmax", "0"], None, "rmax must be a number in (0, 1), got 0.0"),
+    "rmax-one": (["bergman", "--rmax", "1"], None, "rmax must be a number in (0, 1), got 1.0"),
+    "rmax-string": (["bergman"], {"rmax": "0.5"}, "rmax must be a number in (0, 1), got '0.5'"),
     "float-seed": ([], {"seed": 1.5}, "seed"),
     "bool-seed": ([], {"seed": True}, "seed"),
     "negative-seed": (["--seed", "-3"], None, "seed must be an integer >= 0, got -3"),
@@ -125,12 +126,14 @@ INVALID_INPUTS = {
     # counts past numpy's index range, which reached the trial frames as an OverflowError
     "huge-trials-flag": (["--trials", str(10**20)], None, "error: trials must be at most"),
     "huge-trials-config": ([], {"trials": 10**400}, "error: trials must be at most"),
-    "tolerances-not-object": ([], {"tolerances": 5}, "tolerances"),
-    "tolerance-nan": ([], {"tolerances": {"certificate": float("nan")}}, "tolerances"),
-    "tolerance-unknown-name": ([], {"tolerances": {"certifcate": 1e-3}}, "certifcate"),
+    # the certificate tolerance is CERTIFICATE_TOL, which no setting replaces
+    "tolerances-key": (
+        [],
+        {"tolerances": {"certificate": 1e-3}},
+        "has keys ['tolerances'] that verify-theorems does not read",
+    ),
     # integers below inf that have no float
     "p-grid-huge-int": ([], {"p_grid": [10**400]}, "p_grid"),
-    "tolerance-huge-int": ([], {"tolerances": {"certificate": 10**400}}, "tolerances"),
     "output-dir-number": ([], {"output_dir": 5}, "output_dir"),
     "root-overflow-exact": (ESTIMATE_HUGE, None, NO_ROOT),
     "root-overflow-ensemble": ([*ESTIMATE_HUGE, "--strategy", "frame_ensemble"], None, NO_ROOT),
@@ -172,8 +175,9 @@ class TestInvalidInput:
     ):
         monkeypatch.chdir(tmp_path)  # the default report directory is relative
         args, inputs = ["verify-theorems", *flags], []
-        if flags[:1] == ["norm-estimate"]:
+        if flags[:1] in (["bergman"], ["norm-estimate"]):
             args = list(flags)
+        if flags[:1] == ["norm-estimate"]:
             inputs.append(flags[1])
             Path(flags[1]).write_text(json.dumps(MATRIX_FILES[flags[1]]))
         if config is not None:
@@ -212,9 +216,7 @@ P_ENTRIES = st.one_of(
     st.floats(0.25, 5.0), st.sampled_from([math.nan, math.inf, -math.inf, -1.0, 0.0, "x", "2"])
 )
 RMAX = st.sampled_from([-0.5, 0.0, 0.3, 0.9, 0.995, 1.0, 1.5, math.nan, math.inf])
-EXTRAS = st.sampled_from(
-    [{}, {"dimm": 3}, {"tolerances": {"certifcate": 1e-3}}, {"tolerances": {"certificate": 1e-6}}]
-)
+EXTRAS = st.sampled_from([{}, {}, {"dimm": 3}, {"tolerances": {"certificate": 1e-6}}])
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=60)
@@ -228,10 +230,13 @@ EXTRAS = st.sampled_from(
     extra=EXTRAS,
 )
 def test_front_door_exits_0_1_or_2_without_traceback(command, values, in_file, extra):
-    """Any mix of flags and config-file entries ends in exit 0, 1 or 2, never a traceback."""
+    """Any mix of flags and config-file entries of the command's settings ends
+    in exit 0, 1 or 2, never a traceback."""
     with tempfile.TemporaryDirectory() as tmp:
         args, config = [command, "--out", str(Path(tmp) / "r")], dict(extra)
         for key, value in values.items():
+            if key not in _SETTINGS[command]:
+                continue
             if key in in_file:
                 config[key] = value
             elif key == "p_grid":
@@ -306,7 +311,7 @@ class TestExtremeP:
 class TestCounterexamples:
     def test_growth_curves_emitted(self, tmp_path):
         out = tmp_path / "r"
-        assert main(["counterexamples", "--dim", "4", "--trials", "2", "--out", str(out)]) == 0
+        assert main(["counterexamples", "--dim", "4", "--out", str(out)]) == 0
         names = {p.name for p in out.iterdir()}
         assert "growth_control_series_p2.0.csv" in names
         assert any(n.startswith("growth_rank_one_growth") for n in names)
@@ -337,6 +342,83 @@ class TestBergman:
         report = read_report(out)
         tags = {rec["tag"] for rec in report["records"]}
         assert {"monomial_orthonormality", "hs_identity", "subharmonicity", "sampling_frame"} <= tags
+
+    def test_grid_past_the_subharmonicity_cut_is_usage_error(self, tmp_path, capsys):
+        """A grid with no p <= 3 fell back to subharmonicity records at p = 1.0
+        and exited 0, while the config echo showed the requested grid."""
+        out = tmp_path / "r"
+        argv = ["bergman", "--dim", "4", "--trials", "1", "--p-grid", "1000", "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: p_grid has no entry at or below 3.0, the largest p at which bergman "
+            "checks subharmonicity; its least entry is p = 1000.0\n"
+        )
+        assert not out.exists()
+
+
+class TestSettingsTable:
+    """Each command takes the settings that `campaigns._SETTINGS` lists for it and
+    refuses every other, each of them changes its records, and no other does."""
+
+    SETTINGS = {f.name for f in dataclasses.fields(CampaignConfig)} - {"command", "output_dir"}
+    # a tiny value of every setting, and another valid one
+    BASE = {"seed": 0, "dim": 3, "trials": 1, "p_grid": (1.0, 2.0), "rmax": 0.995}
+    OTHER = {"seed": 1, "dim": 4, "trials": 2, "p_grid": (0.5, 2.0), "rmax": 0.9}
+    MATRIX = np.arange(9.0).reshape(3, 3) - 4.0  # what norm-estimate samples
+
+    def argv(self, command, tmp_path, values):
+        """`command` with `values` as flags."""
+        args = [command, "--out", str(tmp_path / "r")]
+        if command == "norm-estimate":
+            write_matrix(tmp_path / "m.json", self.MATRIX)
+            args += [str(tmp_path / "m.json"), "--p", "3", "--strategy", "frame_ensemble"]
+        for key, value in values.items():
+            flag = ",".join(map(str, value)) if key == "p_grid" else str(value)
+            args += ["--" + key.replace("_", "-"), flag]
+        return args
+
+    @pytest.mark.parametrize("command", sorted(_SETTINGS))
+    def test_refuses_a_flag_or_key_outside_its_settings(self, command, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        for key in sorted(self.SETTINGS - set(_SETTINGS[command])):
+            flag = "--" + key.replace("_", "-")
+            with pytest.raises(SystemExit) as exc:
+                main(self.argv(command, tmp_path, {key: self.BASE[key]}))
+            assert exc.value.code == 2
+            assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+            cfg.write_text(json.dumps({key: self.BASE[key]}))
+            assert main([*self.argv(command, tmp_path, {}), "--config", str(cfg)]) == 2
+            assert f"keys ['{key}'] that {command} does not read" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("command", sorted(_SETTINGS))
+    def test_each_setting_changes_the_records(self, command, tmp_path):
+        def records(values):
+            assert main(self.argv(command, tmp_path, values)) == 0
+            return read_report(tmp_path / "r")["records"]
+
+        base = {key: self.BASE[key] for key in _SETTINGS[command]}
+        expected = records(base)
+        for key in base:
+            assert records({**base, key: self.OTHER[key]}) != expected, key
+
+    @pytest.mark.parametrize("command", sorted(_SETTINGS))
+    def test_no_other_setting_changes_the_records(self, command, tmp_path):
+        """The run functions read no setting outside the command's entry."""
+        matrix = tmp_path / "m.json"
+        write_matrix(matrix, self.MATRIX)
+
+        def records(values):
+            config = CampaignConfig(command, **values)
+            if command == "norm-estimate":
+                report = run_norm_estimate(matrix, 3.0, "frame_ensemble", config)
+            else:
+                report = _COMMANDS[command](config)
+            return report.numeric_content()["records"]
+
+        expected = records(self.BASE)
+        for key in sorted(self.SETTINGS - set(_SETTINGS[command])):
+            assert records({**self.BASE, key: self.OTHER[key]}) == expected, key
 
 
 class TestNormEstimate:
