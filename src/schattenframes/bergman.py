@@ -67,8 +67,10 @@ def _kernel_norms(points: np.ndarray, jobs, normalized: bool = True) -> np.ndarr
     Each block of points has its coefficients built once for every job (s is
     None or scales each row).  Nearly equal blocks of at most
     max(3, _BLOCK_ENTRIES // degree) rows (256 at degree 32) have two or more
-    rows each (one point aside), which gives the one-shot norms bit for bit;
-    one row of many would not (GEMV).
+    rows each (one point aside), which gives the one-shot norms bit for bit
+    on OpenBLAS's SkylakeX kernels, where this was measured; one row of many
+    would not (GEMV).  Under Sandybridge kernels one norm of six differs in
+    its last bit (ROADMAP item 15).
     """
     degree = jobs[0][0].shape[1]
     blocks = -(-points.size // max(3, _BLOCK_ENTRIES // degree))

@@ -129,7 +129,6 @@ class CampaignReport:
     config: dict
     records: list[dict]
     wall_time_s: float
-    schema_version: int = SCHEMA_VERSION
     exports: dict = field(default_factory=dict)
 
     @property
@@ -144,7 +143,7 @@ class CampaignReport:
         """Everything except volatile fields (wall time)."""
         return _jsonable(
             {
-                "schema_version": self.schema_version,
+                "schema_version": SCHEMA_VERSION,
                 "config": self.config,
                 "summary": self.summary(),
                 "records": self.records,
@@ -203,12 +202,17 @@ _SETTINGS = {
 }
 
 
+def _echo(config: CampaignConfig, command: str) -> dict:
+    """The config echo of a report: the command, the settings `command` reads and output_dir."""
+    settings = {key: getattr(config, key) for key in _SETTINGS[command]}
+    return {"command": config.command, **settings, "output_dir": config.output_dir}
+
+
 def run_verify_theorems(config: CampaignConfig) -> CampaignReport:
     """Execute every certificate family over one seeded FrameEnsemble, walked once."""
     from . import criteria
     start = time.perf_counter()
     dim, trials, seed = config.dim, config.trials, config.seed
-    tol = CERTIFICATE_TOL
     records: list[dict] = []
 
     general = random_operator(dim, seed + 11)
@@ -245,41 +249,45 @@ def run_verify_theorems(config: CampaignConfig) -> CampaignReport:
             Frame(group.upper_one, raw.lower_bound / raw.upper_bound, ones),
             Frame(group.lower_one, ones, raw.upper_bound / raw.lower_bound),
         ]
-        synthesis.extend(_certify_synthesis(variants, group.seeds, tol))
+        synthesis.extend(_certify_synthesis(variants, group.seeds))
         # trial i's raw frame, of trial seed s = seed + i, is paired with operator seed + 1000 + i
         ops = np.stack([random_operator(dim, s + 1000) for s in group.seeds])
-        enclosures.append(criteria.double_sum_comparison(ops, raw, config.p_grid, tol))
+        enclosures.append(criteria.double_sum_comparison(ops, raw, config.p_grid))
         for tag, op in endpoints.items():
             endpoint_sums[tag].append(criteria._endpoint_sums(op, raw))
 
     per_p: list[list[dict]] = [[] for _ in config.p_grid]
-    reports = criteria._certify(FrameEnsemble(dim, trials, seed), jobs, tol, visit=visit)
+    reports = criteria._certify(FrameEnsemble(dim, trials, seed), jobs, visit=visit)
     for js, job_reports in zip([js for js in at if js], reports):
         for j, rep in zip(js, job_reports):
             per_p[j].append(asdict(rep))
     for p, certificates, comps in zip(config.p_grid, per_p, zip(*enclosures)):
-        # every trial's double sum against each side's bound, relative to max(1, double sum)
         ds, ns, c2, c1 = (
             None if getattr(comps[0], k) is None else np.concatenate([getattr(c, k) for c in comps])
             for k in ("double_sum", "norm_sum", "upper_constant", "lower_constant")
         )
+
+        def least_margin(lo, hi):
+            """Every trial's double sum against one side's bound, relative to max(1, double sum)."""
+            return float(_verdict(ds, lo, hi, CERTIFICATE_TOL, ds)[0].min())
+
         # C2^(p/2) times a norm sum past the double range is +inf, its correct rounding
         with np.errstate(over="ignore"):
-            upper = None if c2 is None else float(_verdict(ds, -np.inf, c2 * ns, tol, ds)[0].min())
-        lower = None if c1 is None else float(_verdict(ds, c1 * ns, np.inf, tol, ds)[0].min())
+            upper = None if c2 is None else least_margin(-np.inf, c2 * ns)
+        lower = None if c1 is None else least_margin(c1 * ns, np.inf)
         enclosure = {
             "tag": "double_sum_enclosure",
             "p": p,
             "trials": trials,
             "min_upper_margin": upper,
             "min_lower_margin": lower,
-            "tolerance": tol,
+            "tolerance": CERTIFICATE_TOL,
             "passed": all(np.all(c.passed) for c in comps),
         }
         records += certificates + [enclosure]
 
     for tag, op in endpoints.items():
-        rep = criteria._endpoint_report(op, endpoint_sums[tag], trials, tol)
+        rep = criteria._endpoint_report(op, endpoint_sums[tag], trials)
         records.append({"tag": tag, **asdict(rep)})
 
     records.append(
@@ -287,14 +295,12 @@ def run_verify_theorems(config: CampaignConfig) -> CampaignReport:
             "tag": "synthesis_bounds",
             "frames_certified": sum(cert.passed.size for cert in synthesis),
             "max_analysis_dev": max(0.0, *(np.max(c.analysis_identity_dev) for c in synthesis)),
-            "tolerance": tol,
+            "tolerance": CERTIFICATE_TOL,
             "passed": all(np.all(cert.passed) for cert in synthesis),
         }
     )
 
-    return CampaignReport(
-        config=asdict(config), records=records, wall_time_s=time.perf_counter() - start
-    )
+    return CampaignReport(_echo(config, "verify-theorems"), records, time.perf_counter() - start)
 
 
 def _growth_record(exports: dict, head: dict, series: constructions.GrowthSeries, **tail) -> dict:
@@ -412,10 +418,7 @@ def run_counterexamples(config: CampaignConfig) -> CampaignReport:
     )
 
     return CampaignReport(
-        config=asdict(config),
-        records=records,
-        wall_time_s=time.perf_counter() - start,
-        exports=exports,
+        _echo(config, "counterexamples"), records, time.perf_counter() - start, exports
     )
 
 
@@ -506,12 +509,7 @@ def run_bergman(config: CampaignConfig) -> CampaignReport:
             }
         )
 
-    return CampaignReport(
-        config=asdict(config),
-        records=records,
-        wall_time_s=time.perf_counter() - start,
-        exports=exports,
-    )
+    return CampaignReport(_echo(config, "bergman"), records, time.perf_counter() - start, exports)
 
 
 def run_norm_estimate(matrix_file, p: float, strategy: str, config: CampaignConfig) -> CampaignReport:
@@ -534,13 +532,11 @@ def run_norm_estimate(matrix_file, p: float, strategy: str, config: CampaignConf
         tag="norm_estimate", strategy=strategy, p=p, norm=norm, norm_pth_power=norm_pth_power
     )
     if strategy == "singular_basis_exact":
-        witness, ok = criteria._witness(job, p, norm_pth_power, CERTIFICATE_TOL)
+        witness, ok = criteria._witness(job, p, norm_pth_power)
         record.update(witness_sum=witness, gap=witness - norm_pth_power, passed=ok)
     else:
-        cert = criteria._certified(job, config.trials, config.seed, CERTIFICATE_TOL)
+        cert = criteria._certified(job, config.trials, config.seed)
         gap = cert.norm_value - cert.extremal_value
         record.update(ensemble_extremal=cert.extremal_value, gap=gap)
         record.update(direction=cert.direction, passed=cert.passed)
-    return CampaignReport(
-        config=asdict(config), records=[record], wall_time_s=time.perf_counter() - start
-    )
+    return CampaignReport(_echo(config, "norm-estimate"), [record], time.perf_counter() - start)

@@ -195,13 +195,10 @@ class DoubleSumComparison:
     norm_sum: float
     upper_constant: float | None
     lower_constant: float | None
-    tolerance: float
     passed: bool
 
 
-def double_sum_comparison(
-    t, frame: Frame, p, tol: float = CERTIFICATE_TOL
-) -> DoubleSumComparison | list[DoubleSumComparison]:
+def double_sum_comparison(t, frame: Frame, p) -> DoubleSumComparison | list[DoubleSumComparison]:
     """Check the two-sided comparison between double and norm sums.
 
     `t` is one (dim, dim) operator, or for a stack of n frames also a stack
@@ -230,7 +227,7 @@ def double_sum_comparison(
         # correctly rounded bound, so the check holds as in exact arithmetic
         with np.errstate(over="ignore"):
             hi = np.inf if upper is None else upper * rhs
-        ok = _verdict(lhs, lo, hi, tol, np.maximum(lhs, rhs))[1]
+        ok = _verdict(lhs, lo, hi, CERTIFICATE_TOL, np.maximum(lhs, rhs))[1]
         comparisons.append(
             DoubleSumComparison(
                 p=q,
@@ -238,7 +235,6 @@ def double_sum_comparison(
                 norm_sum=_per_frame(rhs),
                 upper_constant=upper,
                 lower_constant=lower,
-                tolerance=tol,
                 passed=_per_frame(ok),
             )
         )
@@ -252,7 +248,7 @@ def double_sum_comparison(
 _Job = namedtuple("_Job", "kind t ps many inf spectrum basis")
 
 
-def _certify(ensemble: FrameEnsemble, jobs, tol: float, visit=None) -> list:
+def _certify(ensemble: FrameEnsemble, jobs, visit=None) -> list:
     """The reports of each job, one list per job, from one walk of the ensemble.
 
     Each ps[j] of a job is sampled over the ONBs and the raw frames of its
@@ -280,10 +276,10 @@ def _certify(ensemble: FrameEnsemble, jobs, tol: float, visit=None) -> list:
                         extreme[j] = fold(extreme[j], reduce(_power_sums(kind, terms, job.ps[j])))
         if visit is not None:
             visit(group)
-    return [_reports(job, extreme, ensemble.trials, tol) for job, extreme in zip(jobs, extremes)]
+    return [_reports(job, extreme, ensemble.trials) for job, extreme in zip(jobs, extremes)]
 
 
-def _witness(job: _Job, p: float, norm_value: float, tol: float, terms=None) -> tuple[float, bool]:
+def _witness(job: _Job, p: float, norm_value: float, terms=None) -> tuple[float, bool]:
     """The sum of `job` at p over its witness basis, and whether it equals `norm_value`.
 
     `terms` are the basis's `_terms`, if already taken (a p-grid takes them
@@ -295,20 +291,21 @@ def _witness(job: _Job, p: float, norm_value: float, tol: float, terms=None) -> 
     witness = float(_power_sums(job.kind, terms, p))
     n_terms = job.t.shape[1] ** (2 if job.kind == "double" else 1)
     budget = _witness_budget(p, n_terms, float(np.max(job.spectrum)))
-    return witness, bool(_verdict(witness - norm_value, 0.0, 0.0, tol, norm_value, budget)[1])
+    ok = _verdict(witness - norm_value, 0.0, 0.0, CERTIFICATE_TOL, norm_value, budget)[1]
+    return witness, bool(ok)
 
 
-def _reports(job: _Job, extremes: np.ndarray, trials: int, tol: float) -> list:
+def _reports(job: _Job, extremes: np.ndarray, trials: int) -> list:
     """The CertificateReport at each exponent of `job` from its sampled extremes."""
     witness_terms = None if job.basis is None else _terms(job.kind, job.t, job.basis)
     reports = []
     for p, p_inf, extremal in zip(job.ps, job.inf, extremes):
         norm_value = float(_power_sums("norms", job.spectrum, p))
         lo, hi = (norm_value, np.inf) if p_inf else (-np.inf, norm_value)
-        direction_ok = _verdict(extremal, lo, hi, tol, norm_value)[1]
+        direction_ok = _verdict(extremal, lo, hi, CERTIFICATE_TOL, norm_value)[1]
         witness, witness_ok = None, False
         if job.basis is not None:
-            witness, witness_ok = _witness(job, p, norm_value, tol, witness_terms)
+            witness, witness_ok = _witness(job, p, norm_value, witness_terms)
         reports.append(
             CertificateReport(
                 tag=_TAGS[job.kind] + ("_inf" if p_inf else "_sup"),
@@ -319,16 +316,16 @@ def _reports(job: _Job, extremes: np.ndarray, trials: int, tol: float) -> list:
                 norm_value=norm_value,
                 witness_value=witness,
                 equality_witness=witness_ok,
-                tolerance=tol,
+                tolerance=CERTIFICATE_TOL,
                 passed=bool(direction_ok) and (job.basis is None or witness_ok),
             )
         )
     return reports
 
 
-def _certified(job: _Job, trials: int, seed: int, tol: float):
+def _certified(job: _Job, trials: int, seed: int):
     """The reports of one job, sampled over FrameEnsemble(dim, trials, seed)."""
-    reports = _certify(FrameEnsemble(job.t.shape[1], trials, seed), [job], tol)[0]
+    reports = _certify(FrameEnsemble(job.t.shape[1], trials, seed), [job])[0]
     return reports if job.many else reports[0]
 
 
@@ -343,23 +340,23 @@ def _norm_job(t, p) -> _Job:
 
 
 def certify_norm_formula(
-    t, p, trials: int = 200, seed: int = 0, tol: float = CERTIFICATE_TOL
+    t, p, trials: int = 200, seed: int = 0
 ) -> CertificateReport | list[CertificateReport]:
     """Certify the norm-sum formula for ||T||_p^p.
 
     p >= 2 engages the sup regime over frames with upper bound <= 1, p < 2
     the inf regime over Parseval frames.  The samples are `trials` seeded
-    ONBs and as many random frames (trial seeds seed + index); `tol` bounds
-    the direction check and the equality witness.  The right-singular-vector
-    basis is the exact witness: there ||T e_n|| is the n-th singular value,
-    so the sum equals ||T||_p^p in finite dimension.  For a wide T the basis
-    is completed by kernel vectors to span C^cols.
+    ONBs and as many random frames (trial seeds seed + index); the direction
+    check and the equality witness are judged at CERTIFICATE_TOL.  The
+    right-singular-vector basis is the exact witness: there ||T e_n|| is the
+    n-th singular value, so the sum equals ||T||_p^p in finite dimension.
+    For a wide T the basis is completed by kernel vectors to span C^cols.
 
     `p` may be a sequence: the result is then one report per exponent,
     report j equal to the call at p[j], and the SVD, each sampled stack and
     its norms ||T f_n|| are taken once for the whole grid.
     """
-    return _certified(_norm_job(t, p), trials, seed, tol)
+    return _certified(_norm_job(t, p), trials, seed)
 
 
 def _diag_job(t, p, direction: str | None = None) -> _Job:
@@ -381,12 +378,7 @@ def _diag_job(t, p, direction: str | None = None) -> _Job:
 
 
 def certify_diag_formula(
-    t,
-    p,
-    trials: int = 200,
-    seed: int = 0,
-    tol: float = CERTIFICATE_TOL,
-    direction: str | None = None,
+    t, p, trials: int = 200, seed: int = 0, direction: str | None = None
 ) -> CertificateReport | list[CertificateReport]:
     """Certify the diagonal-sum formula for a self-adjoint operator.
 
@@ -399,7 +391,7 @@ def certify_diag_formula(
     sequence, as in `certify_norm_formula`; without a `direction` each
     exponent takes its own regime.
     """
-    return _certified(_diag_job(t, p, direction), trials, seed, tol)
+    return _certified(_diag_job(t, p, direction), trials, seed)
 
 
 def _double_job(t, p) -> _Job:
@@ -417,7 +409,7 @@ def _double_job(t, p) -> _Job:
 
 
 def certify_double_formula(
-    t, p, trials: int = 200, seed: int = 0, tol: float = CERTIFICATE_TOL
+    t, p, trials: int = 200, seed: int = 0
 ) -> CertificateReport | list[CertificateReport]:
     """Certify the double-sum formula.
 
@@ -428,7 +420,7 @@ def certify_double_formula(
     non-Hermitian T in the sup regime the extremal value is only recorded.
     `p` may be a sequence, as in `certify_norm_formula`.
     """
-    return _certified(_double_job(t, p), trials, seed, tol)
+    return _certified(_double_job(t, p), trials, seed)
 
 
 @dataclass(frozen=True)
@@ -449,14 +441,12 @@ class EndpointReport:
     passed: bool
 
 
-def endpoint_suites(
-    t, trials: int = 200, seed: int = 0, tol: float = CERTIFICATE_TOL
-) -> EndpointReport:
+def endpoint_suites(t, trials: int = 200, seed: int = 0) -> EndpointReport:
     """Run the p = 1 and p = 2 endpoint suites over the raw frames of
     FrameEnsemble(dim, trials, seed)."""
     t = _as_square(t)
     sums = [_endpoint_sums(t, group.raw) for group in FrameEnsemble(t.shape[1], trials, seed)]
-    return _endpoint_report(t, sums, trials, tol)
+    return _endpoint_report(t, sums, trials)
 
 
 def _endpoint_sums(t: np.ndarray, raw: Frame) -> np.ndarray:
@@ -468,7 +458,7 @@ def _endpoint_sums(t: np.ndarray, raw: Frame) -> np.ndarray:
     return np.stack([raw.lower_bound, raw.upper_bound, diag, norms, via_trace])
 
 
-def _endpoint_report(t: np.ndarray, sums, trials: int, tol: float) -> EndpointReport:
+def _endpoint_report(t: np.ndarray, sums, trials: int) -> EndpointReport:
     """The endpoint suites of T judged on the `_endpoint_sums` of every group."""
     c1, c2, diag, norm_total, via_trace = np.concatenate(sums, axis=1)
     w = _psd_eigenvalues(t)
@@ -476,11 +466,12 @@ def _endpoint_report(t: np.ndarray, sums, trials: int, tol: float) -> EndpointRe
     trace_margin, ok = np.nan, True
     if psd:
         trace_norm = float(np.sum(np.maximum(w, 0.0)))
-        margin, fits = _verdict(diag, c1 * trace_norm, c2 * trace_norm, tol, c2 * trace_norm)
+        hi = c2 * trace_norm
+        margin, fits = _verdict(diag, c1 * trace_norm, hi, CERTIFICATE_TOL, hi)
         trace_margin, ok = float(np.min(margin)), bool(np.all(fits))
     hs_sq = schatten_norm(t, 2) ** 2
     hs_dev = float(np.max(np.abs(norm_total - via_trace) / np.maximum(1.0, np.abs(via_trace))))
-    margin, fits = _verdict(norm_total, c1 * hs_sq, c2 * hs_sq, tol, c2 * hs_sq)
+    margin, fits = _verdict(norm_total, c1 * hs_sq, c2 * hs_sq, CERTIFICATE_TOL, c2 * hs_sq)
     return EndpointReport(
         trials=trials,
         trace_checked=psd,

@@ -80,6 +80,8 @@ class Frame:
 
     def __getitem__(self, k) -> Frame:
         """Member k of a stack, sharing the stack's arrays."""
+        if self.vectors.ndim != 3:
+            raise ValueError(f"only a stack has members, got a frame of shape {self.vectors.shape}")
         return Frame(
             self.vectors[k], _per_frame(self.lower_bound[k]), _per_frame(self.upper_bound[k])
         )
@@ -194,7 +196,6 @@ class SynthesisCertificate:
     op_norm_sq: float | np.ndarray
     analysis_identity_dev: float | np.ndarray
     rank: int | np.ndarray
-    tolerance: float
     passed: bool | np.ndarray
     failures: tuple
 
@@ -204,17 +205,16 @@ class SynthesisCertificate:
 SYNTHESIS_PROBES = 200
 
 
-def _probes(dim: int, n_probes: int, seed: int) -> np.ndarray:
-    """Seeded unit probe vectors as the columns of a (dim, n_probes) matrix."""
+def _probes(dim: int, seed: int) -> np.ndarray:
+    """Seeded unit probe vectors as the columns of a (dim, SYNTHESIS_PROBES) matrix."""
     rng = np.random.default_rng(seed)
-    probes = rng.standard_normal((dim, n_probes)) + 1j * rng.standard_normal((dim, n_probes))
+    shape = (dim, SYNTHESIS_PROBES)
+    probes = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     probes /= np.linalg.norm(probes, axis=0)
     return probes
 
 
-def certify_synthesis(
-    frame: Frame, tol: float = CERTIFICATE_TOL, seed: "int | Sequence[int]" = 0
-) -> SynthesisCertificate:
+def certify_synthesis(frame: Frame, seed: "int | Sequence[int]" = 0) -> SynthesisCertificate:
     """Certify the synthesis operator's norm bracket and analysis identity.
 
     The SVD of A and the frame operator S are taken once for the whole stack.
@@ -222,10 +222,10 @@ def certify_synthesis(
     being probed with seed[k], and the certificate's fields are arrays over
     the stack.
     """
-    return _certify_synthesis([frame], seed, tol)[0]
+    return _certify_synthesis([frame], seed)[0]
 
 
-def _certify_synthesis(frames, seeds, tol: float) -> list:
+def _certify_synthesis(frames, seeds) -> list:
     """The certificates of frames in one C^dim, each one frame or a stack of one common shape.
 
     Member k of every frame is probed with seeds[k]; for one frame `seeds` is
@@ -238,7 +238,8 @@ def _certify_synthesis(frames, seeds, tol: float) -> list:
     multiple of 8 probes and holds a multiple of 8, so the norms keep the
     one-shot product's bits: OpenBLAS's zgemm takes these columns in groups
     of 4 and rounds a column of a ragged group differently, so blocks of,
-    say, 41 probes would not.
+    say, 41 probes would not.  Measured on OpenBLAS's SkylakeX kernels only;
+    other kernels may group columns otherwise (ROADMAP item 15).
     """
     shape = np.shape(seeds)
     for frame in frames:
@@ -257,7 +258,7 @@ def _certify_synthesis(frames, seeds, tol: float) -> list:
     dev, lo, hi = np.empty((3, len(frames), len(seeds)))  # at [frame, k], filled trial by trial
     direct = np.empty(SYNTHESIS_PROBES)
     for k, seed in enumerate(seeds):
-        f = _probes(frames[0].dim, SYNTHESIS_PROBES, seed)
+        f = _probes(frames[0].dim, seed)
         for i, (vectors, s) in enumerate(zip(stacks, operators)):
             # ||A* f||^2 by the matrix product against <S f, f> through the frame operator
             adjoint = vectors[k].conj().T
@@ -278,10 +279,11 @@ def _certify_synthesis(frames, seeds, tol: float) -> list:
         least2 = svals[:, -1] ** 2 if frame.count >= frame.dim else np.zeros(len(vectors))
         rank = np.sum(svals > RANK_TOL * svals[:, :1], axis=-1)
         checks = (
-            ~np.all(_verdict(np.stack([least2, op2]), c1, c2, tol, c2)[1], axis=0),
+            ~np.all(_verdict(np.stack([least2, op2]), c1, c2, CERTIFICATE_TOL, c2)[1], axis=0),
             ~(c1 > 0),
             dev > IDENTITY_TOL,
-            (lo < c1 * (1 - IDENTITY_TOL) - tol) | (hi > c2 * (1 + IDENTITY_TOL) + tol),
+            (lo < c1 * (1 - IDENTITY_TOL) - CERTIFICATE_TOL)
+            | (hi > c2 * (1 + IDENTITY_TOL) + CERTIFICATE_TOL),
         )
         failures = [()] * len(vectors)
         for k in np.flatnonzero(np.any(checks, axis=0)):
@@ -306,7 +308,6 @@ def _certify_synthesis(frames, seeds, tol: float) -> list:
             SynthesisCertificate(
                 dim=frame.dim,
                 count=frame.count,
-                tolerance=tol,
                 failures=tuple(failures) if shape else failures[0],
                 **{key: _per_frame(value.reshape(shape)) for key, value in fields.items()},
             )

@@ -43,7 +43,7 @@ STRUCTURAL_TOL = 1e-10
 # (H, the book above) or by Weyl's bound with gesdd's backward error (W, see `svd`), or
 # a discretization bound (D).  `_verdict` judges a value against its target with them.
 #: Policy slack of a sampled or witness sum against ||T||_p^p, relative to
-#: max(1, ||T||_p^p), ten times IDENTITY_TOL; every campaign judges its checks against it.
+#: max(1, ||T||_p^p), ten times IDENTITY_TOL; every certificate is judged against it.
 CERTIFICATE_TOL = 1e-9
 #: H: the sides of one identity (analysis, HS, quadrature mass and integrals, closed-form
 #: bounds, probe sums) computed through sums of n products differ by gamma_n, as above.

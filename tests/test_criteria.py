@@ -246,7 +246,7 @@ class TestSharedEnsemble:
             (certify_double_formula, criteria._double_job, hermitian, 1.0, {}),
         ]
         for certify, job, t, p, extra in calls:
-            [[shared]] = criteria._certify(ensemble, [job(t, p, **extra)], 1e-9)
+            [[shared]] = criteria._certify(ensemble, [job(t, p, **extra)])
             assert shared == certify(t, p, trials, 9, **extra)
             assert shared.trials == trials
             assert shared.passed
@@ -257,9 +257,9 @@ class TestSharedEnsemble:
             for t, taken in zip(ops, sums):
                 taken.append(criteria._endpoint_sums(t, group.raw))
 
-        criteria._certify(ensemble, [criteria._norm_job(general, 0.5)], 1e-9, visit=visit)
+        criteria._certify(ensemble, [criteria._norm_job(general, 0.5)], visit=visit)
         for t, taken in zip(ops, sums):
-            walked = criteria._endpoint_report(t, taken, trials, 1e-9)
+            walked = criteria._endpoint_report(t, taken, trials)
             assert repr(walked) == repr(endpoint_suites(t, trials, 9))  # repr: nan margins
             assert walked.passed and walked.trace_checked == (t is psd)
 
@@ -319,7 +319,7 @@ class TestCertificateGrid:
             certify_double_formula: criteria._double_job,
         }
         jobs = [job_of[certify](t, ps, **extra) for certify, t, ps, extra, *_ in calls]
-        walked = criteria._certify(FrameEnsemble(dim, trials, seed), jobs, 1e-9)
+        walked = criteria._certify(FrameEnsemble(dim, trials, seed), jobs)
         for (certify, t, ps, extra, *_), reports in zip(calls, walked):
             assert repr(reports) == repr(certify(t, ps, trials, seed, **extra))
 

@@ -520,7 +520,7 @@ def assert_same_certificate(stacked, k, single):
     """Member k of a stacked certificate equals a one-frame certificate bit for bit."""
     for field in dataclasses.fields(single):
         value, expected = getattr(stacked, field.name), getattr(single, field.name)
-        if field.name not in ("dim", "count", "tolerance"):
+        if field.name not in ("dim", "count"):
             value = value[k]
         assert value == expected, field.name
 
@@ -614,14 +614,14 @@ class TestStackedSynthesisCertificate:
         drawn = collections.Counter()
         probes = frames._probes
 
-        def counted(dim, n_probes, seed):
+        def counted(dim, seed):
             drawn[seed] += 1
-            return probes(dim, n_probes, seed)
+            return probes(dim, seed)
 
         monkeypatch.setattr(frames, "_probes", counted)
         stack = next(iter(FrameEnsemble(3, 9, 0))).raw
         variants = [stack, canonical_parseval(stack), rescale_upper_bound_one(stack)]
-        certificates = frames._certify_synthesis(variants, [4, 5, 6], 1e-9)
+        certificates = frames._certify_synthesis(variants, [4, 5, 6])
         assert all(cert.passed.all() for cert in certificates)
         assert drawn == {4: 1, 5: 1, 6: 1}
 
@@ -642,7 +642,7 @@ class TestStackedSynthesisCertificate:
         ]
         for together, seeds in mixes:
             with pytest.raises(ValueError, match="one seed per frame"):
-                frames._certify_synthesis(together, seeds, 1e-9)
+                frames._certify_synthesis(together, seeds)
 
 
 ONE_FRAME_CALLS = {
@@ -662,6 +662,12 @@ def test_one_frame_functions_reject_a_stack(call):
     with pytest.raises(ValueError, match=r"expected one frame, got a stack of shape \(3, 3, 4\)"):
         call(stack)
     call(stack[0])  # each member is accepted
+
+
+def test_indexing_one_frame_is_a_named_error():
+    """Only a stack has members; indexing one frame names its shape."""
+    with pytest.raises(ValueError, match=r"got a frame of shape \(2, 2\)"):
+        make_frame(np.eye(2))[0]
 
 
 def assert_same_frame(stacked, k, single):
@@ -701,7 +707,7 @@ def test_stack_members_equal_one_frame_path(dim, extra, n, exponent, p, seed):
     cert = certify_synthesis(stack, seed=seeds)
     # stacks of one shape in one call share each trial's probes
     parseval = canonical_parseval(stack)
-    joint = frames._certify_synthesis([stack, parseval], seeds, 1e-9)
+    joint = frames._certify_synthesis([stack, parseval], seeds)
     for together, alone in zip(joint, (cert, certify_synthesis(parseval, seed=seeds))):
         assert_equal_certificates(together, alone)
     comparison = double_sum_comparison(ops, stack, p)
@@ -710,6 +716,6 @@ def test_stack_members_equal_one_frame_path(dim, extra, n, exponent, p, seed):
         expected = double_sum_comparison(ops[k], single, p)
         for field in dataclasses.fields(expected):
             value = getattr(comparison, field.name)
-            if field.name not in ("p", "tolerance") and value is not None:
+            if field.name != "p" and value is not None:
                 value = value[k]
             assert value == getattr(expected, field.name), field.name

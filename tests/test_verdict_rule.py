@@ -71,3 +71,28 @@ def test_every_allowed_literal_is_still_written():
     written = {(m, f, v) for m in OTHER_MODULES for f, v, _ in small_literals(m)}
     for key in ALLOWED:
         assert any(matches(key, *site) for site in written), key
+
+
+def tolerance_parameters(module: str) -> list:
+    """(function, parameter) of each parameter named `tol` or `tolerance` in `module`."""
+    found = []
+    for node in ast.walk(ast.parse((PACKAGE / module).read_text())):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            args = node.args
+            params = [*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg]
+            found += [
+                (getattr(node, "name", "<lambda>"), param.arg)
+                for param in params
+                if param is not None and param.arg in ("tol", "tolerance")
+            ]
+    return found
+
+
+def test_only_the_verdict_takes_a_tolerance():
+    """Every certificate is judged at a named budget: CERTIFICATE_TOL for the
+    paper's characterizations, the others beside their sources in `linalg`.
+    Only `_verdict`, which its callers give one of those budgets, takes a
+    tolerance as a parameter."""
+    assert tolerance_parameters("linalg.py") == [("_verdict", "tol")]
+    hits = {module: tolerance_parameters(module) for module in OTHER_MODULES}
+    assert not {module: found for module, found in hits.items() if found}
