@@ -22,7 +22,7 @@ from . import serialization
 from .frames import Frame, FrameEnsemble, _certify_synthesis, certify_synthesis, make_frame
 from .linalg import CERTIFICATE_TOL, CHAIN_STABILITY_TOL, ELEMENTWISE_TOL, IDENTITY_TOL
 from .linalg import ORTHONORMALITY_TOL, SV_TOL, _check_count, _check_p, _check_seed, _verdict
-from .linalg import svd
+from .linalg import _gaussian, svd
 
 # the run functions import the modules only their command runs
 if TYPE_CHECKING:
@@ -176,10 +176,7 @@ class CampaignReport:
 
 def random_operator(dim: int, seed: int) -> np.ndarray:
     """Seeded complex Gaussian matrix (entries variance 1)."""
-    rng = np.random.default_rng(seed)
-    return (
-        rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    ) / np.sqrt(2.0)
+    return _gaussian(np.random.default_rng(seed), (dim, dim)) / np.sqrt(2.0)
 
 
 def random_hermitian(dim: int, seed: int) -> np.ndarray:
@@ -202,9 +199,16 @@ _SETTINGS = {
 }
 
 
-def _echo(config: CampaignConfig, command: str) -> dict:
-    """The config echo of a report: the command, the settings `command` reads and output_dir."""
-    settings = {key: getattr(config, key) for key in _SETTINGS[command]}
+def _reads(command: str, strategy: str | None = None) -> tuple[str, tuple]:
+    """A run of `command` as the CLI names it, and the settings it reads: the
+    command's, of which the exact norm estimate reads none."""
+    exact = strategy == "singular_basis_exact"
+    return (f"{command} --strategy {strategy}", ()) if exact else (command, _SETTINGS[command])
+
+
+def _echo(config: CampaignConfig, command: str, strategy: str | None = None) -> dict:
+    """The config echo of a report: the command, the settings its run reads and output_dir."""
+    settings = {key: getattr(config, key) for key in _reads(command, strategy)[1]}
     return {"command": config.command, **settings, "output_dir": config.output_dir}
 
 
@@ -262,19 +266,9 @@ def run_verify_theorems(config: CampaignConfig) -> CampaignReport:
         for j, rep in zip(js, job_reports):
             per_p[j].append(asdict(rep))
     for p, certificates, comps in zip(config.p_grid, per_p, zip(*enclosures)):
-        ds, ns, c2, c1 = (
-            None if getattr(comps[0], k) is None else np.concatenate([getattr(c, k) for c in comps])
-            for k in ("double_sum", "norm_sum", "upper_constant", "lower_constant")
-        )
-
-        def least_margin(lo, hi):
-            """Every trial's double sum against one side's bound, relative to max(1, double sum)."""
-            return float(_verdict(ds, lo, hi, CERTIFICATE_TOL, ds)[0].min())
-
-        # C2^(p/2) times a norm sum past the double range is +inf, its correct rounding
-        with np.errstate(over="ignore"):
-            upper = None if c2 is None else least_margin(-np.inf, c2 * ns)
-        lower = None if c1 is None else least_margin(c1 * ns, np.inf)
+        # each side's least margin over every trial, None where the side does not apply
+        sides = [[getattr(c, f"{side}_margin") for c in comps] for side in ("upper", "lower")]
+        upper, lower = (None if m[0] is None else float(np.min(np.concatenate(m))) for m in sides)
         enclosure = {
             "tag": "double_sum_enclosure",
             "p": p,
@@ -539,4 +533,5 @@ def run_norm_estimate(matrix_file, p: float, strategy: str, config: CampaignConf
         gap = cert.norm_value - cert.extremal_value
         record.update(ensemble_extremal=cert.extremal_value, gap=gap)
         record.update(direction=cert.direction, passed=cert.passed)
-    return CampaignReport(_echo(config, "norm-estimate"), [record], time.perf_counter() - start)
+    echo = _echo(config, "norm-estimate", strategy)
+    return CampaignReport(echo, [record], time.perf_counter() - start)

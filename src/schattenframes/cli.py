@@ -8,7 +8,9 @@
                                     [--seed N] [--trials T] [--out DIR] [--config F]
 
 Each command takes the flags of the settings it reads (`campaigns._SETTINGS`)
-and refuses any other.  Exit codes: 0 all checks passed, 1 at least one check
+and refuses any other; norm-estimate's --seed and --trials are read by
+--strategy frame_ensemble alone and refused under singular_basis_exact
+(`campaigns._reads`).  Exit codes: 0 all checks passed, 1 at least one check
 failed, 2 usage or I/O error.  Flags override values from --config, a JSON
 file whose keys are the command's settings and `output-dir`, each kebab- or
 snake-case.
@@ -23,6 +25,7 @@ from pathlib import Path
 from .campaigns import (
     _SETTINGS,
     CampaignConfig,
+    _reads,
     run_bergman,
     run_counterexamples,
     run_norm_estimate,
@@ -72,7 +75,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(args: argparse.Namespace) -> CampaignConfig:
-    settings = _SETTINGS[args.command]
+    reader, settings = _reads(args.command, getattr(args, "strategy", None))
     values: dict = {}
     if args.config is not None:
         raw = _read_json(args.config)
@@ -82,13 +85,15 @@ def _load_config(args: argparse.Namespace) -> CampaignConfig:
         unknown = sorted(values.keys() - {*settings, "output_dir"})
         if unknown:
             raise ValueError(
-                f"config file {args.config} has keys {unknown} that {args.command} does not "
+                f"config file {args.config} has keys {unknown} that {reader} does not "
                 f"read; it reads {[*settings, 'output_dir']}"
             )
-    for key in settings:
+    for key in _SETTINGS[args.command]:
         flag = getattr(args, key)
         if flag is None:
             continue
+        if key not in settings:
+            raise ValueError(f"{reader} does not read --{key.replace('_', '-')}")
         if key == "p_grid":
             try:
                 flag = [float(x) for x in flag.split(",") if x.strip()]

@@ -188,6 +188,8 @@ class DoubleSumComparison:
     p <= 2 it is at least C1^(p/2) times the norm sum; at p = 2 both hold
     (with equality for Parseval frames).  The constants attach to the
     mathematically forced bound (upper frame bound above, lower below).
+    Each side's margin is how far the double sum lies inside that one bound,
+    relative to max(1, double sum), None where the side does not apply.
     """
 
     p: float
@@ -195,6 +197,8 @@ class DoubleSumComparison:
     norm_sum: float
     upper_constant: float | None
     lower_constant: float | None
+    upper_margin: float | None
+    lower_margin: float | None
     passed: bool
 
 
@@ -203,9 +207,11 @@ def double_sum_comparison(t, frame: Frame, p) -> DoubleSumComparison | list[Doub
 
     `t` is one (dim, dim) operator, or for a stack of n frames also a stack
     of one operator per frame, (n, dim, dim); for a stack the sums,
-    constants and verdicts are arrays over it.  `p` may be a sequence: the
-    result is then one comparison per exponent, comparison j equal to the
-    call at p[j], and the pairings are taken once for the whole grid.
+    constants, margins and verdicts are arrays over it.  `p` may be a
+    sequence: the result is then one comparison per exponent, comparison j
+    equal to the call at p[j], and the pairings are taken once for the whole
+    grid.  The verdict allows CERTIFICATE_TOL relative to the larger sum;
+    each margin is `_verdict`'s margin of its one side.
     """
     t = np.ascontiguousarray(t, dtype=np.complex128)
     square = (frame.dim, frame.dim)
@@ -228,6 +234,9 @@ def double_sum_comparison(t, frame: Frame, p) -> DoubleSumComparison | list[Doub
         with np.errstate(over="ignore"):
             hi = np.inf if upper is None else upper * rhs
         ok = _verdict(lhs, lo, hi, CERTIFICATE_TOL, np.maximum(lhs, rhs))[1]
+        # each side's margin, relative to max(1, double sum)
+        above = _verdict(lhs, -np.inf, hi, CERTIFICATE_TOL, lhs)[0]
+        below = _verdict(lhs, lo, np.inf, CERTIFICATE_TOL, lhs)[0]
         comparisons.append(
             DoubleSumComparison(
                 p=q,
@@ -235,6 +244,8 @@ def double_sum_comparison(t, frame: Frame, p) -> DoubleSumComparison | list[Doub
                 norm_sum=_per_frame(rhs),
                 upper_constant=upper,
                 lower_constant=lower,
+                upper_margin=None if upper is None else _per_frame(above),
+                lower_margin=None if lower is None else _per_frame(below),
                 passed=_per_frame(ok),
             )
         )

@@ -23,7 +23,7 @@ from functools import cached_property
 import numpy as np
 
 from .linalg import CERTIFICATE_TOL, IDENTITY_TOL, RANK_TOL, SPANNING_TOL, _check_count, _check_seed
-from .linalg import _BLOCK_ENTRIES, _verdict, as_matrix
+from .linalg import _BLOCK_ENTRIES, _gaussian, _verdict, as_matrix
 
 __all__ = [
     "Frame",
@@ -74,7 +74,7 @@ class Frame:
                 "expected finite vectors of shape (dim, count) or (n, dim, count),"
                 f" got shape {vectors.shape}"
             )
-        lower, upper = _bounds(vectors)
+        _, lower, upper = _decomposed(vectors)
         _require_spanning(vectors.shape[-2], lower, upper, "frame {} of the stack".format)
         return _sealed(vectors, lower, upper)
 
@@ -207,11 +207,8 @@ SYNTHESIS_PROBES = 200
 
 def _probes(dim: int, seed: int) -> np.ndarray:
     """Seeded unit probe vectors as the columns of a (dim, SYNTHESIS_PROBES) matrix."""
-    rng = np.random.default_rng(seed)
-    shape = (dim, SYNTHESIS_PROBES)
-    probes = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    probes /= np.linalg.norm(probes, axis=0)
-    return probes
+    probes = _gaussian(np.random.default_rng(seed), (dim, SYNTHESIS_PROBES))
+    return probes / np.linalg.norm(probes, axis=0)
 
 
 def certify_synthesis(frame: Frame, seed: "int | Sequence[int]" = 0) -> SynthesisCertificate:
@@ -229,8 +226,10 @@ def _certify_synthesis(frames, seeds) -> list:
     """The certificates of frames in one C^dim, each one frame or a stack of one common shape.
 
     Member k of every frame is probed with seeds[k]; for one frame `seeds` is
-    one int.  Trial by trial, the probes of seeds[k] are drawn once, applied
-    to member k of each frame and dropped before the next trial.  The frame
+    one int.  Trial by trial, the probes of seeds[k] are drawn once and
+    applied to member k of each frame, one product S_k F per frame, and the
+    identity's worst deviation and the probe sums' range are taken once over
+    all of the trial's frames before its probes are dropped.  The frame
     operators and the SVD are taken once per stack.  The products A_k* F go
     over blocks of probes of at most _BLOCK_ENTRIES entries (but 8 probes at
     least): 16 probes at a time for the 399 vectors of a Bergman lattice
@@ -253,22 +252,20 @@ def _certify_synthesis(frames, seeds) -> list:
         _check_seed(seed)
     stacks = [frame.vectors.reshape(-1, frame.dim, frame.count) for frame in frames]
     operators = [_frame_operators(vectors) for vectors in stacks]
-    widths = [max(8, _BLOCK_ENTRIES // frame.count // 8 * 8) for frame in frames]
-    blocks = [[slice(j, j + w) for j in range(0, SYNTHESIS_PROBES, w)] for w in widths]
     dev, lo, hi = np.empty((3, len(frames), len(seeds)))  # at [frame, k], filled trial by trial
-    direct = np.empty(SYNTHESIS_PROBES)
+    direct, analysis = np.empty((2, len(frames), SYNTHESIS_PROBES))  # at [frame, probe]
     for k, seed in enumerate(seeds):
         f = _probes(frames[0].dim, seed)
         for i, (vectors, s) in enumerate(zip(stacks, operators)):
             # ||A* f||^2 by the matrix product against <S f, f> through the frame operator
             adjoint = vectors[k].conj().T
-            for cols in blocks[i]:
-                direct[cols] = np.linalg.norm(adjoint @ f[:, cols], axis=0) ** 2
-            s_f = s[k] @ f
-            analysis = np.real(np.sum(np.multiply(f.conj(), s_f, out=s_f), axis=0))
-            ratio = np.abs(analysis - direct) / np.maximum(analysis, 1e-300)
-            # the identity's worst deviation and the probe sums' range for the frame inequality
-            dev[i, k], lo[i, k], hi[i, k] = np.max(ratio), np.min(analysis), np.max(analysis)
+            width = max(8, _BLOCK_ENTRIES // vectors.shape[-1] // 8 * 8)
+            for j in range(0, SYNTHESIS_PROBES, width):
+                direct[i, j : j + width] = np.linalg.norm(adjoint @ f[:, j : j + width], axis=0) ** 2
+            analysis[i] = np.real(np.sum(f.conj() * (s[k] @ f), axis=0))
+        ratio = np.abs(analysis - direct) / np.maximum(analysis, 1e-300)
+        # the identity's worst deviation and the probe sums' range for the frame inequality
+        dev[:, k], lo[:, k], hi[:, k] = ratio.max(axis=1), analysis.min(axis=1), analysis.max(axis=1)
     certificates = []
     for frame, vectors, dev, lo, hi in zip(frames, stacks, dev, lo, hi):
         c1, c2 = np.reshape(frame.lower_bound, -1), np.reshape(frame.upper_bound, -1)
@@ -323,15 +320,19 @@ def _frame_operators(vectors: np.ndarray) -> np.ndarray:
     return s
 
 
-def _bounds(vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """lambda_min(S) and lambda_max(S) of a frame or of each frame in a stack, from one eigh."""
-    w = np.linalg.eigh(_frame_operators(vectors))[0]
-    return w[..., 0].copy(), w[..., -1].copy()
-
-
-def _parseval_vectors(vectors: np.ndarray) -> np.ndarray:
-    """S^(-1/2) f_n for a frame or for each frame in a stack."""
+def _decomposed(vectors: np.ndarray) -> tuple:
+    """The eigh (w, v) of S of a frame or of each frame in a stack, and the bounds
+    lambda_min(S) and lambda_max(S) that its eigenvalues give."""
     w, v = np.linalg.eigh(_frame_operators(vectors))
+    return (w, v), w[..., 0].copy(), w[..., -1].copy()
+
+
+def _parseval_vectors(vectors: np.ndarray, eigen: tuple | None = None) -> np.ndarray:
+    """S^(-1/2) f_n for a frame or for each frame in a stack.
+
+    `eigen` is the eigh (w, v) of S when the caller has it; else S is decomposed here.
+    """
+    w, v = _decomposed(vectors)[0] if eigen is None else eigen
     # nonincreasing order, tie-breaking as argsort does
     order = np.argsort(w, axis=-1)[..., ::-1]
     w = np.take_along_axis(w, order, axis=-1)
@@ -363,23 +364,25 @@ def rescale_lower_bound_one(frame: Frame) -> Frame:
 class TrialGroup:
     """The trials of a FrameEnsemble that share one frame count.
 
-    `seeds` are their trial seeds (ensemble seed + i for trial i) and `raw`
-    stacks their raw trial frames.  The other stacks are made on first read
-    and kept with the group: `onb` is the ONB vectors, and `parseval`,
-    `upper_one` and `lower_one` are the raw frames made Parseval (the inf
-    regime) and rescaled to upper bound 1 (the sup regime) and to lower
-    bound 1.  They are bare (n, dim, count) arrays without bounds, as the
-    sums read nothing else; a reader that needs a Frame gives each stack the
-    bounds its derivation claims, (1, 1) for `onb` and `parseval`,
-    (C1/C2, 1) for `upper_one` and (1, C2/C1) for `lower_one`, with C1 and
-    C2 the raw bounds.
+    `seeds` are their trial seeds (ensemble seed + i for trial i), `raw`
+    stacks their raw trial frames and `eigen` is the eigh (w, v) of each raw
+    frame's operator S, the one its bounds came from.  The other stacks are
+    made on first read and kept with the group: `onb` is the ONB vectors, and
+    `parseval`, `upper_one` and `lower_one` are the raw frames made Parseval
+    (the inf regime) and rescaled to upper bound 1 (the sup regime) and to
+    lower bound 1.  `parseval` applies S^(-1/2) from `eigen`, so a group
+    takes one eigh per raw frame (with `eigen` None, it decomposes S itself).
+    They are bare (n, dim, count) arrays without bounds, as the sums read
+    nothing else; a reader that needs a Frame gives each stack the bounds its
+    derivation claims, (1, 1) for `onb` and `parseval`, (C1/C2, 1) for
+    `upper_one` and (1, C2/C1) for `lower_one`, with C1 and C2 the raw bounds.
     """
 
-    def __init__(self, seeds: range, raw: Frame):
-        self.seeds, self.raw = seeds, raw
+    def __init__(self, seeds: range, raw: Frame, eigen: tuple | None):
+        self.seeds, self.raw, self.eigen = seeds, raw, eigen
 
     onb = cached_property(lambda self: _onb_stack(self.raw.dim, self.seeds))
-    parseval = cached_property(lambda self: _parseval_vectors(self.raw.vectors))
+    parseval = cached_property(lambda self: _parseval_vectors(self.raw.vectors, self.eigen))
     upper_one = cached_property(lambda self: _divided(self.raw, self.raw.upper_bound))
     lower_one = cached_property(lambda self: _divided(self.raw, self.raw.lower_bound))
 
@@ -406,7 +409,7 @@ class FrameEnsemble:
         dim, trials, seed = self.dim, self.trials, self.seed
         for residue in range(min(dim, trials)):
             seeds = range(seed + residue, seed + trials, dim)
-            yield TrialGroup(seeds, _random_frames(dim, dim + residue + 1, TRIAL_CONDITION, seeds))
+            yield TrialGroup(seeds, *_random_frames(dim, dim + residue + 1, TRIAL_CONDITION, seeds))
 
 
 def _phase_fix(q: np.ndarray) -> np.ndarray:
@@ -425,8 +428,7 @@ def _onb_stack(dim: int, seeds) -> np.ndarray:
     """ONB vectors for each seed, shape (len(seeds), dim, dim), from one stacked QR."""
     z = np.empty((len(seeds), dim, dim), dtype=np.complex128)
     for k, seed in enumerate(seeds):
-        rng = np.random.default_rng(seed)
-        z[k] = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        z[k] = _gaussian(np.random.default_rng(seed), (dim, dim))
     q, _ = np.linalg.qr(z)
     return _phase_fix(q)
 
@@ -443,12 +445,17 @@ def random_onb(dim: int, seed: int) -> Frame:
     return make_frame(_onb_stack(dim, [seed])[0])
 
 
-def _random_frames(dim: int, count: int, condition_target: float, seeds) -> Frame:
-    """The frames random_frame(dim, count, condition_target, seed) for each seed, stacked.
+def _random_frames(dim: int, count: int, condition_target: float, seeds) -> tuple:
+    """The frames random_frame(dim, count, condition_target, seed) for each seed, stacked,
+    and the eigh (w, v) of their frame operators that their bounds come from.
 
     Draws each seed's blocks and perturbation and orthonormalizes all blocks
-    in one stacked QR; then each frame that misses the target is blended on
-    its own, with the same attempts and spanning test as random_frame.
+    in one stacked QR, and decomposes the stack's frame operators once; then
+    each frame that misses the target is blended on its own from the Parseval
+    map of that decomposition, with the same attempts and spanning test as
+    random_frame, and its (w, v) is that of its last blend.  At a target of 1
+    the frames are the Parseval ones and (w, v) is None: `_parseval_vectors`
+    then decomposes afresh.
     """
     _check_count("dim", dim)
     _check_count("count", count)
@@ -462,29 +469,29 @@ def _random_frames(dim: int, count: int, condition_target: float, seeds) -> Fram
     for k, seed in enumerate(seeds):
         rng = np.random.default_rng(seed)
         block_seeds[k] = rng.integers(0, 2**62, size=n_bases)
-        g[k] = rng.standard_normal((dim, count)) + 1j * rng.standard_normal((dim, count))
+        g[k] = _gaussian(rng, (dim, count))
     blocks = _onb_stack(dim, block_seeds.ravel()).reshape(len(seeds), n_bases, dim, dim)
     base = blocks.transpose(0, 2, 1, 3).reshape(len(seeds), dim, n_bases * dim)[..., :count]
     raw = base + (0.25 / np.sqrt(dim)) * g
-    lower, upper = _bounds(raw)
+    (w, v), lower, upper = _decomposed(raw)
     _require_spanning(dim, lower, upper, lambda k: f"seed {seeds[k]}")
     if condition_target == 1.0:
-        return Frame.of(_parseval_vectors(raw))
+        return Frame.of(_parseval_vectors(raw, (w, v))), None
     for k in np.flatnonzero(upper / lower > condition_target):
-        parseval = _parseval_vectors(raw[k])
+        parseval = _parseval_vectors(raw[k], (w[k], v[k]))
         for attempt in range(1, 51):
             t = 2.0**-attempt
             candidate = (1.0 - t) * parseval + t * raw[k]
             with np.errstate(divide="ignore", invalid="ignore"):
-                c1, c2 = _bounds(candidate)
+                eigen, c1, c2 = _decomposed(candidate)
                 if _spanning(c1, c2) and c2 / c1 <= condition_target:
                     break
         else:
             raise ValueError(
                 f"could not reach condition target {condition_target} after 50 attempts"
             )
-        raw[k], lower[k], upper[k] = candidate, c1, c2
-    return _sealed(raw, lower, upper)
+        raw[k], lower[k], upper[k], (w[k], v[k]) = candidate, c1, c2, eigen
+    return _sealed(raw, lower, upper), (w, v)
 
 
 def random_frame(dim: int, count: int, condition_target: float, seed: int) -> Frame:
@@ -497,7 +504,7 @@ def random_frame(dim: int, count: int, condition_target: float, seed: int) -> Fr
     case of the batched generator that FrameEnsemble uses.
     """
     _check_seed(seed)
-    return _random_frames(dim, count, condition_target, [seed])[0]
+    return _random_frames(dim, count, condition_target, [seed])[0][0]
 
 
 def union_frame(a: Frame, b) -> Frame:

@@ -1,5 +1,6 @@
 """Dense complex linear algebra: Hermitian eigensystems, singular value
-decompositions, Schatten p-norms and powers of positive matrices.
+decompositions, Schatten p-norms and powers of positive matrices, and the
+seeded complex Gaussian draw that every random input of the package uses.
 
 The SVD is one LAPACK gesdd call (`numpy.linalg.svd`), which is backward
 stable: every singular value is accurate to a modest multiple of eps * s_1,
@@ -159,6 +160,15 @@ def _check_seed(value) -> None:
     """Reject a seed unless it is an integer >= 0 (numpy integers count, bool does not)."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
         raise ValueError(f"seed must be an integer >= 0, got {value!r}")
+
+
+def _gaussian(rng: np.random.Generator, shape) -> np.ndarray:
+    """A complex standard Gaussian array: `rng` draws the real part, then the imaginary part.
+
+    Every seeded complex draw of the package (trial frames and their ONBs,
+    synthesis probes, campaign operators) is this one.
+    """
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
 def inner(x: np.ndarray, y: np.ndarray) -> complex:

@@ -129,7 +129,9 @@ def test_golden_campaign_report(name, tmp_path):
     report records were derived from the result dataclasses (numpy 2.4, OpenBLAS);
     bergman_dim32 was recorded before the subharmonicity stencil was batched.  The
     config echo keys of settings a command does not read were deleted as in
-    test_golden_report."""
+    test_golden_report, and norm_estimate_exact lost `seed` and `trials` when the
+    exact strategy stopped reading them; putting those two keys back gives the
+    file as it was recorded."""
     actual = written_report(REPORT_CASES[name](tmp_path), tmp_path / "out")
     expected = json.loads((DATA / f"{name}.json").read_text())
     assert actual["csv_headers"] == expected["csv_headers"]
@@ -271,8 +273,9 @@ def test_verify_draws_each_trial_seeds_probes_once(monkeypatch):
 def test_verify_certifies_claimed_bounds_without_eigh(monkeypatch):
     """The synthesis checks certify each derived stack at the bounds its
     derivation claims, so verify measures no bounds for them: no `Frame.of`,
-    19 eigh calls (43 when the derived stacks were measured), and one
-    TrialGroup per group, in the one walk of the ensemble."""
+    11 eigh calls (43 when the derived stacks were measured, 19 when each raw
+    stack's Parseval map took a second eigh of S), and one TrialGroup per
+    group, in the one walk of the ensemble."""
     calls = collections.Counter()
 
     def counted(name, fn):
@@ -287,7 +290,7 @@ def test_verify_certifies_claimed_bounds_without_eigh(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
     monkeypatch.setattr(frames, "TrialGroup", counted("groups", frames.TrialGroup))
     assert run_verify_theorems(CampaignConfig(command="verify-theorems")).passed
-    assert calls == {"eigh": 19, "groups": 8}
+    assert calls == {"eigh": 11, "groups": 8}
 
 
 def test_verify_fails_parseval_vectors_one_percent_too_long(monkeypatch):
@@ -295,9 +298,36 @@ def test_verify_fails_parseval_vectors_one_percent_too_long(monkeypatch):
     and nothing else: the inf-regime sums over longer frames stay above
     ||T||_p^p, so only the bounds the derivation claims catch them."""
     parseval = frames._parseval_vectors
-    monkeypatch.setattr(frames, "_parseval_vectors", lambda v: 1.01 * parseval(v))
+    monkeypatch.setattr(frames, "_parseval_vectors", lambda *args: 1.01 * parseval(*args))
     report = run_verify_theorems(CampaignConfig(command="verify-theorems"))
     assert [rec["tag"] for rec in report.records if not rec["passed"]] == ["synthesis_bounds"]
+
+
+def test_enclosure_margins_are_the_comparisons_least(monkeypatch):
+    """Each p's enclosure record takes the least of the one-sided margins that
+    the groups' DoubleSumComparisons carry, and judges nothing itself."""
+    comparisons, compare = [], criteria.double_sum_comparison
+
+    def recorded(*args):
+        comparisons.append(compare(*args))
+        return comparisons[-1]
+
+    def forbidden(*args):
+        raise AssertionError("verify judges no enclosure itself")
+
+    monkeypatch.setattr(criteria, "double_sum_comparison", recorded)
+    monkeypatch.setattr(campaigns, "_verdict", forbidden)
+    config = CampaignConfig(command="verify-theorems", dim=3, trials=20, p_grid=(0.5, 2.0, 3.0))
+    report = run_verify_theorems(config)
+    enclosures = [rec for rec in report.records if rec["tag"] == "double_sum_enclosure"]
+    assert len(enclosures) == 3 and len(comparisons) == 3  # one call per group
+    for j, rec in enumerate(enclosures):
+        for side in ("upper", "lower"):
+            margins = [getattr(group[j], f"{side}_margin") for group in comparisons]
+            least = None if margins[0] is None else min(float(np.min(m)) for m in margins)
+            assert rec[f"min_{side}_margin"] == least
+    assert [rec["min_upper_margin"] is None for rec in enclosures] == [True, False, False]
+    assert [rec["min_lower_margin"] is None for rec in enclosures] == [False, False, True]
 
 
 def test_verify_fails_lower_one_vectors_one_percent_short(monkeypatch):

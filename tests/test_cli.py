@@ -430,6 +430,30 @@ class TestNormEstimate:
         rec = read_report(out)["records"][0]
         assert rec["norm"] == pytest.approx(5.0)
 
+    def test_exact_strategy_refuses_the_ensemble_settings(self, tmp_path, capsys):
+        """Only the frame_ensemble strategy reads --seed and --trials: under the
+        exact strategy their flags and config keys are usage errors naming the
+        strategy, and its report echoes neither."""
+        path, out, cfg = tmp_path / "m.json", tmp_path / "r", tmp_path / "cfg.json"
+        write_matrix(path, np.diag([3.0, 4.0]).astype(complex))
+        exact = "norm-estimate --strategy singular_basis_exact"
+        args = ["norm-estimate", str(path), "--p", "2", "--out", str(out)]
+        for key in ("seed", "trials"):
+            assert main([*args, f"--{key}", "5"]) == 2
+            assert capsys.readouterr().err == f"error: {exact} does not read --{key}\n"
+            cfg.write_text(json.dumps({key: 5}))
+            assert main([*args, "--config", str(cfg)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: config file {cfg} has keys ['{key}'] that {exact} ")
+        assert not out.exists()
+        assert main(args) == 0
+        assert read_report(out)["config"] == {"command": "norm-estimate", "output_dir": str(out)}
+        ensemble = [*args, "--strategy", "frame_ensemble", "--seed", "5", "--trials", "3"]
+        assert main(ensemble) == 0
+        assert read_report(out)["config"] == {
+            "command": "norm-estimate", "seed": 5, "trials": 3, "output_dir": str(out)
+        }
+
     def test_exact_strategy_wide_operator(self, tmp_path, capsys):
         # the witness basis must span C^8 although T has only 5 singular vectors
         path = tmp_path / "m.json"

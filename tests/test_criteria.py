@@ -34,7 +34,8 @@ from schattenframes.frames import (
     rescale_upper_bound_one,
     union_frame,
 )
-from schattenframes.linalg import _witness_budget, psd_power, schatten_norm, svd
+from schattenframes.linalg import CERTIFICATE_TOL, _verdict, _witness_budget, psd_power
+from schattenframes.linalg import schatten_norm, svd
 
 E1E1E2 = make_frame([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
@@ -220,6 +221,26 @@ class TestDoubleSumComparison:
         with pytest.raises(ValueError, match="finite"):
             double_sum_comparison(ops, group.raw, 2.0)
 
+    @pytest.mark.parametrize("p", [0.5, 2.0, 3.0])
+    def test_margins_are_the_verdicts_of_each_side(self, p):
+        """Each side's margin is `_verdict`'s margin of the double sum against that
+        one bound, relative to max(1, double sum); a side that does not apply has none."""
+        group = list(FrameEnsemble(4, 10, 40))[1]
+        ops = np.stack(seeded_operators(4, len(group.seeds), 700))
+        comp = double_sum_comparison(ops, group.raw, p)
+        ds, ns = comp.double_sum, comp.norm_sum
+        assert np.all(comp.passed)
+        if p >= 2:
+            upper = _verdict(ds, -np.inf, comp.upper_constant * ns, CERTIFICATE_TOL, ds)[0]
+            assert comp.upper_margin.tobytes() == upper.tobytes()
+        else:
+            assert comp.upper_margin is None
+        if p <= 2:
+            lower = _verdict(ds, comp.lower_constant * ns, np.inf, CERTIFICATE_TOL, ds)[0]
+            assert comp.lower_margin.tobytes() == lower.tobytes()
+        else:
+            assert comp.lower_margin is None
+
     def test_parseval_hs_equality(self):
         for i, t in enumerate(seeded_operators(4, 10, 500)):
             frame = canonical_parseval(random_frame(4, 6, 100.0, 600 + i))
@@ -398,7 +419,7 @@ def assert_walked_vectors(group, names):
         "parseval": canonical_parseval(group.raw),
         "upper_one": rescale_upper_bound_one(group.raw),
     }
-    assert vars(group).keys() - {"seeds", "raw"} == names
+    assert vars(group).keys() - {"seeds", "raw", "eigen"} == names
     for name in names:
         assert vars(group)[name].tobytes() == public[name].vectors.tobytes(), name
 

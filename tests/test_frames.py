@@ -323,7 +323,7 @@ class TestBatchedGenerator:
     )
     def test_matches_one_frame_reference_bitwise(self, dim, count, target):
         seeds = list(range(30))
-        stack = frames._random_frames(dim, count, target, seeds)
+        stack, _ = frames._random_frames(dim, count, target, seeds)
         blended = 0
         for k, seed in enumerate(seeds):
             expected, was_blended = reference_random_frame(dim, count, target, seed)
@@ -337,6 +337,22 @@ class TestBatchedGenerator:
             assert single.bounds == expected.bounds
         if dim > 1 and 1.0 < target <= 5.0:  # every frame in C^1 has condition 1
             assert blended > 0  # the blend loop ran
+
+    @pytest.mark.parametrize("dim,count,target", [(3, 7, 1.2), (8, 13, TRIAL_CONDITION)])
+    def test_group_parseval_takes_the_bounds_eigh(self, monkeypatch, dim, count, target):
+        """A TrialGroup makes its raw frames Parseval from the eigh that gave each
+        frame's bounds (for a blended frame, its last blend's), with no eigh of its
+        own and the bits of decomposing the stack afresh."""
+        seeds = range(30)
+        if target == 1.2:
+            assert any(reference_random_frame(dim, count, target, s)[1] for s in seeds)
+        group = frames.TrialGroup(seeds, *frames._random_frames(dim, count, target, seeds))
+        calls, eigh = [], np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
+        parseval = group.parseval
+        assert calls == []
+        monkeypatch.undo()
+        assert parseval.tobytes() == frames._parseval_vectors(group.raw.vectors).tobytes()
 
 
 class TestUnionFrame:
