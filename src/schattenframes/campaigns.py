@@ -8,8 +8,6 @@ content is identical across runs; only the wall-time field varies.
 from __future__ import annotations
 
 import json
-import math
-import numbers
 import time
 from dataclasses import asdict, dataclass, field
 from functools import partial
@@ -22,7 +20,7 @@ from . import serialization
 from .frames import Frame, FrameEnsemble, _certify_synthesis, certify_synthesis, make_frame
 from .linalg import CERTIFICATE_TOL, CHAIN_STABILITY_TOL, ELEMENTWISE_TOL, IDENTITY_TOL
 from .linalg import ORTHONORMALITY_TOL, SV_TOL, _check_count, _check_p, _check_seed, _verdict
-from .linalg import _gaussian, svd
+from .linalg import _gaussian, _is_real, _positive_float, _pth_root, svd
 
 # the run functions import the modules only their command runs
 if TYPE_CHECKING:
@@ -68,24 +66,6 @@ def _jsonable(obj):
     if isinstance(obj, np.ndarray):
         return [_jsonable(v) for v in obj.tolist()]
     return obj
-
-
-def _is_real(value) -> bool:
-    """True for int and float values (numpy scalars included), False for bool."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
-def _positive_float(value) -> float | None:
-    """`value` as a float if it is a real number whose float is finite and positive, else None.
-
-    The float is judged, not `value`: an int past the float range compares below inf
-    but has no float.
-    """
-    try:
-        v = float(value) if _is_real(value) else math.nan
-    except OverflowError:
-        return None
-    return v if 0 < v < math.inf else None
 
 
 @dataclass
@@ -516,12 +496,7 @@ def run_norm_estimate(matrix_file, p: float, strategy: str, config: CampaignConf
     # one decomposition gives the norm, the witness and the certificate
     job = criteria._norm_job(serialization.read_matrix(matrix_file), p)
     norm_pth_power = float(criteria._power_sums("norms", job.spectrum, p))
-    try:
-        norm = norm_pth_power ** (1.0 / p)
-    except OverflowError:
-        raise ValueError(
-            f"||T||_p^p = {norm_pth_power!r} at p = {p} has no representable p-th root"
-        ) from None
+    norm = _pth_root(norm_pth_power, p)
     record = dict(
         tag="norm_estimate", strategy=strategy, p=p, norm=norm, norm_pth_power=norm_pth_power
     )

@@ -30,7 +30,7 @@ import numpy as np
 
 from .frames import Frame, FrameEnsemble, _one_frame, _per_frame
 from .linalg import CERTIFICATE_TOL, IDENTITY_TOL, _as_square, _check_p, _exponents, _is_hermitian
-from .linalg import _is_psd, _psd_eigenvalues, _verdict, _witness_budget, as_matrix
+from .linalg import _checked_sums, _is_psd, _psd_eigenvalues, _verdict, _witness_budget, as_matrix
 from .linalg import hermitian_eigen, schatten_norm, svd
 
 __all__ = [
@@ -127,11 +127,7 @@ def _power_sums(kind: str, terms, p: float) -> np.ndarray:
             powers = np.sum(plain**p, axis=-2) if kind == "weighted_double" else plain**p
             exponent = 2.0 * (1.0 - p) if kind == "weighted_diag" else 2.0 - p
             sums = np.sum(np.where(lengths > 0.0, lengths**exponent * powers, 0.0), axis=-1)
-    if not np.isfinite(sums).all():
-        raise ValueError(
-            f"a p-th power sum overflows at p = {p}: its largest term is {float(np.max(plain))}"
-        )
-    return sums
+    return _checked_sums(sums, p, plain)
 
 
 def _sums(kind: str, t: np.ndarray, v: np.ndarray, p: float) -> np.ndarray:

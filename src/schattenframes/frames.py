@@ -132,7 +132,8 @@ def _one_frame(frame: Frame) -> Frame:
 def _coerce_vectors(vectors) -> np.ndarray:
     """Stack input vectors as columns of a (dim, count) complex matrix.
 
-    An array must be that matrix already; any other shape is rejected by name.
+    An array must be that matrix already; any other shape, or an input that holds no
+    vectors (a number, None), is rejected by name.
     """
     if isinstance(vectors, Frame):
         return _one_frame(vectors).vectors
@@ -140,6 +141,8 @@ def _coerce_vectors(vectors) -> np.ndarray:
         if vectors.ndim != 2:
             raise ValueError(f"expected vectors of shape (dim, count), got shape {vectors.shape}")
         return vectors
+    if not np.iterable(vectors):
+        raise ValueError(f"expected a (dim, count) array or a sequence of vectors, got {vectors!r}")
     cols = [np.asarray(v, dtype=np.complex128).reshape(-1) for v in vectors]
     if not cols:
         raise ValueError("a frame needs at least one vector")

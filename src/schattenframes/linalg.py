@@ -15,6 +15,8 @@ read-only arrays and are safe to share between threads.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -133,9 +135,28 @@ def _as_square(a) -> np.ndarray:
     return m
 
 
+def _is_real(value) -> bool:
+    """True for int and float values (numpy scalars included), False for bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _positive_float(value) -> float | None:
+    """`value` as a float if it is a real number whose float is finite and positive, else None.
+
+    The float is judged, not `value`: an int past the float range compares below inf
+    but has no float.
+    """
+    try:
+        v = float(value) if _is_real(value) else math.nan
+    except OverflowError:
+        return None
+    return v if 0 < v < math.inf else None
+
+
 def _check_p(p: float) -> None:
-    """Reject an exponent outside 0 < p < inf (nan included)."""
-    if not 0 < p < np.inf:
+    """Reject an exponent that `_positive_float` refuses: p <= 0, nan, inf, a bool, a str,
+    or an int past the float range."""
+    if _positive_float(p) is None:
         raise ValueError(f"p must be finite and positive, got {p}")
 
 
@@ -271,11 +292,36 @@ def svd(t) -> SpectralData:
     )
 
 
+def _checked_sums(sums, p: float, terms):
+    """`sums`, the p-th power sums of `terms`, checked: one past the double range is a
+    ValueError naming p and the largest term."""
+    if not np.isfinite(sums).all():
+        raise ValueError(
+            f"a p-th power sum overflows at p = {p}: its largest term is {float(np.max(terms))}"
+        )
+    return sums
+
+
+def _pth_root(total: float, p: float) -> float:
+    """total^(1/p) for the p-th power sum `total`; a root past the double range is a
+    ValueError naming p."""
+    with np.errstate(over="ignore"):
+        root = float(np.float64(total) ** (1.0 / p))
+    if not math.isfinite(root):
+        raise ValueError(f"||T||_p^p = {total!r} at p = {p} has no representable p-th root")
+    return root
+
+
 def schatten_norm(t, p: float) -> float:
-    """Schatten p-norm (sum of p-th powers of singular values)^(1/p), p > 0."""
+    """Schatten p-norm (sum of p-th powers of singular values)^(1/p), p > 0.
+
+    A power sum or root past the double range is a ValueError naming p.
+    """
     _check_p(p)
     s = svd(t).singular_values
-    return float(np.sum(s**p) ** (1.0 / p))
+    with np.errstate(over="ignore"):
+        total = np.sum(s**p)
+    return _pth_root(float(_checked_sums(total, p, s)), p)
 
 
 def psd_power(s, p: float) -> np.ndarray:

@@ -60,11 +60,16 @@ class TestMakeFrame:
         with pytest.raises(ValueError, match="span"):
             make_frame([[1.0, 0.0]])
 
-    @pytest.mark.parametrize("shape", [(8, 2, 1), (3, 2, 4), (4,)])
+    @pytest.mark.parametrize("shape", [(8, 2, 1), (3, 2, 4), (4,), 3.0, None])
     def test_rejects_array_that_is_not_2d(self, shape, rng):
-        # read as a sequence, (8, 2, 1) would be 8 vectors in C^2 and (3, 2, 4) 3 in C^8
-        with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
-            make_frame(rng.standard_normal(shape))
+        # read as a sequence, (8, 2, 1) would be 8 vectors in C^2 and (3, 2, 4) 3 in C^8;
+        # a number or None, in place of a shape, is the input itself, which holds no vectors
+        if isinstance(shape, tuple):
+            vectors, named = rng.standard_normal(shape), f"got shape {shape}"
+        else:
+            vectors, named = shape, f"got {shape!r}"
+        with pytest.raises(ValueError, match=re.escape(named)):
+            make_frame(vectors)
 
     def test_operator_matches_gram_accumulation(self, rng):
         vecs = rng.standard_normal((4, 9)) + 1j * rng.standard_normal((4, 9))

@@ -1,5 +1,6 @@
 """Spectral kernel tests: eigensystems, SVD, Schatten norms, PSD powers."""
 
+import re
 import warnings
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import seeded_operators, seeded_psds
+from schattenframes.campaigns import random_operator
 from schattenframes.linalg import (
     STRUCTURAL_TOL,
     _is_hermitian,
@@ -227,6 +229,24 @@ class TestSchattenNorm:
     def test_rejects_nonfinite_p(self, p):
         with pytest.raises(ValueError, match="p must be"):
             schatten_norm(np.eye(2), p)
+
+    @pytest.mark.parametrize("p", ["2", True, 10**400], ids=["str", "bool", "int-past-float"])
+    def test_rejects_p_without_a_finite_positive_float(self, p):
+        # a str is no number, True no exponent, and 10**400 has no float
+        with pytest.raises(ValueError, match=re.escape(f"p must be finite and positive, got {p}")):
+            schatten_norm(np.eye(2), p)
+
+    @pytest.mark.parametrize(
+        "scale,p,named",
+        [
+            (4.0, 1000, "a p-th power sum overflows at p = 1000"),
+            (1.0, 1e-9, "at p = 1e-09 has no representable p-th root"),
+        ],
+        ids=["sum", "root"],
+    )
+    def test_past_the_double_range_names_p(self, scale, p, named):
+        with pytest.raises(ValueError, match=re.escape(named)):
+            schatten_norm(scale * random_operator(3, 1), p)
 
     def test_zero_iff_zero(self, rng):
         assert schatten_norm(np.zeros((3, 3)), 1.5) == 0.0
