@@ -47,10 +47,10 @@ for p in (0.5, 1.0, 2.0, 3.0):
 # Separated lattices: normalized kernels at the points form a frame for the
 # truncation, and the lattice sum is controlled by the kernel integral.
 lattice = r_lattice(0.4, 0.95)
-frame, report = sampling_frame(lattice, 6)
+frame = sampling_frame(lattice, 6)
 print(f"\nlattice with separation 0.4 inside |w| <= 0.95: {lattice.points.size} points")
-print(f"  sampling frame at degree 6: bounds ({report.lower_bound:.4f},"
-      f" {report.upper_bound:.4f}), condition {report.condition:.2f}")
+print(f"  sampling frame at degree 6: bounds ({frame.lower_bound:.4f},"
+      f" {frame.upper_bound:.4f}), condition {frame.condition:.2f}")
 quad = disk_quadrature(64, 64, 0.995)
 for p in (1.0, 2.0):
     chain = sampling_comparison(g, p, quad, lattice)

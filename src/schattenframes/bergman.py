@@ -17,12 +17,11 @@ import numpy as np
 
 from .frames import Frame, make_frame
 from .linalg import ELEMENTWISE_TOL, IDENTITY_TOL, STENCIL_TOL, _as_square, _check_count
-from .linalg import _BLOCK_ENTRIES, _check_p, _exponents, _verdict, as_matrix
+from .linalg import _BLOCK_ENTRIES, _check_p, _checked_sums, _exponents, _verdict, as_matrix
 
 __all__ = [
     "DiskQuadrature",
     "SamplingLattice",
-    "SamplingFrameReport",
     "HSIdentityReport",
     "SamplingChainReport",
     "SubharmonicityReport",
@@ -207,18 +206,8 @@ def r_lattice(separation: float, rmax: float) -> SamplingLattice:
     return SamplingLattice(points=pts, separation=separation, measured_separation=measured)
 
 
-@dataclass(frozen=True)
-class SamplingFrameReport:
-    degree: int
-    count: int
-    separation: float
-    lower_bound: float
-    upper_bound: float
-    condition: float
-
-
-def sampling_frame(lattice: SamplingLattice, d: int) -> tuple[Frame, SamplingFrameReport]:
-    """Frame of normalized kernels at the lattice points, with bounds report.
+def sampling_frame(lattice: SamplingLattice, d: int) -> Frame:
+    """Frame of normalized kernels at the lattice points, in C^d.
 
     Fails with diagnostics when the lattice is too sparse to span degree d.
     """
@@ -227,14 +216,12 @@ def sampling_frame(lattice: SamplingLattice, d: int) -> tuple[Frame, SamplingFra
         raise ValueError("lattice is empty")
     coeffs = _coefficient_matrix(lattice.points, d, normalized=True)
     try:
-        frame = make_frame(coeffs.T)
+        return make_frame(coeffs.T)
     except ValueError as exc:
         raise ValueError(
             f"lattice too sparse for degree {d} "
             f"({lattice.points.size} points, separation {lattice.separation}): {exc}"
         ) from exc
-    bounds = (frame.lower_bound, frame.upper_bound, frame.condition)
-    return frame, SamplingFrameReport(d, frame.count, lattice.separation, *bounds)
 
 
 @dataclass(frozen=True, eq=False)
@@ -307,11 +294,14 @@ def integral_criterion(t, p: float, quad: DiskQuadrature) -> float:
     membership for 0 < p <= 2 and follows from it for p >= 2; at fixed
     rmax < 1 the value is a truncated surrogate (see `sampling_comparison`
     for the lattice-sum side of the chain).  Kernels go in blocks of nodes.
+    A value past the double range is a ValueError naming p.
     """
     t = _as_square(t)
     _check_p(p)
     norms = _kernel_norms(quad.nodes, [(t, None)])[0]
-    return float(np.sum(quad.weights_dlambda * norms**p))
+    with np.errstate(over="ignore"):
+        integral = np.sum(quad.weights_dlambda * norms**p)
+    return float(_checked_sums(integral, p, norms))
 
 
 @dataclass(frozen=True)
@@ -327,24 +317,30 @@ class SamplingChainReport:
 
 
 def sampling_comparison(
-    t, p: float, quad: DiskQuadrature, lattice
-) -> SamplingChainReport | list[SamplingChainReport]:
+    t, p: float, quad: DiskQuadrature, lattice: SamplingLattice
+) -> SamplingChainReport:
     """Compare the lattice sum of ||T k_w||^p against the dlambda integral.
 
     Separated lattices control the sum by a constant multiple of the
     integral (the metric balls around lattice points are disjoint); the
     constant is not explicit, so it is measured and reported.  Only lattice
-    points inside the quadrature radius enter the sum.  `lattice` may be a
-    sequence of lattices, giving one report per lattice from one integral;
-    kernels go in blocks of points, as in `integral_criterion`.
+    points inside the quadrature radius enter the sum; kernels go in blocks
+    of points, as in `integral_criterion`.  A sum past the double range is a
+    ValueError naming p.
     """
+    return _sampling_comparisons(t, p, quad, [lattice])[0]
+
+
+def _sampling_comparisons(t, p: float, quad: DiskQuadrature, lattices) -> list:
+    """The `sampling_comparison` of each lattice, all from one integral."""
     t = as_matrix(t)
     integral = integral_criterion(t, p, quad)  # also validates p and the shape of t
-    many = not isinstance(lattice, SamplingLattice)
     reports = []
-    for lat in lattice if many else [lattice]:
+    for lat in lattices:
         inside = lat.points[np.abs(lat.points) <= quad.rmax]
-        lattice_sum = float(np.sum(_kernel_norms(inside, [(t, None)])[0] ** p))
+        norms = _kernel_norms(inside, [(t, None)])[0]
+        with np.errstate(over="ignore"):
+            lattice_sum = float(_checked_sums(np.sum(norms**p), p, norms))
         reports.append(
             SamplingChainReport(
                 separation=lat.separation,
@@ -355,7 +351,7 @@ def sampling_comparison(
                 constant=lattice_sum / integral if integral > 0 else float("inf"),
             )
         )
-    return reports if many else reports[0]
+    return reports
 
 
 @dataclass(frozen=True)
@@ -428,8 +424,8 @@ class SubharmonicityReport:
 
 
 def subharmonicity_check(
-    t, p, grid_step: float = 0.01, rmax: float = 0.9
-) -> SubharmonicityReport | list:
+    t, p: float, grid_step: float = 0.01, rmax: float = 0.9
+) -> SubharmonicityReport:
     """Verify that w -> ||T K_w||^p has a nonnegative discrete Laplacian.
 
     The function is subharmonic for every p > 0 (it is the p-th power of the
@@ -437,16 +433,19 @@ def subharmonicity_check(
     stencil minimum should only dip below zero by the discretization budget
     tol = STENCIL_TOL (1 + max F)(1 + 1/grid_step^2), STENCIL_TOL = 1e-6.  A p
     at which F or its stencil overflows on the grid is rejected.
-
-    `t` may be a stack (n, d, d) and `p` a sequence; reports[k][j] is then
-    the one-operator report of operator k at p[j], bit for bit, and a single
-    operator or p drops its list level.  The grid is built once, the kernels
-    once per block of grid points for all operators, and ||T K_w|| once per
-    operator; only the power and stencil run per p.
     """
-    stacked = np.ndim(t) == 3
-    ops = [_as_square(op) for op in (t if stacked else [t])]
-    ps, many_p = _exponents(p)
+    return _subharmonicity([t], [p], grid_step, rmax)[0][0]
+
+
+def _subharmonicity(ts, ps, grid_step: float, rmax: float) -> list:
+    """reports[k][j], the `subharmonicity_check` of operator ts[k] at ps[j].
+
+    The grid is built once, the kernels once per block of grid points for
+    all operators, and ||T K_w|| once per operator; only the power and
+    stencil run per p.
+    """
+    ops = [_as_square(op) for op in ts]
+    _exponents(ps)
     if not 0 < rmax < 1:
         raise ValueError(f"rmax must lie in (0, 1), got {rmax}")
     if not 0 < grid_step <= rmax:
@@ -483,5 +482,5 @@ def subharmonicity_check(
             row.append(
                 SubharmonicityReport(least, location, tol, max_f, grid_step, rmax, least >= -tol)
             )
-        reports.append(row if many_p else row[0])
-    return reports if stacked else reports[0]
+        reports.append(row)
+    return reports

@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import serialization
-from .frames import Frame, FrameEnsemble, _certify_synthesis, certify_synthesis, make_frame
+from .frames import FrameEnsemble, _certify_synthesis, _Stack, certify_synthesis, make_frame
 from .linalg import CERTIFICATE_TOL, CHAIN_STABILITY_TOL, ELEMENTWISE_TOL, IDENTITY_TOL
 from .linalg import ORTHONORMALITY_TOL, SV_TOL, _check_count, _check_p, _check_seed, _verdict
 from .linalg import _gaussian, _is_real, _positive_float, _pth_root, svd
@@ -227,16 +227,16 @@ def run_verify_theorems(config: CampaignConfig) -> CampaignReport:
         # holds would raise the peak RSS
         raw, ones = group.raw, np.ones(len(group.seeds))
         variants = [
-            Frame(group.onb, ones, ones),
+            _Stack(group.onb, ones, ones),
             raw,
-            Frame(group.parseval, ones, ones),
-            Frame(group.upper_one, raw.lower_bound / raw.upper_bound, ones),
-            Frame(group.lower_one, ones, raw.upper_bound / raw.lower_bound),
+            _Stack(group.parseval, ones, ones),
+            _Stack(group.upper_one, raw.lower_bound / raw.upper_bound, ones),
+            _Stack(group.lower_one, ones, raw.upper_bound / raw.lower_bound),
         ]
         synthesis.extend(_certify_synthesis(variants, group.seeds))
         # trial i's raw frame, of trial seed s = seed + i, is paired with operator seed + 1000 + i
         ops = np.stack([random_operator(dim, s + 1000) for s in group.seeds])
-        enclosures.append(criteria.double_sum_comparison(ops, raw, config.p_grid))
+        enclosures.append(criteria._comparisons(ops, raw, config.p_grid))
         for tag, op in endpoints.items():
             endpoint_sums[tag].append(criteria._endpoint_sums(op, raw))
 
@@ -430,8 +430,8 @@ def run_bergman(config: CampaignConfig) -> CampaignReport:
             records.append({**head, **asdict(rep)})
 
     sub_seeds = [config.seed + 500 + i for i in range(min(5, config.trials))]
-    sub_ts = np.stack([random_operator(degree, seed) for seed in sub_seeds])
-    sub_reports = bergman.subharmonicity_check(sub_ts, sub_ps, grid_step=0.02, rmax=0.9)
+    sub_ts = [random_operator(degree, seed) for seed in sub_seeds]
+    sub_reports = bergman._subharmonicity(sub_ts, sub_ps, grid_step=0.02, rmax=0.9)
     for seed, reports in zip(sub_seeds, sub_reports):
         for p, rep in zip(sub_ps, reports):
             records.append(
@@ -456,12 +456,12 @@ def run_bergman(config: CampaignConfig) -> CampaignReport:
     quad_fine = bergman.disk_quadrature(64, max(128, 4 * degree), config.rmax)
     t_probe = random_operator(degree, config.seed + 999)
     lattices = [bergman.r_lattice(separation, 0.95) for separation in (0.3, 0.5)]
-    chains_c = bergman.sampling_comparison(t_probe, 2.0, quad_coarse, lattices)
-    chains_f = bergman.sampling_comparison(t_probe, 2.0, quad_fine, lattices)
+    chains_c = bergman._sampling_comparisons(t_probe, 2.0, quad_coarse, lattices)
+    chains_f = bergman._sampling_comparisons(t_probe, 2.0, quad_fine, lattices)
     for lattice, chain_c, chain_f in zip(lattices, chains_c, chains_f):
         separation = lattice.separation
         exports[f"lattice_sep{separation}.csv"] = partial(write_nodes, points=lattice.points)
-        frame, frame_rep = bergman.sampling_frame(lattice, degree)
+        frame = bergman.sampling_frame(lattice, degree)
         cert = certify_synthesis(frame, seed=config.seed)
         stability = abs(chain_c.constant - chain_f.constant) / max(1e-300, chain_f.constant)
         records.append(
@@ -471,9 +471,9 @@ def run_bergman(config: CampaignConfig) -> CampaignReport:
                 "measured_separation": lattice.measured_separation,
                 "points": int(lattice.points.size),
                 "degree": degree,
-                "lower_bound": frame_rep.lower_bound,
-                "upper_bound": frame_rep.upper_bound,
-                "condition": frame_rep.condition,
+                "lower_bound": frame.lower_bound,
+                "upper_bound": frame.upper_bound,
+                "condition": frame.condition,
                 "chain_constant": chain_f.constant,
                 "chain_stability": stability,
                 "passed": lattice.measured_separation >= separation
@@ -494,7 +494,7 @@ def run_norm_estimate(matrix_file, p: float, strategy: str, config: CampaignConf
     if strategy not in ("singular_basis_exact", "frame_ensemble"):
         raise ValueError(f"unknown strategy {strategy!r}")
     # one decomposition gives the norm, the witness and the certificate
-    job = criteria._norm_job(serialization.read_matrix(matrix_file), p)
+    job = criteria._norm_job(serialization.read_matrix(matrix_file), [p])
     norm_pth_power = float(criteria._power_sums("norms", job.spectrum, p))
     norm = _pth_root(norm_pth_power, p)
     record = dict(

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frames import Frame, FrameEnsemble, _one_frame, _per_frame
+from .frames import Frame, FrameEnsemble, _frame_operators, _sole, _Stack, _stack_of
 from .linalg import CERTIFICATE_TOL, IDENTITY_TOL, _as_square, _check_p, _exponents, _is_hermitian
 from .linalg import _checked_sums, _is_psd, _psd_eigenvalues, _verdict, _witness_budget, as_matrix
 from .linalg import hermitian_eigen, schatten_norm, svd
@@ -82,9 +82,13 @@ class CertificateReport:
     passed: bool
 
 
-def _check_dims(t: np.ndarray, frame: Frame) -> None:
-    if t.shape[-1] != _one_frame(frame).dim:
+def _checked(t, frame: Frame, p: float) -> np.ndarray:
+    """`as_matrix(t)`, rejected unless it acts on the frame's C^dim and p is valid."""
+    t = as_matrix(t)
+    _check_p(p)
+    if t.shape[-1] != frame.dim:
         raise ValueError(f"operator acts on C^{t.shape[-1]}, frame lives in C^{frame.dim}")
+    return t
 
 
 # Sum kernels: frame vectors (dim, count) or a stack (n, dim, count), with T one
@@ -136,10 +140,7 @@ def _sums(kind: str, t: np.ndarray, v: np.ndarray, p: float) -> np.ndarray:
 
 
 def _frame_sum(kind: str, t, frame: Frame, p: float) -> float:
-    t = as_matrix(t)
-    _check_p(p)
-    _check_dims(t, frame)
-    return float(_sums(kind, t, frame.vectors, p))
+    return float(_sums(kind, _checked(t, frame, p), frame.vectors, p))
 
 
 def sum_norms(t, frame: Frame, p: float) -> float:
@@ -165,9 +166,7 @@ def weighted_sum(kind: str, t, frame: Frame, p: float) -> float:
     """
     if kind not in WEIGHTED_KINDS:
         raise ValueError(f"unknown weighted kind {kind!r}, expected one of {WEIGHTED_KINDS}")
-    t = as_matrix(t)
-    _check_p(p)
-    _check_dims(t, frame)
+    t = _checked(t, frame, p)
     lo, hi = _WEIGHTED_RANGE[kind]
     if not (lo < p <= hi):
         raise ValueError(f"{kind} is defined for {lo} < p <= {hi}, got p = {p}")
@@ -198,32 +197,29 @@ class DoubleSumComparison:
     passed: bool
 
 
-def double_sum_comparison(t, frame: Frame, p) -> DoubleSumComparison | list[DoubleSumComparison]:
-    """Check the two-sided comparison between double and norm sums.
+def double_sum_comparison(t, frame: Frame, p: float) -> DoubleSumComparison:
+    """Check the two-sided comparison between double and norm sums of a square T.
 
-    `t` is one (dim, dim) operator, or for a stack of n frames also a stack
-    of one operator per frame, (n, dim, dim); for a stack the sums,
-    constants, margins and verdicts are arrays over it.  `p` may be a
-    sequence: the result is then one comparison per exponent, comparison j
-    equal to the call at p[j], and the pairings are taken once for the whole
-    grid.  The verdict allows CERTIFICATE_TOL relative to the larger sum;
-    each margin is `_verdict`'s margin of its one side.
+    The verdict allows CERTIFICATE_TOL relative to the larger sum; each
+    margin is `_verdict`'s margin of its one side.
     """
-    t = np.ascontiguousarray(t, dtype=np.complex128)
-    square = (frame.dim, frame.dim)
-    if t.shape not in (square, frame.vectors.shape[:-2] + square) or not np.isfinite(t).all():
-        raise ValueError(
-            f"expected a finite operator of shape {square}, or one per frame of the stack,"
-            f" for frames of shape {frame.vectors.shape}; got shape {t.shape}"
-        )
-    ps, many = _exponents(p)
-    terms = {kind: _terms(kind, t, frame.vectors) for kind in ("double", "norms")}
+    t = _checked(_as_square(t), frame, p)
+    return _sole(_comparisons(t, _stack_of(frame), [p])[0])
+
+
+def _comparisons(ops: np.ndarray, stack: _Stack, ps) -> list:
+    """The double-sum comparison of ops[k] over member k of the stack at each ps[j].
+
+    `ops` is one (dim, dim) operator for every member or n of them stacked,
+    (n, dim, dim); comparison j holds one entry per member in each field but
+    `p`.  The pairings are taken once for the whole grid.
+    """
+    terms = {kind: _terms(kind, ops, stack.vectors) for kind in ("double", "norms")}
     comparisons = []
     for q in ps:
         lhs, rhs = (_power_sums(kind, kind_terms, q) for kind, kind_terms in terms.items())
-        # np.power, not float **, so that one frame gets the bits of a stack member
-        upper = _per_frame(np.power(frame.upper_bound, q / 2.0)) if q >= 2 else None
-        lower = _per_frame(np.power(frame.lower_bound, q / 2.0)) if q <= 2 else None
+        upper = np.power(stack.upper_bound, q / 2.0) if q >= 2 else None
+        lower = np.power(stack.lower_bound, q / 2.0) if q <= 2 else None
         lo = -np.inf if lower is None else lower * rhs
         # C2^(p/2) times the norm sum may pass the double range; its +inf is the
         # correctly rounded bound, so the check holds as in exact arithmetic
@@ -236,23 +232,22 @@ def double_sum_comparison(t, frame: Frame, p) -> DoubleSumComparison | list[Doub
         comparisons.append(
             DoubleSumComparison(
                 p=q,
-                double_sum=_per_frame(lhs),
-                norm_sum=_per_frame(rhs),
+                double_sum=lhs,
+                norm_sum=rhs,
                 upper_constant=upper,
                 lower_constant=lower,
-                upper_margin=None if upper is None else _per_frame(above),
-                lower_margin=None if lower is None else _per_frame(below),
-                passed=_per_frame(ok),
+                upper_margin=None if upper is None else above,
+                lower_margin=None if lower is None else below,
+                passed=ok,
             )
         )
-    return comparisons if many else comparisons[0]
+    return comparisons
 
 
 #: One certificate over a p-grid, checked but not yet sampled: the sum of `kind`
 #: of T = `t` at each ps[j], in the inf regime where inf[j], against ||T||_p^p =
-#: sum spectrum^p, with the sum at `basis` as the witness (None: no witness);
-#: `many` says whether p was a sequence.
-_Job = namedtuple("_Job", "kind t ps many inf spectrum basis")
+#: sum spectrum^p, with the sum at `basis` as the witness (None: no witness).
+_Job = namedtuple("_Job", "kind t ps inf spectrum basis")
 
 
 def _certify(ensemble: FrameEnsemble, jobs, visit=None) -> list:
@@ -330,25 +325,22 @@ def _reports(job: _Job, extremes: np.ndarray, trials: int) -> list:
     return reports
 
 
-def _certified(job: _Job, trials: int, seed: int):
-    """The reports of one job, sampled over FrameEnsemble(dim, trials, seed)."""
-    reports = _certify(FrameEnsemble(job.t.shape[1], trials, seed), [job])[0]
-    return reports if job.many else reports[0]
+def _certified(job: _Job, trials: int, seed: int) -> CertificateReport:
+    """The report of a job at one p, sampled over FrameEnsemble(dim, trials, seed)."""
+    return _certify(FrameEnsemble(job.t.shape[1], trials, seed), [job])[0][0]
 
 
-def _norm_job(t, p) -> _Job:
+def _norm_job(t, ps) -> _Job:
     """The norm-sum job of T: one SVD gives the spectrum and, as the witness
     basis, `right_basis`, which spans C^cols also when T is wide."""
     t = as_matrix(t)
-    ps, many = _exponents(p)
+    _exponents(ps)
     decomposition = svd(t)
     s, basis = decomposition.singular_values, decomposition.right_basis
-    return _Job("norms", t, ps, many, [q < 2 for q in ps], s, basis)
+    return _Job("norms", t, ps, [q < 2 for q in ps], s, basis)
 
 
-def certify_norm_formula(
-    t, p, trials: int = 200, seed: int = 0
-) -> CertificateReport | list[CertificateReport]:
+def certify_norm_formula(t, p: float, trials: int = 200, seed: int = 0) -> CertificateReport:
     """Certify the norm-sum formula for ||T||_p^p.
 
     p >= 2 engages the sup regime over frames with upper bound <= 1, p < 2
@@ -358,17 +350,13 @@ def certify_norm_formula(
     right-singular-vector basis is the exact witness: there ||T e_n|| is the
     n-th singular value, so the sum equals ||T||_p^p in finite dimension.
     For a wide T the basis is completed by kernel vectors to span C^cols.
-
-    `p` may be a sequence: the result is then one report per exponent,
-    report j equal to the call at p[j], and the SVD, each sampled stack and
-    its norms ||T f_n|| are taken once for the whole grid.
     """
-    return _certified(_norm_job(t, p), trials, seed)
+    return _certified(_norm_job(t, [p]), trials, seed)
 
 
-def _diag_job(t, p, direction: str | None = None) -> _Job:
+def _diag_job(t, ps, direction: str | None = None) -> _Job:
     t = as_matrix(t)
-    ps, many = _exponents(p)
+    _exponents(ps)
     eigvals, eigvecs = hermitian_eigen(t)
     if direction not in (None, "sup_below", "inf_above"):
         raise ValueError(f"direction must be None, 'sup_below' or 'inf_above', got {direction!r}")
@@ -381,12 +369,12 @@ def _diag_job(t, p, direction: str | None = None) -> _Job:
             raise ValueError(f"the inf-regime diagonal formula needs 0 < p <= 1, got p = {q}")
     if any(inf):
         _is_psd(eigvals, "the inf-regime diagonal formula")
-    return _Job("diag", t, ps, many, inf, np.abs(eigvals), eigvecs)
+    return _Job("diag", t, ps, inf, np.abs(eigvals), eigvecs)
 
 
 def certify_diag_formula(
-    t, p, trials: int = 200, seed: int = 0, direction: str | None = None
-) -> CertificateReport | list[CertificateReport]:
+    t, p: float, trials: int = 200, seed: int = 0, direction: str | None = None
+) -> CertificateReport:
     """Certify the diagonal-sum formula for a self-adjoint operator.
 
     The sup regime (p >= 1, any Hermitian T) samples sum_diag over frames
@@ -394,16 +382,15 @@ def certify_diag_formula(
     plain diagonal sum over Parseval frames and the weighted variant over
     frames with lower bound >= 1, taking the smaller.  The eigenvector basis
     witnesses equality with sum |lambda_n|^p.  Non-Hermitian input is
-    rejected: without self-adjointness the equality fails.  `p` may be a
-    sequence, as in `certify_norm_formula`; without a `direction` each
-    exponent takes its own regime.
+    rejected: without self-adjointness the equality fails.  Without a
+    `direction` the regime follows p and T.
     """
-    return _certified(_diag_job(t, p, direction), trials, seed)
+    return _certified(_diag_job(t, [p], direction), trials, seed)
 
 
-def _double_job(t, p) -> _Job:
+def _double_job(t, ps) -> _Job:
     t = as_matrix(t)
-    ps, many = _exponents(p)
+    _exponents(ps)
     hermitian = _is_hermitian(t)
     inf = [q < 2 for q in ps]
     if not hermitian and any(inf):
@@ -412,12 +399,10 @@ def _double_job(t, p) -> _Job:
             f" got p = {ps[inf.index(True)]}"
         )
     basis = hermitian_eigen(t)[1] if hermitian else None
-    return _Job("double", t, ps, many, inf, svd(t).singular_values, basis)
+    return _Job("double", t, ps, inf, svd(t).singular_values, basis)
 
 
-def certify_double_formula(
-    t, p, trials: int = 200, seed: int = 0
-) -> CertificateReport | list[CertificateReport]:
+def certify_double_formula(t, p: float, trials: int = 200, seed: int = 0) -> CertificateReport:
     """Certify the double-sum formula.
 
     For p >= 2 (any T) the sampled double sums over frames with upper bound
@@ -425,9 +410,8 @@ def certify_double_formula(
     over Parseval frames must stay above.  When T is Hermitian its
     eigenvector basis gives the exact witness sum |lambda_n|^p; for
     non-Hermitian T in the sup regime the extremal value is only recorded.
-    `p` may be a sequence, as in `certify_norm_formula`.
     """
-    return _certified(_double_job(t, p), trials, seed)
+    return _certified(_double_job(t, [p]), trials, seed)
 
 
 @dataclass(frozen=True)
@@ -456,11 +440,12 @@ def endpoint_suites(t, trials: int = 200, seed: int = 0) -> EndpointReport:
     return _endpoint_report(t, sums, trials)
 
 
-def _endpoint_sums(t: np.ndarray, raw: Frame) -> np.ndarray:
+def _endpoint_sums(t: np.ndarray, raw: _Stack) -> np.ndarray:
     """The rows C1, C2, sum_n max(0, Re <T f_n, f_n>), sum_n ||T f_n||^2 and
     trace(T* T S) of a complex (dim, dim) T over a stack of raw frames."""
     diag = np.sum(np.maximum(_diag_values(t, raw.vectors).real, 0.0), axis=-1)
-    via_trace = np.real(np.trace((t.conj().T @ t) @ raw.frame_operator, axis1=-2, axis2=-1))
+    s = _frame_operators(raw.vectors)
+    via_trace = np.real(np.trace((t.conj().T @ t) @ s, axis1=-2, axis2=-1))
     norms = _sums("norms", t, raw.vectors, 2)
     return np.stack([raw.lower_bound, raw.upper_bound, diag, norms, via_trace])
 

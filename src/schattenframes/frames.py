@@ -1,4 +1,4 @@
-"""Finite frames and stacks of frames: frame operators, exact frame bounds,
+"""Finite frames: frame operators, exact frame bounds,
 the synthesis-operator certificate, canonical Parseval rescaling, seeded
 generators for random orthonormal bases and random frames, and the seeded
 trial-frame ensemble that the sampled certificates share, which builds its
@@ -10,14 +10,14 @@ the extreme eigenvalues of the frame operator S = sum_n f_n f_n*.  The
 synthesis operator, sending the k-th coefficient basis vector to f_k, is the
 (dim, count) matrix of the vectors themselves, so A A* = S.
 
-One type, `Frame`, holds one frame or a stack of frames of one shape along a
-leading axis; every operation here works frame by frame on either.
+The public functions take one `Frame`.  The sampled certificates batch their
+work over private `_Stack`s of frames of one shape along a leading axis.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-from dataclasses import dataclass
+from collections import namedtuple
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
 
 import numpy as np
@@ -46,57 +46,44 @@ TRIAL_CONDITION = 100.0
 
 @dataclass(frozen=True, eq=False)
 class Frame:
-    """An ordered frame, or a stack of frames, with its optimal bounds.
+    """An ordered frame with its optimal bounds.
 
-    `vectors` has shape (dim, count), column k being the k-th frame vector,
-    or (n, dim, count) for a stack holding frame k in `vectors[k]`; `frame[k]`
-    is that member as one frame.  Repeated vectors are allowed and meaningful
-    (families keep multiplicity).  The bounds are floats for one frame and
-    read-only length-n arrays for a stack.  Build frames with `Frame.of` or
-    `make_frame`; their arrays are read-only.
+    `vectors` has shape (dim, count), column k being the k-th frame vector.
+    Repeated vectors are allowed and meaningful (families keep multiplicity).
+    Build frames with `Frame.of` or `make_frame`; their vectors are read-only.
     """
 
     vectors: np.ndarray
-    lower_bound: float | np.ndarray
-    upper_bound: float | np.ndarray
+    lower_bound: float
+    upper_bound: float
 
     @classmethod
     def of(cls, vectors) -> Frame:
-        """The frame (dim, count) or stack (n, dim, count) of `vectors`.
+        """The frame of the (dim, count) array `vectors`, its bounds from one eigh.
 
-        The bounds come from one eigh, batched over a stack.  Takes ownership
-        of `vectors`, which is marked read-only.  Fails unless every family
-        spans: lambda_min(S) must exceed SPANNING_TOL * lambda_max(S).
+        Takes ownership of `vectors`, which is marked read-only.  Fails unless
+        the family spans: lambda_min(S) must exceed SPANNING_TOL * lambda_max(S).
         """
         vectors = np.asarray(vectors, dtype=np.complex128)
-        if vectors.ndim not in (2, 3) or 0 in vectors.shape[-2:] or not np.isfinite(vectors).all():
+        if vectors.ndim != 2 or 0 in vectors.shape or not np.isfinite(vectors).all():
             raise ValueError(
-                "expected finite vectors of shape (dim, count) or (n, dim, count),"
-                f" got shape {vectors.shape}"
+                f"expected finite vectors of shape (dim, count), got shape {vectors.shape}"
             )
-        _, lower, upper = _decomposed(vectors)
-        _require_spanning(vectors.shape[-2], lower, upper, "frame {} of the stack".format)
-        return _sealed(vectors, lower, upper)
-
-    def __getitem__(self, k) -> Frame:
-        """Member k of a stack, sharing the stack's arrays."""
-        if self.vectors.ndim != 3:
-            raise ValueError(f"only a stack has members, got a frame of shape {self.vectors.shape}")
-        return Frame(
-            self.vectors[k], _per_frame(self.lower_bound[k]), _per_frame(self.upper_bound[k])
-        )
+        _, lower, upper = _spanning_bounds(vectors)
+        vectors.flags.writeable = False
+        return cls(vectors, float(lower), float(upper))
 
     @property
     def dim(self) -> int:
-        return self.vectors.shape[-2]
+        return self.vectors.shape[0]
 
     @property
     def count(self) -> int:
-        return self.vectors.shape[-1]
+        return self.vectors.shape[1]
 
     @property
     def frame_operator(self) -> np.ndarray:
-        """S = sum_n f_n f_n*, per frame for a stack; computed on read, read-only."""
+        """S = sum_n f_n f_n*, computed on read, read-only."""
         s = _frame_operators(self.vectors)
         s.flags.writeable = False
         return s
@@ -106,27 +93,34 @@ class Frame:
         return (self.lower_bound, self.upper_bound)
 
     @property
-    def condition(self) -> float | np.ndarray:
+    def condition(self) -> float:
         return self.upper_bound / self.lower_bound
 
 
-def _per_frame(values):
-    """Per-frame results in the stack's shape; for one frame (0-d) a plain Python scalar."""
-    return values.item() if np.ndim(values) == 0 else values
+#: n frames of one shape, the batch form the private kernels take: member k has the
+#: vectors vectors[k] of an (n, dim, count) array and the bounds lower_bound[k] and
+#: upper_bound[k] of two length-n arrays.
+_Stack = namedtuple("_Stack", "vectors lower_bound upper_bound")
 
 
-def _sealed(vectors: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> Frame:
-    """The Frame of these arrays and their bounds, marked read-only."""
-    for arr in (vectors, lower, upper):
-        arr.flags.writeable = False
-    return Frame(vectors, _per_frame(lower), _per_frame(upper))
+def _stack_of(frame: Frame) -> _Stack:
+    """`frame` as a stack of one, sharing its vectors."""
+    return _Stack(frame.vectors[None], np.array([frame.lower_bound]), np.array([frame.upper_bound]))
 
 
-def _one_frame(frame: Frame) -> Frame:
-    """`frame` itself, for functions that take one frame and not a stack."""
-    if frame.vectors.ndim != 2:
-        raise ValueError(f"expected one frame, got a stack of shape {frame.vectors.shape}")
-    return frame
+def _sole(batched):
+    """The one-frame result of a kernel's result over a stack of one.
+
+    Each per-frame field of the dataclass `batched`, an array or a tuple over
+    the stack (`failures` included), becomes its one member, an array's as a
+    Python scalar; the other fields are kept.
+    """
+    members = {}
+    for field in fields(batched):
+        value = getattr(batched, field.name)
+        if isinstance(value, (np.ndarray, tuple)):
+            (members[field.name],) = value.tolist() if isinstance(value, np.ndarray) else value
+    return replace(batched, **members)
 
 
 def _coerce_vectors(vectors) -> np.ndarray:
@@ -136,7 +130,7 @@ def _coerce_vectors(vectors) -> np.ndarray:
     vectors (a number, None), is rejected by name.
     """
     if isinstance(vectors, Frame):
-        return _one_frame(vectors).vectors
+        return vectors.vectors
     if isinstance(vectors, np.ndarray):
         if vectors.ndim != 2:
             raise ValueError(f"expected vectors of shape (dim, count), got shape {vectors.shape}")
@@ -157,15 +151,21 @@ def _spanning(lower, upper) -> np.ndarray:
     return lower > SPANNING_TOL * np.maximum(upper, 1e-300)
 
 
-def _require_spanning(dim: int, lower, upper, member) -> None:
-    """Fail naming the first family that does not span; `member(k)` names frame k of a stack."""
+def _spanning_bounds(vectors: np.ndarray, seeds=None) -> tuple:
+    """`_decomposed(vectors)` of a frame or a stack, failing unless every family spans.
+
+    The failure names the first family that does not, by its seed seeds[k]
+    for member k of a stack.
+    """
+    eigen, lower, upper = _decomposed(vectors)
     spans = _spanning(lower, upper)
     if not spans.all():
         k = np.unravel_index(np.argmin(spans), spans.shape)  # () for one frame
         raise ValueError(
-            f"family does not span C^{dim}" + (f" ({member(k[0])})" if k else "")
+            f"family does not span C^{vectors.shape[-2]}" + (f" (seed {seeds[k[0]]})" if k else "")
             + f": lambda_min(S) = {lower[k]:.3e} <= tol {SPANNING_TOL * max(upper[k], 1e-300):.3e}"
         )
+    return eigen, lower, upper
 
 
 def make_frame(vectors) -> Frame:
@@ -188,18 +188,18 @@ class SynthesisCertificate:
     frame inequality.  Valid bounds pass even when not optimal; a claimed C1
     above lambda_min(S) or a C2 below lambda_max(S) fails.  `rank` is the
     numerical rank of A (not injective in general, e.g. for repeated vectors).
-    For a stack of frames the bounds, measurements, `rank` and `passed` are
-    arrays over the stack and `failures` holds one tuple of messages per frame.
+    `failures` holds the messages of the failed checks.  `_certify_synthesis`
+    fills every field but `dim` and `count` with one entry per frame of a stack.
     """
 
     dim: int
     count: int
-    lower_bound: float | np.ndarray
-    upper_bound: float | np.ndarray
-    op_norm_sq: float | np.ndarray
-    analysis_identity_dev: float | np.ndarray
-    rank: int | np.ndarray
-    passed: bool | np.ndarray
+    lower_bound: float
+    upper_bound: float
+    op_norm_sq: float
+    analysis_identity_dev: float
+    rank: int
+    passed: bool
     failures: tuple
 
 
@@ -214,55 +214,42 @@ def _probes(dim: int, seed: int) -> np.ndarray:
     return probes / np.linalg.norm(probes, axis=0)
 
 
-def certify_synthesis(frame: Frame, seed: "int | Sequence[int]" = 0) -> SynthesisCertificate:
-    """Certify the synthesis operator's norm bracket and analysis identity.
+def certify_synthesis(frame: Frame, seed: int = 0) -> SynthesisCertificate:
+    """Certify the synthesis operator's norm bracket and analysis identity,
+    on the unit probes drawn from `seed`."""
+    _check_seed(seed)
+    return _sole(_certify_synthesis([_stack_of(frame)], [seed])[0])
 
-    The SVD of A and the frame operator S are taken once for the whole stack.
-    For a stack of frames `seed` holds one probe seed per frame, member k
-    being probed with seed[k], and the certificate's fields are arrays over
-    the stack.
+
+def _certify_synthesis(stacks, seeds) -> list:
+    """The certificates of stacks of frames in one C^dim, each of len(seeds) frames.
+
+    Member k of every stack is probed with seeds[k], and each certificate
+    holds one entry per member of its stack.  Trial by trial, the probes of
+    seeds[k] are drawn once and applied to member k of each stack, one
+    product S_k F per stack, and the identity's worst deviation and the probe
+    sums' range are taken once over all of the trial's stacks before its
+    probes are dropped.  The frame operators and the SVD are taken once per
+    stack.  The products A_k* F go over blocks of probes of at most
+    _BLOCK_ENTRIES entries (but 8 probes at least): 16 probes at a time for
+    the 399 vectors of a Bergman lattice frame, all 200 at once for at most
+    40 vectors.  Every block starts at a multiple of 8 probes and holds a
+    multiple of 8, so the norms keep the one-shot product's bits: OpenBLAS's
+    zgemm takes these columns in groups of 4 and rounds a column of a ragged
+    group differently, so blocks of, say, 41 probes would not.  Measured on
+    OpenBLAS's SkylakeX kernels only; other kernels may group columns
+    otherwise (ROADMAP item 15).
     """
-    return _certify_synthesis([frame], seed)[0]
-
-
-def _certify_synthesis(frames, seeds) -> list:
-    """The certificates of frames in one C^dim, each one frame or a stack of one common shape.
-
-    Member k of every frame is probed with seeds[k]; for one frame `seeds` is
-    one int.  Trial by trial, the probes of seeds[k] are drawn once and
-    applied to member k of each frame, one product S_k F per frame, and the
-    identity's worst deviation and the probe sums' range are taken once over
-    all of the trial's frames before its probes are dropped.  The frame
-    operators and the SVD are taken once per stack.  The products A_k* F go
-    over blocks of probes of at most _BLOCK_ENTRIES entries (but 8 probes at
-    least): 16 probes at a time for the 399 vectors of a Bergman lattice
-    frame, all 200 at once for at most 40 vectors.  Every block starts at a
-    multiple of 8 probes and holds a multiple of 8, so the norms keep the
-    one-shot product's bits: OpenBLAS's zgemm takes these columns in groups
-    of 4 and rounds a column of a ragged group differently, so blocks of,
-    say, 41 probes would not.  Measured on OpenBLAS's SkylakeX kernels only;
-    other kernels may group columns otherwise (ROADMAP item 15).
-    """
-    shape = np.shape(seeds)
-    for frame in frames:
-        if frame.vectors.shape[:-2] != shape:
-            raise ValueError(
-                f"frames of stack shape {frame.vectors.shape[:-2]} need one seed per frame,"
-                f" got {seeds!r}"
-            )
-    seeds = np.reshape(seeds, -1).tolist()
-    for seed in seeds:
-        _check_seed(seed)
-    stacks = [frame.vectors.reshape(-1, frame.dim, frame.count) for frame in frames]
-    operators = [_frame_operators(vectors) for vectors in stacks]
-    dev, lo, hi = np.empty((3, len(frames), len(seeds)))  # at [frame, k], filled trial by trial
-    direct, analysis = np.empty((2, len(frames), SYNTHESIS_PROBES))  # at [frame, probe]
+    dim = stacks[0].vectors.shape[-2]
+    operators = [_frame_operators(stack.vectors) for stack in stacks]
+    dev, lo, hi = np.empty((3, len(stacks), len(seeds)))  # at [stack, k], filled trial by trial
+    direct, analysis = np.empty((2, len(stacks), SYNTHESIS_PROBES))  # at [stack, probe]
     for k, seed in enumerate(seeds):
-        f = _probes(frames[0].dim, seed)
-        for i, (vectors, s) in enumerate(zip(stacks, operators)):
+        f = _probes(dim, seed)
+        for i, (stack, s) in enumerate(zip(stacks, operators)):
             # ||A* f||^2 by the matrix product against <S f, f> through the frame operator
-            adjoint = vectors[k].conj().T
-            width = max(8, _BLOCK_ENTRIES // vectors.shape[-1] // 8 * 8)
+            adjoint = stack.vectors[k].conj().T
+            width = max(8, _BLOCK_ENTRIES // adjoint.shape[0] // 8 * 8)
             for j in range(0, SYNTHESIS_PROBES, width):
                 direct[i, j : j + width] = np.linalg.norm(adjoint @ f[:, j : j + width], axis=0) ** 2
             analysis[i] = np.real(np.sum(f.conj() * (s[k] @ f), axis=0))
@@ -270,13 +257,13 @@ def _certify_synthesis(frames, seeds) -> list:
         # the identity's worst deviation and the probe sums' range for the frame inequality
         dev[:, k], lo[:, k], hi[:, k] = ratio.max(axis=1), analysis.min(axis=1), analysis.max(axis=1)
     certificates = []
-    for frame, vectors, dev, lo, hi in zip(frames, stacks, dev, lo, hi):
-        c1, c2 = np.reshape(frame.lower_bound, -1), np.reshape(frame.upper_bound, -1)
+    for (vectors, c1, c2), dev, lo, hi in zip(stacks, dev, lo, hi):
+        count = vectors.shape[-1]
         # LAPACK SVD of A itself, independent of the frame operator the bounds came from;
         # lambda(S) runs from s_min(A)^2, 0 when fewer vectors than dim, to s_1(A)^2
         svals = np.linalg.svd(vectors, compute_uv=False)
         op2 = svals[:, 0] ** 2
-        least2 = svals[:, -1] ** 2 if frame.count >= frame.dim else np.zeros(len(vectors))
+        least2 = svals[:, -1] ** 2 if count >= dim else np.zeros(len(vectors))
         rank = np.sum(svals > RANK_TOL * svals[:, :1], axis=-1)
         checks = (
             ~np.all(_verdict(np.stack([least2, op2]), c1, c2, CERTIFICATE_TOL, c2)[1], axis=0),
@@ -296,20 +283,17 @@ def _certify_synthesis(frames, seeds) -> list:
                 f"probe sums [{lo[k]:.6e}, {hi[k]:.6e}] escape bounds [{b1}, {b2}]",
             )
             failures[k] = tuple(m for m, failed in zip(messages, checks) if failed[k])
-        fields = {
-            "lower_bound": c1,
-            "upper_bound": c2,
-            "op_norm_sq": op2,
-            "analysis_identity_dev": dev,
-            "rank": rank,
-            "passed": ~np.any(checks, axis=0),
-        }
         certificates.append(
             SynthesisCertificate(
-                dim=frame.dim,
-                count=frame.count,
-                failures=tuple(failures) if shape else failures[0],
-                **{key: _per_frame(value.reshape(shape)) for key, value in fields.items()},
+                dim=dim,
+                count=count,
+                lower_bound=c1,
+                upper_bound=c2,
+                op_norm_sq=op2,
+                analysis_identity_dev=dev,
+                rank=rank,
+                passed=~np.any(checks, axis=0),
+                failures=tuple(failures),
             )
         )
     return certificates
@@ -345,46 +329,45 @@ def _parseval_vectors(vectors: np.ndarray, eigen: tuple | None = None) -> np.nda
 
 
 def canonical_parseval(frame: Frame) -> Frame:
-    """Apply S^(-1/2) to every vector (of every frame); the result is Parseval."""
+    """Apply S^(-1/2) to every vector; the result is Parseval."""
     return Frame.of(_parseval_vectors(frame.vectors))
 
 
-def _divided(frame: Frame, bound) -> np.ndarray:
-    """The vectors of `frame` divided by sqrt(bound), frame by frame."""
+def _divided(frame, bound) -> np.ndarray:
+    """The vectors of a Frame or a _Stack divided by sqrt(bound), frame by frame."""
     return frame.vectors / np.sqrt(bound)[..., None, None]
 
 
 def rescale_upper_bound_one(frame: Frame) -> Frame:
-    """Divide all vectors by sqrt(C2), frame by frame; new bounds are (C1/C2, 1)."""
+    """Divide all vectors by sqrt(C2); new bounds are (C1/C2, 1)."""
     return Frame.of(_divided(frame, frame.upper_bound))
 
 
 def rescale_lower_bound_one(frame: Frame) -> Frame:
-    """Divide all vectors by sqrt(C1), frame by frame; new bounds are (1, C2/C1)."""
+    """Divide all vectors by sqrt(C1); new bounds are (1, C2/C1)."""
     return Frame.of(_divided(frame, frame.lower_bound))
 
 
 class TrialGroup:
     """The trials of a FrameEnsemble that share one frame count.
 
-    `seeds` are their trial seeds (ensemble seed + i for trial i), `raw`
-    stacks their raw trial frames and `eigen` is the eigh (w, v) of each raw
-    frame's operator S, the one its bounds came from.  The other stacks are
-    made on first read and kept with the group: `onb` is the ONB vectors, and
-    `parseval`, `upper_one` and `lower_one` are the raw frames made Parseval
-    (the inf regime) and rescaled to upper bound 1 (the sup regime) and to
-    lower bound 1.  `parseval` applies S^(-1/2) from `eigen`, so a group
-    takes one eigh per raw frame (with `eigen` None, it decomposes S itself).
-    They are bare (n, dim, count) arrays without bounds, as the sums read
-    nothing else; a reader that needs a Frame gives each stack the bounds its
-    derivation claims, (1, 1) for `onb` and `parseval`, (C1/C2, 1) for
+    `seeds` are their trial seeds (ensemble seed + i for trial i), `raw` is
+    the _Stack of their raw trial frames and `eigen` is the eigh (w, v) of
+    each raw frame's operator S, the one its bounds came from.  The other
+    stacks are made on first read and kept with the group: `onb` is the ONB
+    vectors, and `parseval`, `upper_one` and `lower_one` are the raw frames
+    made Parseval (the inf regime) and rescaled to upper bound 1 (the sup
+    regime) and to lower bound 1.  `parseval` applies S^(-1/2) from `eigen`,
+    so a group takes one eigh per raw frame.  They are bare (n, dim, count)
+    arrays without bounds, as the sums read nothing else; a reader that
+    needs bounds gives each stack the ones its derivation claims, (1, 1) for `onb` and `parseval`, (C1/C2, 1) for
     `upper_one` and (1, C2/C1) for `lower_one`, with C1 and C2 the raw bounds.
     """
 
-    def __init__(self, seeds: range, raw: Frame, eigen: tuple | None):
+    def __init__(self, seeds: range, raw: _Stack, eigen: tuple):
         self.seeds, self.raw, self.eigen = seeds, raw, eigen
 
-    onb = cached_property(lambda self: _onb_stack(self.raw.dim, self.seeds))
+    onb = cached_property(lambda self: _onb_stack(self.raw.vectors.shape[1], self.seeds))
     parseval = cached_property(lambda self: _parseval_vectors(self.raw.vectors, self.eigen))
     upper_one = cached_property(lambda self: _divided(self.raw, self.raw.upper_bound))
     lower_one = cached_property(lambda self: _divided(self.raw, self.raw.lower_bound))
@@ -449,16 +432,15 @@ def random_onb(dim: int, seed: int) -> Frame:
 
 
 def _random_frames(dim: int, count: int, condition_target: float, seeds) -> tuple:
-    """The frames random_frame(dim, count, condition_target, seed) for each seed, stacked,
-    and the eigh (w, v) of their frame operators that their bounds come from.
+    """The _Stack of the frames random_frame(dim, count, condition_target, seed) for each
+    seed, and the eigh (w, v) of their frame operators that their bounds come from.
 
     Draws each seed's blocks and perturbation and orthonormalizes all blocks
     in one stacked QR, and decomposes the stack's frame operators once; then
     each frame that misses the target is blended on its own from the Parseval
     map of that decomposition, with the same attempts and spanning test as
     random_frame, and its (w, v) is that of its last blend.  At a target of 1
-    the frames are the Parseval ones and (w, v) is None: `_parseval_vectors`
-    then decomposes afresh.
+    the frames are the Parseval ones, decomposed afresh.
     """
     _check_count("dim", dim)
     _check_count("count", count)
@@ -476,25 +458,28 @@ def _random_frames(dim: int, count: int, condition_target: float, seeds) -> tupl
     blocks = _onb_stack(dim, block_seeds.ravel()).reshape(len(seeds), n_bases, dim, dim)
     base = blocks.transpose(0, 2, 1, 3).reshape(len(seeds), dim, n_bases * dim)[..., :count]
     raw = base + (0.25 / np.sqrt(dim)) * g
-    (w, v), lower, upper = _decomposed(raw)
-    _require_spanning(dim, lower, upper, lambda k: f"seed {seeds[k]}")
+    (w, v), lower, upper = _spanning_bounds(raw, seeds)
     if condition_target == 1.0:
-        return Frame.of(_parseval_vectors(raw, (w, v))), None
-    for k in np.flatnonzero(upper / lower > condition_target):
-        parseval = _parseval_vectors(raw[k], (w[k], v[k]))
-        for attempt in range(1, 51):
-            t = 2.0**-attempt
-            candidate = (1.0 - t) * parseval + t * raw[k]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                eigen, c1, c2 = _decomposed(candidate)
-                if _spanning(c1, c2) and c2 / c1 <= condition_target:
-                    break
-        else:
-            raise ValueError(
-                f"could not reach condition target {condition_target} after 50 attempts"
-            )
-        raw[k], lower[k], upper[k], (w[k], v[k]) = candidate, c1, c2, eigen
-    return _sealed(raw, lower, upper), (w, v)
+        raw = _parseval_vectors(raw, (w, v))
+        (w, v), lower, upper = _spanning_bounds(raw, seeds)
+    else:
+        for k in np.flatnonzero(upper / lower > condition_target):
+            parseval = _parseval_vectors(raw[k], (w[k], v[k]))
+            for attempt in range(1, 51):
+                t = 2.0**-attempt
+                candidate = (1.0 - t) * parseval + t * raw[k]
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    eigen, c1, c2 = _decomposed(candidate)
+                    if _spanning(c1, c2) and c2 / c1 <= condition_target:
+                        break
+            else:
+                raise ValueError(
+                    f"could not reach condition target {condition_target} after 50 attempts"
+                )
+            raw[k], lower[k], upper[k], (w[k], v[k]) = candidate, c1, c2, eigen
+    for arr in (raw, lower, upper):
+        arr.flags.writeable = False
+    return _Stack(raw, lower, upper), (w, v)
 
 
 def random_frame(dim: int, count: int, condition_target: float, seed: int) -> Frame:
@@ -507,7 +492,8 @@ def random_frame(dim: int, count: int, condition_target: float, seed: int) -> Fr
     case of the batched generator that FrameEnsemble uses.
     """
     _check_seed(seed)
-    return _random_frames(dim, count, condition_target, [seed])[0][0]
+    (vectors,), (lower,), (upper,) = _random_frames(dim, count, condition_target, [seed])[0]
+    return Frame(vectors, float(lower), float(upper))
 
 
 def union_frame(a: Frame, b) -> Frame:
@@ -517,6 +503,6 @@ def union_frame(a: Frame, b) -> Frame:
     non-spanning families can be appended to an existing frame).
     """
     vb = _coerce_vectors(b)
-    if vb.shape[0] != _one_frame(a).dim:
+    if vb.shape[0] != a.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {vb.shape[0]}")
     return make_frame(np.hstack([a.vectors, vb]))

@@ -160,12 +160,10 @@ def _check_p(p: float) -> None:
         raise ValueError(f"p must be finite and positive, got {p}")
 
 
-def _exponents(p) -> tuple[list, bool]:
-    """The exponents of `p`, one or a sequence, each checked; and whether p is a sequence."""
-    ps = list(p) if np.ndim(p) == 1 else [p]
+def _exponents(ps) -> None:
+    """Reject a sequence of exponents unless `_check_p` takes each."""
     for q in ps:
         _check_p(q)
-    return ps, np.ndim(p) == 1
 
 
 def _check_count(name: str, value) -> None:

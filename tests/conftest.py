@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from schattenframes.campaigns import random_hermitian, random_operator, random_psd
+from schattenframes.frames import Frame
 
 
 @pytest.fixture
@@ -19,6 +20,11 @@ def seeded_hermitians(dim, count, seed=0):
 
 def seeded_psds(dim, count, seed=0):
     return [random_psd(dim, seed + i) for i in range(count)]
+
+
+def frame_at(stack, k):
+    """Member k of a stack of frames (frames._Stack) as one Frame, sharing its vectors."""
+    return Frame(stack.vectors[k], float(stack.lower_bound[k]), float(stack.upper_bound[k]))
 
 
 def assert_same_report(actual, expected, path="report"):

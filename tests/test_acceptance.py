@@ -205,7 +205,7 @@ def test_criterion_11_synthesis_certificates():
     frames.append(make_frame([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
     frames.append(scaled_copies_frame(3.0, 3.0, 16).frame)
     frames.append(diag_divergence_frame(np.eye(4, dtype=complex), 100))
-    frames.append(sampling_frame(r_lattice(0.4, 0.95), 6)[0])
+    frames.append(sampling_frame(r_lattice(0.4, 0.95), 6))
     for k, frame in enumerate(frames):
         cert = certify_synthesis(frame, seed=k)
         assert cert.passed, (k, cert.failures)

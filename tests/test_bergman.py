@@ -276,21 +276,20 @@ class TestRLattice:
 class TestSamplingFrame:
     def test_single_point_degree_one(self):
         lattice = r_lattice(5.0, 0.9)
-        frame, report = sampling_frame(lattice, 1)
+        frame = sampling_frame(lattice, 1)
         assert frame.bounds == pytest.approx((1.0, 1.0))
-        assert report.count == 1
+        assert frame.count == 1
 
     def test_dense_lattice_spans(self):
         lattice = r_lattice(0.3, 0.95)
-        frame, report = sampling_frame(lattice, 8)
-        assert report.lower_bound > 0
-        assert report.condition >= 1.0
+        frame = sampling_frame(lattice, 8)
+        assert frame.lower_bound > 0
+        assert frame.condition >= 1.0
 
     def test_condition_degrades_with_sparsity(self):
         conditions = []
         for sep in (0.3, 0.5, 0.7):
-            _, report = sampling_frame(r_lattice(sep, 0.95), 6)
-            conditions.append(report.condition)
+            conditions.append(sampling_frame(r_lattice(sep, 0.95), 6).condition)
         assert conditions[0] <= conditions[1] <= conditions[2]
 
     def test_too_sparse_rejected_with_diagnostics(self):
@@ -393,6 +392,14 @@ class TestIntegralCriterion:
         with pytest.raises(ValueError, match="square"):
             integral_criterion(np.ones((2, 3)), 1.0, quad)
 
+    def test_large_p_below_the_double_range_is_the_plain_weighted_sum(self):
+        """The overflow check leaves a finite value's bits alone: 1.33e162 at p = 400."""
+        t, quad = seeded_operators(4, 1, 1)[0], disk_quadrature(16, 32, 0.9)
+        norms = np.linalg.norm(bergman._coefficient_matrix(quad.nodes, 4, True) @ t.T, axis=1)
+        expected = np.sum(quad.weights_dlambda * norms**400.0)
+        assert 1.3e162 < expected < 1.4e162
+        assert integral_criterion(t, 400.0, quad) == expected
+
     @pytest.mark.parametrize("p", [0.0, np.nan, np.inf])
     def test_rejects_p_outside_open_half_line(self, p):
         with pytest.raises(ValueError, match="p must be"):
@@ -470,8 +477,8 @@ class TestSamplingComparison:
             return criterion(*args)
 
         monkeypatch.setattr(bergman, "integral_criterion", counted)
-        assert sampling_comparison(t, 2.0, quad, lattices) == singles
-        assert sampling_comparison(t, 2.0, quad, lattices[:1]) == singles[:1]
+        assert bergman._sampling_comparisons(t, 2.0, quad, lattices) == singles
+        assert bergman._sampling_comparisons(t, 2.0, quad, lattices[:1]) == singles[:1]
         assert len(integrals) == 2  # one integral per call
 
     @pytest.mark.parametrize("p", [0.0, np.nan, np.inf])
@@ -515,14 +522,23 @@ class TestSubharmonicity:
     def test_rejects_p_at_which_the_values_overflow(self, p):
         # ||10 K_w||^p or its stencil exceeds the float range on the grid: p = 261 used to
         # drop the overflowing stencils, p = 300 to pass with an infinite tolerance and
-        # p = 400 to fail for want of a full stencil
+        # p = 400 to fail for want of a full stencil; a grid of p fails at its overflowing p
+        ps = p if isinstance(p, list) else [p]
         with pytest.raises(ValueError, match=r"overflows on the grid at p = (261|300|400)"):
-            subharmonicity_check(10.0 * np.eye(2), p, grid_step=0.1, rmax=0.8)
+            bergman._subharmonicity([10.0 * np.eye(2)], ps, grid_step=0.1, rmax=0.8)
+        if not isinstance(p, list):
+            with pytest.raises(ValueError, match=rf"overflows on the grid at p = {p}"):
+                subharmonicity_check(10.0 * np.eye(2), p, grid_step=0.1, rmax=0.8)
 
     @pytest.mark.parametrize("p", [0.0, np.nan, np.inf, [1.0, np.nan]])
     def test_rejects_p_outside_open_half_line(self, p):
+        # a grid of p, which the kernel takes, fails at its bad entry
+        ps = p if isinstance(p, list) else [p]
         with pytest.raises(ValueError, match="p must be"):
-            subharmonicity_check(np.eye(2), p, grid_step=0.1, rmax=0.8)
+            bergman._subharmonicity([np.eye(2)], ps, grid_step=0.1, rmax=0.8)
+        if not isinstance(p, list):
+            with pytest.raises(ValueError, match="p must be"):
+                subharmonicity_check(np.eye(2), p, grid_step=0.1, rmax=0.8)
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=40)
     @given(
@@ -535,7 +551,7 @@ class TestSubharmonicity:
     )
     def test_stack_member_equals_single_call(self, dim, count, seed, ps, grid_step, rmax):
         ts = np.stack(seeded_operators(dim, count, seed))
-        stacked = subharmonicity_check(ts, ps, grid_step=grid_step, rmax=rmax)
+        stacked = bergman._subharmonicity(ts, ps, grid_step=grid_step, rmax=rmax)
         assert len(stacked) == count and all(len(row) == len(ps) for row in stacked)
         for k, t in enumerate(ts):
             for j, p in enumerate(ps):
@@ -543,11 +559,14 @@ class TestSubharmonicity:
                 assert repr(stacked[k][j]) == repr(single)  # every field, bit for bit
 
     def test_single_operator_or_p_drops_its_level(self):
-        ts = np.stack(seeded_operators(3, 2, 90))
+        """The reports of one operator, or at one p, are the full batch's row or
+        column, and the public call of one operator at one p is its entry."""
+        ts = seeded_operators(3, 2, 90)
         kwargs = {"grid_step": 0.1, "rmax": 0.8}
-        full = subharmonicity_check(ts, [1.0, 2.0], **kwargs)
-        by_p = subharmonicity_check(ts[1], [1.0, 2.0], **kwargs)
-        by_operator = subharmonicity_check(ts, 2.0, **kwargs)
+        full = bergman._subharmonicity(ts, [1.0, 2.0], **kwargs)
+        [by_p] = bergman._subharmonicity(ts[1:], [1.0, 2.0], **kwargs)
+        by_operator = bergman._subharmonicity(ts, [2.0], **kwargs)
         assert repr(by_p) == repr(full[1])
-        assert repr(by_operator) == repr([row[1] for row in full])
+        assert repr(by_operator) == repr([[row[1]] for row in full])
+        assert repr(subharmonicity_check(ts[1], 2.0, **kwargs)) == repr(full[1][1])
 

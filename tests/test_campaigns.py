@@ -306,7 +306,7 @@ def test_verify_fails_parseval_vectors_one_percent_too_long(monkeypatch):
 def test_enclosure_margins_are_the_comparisons_least(monkeypatch):
     """Each p's enclosure record takes the least of the one-sided margins that
     the groups' DoubleSumComparisons carry, and judges nothing itself."""
-    comparisons, compare = [], criteria.double_sum_comparison
+    comparisons, compare = [], criteria._comparisons
 
     def recorded(*args):
         comparisons.append(compare(*args))
@@ -315,7 +315,7 @@ def test_enclosure_margins_are_the_comparisons_least(monkeypatch):
     def forbidden(*args):
         raise AssertionError("verify judges no enclosure itself")
 
-    monkeypatch.setattr(criteria, "double_sum_comparison", recorded)
+    monkeypatch.setattr(criteria, "_comparisons", recorded)
     monkeypatch.setattr(campaigns, "_verdict", forbidden)
     config = CampaignConfig(command="verify-theorems", dim=3, trials=20, p_grid=(0.5, 2.0, 3.0))
     report = run_verify_theorems(config)
@@ -345,7 +345,7 @@ def test_bergman_builds_each_kernel_base_once(monkeypatch):
     """The stencil grid is built once for every operator and p, and each
     quadrature rule once."""
     stencil_points, rules, in_stencil = [], collections.Counter(), []
-    coefficient_matrix, stencil_check = bergman._coefficient_matrix, bergman.subharmonicity_check
+    coefficient_matrix, stencil_check = bergman._coefficient_matrix, bergman._subharmonicity
     disk_quadrature = bergman.disk_quadrature
 
     def counted_matrix(points, degree, normalized):
@@ -365,7 +365,7 @@ def test_bergman_builds_each_kernel_base_once(monkeypatch):
         return disk_quadrature(n_radial, n_angular, rmax)
 
     monkeypatch.setattr(bergman, "_coefficient_matrix", counted_matrix)
-    monkeypatch.setattr(bergman, "subharmonicity_check", marked_check)
+    monkeypatch.setattr(bergman, "_subharmonicity", marked_check)
     monkeypatch.setattr(bergman, "disk_quadrature", counted_rule)
     report = run_bergman(CampaignConfig(command="bergman", dim=32))
     assert sum(rec["tag"] == "subharmonicity" for rec in report.records) == 25
@@ -406,7 +406,7 @@ def test_bergman_traced_peak_memory(dim, limit_mib):
 def test_wide_synthesis_certificate_traced_peak_memory():
     """The 399 x 200 probe product of the widest bergman frame goes 16 probes at a
     time: the peak reads 0.60 MiB, and 2.55 MiB with the product held whole."""
-    frame = bergman.sampling_frame(bergman.r_lattice(0.3, 0.95), 32)[0]
+    frame = bergman.sampling_frame(bergman.r_lattice(0.3, 0.95), 32)
     frames.certify_synthesis(frame)
     tracemalloc.start()
     try:

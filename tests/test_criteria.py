@@ -9,8 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import seeded_hermitians, seeded_operators, seeded_psds
+from conftest import frame_at, seeded_hermitians, seeded_operators, seeded_psds
 from schattenframes import criteria, frames
+from schattenframes.bergman import disk_quadrature, integral_criterion, r_lattice
+from schattenframes.bergman import sampling_comparison
 from schattenframes.constructions import truncated_shift
 from schattenframes.criteria import (
     certify_diag_formula,
@@ -24,7 +26,6 @@ from schattenframes.criteria import (
     weighted_sum,
 )
 from schattenframes.frames import (
-    Frame,
     FrameEnsemble,
     canonical_parseval,
     make_frame,
@@ -189,10 +190,9 @@ class TestDoubleSumComparison:
     def test_frame_stack_matches_single_frames(self, p):
         group = list(FrameEnsemble(4, 10, 40))[1]
         ops = np.stack(seeded_operators(4, len(group.seeds), 700))
-        batch = double_sum_comparison(ops, group.raw, p)
+        [batch] = criteria._comparisons(ops, group.raw, [p])
         for k in range(len(group.seeds)):
-            frame = group.raw[k]
-            single = double_sum_comparison(ops[k], frame, p)
+            single = double_sum_comparison(ops[k], frame_at(group.raw, k), p)
             assert batch.double_sum[k] == pytest.approx(single.double_sum, rel=1e-12)
             assert batch.norm_sum[k] == pytest.approx(single.norm_sum, rel=1e-12)
             assert bool(batch.passed[k]) == single.passed
@@ -209,17 +209,19 @@ class TestDoubleSumComparison:
          (None, (3,)), (None, (4, 3)), (None, (2, 3, 3)), (None, (1, 3, 3, 3))],
     )
     def test_rejects_operator_shapes(self, member, shape):
-        # a stack of three frames in C^3, or its first member
+        # the first of a stack's three frames in C^3, or each of them (None); as for
+        # every operator, a 1-d array is read as a column
         stack = next(iter(FrameEnsemble(3, 9, 0))).raw
-        frame = stack if member is None else stack[member]
-        with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
-            double_sum_comparison(np.ones(shape), frame, 2.0)
+        named = shape + (1,) if len(shape) == 1 else shape
+        for k in range(len(stack.vectors)) if member is None else [member]:
+            with pytest.raises(ValueError, match=re.escape(f"got shape {named}")):
+                double_sum_comparison(np.ones(shape), frame_at(stack, k), 2.0)
 
     def test_frame_stack_rejects_non_finite_operators(self):
         group = next(iter(FrameEnsemble(2, 2, 0)))
-        ops = np.full((len(group.seeds), 2, 2), np.nan)
-        with pytest.raises(ValueError, match="finite"):
-            double_sum_comparison(ops, group.raw, 2.0)
+        for k in range(len(group.seeds)):
+            with pytest.raises(ValueError, match="finite"):
+                double_sum_comparison(np.full((2, 2), np.nan), frame_at(group.raw, k), 2.0)
 
     @pytest.mark.parametrize("p", [0.5, 2.0, 3.0])
     def test_margins_are_the_verdicts_of_each_side(self, p):
@@ -227,7 +229,7 @@ class TestDoubleSumComparison:
         one bound, relative to max(1, double sum); a side that does not apply has none."""
         group = list(FrameEnsemble(4, 10, 40))[1]
         ops = np.stack(seeded_operators(4, len(group.seeds), 700))
-        comp = double_sum_comparison(ops, group.raw, p)
+        [comp] = criteria._comparisons(ops, group.raw, [p])
         ds, ns = comp.double_sum, comp.norm_sum
         assert np.all(comp.passed)
         if p >= 2:
@@ -267,7 +269,7 @@ class TestSharedEnsemble:
             (certify_double_formula, criteria._double_job, hermitian, 1.0, {}),
         ]
         for certify, job, t, p, extra in calls:
-            [[shared]] = criteria._certify(ensemble, [job(t, p, **extra)])
+            [[shared]] = criteria._certify(ensemble, [job(t, [p], **extra)])
             assert shared == certify(t, p, trials, 9, **extra)
             assert shared.trials == trials
             assert shared.passed
@@ -278,7 +280,7 @@ class TestSharedEnsemble:
             for t, taken in zip(ops, sums):
                 taken.append(criteria._endpoint_sums(t, group.raw))
 
-        criteria._certify(ensemble, [criteria._norm_job(general, 0.5)], visit=visit)
+        criteria._certify(ensemble, [criteria._norm_job(general, [0.5])], visit=visit)
         for t, taken in zip(ops, sums):
             walked = criteria._endpoint_report(t, taken, trials)
             assert repr(walked) == repr(endpoint_suites(t, trials, 9))  # repr: nan margins
@@ -293,7 +295,7 @@ P_GRID = st.lists(st.floats(0.0, 8.0, exclude_min=True), min_size=1, max_size=5)
 
 
 class TestCertificateGrid:
-    """A certificate over a p-grid: report j is the one-p call at p[j]."""
+    """A certificate job over a p-grid: report j is the one-p call at p[j]."""
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=60)
     @given(
@@ -318,8 +320,14 @@ class TestCertificateGrid:
             (certify_double_formula, general, [p for p in grid if p >= 2], {}, dim**2, s1),
             (certify_double_formula, hermitian, grid, {}, dim**2, s1),
         ]
+        job_of = {
+            certify_norm_formula: criteria._norm_job,
+            certify_diag_formula: criteria._diag_job,
+            certify_double_formula: criteria._double_job,
+        }
         for certify, t, ps, extra, n_terms, scale in calls:
-            reports = certify(t, ps, trials, seed, **extra)
+            job = job_of[certify](t, ps, **extra)
+            [reports] = criteria._certify(FrameEnsemble(dim, trials, seed), [job])
             assert len(reports) == len(ps)
             for p, rep in zip(ps, reports):
                 assert repr(rep) == repr(certify(t, p, trials, seed, **extra))
@@ -334,15 +342,10 @@ class TestCertificateGrid:
                     assert abs(rep.witness_value - rep.norm_value) <= slack + budget
                     assert rep.equality_witness
         # the campaign's path: the jobs of every call sampled in one walk of the ensemble
-        job_of = {
-            certify_norm_formula: criteria._norm_job,
-            certify_diag_formula: criteria._diag_job,
-            certify_double_formula: criteria._double_job,
-        }
         jobs = [job_of[certify](t, ps, **extra) for certify, t, ps, extra, *_ in calls]
         walked = criteria._certify(FrameEnsemble(dim, trials, seed), jobs)
         for (certify, t, ps, extra, *_), reports in zip(calls, walked):
-            assert repr(reports) == repr(certify(t, ps, trials, seed, **extra))
+            assert repr(reports) == repr([certify(t, p, trials, seed, **extra) for p in ps])
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=60)
     @given(
@@ -354,13 +357,15 @@ class TestCertificateGrid:
     def test_double_sum_comparison_grid_equals_one_p_calls(self, dim, trials, grid, seed):
         group = next(iter(FrameEnsemble(dim, trials, seed)))
         ops = np.stack(seeded_operators(dim, len(group.seeds), seed))
-        for t, frame in ((ops, group.raw), (ops[0], group.raw[0])):  # a stack, one frame
-            comparisons = double_sum_comparison(t, frame, grid)
-            assert len(comparisons) == len(grid)
-            for p, comparison in zip(grid, comparisons):
-                expected = double_sum_comparison(t, frame, p)
+        comparisons = criteria._comparisons(ops, group.raw, grid)
+        assert len(comparisons) == len(grid)
+        for p, comparison in zip(grid, comparisons):
+            for k in range(len(group.seeds)):  # member k at p, bit for bit
+                expected = double_sum_comparison(ops[k], frame_at(group.raw, k), p)
                 for field in dataclasses.fields(expected):
                     value, one_p = getattr(comparison, field.name), getattr(expected, field.name)
+                    if field.name != "p" and value is not None:
+                        value = value[k]
                     assert repr(np.asarray(value).tolist()) == repr(np.asarray(one_p).tolist())
 
     def test_decomposes_once_and_walks_each_regime_once(self, monkeypatch):
@@ -383,7 +388,8 @@ class TestCertificateGrid:
         frame_of = counted(calls, "Frame.of", frames.Frame.of.__func__)
         monkeypatch.setattr(frames.Frame, "of", classmethod(frame_of))
         hermitian = seeded_hermitians(3, 1, 40)[0]
-        reports = certify_double_formula(hermitian, [0.5, 1.0, 2.0, 3.0, 1.5], 7, 0)
+        job = criteria._double_job(hermitian, [0.5, 1.0, 2.0, 3.0, 1.5])
+        [reports] = criteria._certify(FrameEnsemble(3, 7, 0), [job])
         directions = [rep.direction for rep in reports]
         # sup at p = 2 even for a Hermitian operator
         assert directions == ["inf_above", "inf_above", "sup_below", "sup_below", "inf_above"]
@@ -393,7 +399,7 @@ class TestCertificateGrid:
             assert_walked_vectors(group, {"onb", "parseval", "upper_one"})
         calls.clear()
         walked.clear()
-        certify_norm_formula(hermitian, [3.0, 4.0, 5.0], 7, 0)
+        criteria._certify(FrameEnsemble(3, 7, 0), [criteria._norm_job(hermitian, [3.0, 4.0, 5.0])])
         assert calls == {"svd": 1, "group": groups}
         for group in walked:
             assert_walked_vectors(group, {"onb", "upper_one"})
@@ -401,27 +407,28 @@ class TestCertificateGrid:
     def test_rejections_name_the_offending_p(self):
         shift = np.array([[0.0, 1.0], [0.0, 0.0]])
         with pytest.raises(ValueError, match="needs a Hermitian operator, got p = 1.5"):
-            certify_double_formula(shift, [4.0, 1.5])
+            criteria._double_job(shift, [4.0, 1.5])
         with pytest.raises(ValueError, match="needs p >= 1, got p = 0.5"):
-            certify_diag_formula(np.diag([1.0, -1.0]), [2.0, 0.5], direction="sup_below")
+            criteria._diag_job(np.diag([1.0, -1.0]), [2.0, 0.5], direction="sup_below")
         with pytest.raises(ValueError, match="needs 0 < p <= 1, got p = 2.0"):
-            certify_diag_formula(np.diag([1.0, 2.0]), [0.5, 2.0], direction="inf_above")
+            criteria._diag_job(np.diag([1.0, 2.0]), [0.5, 2.0], direction="inf_above")
         with pytest.raises(ValueError, match="got nan"):
-            certify_norm_formula(np.eye(2), [1.0, float("nan")], trials=2)
+            criteria._norm_job(np.eye(2), [1.0, float("nan")])
 
 
 def assert_walked_vectors(group, names):
-    """The stacks a walk made in a TrialGroup are `names`, each bit for bit the
-    vectors of the public frame it stands for."""
-    dim = group.raw.dim
-    public = {
-        "onb": Frame.of(np.stack([random_onb(dim, s).vectors for s in group.seeds])),
-        "parseval": canonical_parseval(group.raw),
-        "upper_one": rescale_upper_bound_one(group.raw),
-    }
+    """The stacks a walk made in a TrialGroup are `names`, each member bit for bit
+    the vectors of the public frame it stands for."""
     assert vars(group).keys() - {"seeds", "raw", "eigen"} == names
-    for name in names:
-        assert vars(group)[name].tobytes() == public[name].vectors.tobytes(), name
+    for k, s in enumerate(group.seeds):
+        raw = frame_at(group.raw, k)
+        public = {
+            "onb": random_onb(raw.dim, s),
+            "parseval": canonical_parseval(raw),
+            "upper_one": rescale_upper_bound_one(raw),
+        }
+        for name in names:
+            assert vars(group)[name][k].tobytes() == public[name].vectors.tobytes(), name
 
 
 def counted(calls, name, fn):
@@ -659,14 +666,22 @@ OVERFLOWING_SUMS = {
     "sum_norms": lambda: sum_norms(np.diag([10.0, 2.0]), make_frame(np.eye(2)), 400.0),
     "certify_norm_formula": lambda: certify_norm_formula([[1, 2, 3], [4, 5, 6]], 1000.0, trials=2),
     "certify_double_formula": lambda: certify_double_formula(np.diag([10.0, 2.0]), 400.0, trials=2),
+    "integral_criterion": lambda: integral_criterion(
+        seeded_operators(4, 1, 1)[0], 1000.0, disk_quadrature(16, 32, 0.9)
+    ),
+    # the one node's term stays finite at p = 800; the lattice points' terms do not
+    "sampling_comparison": lambda: sampling_comparison(
+        seeded_operators(4, 1, 1)[0], 800.0, disk_quadrature(1, 1, 0.9), r_lattice(0.3, 0.95)
+    ),
 }
 
 
 @pytest.mark.parametrize("call", OVERFLOWING_SUMS.values(), ids=OVERFLOWING_SUMS.keys())
 def test_overflowing_power_sum_is_a_named_error(call):
     """A p-th power sum past the double range names p and its largest term;
-    it was inf after an overflow RuntimeWarning, and the certificates FAILed."""
-    with pytest.raises(ValueError, match=r"overflows at p = (400|1000)\.0: its largest term is"):
+    it was inf after an overflow RuntimeWarning, and the certificates FAILed
+    and the sampling chain's constant was nan."""
+    with pytest.raises(ValueError, match=r"overflows at p = (400|800|1000)\.0: its largest term is"):
         call()
 
 

@@ -9,17 +9,19 @@ from schattenframes.constructions import (
     growth_series,
     scaled_copies_frame,
 )
-from schattenframes.criteria import double_sum_comparison
-from schattenframes.frames import Frame, certify_synthesis, make_frame
+from schattenframes import criteria, frames
+from schattenframes.frames import certify_synthesis, make_frame
 from schattenframes.linalg import svd
 
 FACTORIES = {
     "Frame": lambda: make_frame(np.eye(2)),
     "SynthesisCertificate": lambda: certify_synthesis(make_frame(np.eye(2))),
     "SpectralData": lambda: svd(np.eye(2)),
-    "DoubleSumComparison": lambda: double_sum_comparison(
-        np.stack([np.eye(2)] * 2), Frame.of(np.stack([np.eye(2), 2.0 * np.eye(2)])), 2.0
-    ),
+    "DoubleSumComparison": lambda: criteria._comparisons(
+        np.stack([np.eye(2)] * 2),
+        frames._Stack(np.stack([np.eye(2), 2.0 * np.eye(2)]), np.ones(2), np.array([1.0, 4.0])),
+        [2.0],
+    )[0],
     "GrowthSeries": lambda: growth_series(np.ones(10), (2, 4, 8)),
     "ScaledCopiesFrame": lambda: scaled_copies_frame(3.0, 1.0, 4),
     "DoubleSumDemo": lambda: divergence_demo_double_sum(4, 1.0, (2, 4)),

@@ -9,15 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schattenframes import frames
+from conftest import frame_at
+from schattenframes import criteria, frames
 from schattenframes.bergman import r_lattice, sampling_frame
-from schattenframes.criteria import (
-    double_sum_comparison,
-    sum_diag,
-    sum_double,
-    sum_norms,
-    weighted_sum,
-)
+from schattenframes.criteria import double_sum_comparison
 from schattenframes.frames import (
     TRIAL_CONDITION,
     Frame,
@@ -40,6 +35,14 @@ def mercedes_frame():
 
 
 E1E1E2 = [[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
+
+
+def stack_of(vectors):
+    """The _Stack of the frames vectors[k], with the bounds of one stacked eigh."""
+    _, lower, upper = frames._spanning_bounds(vectors)
+    return frames._Stack(vectors, lower, upper)
+
+
 
 
 class TestMakeFrame:
@@ -415,27 +418,30 @@ class TestFrameEnsemble:
     def test_members_match_generators_bitwise(self, dim, trials, seed):
         for group in FrameEnsemble(dim, trials, seed):
             count = group.raw.vectors.shape[2]
-            onbs = Frame.of(group.onb)
             for k, s in enumerate(group.seeds):
                 onb = random_onb(dim, s)
                 raw = random_frame(dim, count, TRIAL_CONDITION, s)
-                np.testing.assert_array_equal(onbs.vectors[k], onb.vectors)
+                np.testing.assert_array_equal(group.onb[k], onb.vectors)
                 np.testing.assert_array_equal(group.raw.vectors[k], raw.vectors)
 
     @pytest.mark.parametrize("dim,trials,seed", ENSEMBLE_CASES)
     def test_bounds_and_variants_match_single_frame_path(self, dim, trials, seed):
+        """Each stack of a group, at the bounds its derivation claims, against the
+        one-frame path of its member frames."""
         for group in FrameEnsemble(dim, trials, seed):
+            lower, upper = group.raw.lower_bound, group.raw.upper_bound
+            ones = np.ones(len(group.seeds))
             stacks = {
-                "onb": Frame.of(group.onb),
+                "onb": frames._Stack(group.onb, ones, ones),
                 "raw": group.raw,
-                "parseval": canonical_parseval(group.raw),
-                "upper_one": rescale_upper_bound_one(group.raw),
-                "lower_one": rescale_lower_bound_one(group.raw),
+                "parseval": frames._Stack(group.parseval, ones, ones),
+                "upper_one": frames._Stack(group.upper_one, lower / upper, ones),
+                "lower_one": frames._Stack(group.lower_one, ones, upper / lower),
             }
             for k in range(len(group.seeds)):
-                raw = group.raw[k]
+                raw = frame_at(group.raw, k)
                 singles = {
-                    "onb": make_frame(stacks["onb"].vectors[k]),
+                    "onb": make_frame(group.onb[k]),
                     "raw": make_frame(raw.vectors),
                     "parseval": canonical_parseval(raw),
                     "upper_one": rescale_upper_bound_one(raw),
@@ -446,14 +452,14 @@ class TestFrameEnsemble:
                     assert_rel_close(stack.vectors[k], single.vectors)
                     assert_rel_close(stack.lower_bound[k], single.lower_bound)
                     assert_rel_close(stack.upper_bound[k], single.upper_bound)
-                np.testing.assert_allclose(raw.frame_operator, singles["raw"].frame_operator,
+                np.testing.assert_allclose(frames._frame_operators(group.raw.vectors)[k],
+                                           singles["raw"].frame_operator,
                                            rtol=0, atol=1e-12 * raw.upper_bound)
 
     def test_stacks_are_read_only(self):
         group = next(iter(FrameEnsemble(3, 4, 0)))
-        onb = Frame.of(group.onb)
-        for arr in (onb.vectors, group.raw.vectors, group.raw.lower_bound,
-                    group.raw.upper_bound, group.raw[0].frame_operator):
+        for arr in (group.raw.vectors, group.raw.lower_bound, group.raw.upper_bound,
+                    frame_at(group.raw, 0).frame_operator, random_onb(3, 0).vectors):
             with pytest.raises(ValueError):
                 arr.flat[0] = 0.0
 
@@ -503,22 +509,25 @@ class TestFrameEnsemble:
 
     def test_regime_stacks(self):
         """The stacks a walk derives from a group's raw frames, each made once: the
-        vectors alone, bit for bit, of the public frames whose bounds are checked."""
+        vectors alone, member by member and bit for bit, of the public frames whose
+        bounds are checked."""
         for group in FrameEnsemble(3, 6, 2):
-            public = {
-                "onb": Frame.of(np.stack([random_onb(3, s).vectors for s in group.seeds])),
-                "parseval": canonical_parseval(group.raw),
-                "upper_one": rescale_upper_bound_one(group.raw),
-                "lower_one": rescale_lower_bound_one(group.raw),
-            }
-            for name, frame in public.items():
-                vectors = getattr(group, name)
-                assert isinstance(vectors, np.ndarray) and vectors is getattr(group, name)
-                assert vectors.tobytes() == frame.vectors.tobytes(), name
-            np.testing.assert_allclose(public["onb"].upper_bound, 1.0, atol=1e-12)
-            for name in ("parseval", "upper_one"):
-                np.testing.assert_allclose(public[name].upper_bound, 1.0, atol=1e-12)
-            np.testing.assert_allclose(public["parseval"].lower_bound, 1.0, atol=1e-12)
+            for k, s in enumerate(group.seeds):
+                raw = frame_at(group.raw, k)
+                public = {
+                    "onb": random_onb(3, s),
+                    "parseval": canonical_parseval(raw),
+                    "upper_one": rescale_upper_bound_one(raw),
+                    "lower_one": rescale_lower_bound_one(raw),
+                }
+                for name, frame in public.items():
+                    vectors = getattr(group, name)
+                    assert isinstance(vectors, np.ndarray) and vectors is getattr(group, name)
+                    assert vectors[k].tobytes() == frame.vectors.tobytes(), name
+                np.testing.assert_allclose(public["onb"].upper_bound, 1.0, atol=1e-12)
+                for name in ("parseval", "upper_one"):
+                    np.testing.assert_allclose(public[name].upper_bound, 1.0, atol=1e-12)
+                np.testing.assert_allclose(public["parseval"].lower_bound, 1.0, atol=1e-12)
 
     def test_onbs_built_when_read(self, monkeypatch):
         built = []
@@ -565,7 +574,7 @@ def reference_synthesis_measurements(frame, seed, n_probes=200):
 
 
 def assert_equal_certificates(got, want):
-    """Two certificates, of one frame or of a stack, agree field for field, bit for bit."""
+    """Two certificates, of one frame or over a stack, agree field for field, bit for bit."""
     for field in dataclasses.fields(want):
         value, expected = getattr(got, field.name), getattr(want, field.name)
         same = value == expected if field.name == "failures" else np.array_equal(value, expected)
@@ -574,30 +583,32 @@ def assert_equal_certificates(got, want):
 
 def lattice_frame():
     """The widest sampling frame of a bergman run: 399 normalized kernels in C^32."""
-    return sampling_frame(r_lattice(0.3, 0.95), 32)[0]
+    return sampling_frame(r_lattice(0.3, 0.95), 32)
 
 
-def synthesis_variants(stack):
-    """The stack, its Parseval and its upper-bound-one variants joined in one stack."""
-    variants = (stack, canonical_parseval(stack), rescale_upper_bound_one(stack))
-    return Frame.of(np.concatenate([variant.vectors for variant in variants]))
+def synthesis_variants(vectors):
+    """The stacks of `vectors`, of their Parseval frames and of their rescaling to
+    upper bound one, each with the bounds of its own eigh."""
+    stack = stack_of(vectors)
+    parseval = frames._parseval_vectors(vectors)
+    return [stack, stack_of(parseval), stack_of(frames._divided(stack, stack.upper_bound))]
 
 
 class TestStackedSynthesisCertificate:
     @pytest.mark.parametrize("dim,trials,seed", [(3, 7, 5), (3, 20, 0), (8, 19, 100), (8, 40, 3)])
     def test_variants_match_single_frame_bitwise(self, dim, trials, seed):
         for group in FrameEnsemble(dim, trials, seed):
-            seeds = list(group.seeds) * 3
-            for stack in (Frame.of(group.onb), group.raw):
-                variants = synthesis_variants(stack)
-                cert = certify_synthesis(variants, seed=seeds)
-                assert cert.passed.shape == (len(seeds),)
-                for k in range(len(seeds)):
-                    frame = variants[k]
-                    assert_same_certificate(cert, k, certify_synthesis(frame, seed=seeds[k]))
-                    assert reference_synthesis_measurements(frame, seeds[k]) == (
-                        cert.op_norm_sq[k], cert.analysis_identity_dev[k], cert.rank[k]
-                    )
+            for vectors in (group.onb, group.raw.vectors):
+                variants = synthesis_variants(vectors)
+                certificates = frames._certify_synthesis(variants, group.seeds)
+                for variant, cert in zip(variants, certificates):
+                    assert cert.passed.shape == (len(group.seeds),)
+                    for k, s in enumerate(group.seeds):
+                        frame = frame_at(variant, k)
+                        assert_same_certificate(cert, k, certify_synthesis(frame, seed=s))
+                        assert reference_synthesis_measurements(frame, s) == (
+                            cert.op_norm_sq[k], cert.analysis_identity_dev[k], cert.rank[k]
+                        )
 
     @pytest.mark.parametrize("seed", [0, 7])
     def test_wide_frame_matches_reference_bitwise(self, seed):
@@ -613,20 +624,22 @@ class TestStackedSynthesisCertificate:
         # floor: 8 probes a block; small: 24 probes for the 9-vector stack, 8 for the
         # 399-vector frame; whole: one product of all 200 probes
         group = next(iter(FrameEnsemble(8, 9, 3)))
-        cases = [(synthesis_variants(group.raw), list(group.seeds) * 3), (lattice_frame(), 5)]
-        expected = [certify_synthesis(frame, seed=seeds) for frame, seeds in cases]
+        variants, frame = synthesis_variants(group.raw.vectors), lattice_frame()
+        expected = frames._certify_synthesis(variants, group.seeds)
+        expected.append(certify_synthesis(frame, seed=5))
         monkeypatch.setattr(frames, "_BLOCK_ENTRIES", entries)
-        for (frame, seeds), want in zip(cases, expected):
-            assert_equal_certificates(certify_synthesis(frame, seed=seeds), want)
+        got = frames._certify_synthesis(variants, group.seeds)
+        got.append(certify_synthesis(frame, seed=5))
+        for certificate, want in zip(got, expected, strict=True):
+            assert_equal_certificates(certificate, want)
 
     def test_falsified_member_fails_at_its_index(self):
         stack = next(iter(FrameEnsemble(3, 9, 0))).raw
         k = 1
         lower, upper = stack.lower_bound.copy(), stack.upper_bound.copy()
         lower[k], upper[k] = 2.0, 3.0
-        cert = certify_synthesis(Frame(stack.vectors, lower, upper), seed=[7, 8, 9])
-        broken = dataclasses.replace(stack[k], lower_bound=2.0, upper_bound=3.0)
-        single = certify_synthesis(broken, seed=8)
+        [cert] = frames._certify_synthesis([frames._Stack(stack.vectors, lower, upper)], [7, 8, 9])
+        single = certify_synthesis(Frame(stack.vectors[k], 2.0, 3.0), seed=8)
         assert not single.passed and single.failures
         assert cert.passed.tolist() == [True, False, True]
         assert cert.failures == ((), single.failures, ())
@@ -641,63 +654,41 @@ class TestStackedSynthesisCertificate:
 
         monkeypatch.setattr(frames, "_probes", counted)
         stack = next(iter(FrameEnsemble(3, 9, 0))).raw
-        variants = [stack, canonical_parseval(stack), rescale_upper_bound_one(stack)]
-        certificates = frames._certify_synthesis(variants, [4, 5, 6])
+        certificates = frames._certify_synthesis(synthesis_variants(stack.vectors), [4, 5, 6])
         assert all(cert.passed.all() for cert in certificates)
         assert drawn == {4: 1, 5: 1, 6: 1}
 
     def test_rejects_seed_count_mismatch(self):
-        stack = next(iter(FrameEnsemble(3, 9, 0))).raw
-        for seed in (0, [1, 2]):
-            with pytest.raises(ValueError, match="one seed per frame"):
-                certify_synthesis(stack, seed=seed)
-
-    def test_rejects_frames_of_different_stack_shapes(self):
-        stack = next(iter(FrameEnsemble(3, 9, 0))).raw
-        pair = Frame.of(stack.vectors[:2].copy())
-        mixes = [
-            ([stack, stack[0]], [4, 5, 6]),
-            ([stack[0], stack], 4),
-            ([stack, pair], [4, 5, 6]),
-            ([pair, stack], [4, 5]),
-        ]
-        for together, seeds in mixes:
-            with pytest.raises(ValueError, match="one seed per frame"):
-                frames._certify_synthesis(together, seeds)
+        """One frame takes one probe seed: a sequence of seeds is refused by name."""
+        frame = random_frame(3, 4, TRIAL_CONDITION, 0)
+        for seed in ([1], [1, 2]):
+            with pytest.raises(ValueError, match="seed must be an integer"):
+                certify_synthesis(frame, seed=seed)
 
 
-ONE_FRAME_CALLS = {
-    "sum_norms": lambda f: sum_norms(np.eye(3), f, 1.0),
-    "sum_diag": lambda f: sum_diag(np.eye(3), f, 1.0),
-    "sum_double": lambda f: sum_double(np.eye(3), f, 1.0),
-    "weighted_sum": lambda f: weighted_sum("weighted_norms", np.eye(3), f, 1.0),
-    "union_frame": lambda f: union_frame(f, np.eye(3)),
-    "union_frame_appended": lambda f: union_frame(make_frame(np.eye(3)), f),
+STACK_REFUSALS = {
+    "Frame.of": Frame.of,
     "make_frame": make_frame,
+    "union_frame_appended": lambda vectors: union_frame(make_frame(np.eye(3)), vectors),
 }
 
 
-@pytest.mark.parametrize("call", ONE_FRAME_CALLS.values(), ids=ONE_FRAME_CALLS.keys())
+@pytest.mark.parametrize("call", STACK_REFUSALS.values(), ids=STACK_REFUSALS.keys())
 def test_one_frame_functions_reject_a_stack(call):
-    stack = next(iter(FrameEnsemble(3, 9, 0))).raw
-    with pytest.raises(ValueError, match=r"expected one frame, got a stack of shape \(3, 3, 4\)"):
-        call(stack)
-    call(stack[0])  # each member is accepted
-
-
-def test_indexing_one_frame_is_a_named_error():
-    """Only a stack has members; indexing one frame names its shape."""
-    with pytest.raises(ValueError, match=r"got a frame of shape \(2, 2\)"):
-        make_frame(np.eye(2))[0]
+    """A Frame holds one frame: a stack of vectors, (n, dim, count), is refused by name."""
+    vectors = np.array(next(iter(FrameEnsemble(3, 9, 0))).raw.vectors)
+    with pytest.raises(ValueError, match=r"of shape \(dim, count\), got shape \(3, 3, 4\)"):
+        call(vectors)
+    call(vectors[0])  # each member is accepted
 
 
 def assert_same_frame(stacked, k, single):
-    """Member k of a stack equals a one-frame Frame bit for bit."""
-    member = stacked[k]
-    np.testing.assert_array_equal(member.vectors, single.vectors)
-    assert member.bounds == single.bounds
+    """Member k of a _Stack equals a one-frame Frame bit for bit."""
+    np.testing.assert_array_equal(stacked.vectors[k], single.vectors)
+    assert frame_at(stacked, k).bounds == single.bounds
     assert type(single.lower_bound) is float and type(single.upper_bound) is float
-    np.testing.assert_array_equal(stacked.frame_operator[k], single.frame_operator)
+    operators = frames._frame_operators(stacked.vectors)
+    np.testing.assert_array_equal(operators[k], single.frame_operator)
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=80)
@@ -710,7 +701,7 @@ def assert_same_frame(stacked, k, single):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_stack_members_equal_one_frame_path(dim, extra, n, exponent, p, seed):
-    """Every operation on a stack equals, member by member, the one-frame path."""
+    """Every batched kernel equals, member by member, the one-frame path."""
     count = dim + extra % (dim + 2)  # dim .. 2 dim + 1
     rng = np.random.default_rng(seed)
     v = 10.0**exponent * (
@@ -718,20 +709,25 @@ def test_stack_members_equal_one_frame_path(dim, extra, n, exponent, p, seed):
     )
     ops = rng.standard_normal((n, dim, dim)) + 1j * rng.standard_normal((n, dim, dim))
     seeds = [seed + k for k in range(n)]
-    stack = Frame.of(v.copy())
+    stack = stack_of(v.copy())
     singles = [make_frame(v[k]) for k in range(n)]
-    for variant in (lambda f: f, canonical_parseval, rescale_upper_bound_one,
-                    rescale_lower_bound_one):
-        stacked = variant(stack)
+    variants = {
+        "frame": (stack, lambda f: f),
+        "parseval": (stack_of(frames._parseval_vectors(stack.vectors)), canonical_parseval),
+        "upper_one": (stack_of(frames._divided(stack, stack.upper_bound)), rescale_upper_bound_one),
+        "lower_one": (stack_of(frames._divided(stack, stack.lower_bound)), rescale_lower_bound_one),
+    }
+    for stacked, variant in variants.values():
         for k in range(n):
             assert_same_frame(stacked, k, variant(singles[k]))
-    cert = certify_synthesis(stack, seed=seeds)
+    [cert] = frames._certify_synthesis([stack], seeds)
     # stacks of one shape in one call share each trial's probes
-    parseval = canonical_parseval(stack)
+    parseval = variants["parseval"][0]
     joint = frames._certify_synthesis([stack, parseval], seeds)
-    for together, alone in zip(joint, (cert, certify_synthesis(parseval, seed=seeds))):
-        assert_equal_certificates(together, alone)
-    comparison = double_sum_comparison(ops, stack, p)
+    alone = (cert, *frames._certify_synthesis([parseval], seeds))
+    for together, one in zip(joint, alone, strict=True):
+        assert_equal_certificates(together, one)
+    [comparison] = criteria._comparisons(ops, stack, [p])
     for k, single in enumerate(singles):
         assert_same_certificate(cert, k, certify_synthesis(single, seed=seeds[k]))
         expected = double_sum_comparison(ops[k], single, p)

@@ -78,7 +78,7 @@ def test_public_names_resolve_to_their_module_objects():
     exec("from schattenframes import *", namespace)
     homes = [importlib.import_module(f"schattenframes.{m}") for m in schattenframes._MODULES]
     assert schattenframes.__all__ == [name for home in homes for name in home.__all__]
-    assert len(set(schattenframes.__all__)) == len(schattenframes.__all__) == 79
+    assert len(set(schattenframes.__all__)) == len(schattenframes.__all__) == 78
     for home in homes:
         for name in home.__all__:
             assert getattr(schattenframes, name) is getattr(home, name) is namespace[name], name

@@ -43,16 +43,16 @@ ALLOWED = {
     "DiskQuadrature": "result type of disk_quadrature, which bergman runs",
     "SamplingLattice": "result type of r_lattice, which bergman runs",
     "SpectralData": "result type of svd, which every command runs",
+    "Frame": "the one-frame type that every frame function takes or returns",
     "SynthesisCertificate": "result type of certify_synthesis, which verify and bergman run",
     "TrialGroup": "what a FrameEnsemble walk yields, which verify and norm-estimate run",
-    "DoubleSumComparison": "result type of double_sum_comparison, which verify runs",
+    "DoubleSumComparison": "result type of double_sum_comparison, whose kernel verify runs",
     "EndpointReport": "result type of the endpoint suites, whose records verify reports",
     "ScaledCopiesFrame": "result type of scaled_copies_frame, which counterexamples runs",
     "DoubleSumDemo": "result type of divergence_demo_double_sum, which counterexamples runs",
-    "SamplingFrameReport": "result type of sampling_frame, which bergman runs",
     "HSIdentityReport": "result type of hs_identity_check, whose records bergman reports",
-    "SamplingChainReport": "result type of sampling_comparison, which bergman runs",
-    "SubharmonicityReport": "result type of subharmonicity_check, which bergman runs",
+    "SamplingChainReport": "result type of sampling_comparison, whose kernel bergman runs",
+    "SubharmonicityReport": "result type of subharmonicity_check, whose kernel bergman runs",
     "as_matrix": "the input check of every operator, which every command runs",
     "hermitian_defect": "the Hermitian test's defect, which every command's certificates run",
     "certify_diag_formula": "library form of the diagonal-sum theorem; verify runs its body",
