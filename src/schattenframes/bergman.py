@@ -17,7 +17,7 @@ import numpy as np
 
 from .frames import Frame, make_frame
 from .linalg import ELEMENTWISE_TOL, IDENTITY_TOL, STENCIL_TOL, _as_square, _check_count
-from .linalg import _BLOCK_ENTRIES, _check_p, _checked_sums, _exponents, _verdict, as_matrix
+from .linalg import _BLOCK_ENTRIES, _check_p, _exponents, _is_real, _power_sum, _verdict, as_matrix
 
 __all__ = [
     "DiskQuadrature",
@@ -43,6 +43,12 @@ def _check_in_disk(*points) -> None:
     for z in points:
         if not abs(z) < 1.0:
             raise ValueError(f"point {z} is not in the open unit disk")
+
+
+def _check_rmax(rmax) -> None:
+    """Reject a radius `rmax` unless it is a real number in (0, 1)."""
+    if not (_is_real(rmax) and 0 < rmax < 1):
+        raise ValueError(f"rmax must lie in (0, 1), got {rmax}")
 
 
 def bergman_kernel(z: complex, w: complex) -> complex:
@@ -177,10 +183,9 @@ def r_lattice(separation: float, rmax: float) -> SamplingLattice:
     formula.  A tiny padding absorbs rounding so the pairwise check holds
     strictly; it runs at construction, in O(n) (see `_ring_separation`).
     """
-    if not 0 < separation < np.inf:
+    if not (_is_real(separation) and 0 < separation < np.inf):
         raise ValueError(f"separation must be finite and positive, got {separation}")
-    if not 0 < rmax < 1:
-        raise ValueError(f"rmax must lie in (0, 1), got {rmax}")
+    _check_rmax(rmax)
     padded = separation * (1.0 + 1e-9) + 1e-12
     rings = [np.zeros(1, dtype=np.complex128)]
     offsets = [np.zeros(1)]
@@ -250,8 +255,7 @@ def disk_quadrature(n_radial: int, n_angular: int, rmax: float) -> DiskQuadratur
     """
     _check_count("n_radial", n_radial)
     _check_count("n_angular", n_angular)
-    if not 0 < rmax < 1:
-        raise ValueError(f"rmax must lie in (0, 1), got {rmax}")
+    _check_rmax(rmax)
     x, v = np.polynomial.legendre.leggauss(n_radial)
     t = 0.5 * rmax**2 * (x + 1.0)
     vt = 0.5 * rmax**2 * v
@@ -279,6 +283,7 @@ def monomial_gram(quad: DiskQuadrature, degree: int) -> np.ndarray:
     The exact value is diag(rmax^(2n+2)): orthogonality is killed by the
     angular rule and the diagonal carries the truncated radial mass.
     """
+    _check_count("degree", degree)
     gram = np.zeros((degree, degree), dtype=np.complex128)
     for start in range(0, quad.nodes.size, _GRAM_BLOCK):
         rows = slice(start, start + _GRAM_BLOCK)
@@ -299,9 +304,7 @@ def integral_criterion(t, p: float, quad: DiskQuadrature) -> float:
     t = _as_square(t)
     _check_p(p)
     norms = _kernel_norms(quad.nodes, [(t, None)])[0]
-    with np.errstate(over="ignore"):
-        integral = np.sum(quad.weights_dlambda * norms**p)
-    return float(_checked_sums(integral, p, norms))
+    return float(_power_sum(norms, p, axis=(), weights=quad.weights_dlambda))
 
 
 @dataclass(frozen=True)
@@ -338,9 +341,7 @@ def _sampling_comparisons(t, p: float, quad: DiskQuadrature, lattices) -> list:
     reports = []
     for lat in lattices:
         inside = lat.points[np.abs(lat.points) <= quad.rmax]
-        norms = _kernel_norms(inside, [(t, None)])[0]
-        with np.errstate(over="ignore"):
-            lattice_sum = float(_checked_sums(np.sum(norms**p), p, norms))
+        lattice_sum = float(_power_sum(_kernel_norms(inside, [(t, None)])[0], p))
         reports.append(
             SamplingChainReport(
                 separation=lat.separation,
@@ -446,9 +447,8 @@ def _subharmonicity(ts, ps, grid_step: float, rmax: float) -> list:
     """
     ops = [_as_square(op) for op in ts]
     _exponents(ps)
-    if not 0 < rmax < 1:
-        raise ValueError(f"rmax must lie in (0, 1), got {rmax}")
-    if not 0 < grid_step <= rmax:
+    _check_rmax(rmax)
+    if not (_is_real(grid_step) and 0 < grid_step <= rmax):
         raise ValueError("grid_step must be positive and small relative to rmax")
     axis = np.arange(-rmax, rmax + grid_step / 2.0, grid_step)
     re, im = np.meshgrid(axis, axis, indexing="ij")

@@ -17,10 +17,10 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import serialization
-from .frames import FrameEnsemble, _certify_synthesis, _Stack, certify_synthesis, make_frame
+from .frames import FrameEnsemble, _certify_synthesis, certify_synthesis, make_frame
 from .linalg import CERTIFICATE_TOL, CHAIN_STABILITY_TOL, ELEMENTWISE_TOL, IDENTITY_TOL
 from .linalg import ORTHONORMALITY_TOL, SV_TOL, _check_count, _check_p, _check_seed, _verdict
-from .linalg import _gaussian, _is_real, _positive_float, _pth_root, svd
+from .linalg import _gaussian, _is_real, _positive_float, _power_sum, _pth_root, svd
 
 # the run functions import the modules only their command runs
 if TYPE_CHECKING:
@@ -221,24 +221,15 @@ def run_verify_theorems(config: CampaignConfig) -> CampaignReport:
     endpoint_sums = {tag: [] for tag in endpoints}  # each group's raw-frame sums, per suite
 
     def visit(group):
-        # the ONB, raw and derived frames of a trial share its probe seed; each
-        # derived stack is certified at the bounds its derivation claims, and
-        # they stay separate stacks, as a joined copy of the stacks the walk
-        # holds would raise the peak RSS
-        raw, ones = group.raw, np.ones(len(group.seeds))
-        variants = [
-            _Stack(group.onb, ones, ones),
-            raw,
-            _Stack(group.parseval, ones, ones),
-            _Stack(group.upper_one, raw.lower_bound / raw.upper_bound, ones),
-            _Stack(group.lower_one, ones, raw.upper_bound / raw.lower_bound),
-        ]
-        synthesis.extend(_certify_synthesis(variants, group.seeds))
+        # the ONB, raw and derived frames of a trial share its probe seed, and each
+        # stack is certified at its bounds; they stay separate stacks, as a joined
+        # copy of the stacks the walk holds would raise the peak RSS
+        synthesis.extend(_certify_synthesis(group.stacks, group.seeds))
         # trial i's raw frame, of trial seed s = seed + i, is paired with operator seed + 1000 + i
         ops = np.stack([random_operator(dim, s + 1000) for s in group.seeds])
-        enclosures.append(criteria._comparisons(ops, raw, config.p_grid))
+        enclosures.append(criteria._comparisons(ops, group.raw, config.p_grid))
         for tag, op in endpoints.items():
-            endpoint_sums[tag].append(criteria._endpoint_sums(op, raw))
+            endpoint_sums[tag].append(criteria._endpoint_sums(op, group.raw))
 
     per_p: list[list[dict]] = [[] for _ in config.p_grid]
     reports = criteria._certify(FrameEnsemble(dim, trials, seed), jobs, visit=visit)
@@ -342,7 +333,7 @@ def run_counterexamples(config: CampaignConfig) -> CampaignReport:
     diag_sums = [criteria.sum_diag(shift, shift_frame, p) for p in config.p_grid]
     # ||shift||_p^p as the sum of s^p itself: its 1/p-th root overflows for small p
     shift_values = svd(shift).singular_values
-    gaps = np.array([np.sum(shift_values**p) - (config.dim - 1) for p in config.p_grid])
+    gaps = np.array([_power_sum(shift_values, p) - (config.dim - 1) for p in config.p_grid])
     norm_ok = bool(_verdict(gaps, 0.0, 0.0, CERTIFICATE_TOL, config.dim)[1].all())
     records.append(
         {
@@ -495,7 +486,7 @@ def run_norm_estimate(matrix_file, p: float, strategy: str, config: CampaignConf
         raise ValueError(f"unknown strategy {strategy!r}")
     # one decomposition gives the norm, the witness and the certificate
     job = criteria._norm_job(serialization.read_matrix(matrix_file), [p])
-    norm_pth_power = float(criteria._power_sums("norms", job.spectrum, p))
+    norm_pth_power = float(_power_sum(job.spectrum, p))
     norm = _pth_root(norm_pth_power, p)
     record = dict(
         tag="norm_estimate", strategy=strategy, p=p, norm=norm, norm_pth_power=norm_pth_power

@@ -13,7 +13,7 @@ import numpy as np
 
 from .frames import Frame, make_frame
 from .linalg import ELEMENTWISE_TOL, PAIRING_FLOOR, PAIRING_TOL, _as_square, _check_count
-from .linalg import _check_p, as_matrix, svd
+from .linalg import _check_p, _is_real, _power_sum, as_matrix, svd
 
 __all__ = [
     "GrowthSeries",
@@ -130,6 +130,7 @@ def divergence_demo_sum_norms(p: float, d_grid=DEFAULT_GRID) -> GrowthSeries:
     comparison degenerates (use `log_weight_norm_series` as the convergent
     p = 2 control).
     """
+    _check_p(p)
     if not 0 < p < 2:
         raise ValueError(f"this divergence demo needs 0 < p < 2, got p = {p}")
     truncs = _check_grid("d_grid", d_grid)
@@ -183,7 +184,7 @@ def scaled_copies_frame(p: float, epsilon: float, n_terms: int) -> ScaledCopiesF
     _check_p(p)
     if p <= 2:
         raise ValueError(f"scaled copies need p > 2 (the scale exponent degenerates), got {p}")
-    if not 0 < epsilon < np.inf:
+    if not (_is_real(epsilon) and 0 < epsilon < np.inf):
         raise ValueError(f"epsilon must be finite and positive, got {epsilon}")
     _check_count("n_terms", n_terms)
     values = np.arange(1, n_terms + 1, dtype=float) ** (-1.0 / p)
@@ -304,10 +305,10 @@ def _double_sum_closed_form(d: int, p: float) -> float:
     h1, v, beta = _reflector_first_column(d)
     geometric = 2.0 ** (-p * np.arange(1, d + 1, dtype=float))
     column_sums = np.empty(d)
-    column_sums[0] = float(np.sum(np.abs(h1) ** p))
+    column_sums[0] = float(_power_sum(np.abs(h1), p))
     if d > 1:
         vk = v[1:]
-        v_psum = float(np.sum(np.abs(v) ** p))
+        v_psum = float(_power_sum(np.abs(v), p))
         column_sums[1:] = np.abs(beta * vk) ** p * (v_psum - np.abs(vk) ** p) + np.abs(
             1.0 - beta * vk**2
         ) ** p
@@ -327,6 +328,7 @@ def divergence_demo_double_sum(d: int, p: float, d_grid=DEFAULT_GRID) -> DoubleS
     series over `d_grid` (each grid point rebuilds the construction at that
     dimension; the closed-form column sums avoid materializing the matrix).
     """
+    _check_p(p)
     if not 0 < p < 2:
         raise ValueError(f"this divergence demo needs 0 < p < 2, got p = {p}")
     _check_count("d", d)

@@ -30,7 +30,7 @@ import numpy as np
 
 from .frames import Frame, FrameEnsemble, _frame_operators, _sole, _Stack, _stack_of
 from .linalg import CERTIFICATE_TOL, IDENTITY_TOL, _as_square, _check_p, _exponents, _is_hermitian
-from .linalg import _checked_sums, _is_psd, _psd_eigenvalues, _verdict, _witness_budget, as_matrix
+from .linalg import _is_psd, _power_sum, _psd_eigenvalues, _verdict, _witness_budget, as_matrix
 from .linalg import hermitian_eigen, schatten_norm, svd
 
 __all__ = [
@@ -121,17 +121,14 @@ def _terms(kind: str, t: np.ndarray, v: np.ndarray):
 def _power_sums(kind: str, terms, p: float) -> np.ndarray:
     """The sum of `kind` at p from its `_terms`; zero frame vectors add 0 to weighted sums.
 
-    A sum past the double range is a ValueError naming p and the largest term.
+    weighted_double takes the inner sums over k for each n, then the weighted sum over n.
     """
-    lengths, plain = terms if kind in WEIGHTED_KINDS else (None, terms)
-    with np.errstate(over="ignore"):
-        if lengths is None:
-            sums = np.sum(plain**p, axis=(-2, -1) if kind == "double" else -1)
-        else:  # weighted_double takes the inner sums over k for each n
-            powers = np.sum(plain**p, axis=-2) if kind == "weighted_double" else plain**p
-            exponent = 2.0 * (1.0 - p) if kind == "weighted_diag" else 2.0 - p
-            sums = np.sum(np.where(lengths > 0.0, lengths**exponent * powers, 0.0), axis=-1)
-    return _checked_sums(sums, p, plain)
+    if kind not in WEIGHTED_KINDS:
+        return _power_sum(terms, p, axis=(-2, -1) if kind == "double" else -1)
+    lengths, plain = terms
+    exponent = 2.0 * (1.0 - p) if kind == "weighted_diag" else 2.0 - p
+    weights = np.where(lengths > 0.0, lengths**exponent, 0.0)
+    return _power_sum(plain, p, axis=-2 if kind == "weighted_double" else (), weights=weights)
 
 
 def _sums(kind: str, t: np.ndarray, v: np.ndarray, p: float) -> np.ndarray:
@@ -255,8 +252,8 @@ def _certify(ensemble: FrameEnsemble, jobs, visit=None) -> list:
 
     Each ps[j] of a job is sampled over the ONBs and the raw frames of its
     regime, made Parseval when inf[j] and rescaled to upper bound one
-    otherwise.  A group's stacks are bare vectors, made once when a job first
-    reads them and dropped with their group when the walk moves on; a job
+    otherwise.  A group's stacks are made once when a job first reads their
+    vectors and dropped with their group when the walk moves on; a job
     takes the terms of a stack once, and only the power map and sum run per
     p.  `visit`, if given, is called with each TrialGroup after the jobs have
     read it.
@@ -264,13 +261,13 @@ def _certify(ensemble: FrameEnsemble, jobs, visit=None) -> list:
     extremes = [np.where(job.inf, np.inf, -np.inf) for job in jobs]
     for group in ensemble:
         for job, extreme in zip(jobs, extremes):
-            onb_terms = _terms(job.kind, job.t, group.onb)
+            onb_terms = _terms(job.kind, job.t, group.onb.vectors)
             for regime in dict.fromkeys(job.inf):
                 derived = group.parseval if regime else group.upper_one
-                derived_terms = _terms(job.kind, job.t, derived)
+                derived_terms = _terms(job.kind, job.t, derived.vectors)
                 walks = [(job.kind, onb_terms), (job.kind, derived_terms)]
                 if regime and job.kind == "diag":  # the inf regime also samples weighted sums
-                    weighted = _terms("weighted_diag", job.t, group.lower_one)
+                    weighted = _terms("weighted_diag", job.t, group.lower_one.vectors)
                     walks.append(("weighted_diag", weighted))
                 fold, reduce = (np.minimum, np.min) if regime else (np.maximum, np.max)
                 for j in np.flatnonzero(np.equal(job.inf, regime)):
@@ -302,7 +299,7 @@ def _reports(job: _Job, extremes: np.ndarray, trials: int) -> list:
     witness_terms = None if job.basis is None else _terms(job.kind, job.t, job.basis)
     reports = []
     for p, p_inf, extremal in zip(job.ps, job.inf, extremes):
-        norm_value = float(_power_sums("norms", job.spectrum, p))
+        norm_value = float(_power_sum(job.spectrum, p))
         lo, hi = (norm_value, np.inf) if p_inf else (-np.inf, norm_value)
         direction_ok = _verdict(extremal, lo, hi, CERTIFICATE_TOL, norm_value)[1]
         witness, witness_ok = None, False

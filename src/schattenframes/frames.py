@@ -23,7 +23,7 @@ from functools import cached_property
 import numpy as np
 
 from .linalg import CERTIFICATE_TOL, IDENTITY_TOL, RANK_TOL, SPANNING_TOL, _check_count, _check_seed
-from .linalg import _BLOCK_ENTRIES, _gaussian, _verdict, as_matrix
+from .linalg import _BLOCK_ENTRIES, _gaussian, _is_real, _verdict, as_matrix
 
 __all__ = [
     "Frame",
@@ -50,28 +50,12 @@ class Frame:
 
     `vectors` has shape (dim, count), column k being the k-th frame vector.
     Repeated vectors are allowed and meaningful (families keep multiplicity).
-    Build frames with `Frame.of` or `make_frame`; their vectors are read-only.
+    Build frames with `make_frame`; their vectors are read-only.
     """
 
     vectors: np.ndarray
     lower_bound: float
     upper_bound: float
-
-    @classmethod
-    def of(cls, vectors) -> Frame:
-        """The frame of the (dim, count) array `vectors`, its bounds from one eigh.
-
-        Takes ownership of `vectors`, which is marked read-only.  Fails unless
-        the family spans: lambda_min(S) must exceed SPANNING_TOL * lambda_max(S).
-        """
-        vectors = np.asarray(vectors, dtype=np.complex128)
-        if vectors.ndim != 2 or 0 in vectors.shape or not np.isfinite(vectors).all():
-            raise ValueError(
-                f"expected finite vectors of shape (dim, count), got shape {vectors.shape}"
-            )
-        _, lower, upper = _spanning_bounds(vectors)
-        vectors.flags.writeable = False
-        return cls(vectors, float(lower), float(upper))
 
     @property
     def dim(self) -> int:
@@ -169,12 +153,16 @@ def _spanning_bounds(vectors: np.ndarray, seeds=None) -> tuple:
 
 
 def make_frame(vectors) -> Frame:
-    """Build one Frame from a vector family: `Frame.of` behind input coercion.
+    """The one constructor of a Frame from a vector family, its bounds from one eigh.
 
     `vectors` may be a sequence of vectors of one length or a (dim, count)
-    array whose columns are the vectors.  Fails when the family does not span.
+    array whose columns are the vectors; the frame holds a read-only copy.
+    Fails unless the family spans: lambda_min(S) must exceed SPANNING_TOL *
+    lambda_max(S).
     """
-    return Frame.of(as_matrix(_coerce_vectors(vectors)))
+    vectors = as_matrix(_coerce_vectors(vectors))
+    _, lower, upper = _spanning_bounds(vectors)
+    return Frame(vectors, float(lower), float(upper))
 
 
 @dataclass(frozen=True, eq=False)
@@ -330,7 +318,7 @@ def _parseval_vectors(vectors: np.ndarray, eigen: tuple | None = None) -> np.nda
 
 def canonical_parseval(frame: Frame) -> Frame:
     """Apply S^(-1/2) to every vector; the result is Parseval."""
-    return Frame.of(_parseval_vectors(frame.vectors))
+    return make_frame(_parseval_vectors(frame.vectors))
 
 
 def _divided(frame, bound) -> np.ndarray:
@@ -340,12 +328,18 @@ def _divided(frame, bound) -> np.ndarray:
 
 def rescale_upper_bound_one(frame: Frame) -> Frame:
     """Divide all vectors by sqrt(C2); new bounds are (C1/C2, 1)."""
-    return Frame.of(_divided(frame, frame.upper_bound))
+    return make_frame(_divided(frame, frame.upper_bound))
 
 
 def rescale_lower_bound_one(frame: Frame) -> Frame:
     """Divide all vectors by sqrt(C1); new bounds are (1, C2/C1)."""
-    return Frame.of(_divided(frame, frame.lower_bound))
+    return make_frame(_divided(frame, frame.lower_bound))
+
+
+def _unit(vectors: np.ndarray) -> _Stack:
+    """The _Stack of derived frames `vectors` at the bounds (1, 1) their derivation guarantees."""
+    ones = np.ones(len(vectors))
+    return _Stack(vectors, ones, ones)
 
 
 class TrialGroup:
@@ -354,23 +348,33 @@ class TrialGroup:
     `seeds` are their trial seeds (ensemble seed + i for trial i), `raw` is
     the _Stack of their raw trial frames and `eigen` is the eigh (w, v) of
     each raw frame's operator S, the one its bounds came from.  The other
-    stacks are made on first read and kept with the group: `onb` is the ONB
-    vectors, and `parseval`, `upper_one` and `lower_one` are the raw frames
-    made Parseval (the inf regime) and rescaled to upper bound 1 (the sup
-    regime) and to lower bound 1.  `parseval` applies S^(-1/2) from `eigen`,
-    so a group takes one eigh per raw frame.  They are bare (n, dim, count)
-    arrays without bounds, as the sums read nothing else; a reader that
-    needs bounds gives each stack the ones its derivation claims, (1, 1) for `onb` and `parseval`, (C1/C2, 1) for
-    `upper_one` and (1, C2/C1) for `lower_one`, with C1 and C2 the raw bounds.
+    stacks are made on first read and kept with the group: `onb` is the ONBs,
+    and `parseval`, `upper_one` and `lower_one` are the raw frames made
+    Parseval (the inf regime) and rescaled to upper bound 1 (the sup regime)
+    and to lower bound 1.  `parseval` applies S^(-1/2) from `eigen`, so a
+    group takes one eigh per raw frame.  Each carries the bounds its
+    derivation guarantees, measured by no eigh: (1, 1) for `onb` and
+    `parseval`, (C1/C2, 1) for `upper_one` and (1, C2/C1) for `lower_one`,
+    with C1 and C2 the raw bounds.  `stacks` lists all five.
     """
 
     def __init__(self, seeds: range, raw: _Stack, eigen: tuple):
         self.seeds, self.raw, self.eigen = seeds, raw, eigen
 
-    onb = cached_property(lambda self: _onb_stack(self.raw.vectors.shape[1], self.seeds))
-    parseval = cached_property(lambda self: _parseval_vectors(self.raw.vectors, self.eigen))
-    upper_one = cached_property(lambda self: _divided(self.raw, self.raw.upper_bound))
-    lower_one = cached_property(lambda self: _divided(self.raw, self.raw.lower_bound))
+    onb = cached_property(lambda self: _unit(_onb_stack(self.raw.vectors.shape[1], self.seeds)))
+    parseval = cached_property(lambda self: _unit(_parseval_vectors(self.raw.vectors, self.eigen)))
+    upper_one = cached_property(lambda self: self._rescaled(self.raw.upper_bound))
+    lower_one = cached_property(lambda self: self._rescaled(self.raw.lower_bound))
+
+    def _rescaled(self, bound) -> _Stack:
+        """The raw frames divided by sqrt(bound), at the raw bounds divided by bound."""
+        raw = self.raw
+        return _Stack(_divided(raw, bound), raw.lower_bound / bound, raw.upper_bound / bound)
+
+    @property
+    def stacks(self) -> list:
+        """The ONB, raw, Parseval, upper-bound-one and lower-bound-one stacks, in that order."""
+        return [self.onb, self.raw, self.parseval, self.upper_one, self.lower_one]
 
 
 class FrameEnsemble:
@@ -446,7 +450,7 @@ def _random_frames(dim: int, count: int, condition_target: float, seeds) -> tupl
     _check_count("count", count)
     if count < dim:
         raise ValueError(f"count {count} must be >= dim {dim}")
-    if not condition_target >= 1.0:
+    if not (_is_real(condition_target) and condition_target >= 1.0):
         raise ValueError(f"condition_target must be >= 1, got {condition_target}")
     n_bases = -(-count // dim)
     block_seeds = np.empty((len(seeds), n_bases), dtype=np.int64)

@@ -290,9 +290,17 @@ def svd(t) -> SpectralData:
     )
 
 
-def _checked_sums(sums, p: float, terms):
-    """`sums`, the p-th power sums of `terms`, checked: one past the double range is a
-    ValueError naming p and the largest term."""
+def _power_sum(terms, p: float, axis=-1, weights=None):
+    """The sums of terms**p over `axis`; with `weights`, the weighted sums of those over
+    the last remaining axis (axis=() weights the powers themselves).
+
+    Every p-th power sum of the package is taken here.  One past the double range
+    is a ValueError naming p and the largest term.
+    """
+    with np.errstate(over="ignore"):
+        sums = np.sum(terms**p, axis=axis)
+        if weights is not None:
+            sums = np.sum(weights * sums, axis=-1)
     if not np.isfinite(sums).all():
         raise ValueError(
             f"a p-th power sum overflows at p = {p}: its largest term is {float(np.max(terms))}"
@@ -316,10 +324,7 @@ def schatten_norm(t, p: float) -> float:
     A power sum or root past the double range is a ValueError naming p.
     """
     _check_p(p)
-    s = svd(t).singular_values
-    with np.errstate(over="ignore"):
-        total = np.sum(s**p)
-    return _pth_root(float(_checked_sums(total, p, s)), p)
+    return _pth_root(float(_power_sum(svd(t).singular_values, p)), p)
 
 
 def psd_power(s, p: float) -> np.ndarray:

@@ -272,10 +272,11 @@ def test_verify_draws_each_trial_seeds_probes_once(monkeypatch):
 
 def test_verify_certifies_claimed_bounds_without_eigh(monkeypatch):
     """The synthesis checks certify each derived stack at the bounds its
-    derivation claims, so verify measures no bounds for them: no `Frame.of`,
-    11 eigh calls (43 when the derived stacks were measured, 19 when each raw
-    stack's Parseval map took a second eigh of S), and one TrialGroup per
-    group, in the one walk of the ensemble."""
+    derivation claims, so verify measures no bounds for them: one
+    `_spanning_bounds` per group, for the raw stack its generator draws, 11 eigh
+    calls (43 when the derived stacks were measured, 19 when each raw stack's
+    Parseval map took a second eigh of S), and one TrialGroup per group, in the
+    one walk of the ensemble."""
     calls = collections.Counter()
 
     def counted(name, fn):
@@ -285,12 +286,12 @@ def test_verify_certifies_claimed_bounds_without_eigh(monkeypatch):
 
         return wrapper
 
-    frame_of = counted("Frame.of", frames.Frame.of.__func__)
-    monkeypatch.setattr(frames.Frame, "of", classmethod(frame_of))
+    spanning = counted("spanning_bounds", frames._spanning_bounds)
+    monkeypatch.setattr(frames, "_spanning_bounds", spanning)
     monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
     monkeypatch.setattr(frames, "TrialGroup", counted("groups", frames.TrialGroup))
     assert run_verify_theorems(CampaignConfig(command="verify-theorems")).passed
-    assert calls == {"eigh": 11, "groups": 8}
+    assert calls == {"eigh": 11, "groups": 8, "spanning_bounds": 8}
 
 
 def test_verify_fails_parseval_vectors_one_percent_too_long(monkeypatch):
@@ -332,10 +333,15 @@ def test_enclosure_margins_are_the_comparisons_least(monkeypatch):
 
 def test_verify_fails_lower_one_vectors_one_percent_short(monkeypatch):
     """The lower-bound-one stack that the weighted diagonal sum samples is
-    certified at (1, C2/C1): shrunk by 1% (lower bound 0.9801) it fails the
-    synthesis checks and nothing else."""
+    certified at the bounds (1, C2/C1) it carries: its vectors shrunk by 1%
+    (lower bound 0.9801) fail the synthesis checks and nothing else."""
     lower_one = frames.TrialGroup.lower_one
-    shrunk = property(lambda group: 0.99 * lower_one.__get__(group))
+
+    def shrunk_vectors(group):
+        stack = lower_one.__get__(group)
+        return stack._replace(vectors=0.99 * stack.vectors)
+
+    shrunk = property(shrunk_vectors)
     monkeypatch.setattr(frames.TrialGroup, "lower_one", shrunk)
     report = run_verify_theorems(CampaignConfig(command="verify-theorems"))
     assert [rec["tag"] for rec in report.records if not rec["passed"]] == ["synthesis_bounds"]

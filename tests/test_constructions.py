@@ -5,7 +5,13 @@ import re
 import numpy as np
 import pytest
 
-from schattenframes.bergman import r_lattice, sampling_frame
+from schattenframes.bergman import (
+    disk_quadrature,
+    monomial_gram,
+    r_lattice,
+    sampling_frame,
+    subharmonicity_check,
+)
 from schattenframes.constructions import (
     diag_divergence_frame,
     divergence_demo_double_sum,
@@ -303,4 +309,38 @@ BAD_INPUTS = {
 @pytest.mark.parametrize("name, call", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
 def test_bad_count_grid_or_target_is_named(name, call):
     with pytest.raises(ValueError, match=f"^{name} must be"):
+        call()
+
+
+#: Real parameters that numpy would refuse unnamed (a str compared with a number
+#: is a TypeError; a negative degree is numpy's "negative dimensions") or accept
+#: silently (degree 0 makes an empty Gram matrix); each error names the input.
+UNNAMED_REALS = {
+    "monomial_gram-zero-degree": ("degree", lambda: monomial_gram(disk_quadrature(2, 2, 0.5), 0)),
+    "monomial_gram-negative-degree": (
+        "degree", lambda: monomial_gram(disk_quadrature(2, 2, 0.5), -1)
+    ),
+    "monomial_gram-float-degree": (
+        "degree", lambda: monomial_gram(disk_quadrature(2, 2, 0.5), 2.5)
+    ),
+    "monomial_gram-bool-degree": (
+        "degree", lambda: monomial_gram(disk_quadrature(2, 2, 0.5), True)
+    ),
+    "sum_norms_demo-str-p": ("p", lambda: divergence_demo_sum_norms("1", (2, 4))),
+    "double_sum_demo-str-p": ("p", lambda: divergence_demo_double_sum(4, "1", (2, 4))),
+    "disk_quadrature-str-rmax": ("rmax", lambda: disk_quadrature(2, 2, "0.5")),
+    "subharmonicity-str-rmax": ("rmax", lambda: subharmonicity_check(np.eye(2), 1.0, 0.1, "0.5")),
+    "subharmonicity-str-step": (
+        "grid_step", lambda: subharmonicity_check(np.eye(2), 1.0, "0.1", 0.5)
+    ),
+    "r_lattice-str-separation": ("separation", lambda: r_lattice("0.5", 0.9)),
+    "r_lattice-str-rmax": ("rmax", lambda: r_lattice(0.5, "0.9")),
+    "scaled_copies-str-epsilon": ("epsilon", lambda: scaled_copies_frame(3.0, "1", 4)),
+    "random_frame-str-target": ("condition_target", lambda: random_frame(2, 3, "100", 0)),
+}
+
+
+@pytest.mark.parametrize("name, call", UNNAMED_REALS.values(), ids=UNNAMED_REALS.keys())
+def test_real_parameter_of_the_wrong_kind_is_named(name, call):
+    with pytest.raises(ValueError, match=f"^{name} must"):
         call()

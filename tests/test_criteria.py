@@ -384,9 +384,9 @@ class TestCertificateGrid:
         monkeypatch.setattr(frames, "TrialGroup", recorded)
         parseval = counted(calls, "parseval", frames._parseval_vectors)
         monkeypatch.setattr(frames, "_parseval_vectors", parseval)
-        # the walk sums bare vectors: it builds no Frame
-        frame_of = counted(calls, "Frame.of", frames.Frame.of.__func__)
-        monkeypatch.setattr(frames.Frame, "of", classmethod(frame_of))
+        # the walk measures the bounds of each group's raw stack alone, when it is drawn
+        spanning = counted(calls, "spanning_bounds", frames._spanning_bounds)
+        monkeypatch.setattr(frames, "_spanning_bounds", spanning)
         hermitian = seeded_hermitians(3, 1, 40)[0]
         job = criteria._double_job(hermitian, [0.5, 1.0, 2.0, 3.0, 1.5])
         [reports] = criteria._certify(FrameEnsemble(3, 7, 0), [job])
@@ -394,13 +394,16 @@ class TestCertificateGrid:
         # sup at p = 2 even for a Hermitian operator
         assert directions == ["inf_above", "inf_above", "sup_below", "sup_below", "inf_above"]
         groups = 3  # one per frame count, min(dim, trials)
-        assert calls == {"svd": 1, "hermitian_eigen": 1, "group": groups, "parseval": groups}
+        assert calls == {
+            "svd": 1, "hermitian_eigen": 1, "group": groups, "parseval": groups,
+            "spanning_bounds": groups,
+        }
         for group in walked:
             assert_walked_vectors(group, {"onb", "parseval", "upper_one"})
         calls.clear()
         walked.clear()
         criteria._certify(FrameEnsemble(3, 7, 0), [criteria._norm_job(hermitian, [3.0, 4.0, 5.0])])
-        assert calls == {"svd": 1, "group": groups}
+        assert calls == {"svd": 1, "group": groups, "spanning_bounds": groups}
         for group in walked:
             assert_walked_vectors(group, {"onb", "upper_one"})
 
@@ -428,7 +431,7 @@ def assert_walked_vectors(group, names):
             "upper_one": rescale_upper_bound_one(raw),
         }
         for name in names:
-            assert vars(group)[name][k].tobytes() == public[name].vectors.tobytes(), name
+            assert vars(group)[name].vectors[k].tobytes() == public[name].vectors.tobytes(), name
 
 
 def counted(calls, name, fn):
@@ -683,6 +686,16 @@ def test_overflowing_power_sum_is_a_named_error(call):
     and the sampling chain's constant was nan."""
     with pytest.raises(ValueError, match=r"overflows at p = (400|800|1000)\.0: its largest term is"):
         call()
+
+
+def test_weighted_stage_overflow_names_the_callers_p():
+    """weighted_double sums over k first, then weights the inner sums by ||f_n||^(2-p):
+    when only that weighted stage overflows, the error names the caller's p and the
+    largest pairing, 2^1000, whose square root, the inner sum, is finite."""
+    frame = make_frame(2.0**500 * np.eye(2))  # weights ||f_n||^1.5 = 2^750
+    with pytest.raises(ValueError, match=re.escape(f"p = 0.5: its largest term is {2.0**1000}")):
+        weighted_sum("weighted_double", np.eye(2), frame, 0.5)
+    assert sum_double(np.eye(2), frame, 0.5) == 2.0**501
 
 
 def test_power_sum_error_names_the_largest_term():

@@ -3,6 +3,7 @@
 import collections
 import dataclasses
 import re
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -92,14 +93,19 @@ class TestMakeFrame:
             assert c1 * (1 - 1e-10) <= total <= c2 * (1 + 1e-10)
 
     @pytest.mark.parametrize(
-        "vectors",
-        [np.zeros((0, 3)), np.ones((2, 3, 4, 5)), np.array([[1.0, 0.0], [np.nan, 1.0]])],
+        "vectors,message",
+        [
+            (np.zeros((0, 3)), r"expected a nonempty 2-d matrix, got shape \(0, 3\)"),
+            (np.ones((2, 3, 4, 5)), r"of shape \(dim, count\), got shape \(2, 3, 4, 5\)"),
+            (np.array([[1.0, 0.0], [np.nan, 1.0]]), r"matrix entries must be finite"),
+        ],
         ids=["no-rows", "four-axes", "nan-entry"],
     )
-    def test_of_rejects_bad_shape_or_nonfinite_entry(self, vectors):
-        shape = re.escape(str(vectors.shape))
-        with pytest.raises(ValueError, match=f"expected finite vectors .* got shape {shape}"):
-            Frame.of(vectors)
+    def test_of_rejects_bad_shape_or_nonfinite_entry(self, vectors, message):
+        """make_frame, the one constructor, refuses by `as_matrix`'s messages and, for
+        more than two axes, by `_coerce_vectors`'."""
+        with pytest.raises(ValueError, match=message):
+            make_frame(vectors)
 
     def test_vectors_immutable(self):
         frame = make_frame(np.eye(2))
@@ -360,7 +366,7 @@ class TestBatchedGenerator:
         parseval = group.parseval
         assert calls == []
         monkeypatch.undo()
-        assert parseval.tobytes() == frames._parseval_vectors(group.raw.vectors).tobytes()
+        assert parseval.vectors.tobytes() == frames._parseval_vectors(group.raw.vectors).tobytes()
 
 
 class TestUnionFrame:
@@ -409,7 +415,7 @@ class TestFrameEnsemble:
         for group in ensemble:
             count = group.raw.vectors.shape[2]
             assert all(dim + ((s - seed) % dim) + 1 == count for s in group.seeds)
-            assert group.onb.shape == (len(group.seeds), dim, dim)
+            assert group.onb.vectors.shape == (len(group.seeds), dim, dim)
             assert group.raw.vectors.shape == (len(group.seeds), dim, count)
             seen += list(group.seeds)
         assert sorted(seen) == list(range(seed, seed + trials))
@@ -421,27 +427,21 @@ class TestFrameEnsemble:
             for k, s in enumerate(group.seeds):
                 onb = random_onb(dim, s)
                 raw = random_frame(dim, count, TRIAL_CONDITION, s)
-                np.testing.assert_array_equal(group.onb[k], onb.vectors)
+                np.testing.assert_array_equal(group.onb.vectors[k], onb.vectors)
                 np.testing.assert_array_equal(group.raw.vectors[k], raw.vectors)
 
     @pytest.mark.parametrize("dim,trials,seed", ENSEMBLE_CASES)
     def test_bounds_and_variants_match_single_frame_path(self, dim, trials, seed):
         """Each stack of a group, at the bounds its derivation claims, against the
-        one-frame path of its member frames."""
+        one-frame path of its member frames, whose bounds are measured."""
+        names = ("onb", "raw", "parseval", "upper_one", "lower_one")
         for group in FrameEnsemble(dim, trials, seed):
-            lower, upper = group.raw.lower_bound, group.raw.upper_bound
-            ones = np.ones(len(group.seeds))
-            stacks = {
-                "onb": frames._Stack(group.onb, ones, ones),
-                "raw": group.raw,
-                "parseval": frames._Stack(group.parseval, ones, ones),
-                "upper_one": frames._Stack(group.upper_one, lower / upper, ones),
-                "lower_one": frames._Stack(group.lower_one, ones, upper / lower),
-            }
+            stacks = dict(zip(names, group.stacks))
+            assert all(stack is getattr(group, name) for name, stack in stacks.items())
             for k in range(len(group.seeds)):
                 raw = frame_at(group.raw, k)
                 singles = {
-                    "onb": make_frame(group.onb[k]),
+                    "onb": make_frame(group.onb.vectors[k]),
                     "raw": make_frame(raw.vectors),
                     "parseval": canonical_parseval(raw),
                     "upper_one": rescale_upper_bound_one(raw),
@@ -493,24 +493,16 @@ class TestFrameEnsemble:
     @pytest.mark.parametrize("dim,trials,seed", ENSEMBLE_CASES)
     def test_two_walks_are_bit_identical(self, dim, trials, seed):
         ensemble = FrameEnsemble(dim, trials, seed)
-        names = ("onb", "parseval", "upper_one", "lower_one")
-        first, second = (
-            [
-                [group.raw.vectors, group.raw.lower_bound, group.raw.upper_bound]
-                + [getattr(group, name) for name in names]
-                for group in ensemble
-            ]
-            for _ in range(2)
-        )
+        first, second = ([list(chain(*group.stacks)) for group in ensemble] for _ in range(2))
         assert len(first) == len(second) == min(dim, trials)
         for one, other in zip(first, second):
             for a, b in zip(one, other):
                 assert a is not b and a.tobytes() == b.tobytes()
 
     def test_regime_stacks(self):
-        """The stacks a walk derives from a group's raw frames, each made once: the
-        vectors alone, member by member and bit for bit, of the public frames whose
-        bounds are checked."""
+        """The stacks a walk derives from a group's raw frames, each made once: member
+        by member and bit for bit, the vectors of the public frames whose bounds are
+        checked."""
         for group in FrameEnsemble(3, 6, 2):
             for k, s in enumerate(group.seeds):
                 raw = frame_at(group.raw, k)
@@ -521,9 +513,9 @@ class TestFrameEnsemble:
                     "lower_one": rescale_lower_bound_one(raw),
                 }
                 for name, frame in public.items():
-                    vectors = getattr(group, name)
-                    assert isinstance(vectors, np.ndarray) and vectors is getattr(group, name)
-                    assert vectors[k].tobytes() == frame.vectors.tobytes(), name
+                    stack = getattr(group, name)
+                    assert isinstance(stack, frames._Stack) and stack is getattr(group, name)
+                    assert stack.vectors[k].tobytes() == frame.vectors.tobytes(), name
                 np.testing.assert_allclose(public["onb"].upper_bound, 1.0, atol=1e-12)
                 for name in ("parseval", "upper_one"):
                     np.testing.assert_allclose(public[name].upper_bound, 1.0, atol=1e-12)
@@ -598,7 +590,7 @@ class TestStackedSynthesisCertificate:
     @pytest.mark.parametrize("dim,trials,seed", [(3, 7, 5), (3, 20, 0), (8, 19, 100), (8, 40, 3)])
     def test_variants_match_single_frame_bitwise(self, dim, trials, seed):
         for group in FrameEnsemble(dim, trials, seed):
-            for vectors in (group.onb, group.raw.vectors):
+            for vectors in (group.onb.vectors, group.raw.vectors):
                 variants = synthesis_variants(vectors)
                 certificates = frames._certify_synthesis(variants, group.seeds)
                 for variant, cert in zip(variants, certificates):
@@ -667,7 +659,6 @@ class TestStackedSynthesisCertificate:
 
 
 STACK_REFUSALS = {
-    "Frame.of": Frame.of,
     "make_frame": make_frame,
     "union_frame_appended": lambda vectors: union_frame(make_frame(np.eye(3)), vectors),
 }

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import schattenframes
-from schattenframes.frames import Frame
+from schattenframes.frames import make_frame
 
 PACKAGE = Path(schattenframes.__file__).resolve().parent
 MODULES = sorted(path.stem for path in PACKAGE.glob("*.py") if path.stem != "__init__")
@@ -65,12 +65,14 @@ def test_public_functions_return_one_shape(module):
     assert not shape_switches((PACKAGE / f"{module}.py").read_text(), public)
 
 
-def test_frame_of_takes_ownership_of_the_callers_array():
-    """`Frame.of` keeps the caller's complex array itself and marks it read-only,
-    so no one can change a frame's vectors behind its bounds."""
+def test_make_frame_holds_a_read_only_copy():
+    """`make_frame` keeps a read-only copy of the caller's array: writing the array
+    afterwards moves neither the frame's vectors nor its bounds."""
     vectors = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]], dtype=np.complex128)
-    frame = Frame.of(vectors)
-    assert frame.vectors is vectors
-    assert not vectors.flags.writeable
+    frame = make_frame(vectors)
+    kept, bounds = frame.vectors.copy(), frame.bounds
+    vectors[:] = 5.0
+    np.testing.assert_array_equal(frame.vectors, kept)
+    assert frame.bounds == bounds
     with pytest.raises(ValueError):
-        vectors[0, 0] = 2.0
+        frame.vectors[0, 0] = 2.0
