@@ -16,8 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .frames import Frame, make_frame
-from .linalg import ELEMENTWISE_TOL, IDENTITY_TOL, STENCIL_TOL, _as_square, _check_count
-from .linalg import _BLOCK_ENTRIES, _check_p, _exponents, _is_real, _power_sum, _verdict, as_matrix
+from .linalg import ELEMENTWISE_TOL, IDENTITY_TOL, STENCIL_TOL, _BLOCK_ENTRIES, _as_square
+from .linalg import _check_count, _check_p, _check_rmax, _exponents, _is_real, _power_sum
+from .linalg import _verdict, as_matrix
 
 __all__ = [
     "DiskQuadrature",
@@ -43,12 +44,6 @@ def _check_in_disk(*points) -> None:
     for z in points:
         if not abs(z) < 1.0:
             raise ValueError(f"point {z} is not in the open unit disk")
-
-
-def _check_rmax(rmax) -> None:
-    """Reject a radius `rmax` unless it is a real number in (0, 1)."""
-    if not (_is_real(rmax) and 0 < rmax < 1):
-        raise ValueError(f"rmax must lie in (0, 1), got {rmax}")
 
 
 def bergman_kernel(z: complex, w: complex) -> complex:

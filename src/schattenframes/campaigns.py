@@ -19,8 +19,8 @@ import numpy as np
 from . import serialization
 from .frames import FrameEnsemble, _certify_synthesis, certify_synthesis, make_frame
 from .linalg import CERTIFICATE_TOL, CHAIN_STABILITY_TOL, ELEMENTWISE_TOL, IDENTITY_TOL
-from .linalg import ORTHONORMALITY_TOL, SV_TOL, _check_count, _check_p, _check_seed, _verdict
-from .linalg import _gaussian, _is_real, _positive_float, _power_sum, _pth_root, svd
+from .linalg import ORTHONORMALITY_TOL, SV_TOL, _check_count, _check_p, _check_rmax
+from .linalg import _check_seed, _gaussian, _positive_float, _power_sum, _pth_root, _verdict, svd
 
 # the run functions import the modules only their command runs
 if TYPE_CHECKING:
@@ -72,7 +72,6 @@ def _jsonable(obj):
 class CampaignConfig:
     """Parameters shared by all campaign commands."""
 
-    command: str
     seed: int = 0
     dim: int = 8
     trials: int = 200
@@ -91,8 +90,7 @@ class CampaignConfig:
                 f"p_grid must be a nonempty list of finite positive numbers, got {self.p_grid!r}"
             )
         self.p_grid = tuple(ps)
-        if not (_is_real(self.rmax) and 0 < self.rmax < 1):
-            raise ValueError(f"rmax must be a number in (0, 1), got {self.rmax!r}")
+        _check_rmax(self.rmax)
         if not isinstance(self.output_dir, (str, type(None))):
             raise ValueError(f"output_dir must be a path string, got {self.output_dir!r}")
 
@@ -189,7 +187,7 @@ def _reads(command: str, strategy: str | None = None) -> tuple[str, tuple]:
 def _echo(config: CampaignConfig, command: str, strategy: str | None = None) -> dict:
     """The config echo of a report: the command, the settings its run reads and output_dir."""
     settings = {key: getattr(config, key) for key in _reads(command, strategy)[1]}
-    return {"command": config.command, **settings, "output_dir": config.output_dir}
+    return {"command": command, **settings, "output_dir": config.output_dir}
 
 
 def run_verify_theorems(config: CampaignConfig) -> CampaignReport:

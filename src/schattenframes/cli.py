@@ -103,7 +103,7 @@ def _load_config(args: argparse.Namespace) -> CampaignConfig:
         values[key] = flag
     if args.out is not None:
         values["output_dir"] = str(args.out)
-    return CampaignConfig(command=args.command, **values)
+    return CampaignConfig(**values)
 
 
 def _print_summary(report) -> None:

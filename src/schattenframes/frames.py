@@ -496,8 +496,8 @@ def random_frame(dim: int, count: int, condition_target: float, seed: int) -> Fr
     case of the batched generator that FrameEnsemble uses.
     """
     _check_seed(seed)
-    (vectors,), (lower,), (upper,) = _random_frames(dim, count, condition_target, [seed])[0]
-    return Frame(vectors, float(lower), float(upper))
+    stack, _ = _random_frames(dim, count, condition_target, [seed])
+    return make_frame(stack.vectors[0])
 
 
 def union_frame(a: Frame, b) -> Frame:

@@ -181,6 +181,12 @@ def _check_seed(value) -> None:
         raise ValueError(f"seed must be an integer >= 0, got {value!r}")
 
 
+def _check_rmax(value) -> None:
+    """Reject a disk radius `rmax` unless it is a real number in (0, 1)."""
+    if not (_is_real(value) and 0 < value < 1):
+        raise ValueError(f"rmax must be a number in (0, 1), got {value!r}")
+
+
 def _gaussian(rng: np.random.Generator, shape) -> np.ndarray:
     """A complex standard Gaussian array: `rng` draws the real part, then the imaginary part.
 

@@ -215,7 +215,7 @@ def test_criterion_11_synthesis_certificates():
 
 
 def test_criterion_12_determinism():
-    config = CampaignConfig(command="verify-theorems")
+    config = CampaignConfig()
     first = run_verify_theorems(config).numeric_content()
     second = run_verify_theorems(config).numeric_content()
     assert json.dumps(first, sort_keys=True) == json.dumps(second, sort_keys=True)

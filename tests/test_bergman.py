@@ -342,7 +342,8 @@ class TestDiskQuadrature:
         np.testing.assert_array_equal(blocked.view(np.uint64), one_shot.view(np.uint64))
 
     def test_rejects_bad_rmax(self):
-        with pytest.raises(ValueError):
+        """By the one rmax check that `CampaignConfig` runs too, in its words."""
+        with pytest.raises(ValueError, match=r"^rmax must be a number in \(0, 1\), got 1\.0$"):
             disk_quadrature(4, 4, 1.0)
 
     @pytest.mark.parametrize(

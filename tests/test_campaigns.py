@@ -36,7 +36,7 @@ def test_golden_report():
     its `tolerances` key when the certificate tolerance stopped being a setting,
     and the keys of the settings its command does not read when the echo came
     to list only the command's settings."""
-    report = run_verify_theorems(CampaignConfig(command="verify-theorems", dim=3, trials=20))
+    report = run_verify_theorems(CampaignConfig(dim=3, trials=20))
     actual = json.loads(json.dumps(report.numeric_content()))
     assert_same_report(actual, json.loads(GOLDEN.read_text()))
 
@@ -46,7 +46,7 @@ def test_golden_default_report():
     before the synthesis certificates and trial frames were batched
     (numpy 2.4, OpenBLAS); the enclosure margins and the synthesis record
     were re-recorded as in test_golden_report."""
-    report = run_verify_theorems(CampaignConfig(command="verify-theorems"))
+    report = run_verify_theorems(CampaignConfig())
     actual = json.loads(json.dumps(report.numeric_content()))
     assert_same_report(actual, json.loads(GOLDEN_DEFAULT.read_text()))
 
@@ -56,7 +56,7 @@ def test_golden_scaled_report():
     before the certificates and the synthesis checks shared one walk of the
     trial ensemble (numpy 2.4, OpenBLAS); the enclosure margins and the
     synthesis record were re-recorded as in test_golden_report."""
-    report = run_verify_theorems(CampaignConfig(command="verify-theorems", dim=16, trials=48))
+    report = run_verify_theorems(CampaignConfig(dim=16, trials=48))
     actual = json.loads(json.dumps(report.numeric_content()))
     assert_same_report(actual, json.loads(GOLDEN_SCALED.read_text()))
 
@@ -64,7 +64,7 @@ def test_golden_scaled_report():
 def _norm_estimate(tmp_path, strategy):
     matrix = tmp_path / "matrix.json"
     serialization.write_matrix(matrix, campaigns.random_operator(12, 3))
-    return run_norm_estimate(matrix, 1.5, strategy, CampaignConfig(command="norm-estimate"))
+    return run_norm_estimate(matrix, 1.5, strategy, CampaignConfig())
 
 
 @pytest.mark.parametrize("strategy", ["singular_basis_exact", "frame_ensemble"])
@@ -80,7 +80,7 @@ def test_norm_estimate_takes_one_full_svd(monkeypatch, tmp_path, strategy):
     monkeypatch.setattr(np.linalg, "svd", spy)
     matrix = tmp_path / "matrix.json"
     serialization.write_matrix(matrix, campaigns.random_operator(6, 3))
-    config = CampaignConfig(command="norm-estimate", trials=5)
+    config = CampaignConfig(trials=5)
     assert run_norm_estimate(matrix, 1.5, strategy, config).passed
     assert full == [(6, 6)]
 
@@ -93,7 +93,7 @@ def test_wide_certificate_witness_is_the_exact_estimate(tmp_path, p):
     t = rng.standard_normal((3, 7)) + 1j * rng.standard_normal((3, 7))
     matrix = tmp_path / "wide.json"
     serialization.write_matrix(matrix, t)
-    config = CampaignConfig(command="norm-estimate")
+    config = CampaignConfig()
     record = run_norm_estimate(matrix, p, "singular_basis_exact", config).records[0]
     cert = criteria.certify_norm_formula(serialization.read_matrix(matrix), p, trials=5)
     assert cert.witness_value == record["witness_sum"]
@@ -101,13 +101,9 @@ def test_wide_certificate_witness_is_the_exact_estimate(tmp_path, p):
 
 
 REPORT_CASES = {
-    "counterexamples_dim4": lambda tmp: run_counterexamples(
-        CampaignConfig(command="counterexamples", dim=4)
-    ),
-    "bergman_dim4_trials2": lambda tmp: run_bergman(
-        CampaignConfig(command="bergman", dim=4, trials=2)
-    ),
-    "bergman_dim32": lambda tmp: run_bergman(CampaignConfig(command="bergman", dim=32)),
+    "counterexamples_dim4": lambda tmp: run_counterexamples(CampaignConfig(dim=4)),
+    "bergman_dim4_trials2": lambda tmp: run_bergman(CampaignConfig(dim=4, trials=2)),
+    "bergman_dim32": lambda tmp: run_bergman(CampaignConfig(dim=32)),
     "norm_estimate_exact": lambda tmp: _norm_estimate(tmp, "singular_basis_exact"),
     "norm_estimate_ensemble": lambda tmp: _norm_estimate(tmp, "frame_ensemble"),
 }
@@ -136,6 +132,11 @@ def test_golden_campaign_report(name, tmp_path):
     expected = json.loads((DATA / f"{name}.json").read_text())
     assert actual["csv_headers"] == expected["csv_headers"]
     assert_same_report(actual["report"], expected["report"])
+
+
+def test_echo_names_the_command_that_ran():
+    """The config holds no command, so the echo names the run that wrote it."""
+    assert run_counterexamples(CampaignConfig(dim=2)).config["command"] == "counterexamples"
 
 
 class GenerationCounts:
@@ -186,7 +187,7 @@ def family_frames(dim, trials, seed):
 
 def test_each_trial_frame_generated_once(counts):
     dim, trials, seed = 3, 12, 0
-    run_verify_theorems(CampaignConfig(command="verify-theorems", dim=dim, trials=trials))
+    run_verify_theorems(CampaignConfig(dim=dim, trials=trials))
     # the sampled family is the only one: the enclosure pairs operators with its raw frames
     assert set(counts.frames) == family_frames(dim, trials, seed)
     assert set(counts.frames.values()) == {1}
@@ -204,7 +205,7 @@ def test_enclosure_reads_every_trial(counts):
     """Above 200 trials too, the enclosure pairs operator seed + 1000 + i with
     trial i's raw frame, and no second family is generated."""
     trials, seed = 250, 0
-    report = run_verify_theorems(CampaignConfig(command="verify-theorems", dim=3, trials=trials))
+    report = run_verify_theorems(CampaignConfig(dim=3, trials=trials))
     enclosures = [rec for rec in report.records if rec["tag"] == "double_sum_enclosure"]
     assert len(enclosures) == len(campaigns.DEFAULT_P_GRID)
     assert all(rec["trials"] == trials and rec["passed"] for rec in enclosures)
@@ -215,7 +216,7 @@ def test_enclosure_reads_every_trial(counts):
 
 
 def test_consecutive_campaigns_build_their_own_ensembles(counts):
-    config = CampaignConfig(command="verify-theorems", dim=3, trials=12)
+    config = CampaignConfig(dim=3, trials=12)
     first = run_verify_theorems(config).numeric_content()
     second = run_verify_theorems(config).numeric_content()
     assert first == second
@@ -226,7 +227,7 @@ def test_consecutive_campaigns_build_their_own_ensembles(counts):
 
 @pytest.mark.parametrize("p", [0.0, float("nan"), float("inf")])
 def test_norm_estimate_rejects_p_outside_open_half_line(tmp_path, p):
-    config = CampaignConfig(command="norm-estimate")
+    config = CampaignConfig()
     with pytest.raises(ValueError, match="p must be"):
         run_norm_estimate(tmp_path / "unread.json", p, "singular_basis_exact", config)
 
@@ -250,7 +251,7 @@ def test_verify_derives_each_regime_stack_once_per_certificate(monkeypatch):
     upper_one = counted("upper_one", frames.rescale_upper_bound_one)
     monkeypatch.setattr(frames, "rescale_upper_bound_one", upper_one)
     monkeypatch.setattr(frames, "canonical_parseval", counted("canonical", frames.canonical_parseval))
-    assert run_verify_theorems(CampaignConfig(command="verify-theorems")).passed
+    assert run_verify_theorems(CampaignConfig()).passed
     assert calls == {"parseval": 8}
 
 
@@ -266,7 +267,7 @@ def test_verify_draws_each_trial_seeds_probes_once(monkeypatch):
         return probes(dim, seed)
 
     monkeypatch.setattr(frames, "_probes", counted)
-    assert run_verify_theorems(CampaignConfig(command="verify-theorems")).passed
+    assert run_verify_theorems(CampaignConfig()).passed
     assert drawn == {seed: 1 for seed in range(200)}
 
 
@@ -290,7 +291,7 @@ def test_verify_certifies_claimed_bounds_without_eigh(monkeypatch):
     monkeypatch.setattr(frames, "_spanning_bounds", spanning)
     monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
     monkeypatch.setattr(frames, "TrialGroup", counted("groups", frames.TrialGroup))
-    assert run_verify_theorems(CampaignConfig(command="verify-theorems")).passed
+    assert run_verify_theorems(CampaignConfig()).passed
     assert calls == {"eigh": 11, "groups": 8, "spanning_bounds": 8}
 
 
@@ -300,7 +301,7 @@ def test_verify_fails_parseval_vectors_one_percent_too_long(monkeypatch):
     ||T||_p^p, so only the bounds the derivation claims catch them."""
     parseval = frames._parseval_vectors
     monkeypatch.setattr(frames, "_parseval_vectors", lambda *args: 1.01 * parseval(*args))
-    report = run_verify_theorems(CampaignConfig(command="verify-theorems"))
+    report = run_verify_theorems(CampaignConfig())
     assert [rec["tag"] for rec in report.records if not rec["passed"]] == ["synthesis_bounds"]
 
 
@@ -318,7 +319,7 @@ def test_enclosure_margins_are_the_comparisons_least(monkeypatch):
 
     monkeypatch.setattr(criteria, "_comparisons", recorded)
     monkeypatch.setattr(campaigns, "_verdict", forbidden)
-    config = CampaignConfig(command="verify-theorems", dim=3, trials=20, p_grid=(0.5, 2.0, 3.0))
+    config = CampaignConfig(dim=3, trials=20, p_grid=(0.5, 2.0, 3.0))
     report = run_verify_theorems(config)
     enclosures = [rec for rec in report.records if rec["tag"] == "double_sum_enclosure"]
     assert len(enclosures) == 3 and len(comparisons) == 3  # one call per group
@@ -343,7 +344,7 @@ def test_verify_fails_lower_one_vectors_one_percent_short(monkeypatch):
 
     shrunk = property(shrunk_vectors)
     monkeypatch.setattr(frames.TrialGroup, "lower_one", shrunk)
-    report = run_verify_theorems(CampaignConfig(command="verify-theorems"))
+    report = run_verify_theorems(CampaignConfig())
     assert [rec["tag"] for rec in report.records if not rec["passed"]] == ["synthesis_bounds"]
 
 
@@ -373,7 +374,7 @@ def test_bergman_builds_each_kernel_base_once(monkeypatch):
     monkeypatch.setattr(bergman, "_coefficient_matrix", counted_matrix)
     monkeypatch.setattr(bergman, "_subharmonicity", marked_check)
     monkeypatch.setattr(bergman, "disk_quadrature", counted_rule)
-    report = run_bergman(CampaignConfig(command="bergman", dim=32))
+    report = run_bergman(CampaignConfig(dim=32))
     assert sum(rec["tag"] == "subharmonicity" for rec in report.records) == 25
     # each grid point once for 5 operators x 5 values of p, in blocks
     assert sum(stencil_points) == 6353
@@ -385,7 +386,7 @@ def test_verify_at_p_400_holds_without_float_warnings():
     """C2^(p/2) times a norm sum passes the double range at p = 400; the
     bound is then +inf, its correct rounding, and no RuntimeWarning is raised
     (tier-1 turns one into an error).  The margins that reach the report stay finite."""
-    report = run_verify_theorems(CampaignConfig(command="verify-theorems", p_grid=(400.0,)))
+    report = run_verify_theorems(CampaignConfig(p_grid=(400.0,)))
     assert report.passed
     [enclosure] = [rec for rec in report.records if rec["tag"] == "double_sum_enclosure"]
     assert np.isfinite(enclosure["min_upper_margin"])
@@ -399,10 +400,10 @@ def test_bergman_traced_peak_memory(dim, limit_mib):
     The synthesis probe products and the monomial Gram go in blocks too: the
     peak reads 1.45 MiB at dim 32 and 2.82 MiB at dim 64, and 2.17 and
     16.3 MiB with the Gram's two nodes x degree factors held whole."""
-    run_bergman(CampaignConfig(command="bergman", dim=2, trials=1))  # lazy imports, not traced
+    run_bergman(CampaignConfig(dim=2, trials=1))  # lazy imports, not traced
     tracemalloc.start()
     try:
-        run_bergman(CampaignConfig(command="bergman", dim=dim))
+        run_bergman(CampaignConfig(dim=dim))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -431,8 +432,8 @@ def test_verify_traced_peak_memory(dim, limit_mib):
     probe matrices (1.87 MiB) or every group's derived stacks (2.24 MiB) at
     once would pass the bound, and 2.97 MiB at dim 32, where keeping every
     group's raw frames for the whole run read 7.48 MiB."""
-    run_verify_theorems(CampaignConfig(command="verify-theorems", dim=2, trials=1))
-    config = CampaignConfig(command="verify-theorems", **({} if dim is None else {"dim": dim}))
+    run_verify_theorems(CampaignConfig(dim=2, trials=1))
+    config = CampaignConfig(**({} if dim is None else {"dim": dim}))
     tracemalloc.start()
     try:
         run_verify_theorems(config)

@@ -360,7 +360,7 @@ class TestSettingsTable:
     """Each command takes the settings that `campaigns._SETTINGS` lists for it and
     refuses every other, each of them changes its records, and no other does."""
 
-    SETTINGS = {f.name for f in dataclasses.fields(CampaignConfig)} - {"command", "output_dir"}
+    SETTINGS = {f.name for f in dataclasses.fields(CampaignConfig)} - {"output_dir"}
     # a tiny value of every setting, and another valid one
     BASE = {"seed": 0, "dim": 3, "trials": 1, "p_grid": (1.0, 2.0), "rmax": 0.995}
     OTHER = {"seed": 1, "dim": 4, "trials": 2, "p_grid": (0.5, 2.0), "rmax": 0.9}
@@ -409,7 +409,7 @@ class TestSettingsTable:
         write_matrix(matrix, self.MATRIX)
 
         def records(values):
-            config = CampaignConfig(command, **values)
+            config = CampaignConfig(**values)
             if command == "norm-estimate":
                 report = run_norm_estimate(matrix, 3.0, "frame_ensemble", config)
             else:

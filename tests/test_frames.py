@@ -112,6 +112,17 @@ class TestMakeFrame:
         with pytest.raises(ValueError):
             frame.vectors[0, 0] = 5.0
 
+    def test_holds_a_read_only_copy(self):
+        """Writing the caller's array afterwards moves neither the vectors nor the bounds."""
+        vectors = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]], dtype=np.complex128)
+        frame = make_frame(vectors)
+        kept, bounds = frame.vectors.copy(), frame.bounds
+        vectors[:] = 5.0
+        np.testing.assert_array_equal(frame.vectors, kept)
+        assert frame.bounds == bounds
+        with pytest.raises(ValueError):
+            frame.vectors[0, 0] = 2.0
+
 
 class TestSynthesis:
     def test_standard_basis_is_identity(self):
