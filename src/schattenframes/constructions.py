@@ -167,11 +167,11 @@ class ScaledCopiesFrame:
 
     def power_sum_identity(self) -> tuple[float, float]:
         """Both sides of the exact rebalancing identity, independently."""
-        lhs = float(np.sum(self.counts * self.scales**self.p * self.values**self.p))
-        rhs = float(
-            np.sum((self.counts * self.scales**2) * self.values ** (self.p + self.epsilon))
+        lhs = _power_sum(self.values, self.p, axis=(), weights=self.counts * self.scales**self.p)
+        rhs = _power_sum(
+            self.values, self.p + self.epsilon, axis=(), weights=self.counts * self.scales**2
         )
-        return lhs, rhs
+        return float(lhs), float(rhs)
 
 
 def scaled_copies_frame(p: float, epsilon: float, n_terms: int) -> ScaledCopiesFrame:

@@ -31,7 +31,7 @@ import numpy as np
 from .frames import Frame, FrameEnsemble, _frame_operators, _sole, _Stack, _stack_of
 from .linalg import CERTIFICATE_TOL, IDENTITY_TOL, _as_square, _check_p, _exponents, _is_hermitian
 from .linalg import _is_psd, _power_sum, _psd_eigenvalues, _verdict, _witness_budget, as_matrix
-from .linalg import hermitian_eigen, schatten_norm, svd
+from .linalg import hermitian_eigen, svd
 
 __all__ = [
     "CertificateReport",
@@ -458,7 +458,7 @@ def _endpoint_report(t: np.ndarray, sums, trials: int) -> EndpointReport:
         hi = c2 * trace_norm
         margin, fits = _verdict(diag, c1 * trace_norm, hi, CERTIFICATE_TOL, hi)
         trace_margin, ok = float(np.min(margin)), bool(np.all(fits))
-    hs_sq = schatten_norm(t, 2) ** 2
+    hs_sq = float(_power_sum(svd(t).singular_values, 2.0))
     hs_dev = float(np.max(np.abs(norm_total - via_trace) / np.maximum(1.0, np.abs(via_trace))))
     margin, fits = _verdict(norm_total, c1 * hs_sq, c2 * hs_sq, CERTIFICATE_TOL, c2 * hs_sq)
     return EndpointReport(

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import seeded_operators
+from conftest import seeded_operators, spy
 from schattenframes import bergman
 from schattenframes.bergman import (
     bergman_kernel,
@@ -211,17 +211,10 @@ class TestRLattice:
     @pytest.mark.parametrize("separation", [0.1, 0.2, 0.3, 0.5, 0.8, 1.5, 5.0])
     @pytest.mark.parametrize("rmax", [0.3, 0.6, 0.8, 0.9])
     def test_ring_check_equals_brute_force(self, monkeypatch, separation, rmax):
-        checked = []
-        ring_separation = bergman._ring_separation
-
-        def recorded(rings, offsets):
-            checked.append(ring_separation(rings, offsets))
-            return checked[-1]
-
-        monkeypatch.setattr(bergman, "_ring_separation", recorded)
+        checked = spy(monkeypatch, bergman, "_ring_separation")
         lattice = r_lattice(separation, rmax)
-        assert checked == [min_pairwise_separation(lattice.points)]
-        assert lattice.measured_separation == checked[0]
+        assert [call.result for call in checked] == [min_pairwise_separation(lattice.points)]
+        assert lattice.measured_separation == checked[0].result
 
     @staticmethod
     def rings(radii, counts):
@@ -470,14 +463,7 @@ class TestSamplingComparison:
         quad = disk_quadrature(32, 32, 0.95)
         lattices = [r_lattice(0.3, 0.95), r_lattice(0.5, 0.95)]
         singles = [sampling_comparison(t, 2.0, quad, lattice) for lattice in lattices]
-        integrals = []
-        criterion = bergman.integral_criterion
-
-        def counted(*args):
-            integrals.append(args)
-            return criterion(*args)
-
-        monkeypatch.setattr(bergman, "integral_criterion", counted)
+        integrals = spy(monkeypatch, bergman, "integral_criterion")
         assert bergman._sampling_comparisons(t, 2.0, quad, lattices) == singles
         assert bergman._sampling_comparisons(t, 2.0, quad, lattices[:1]) == singles[:1]
         assert len(integrals) == 2  # one integral per call

@@ -1,5 +1,5 @@
 """Campaign reports: golden reports of every command, the verify-theorems
-frame-generation counts, the bergman kernel-base counts and its traced memory."""
+frame-generation counts, the bergman kernel-base counts and the traced peak memory."""
 
 import collections
 import csv
@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import assert_same_report
+from conftest import assert_same_report, spy
 
 from schattenframes import bergman, campaigns, criteria, frames, serialization
 from schattenframes.campaigns import (
@@ -21,44 +21,6 @@ from schattenframes.campaigns import (
 )
 
 DATA = Path(__file__).parent / "data"
-GOLDEN = DATA / "verify_dim3_trials20.json"
-GOLDEN_DEFAULT = DATA / "verify_default.json"
-GOLDEN_SCALED = DATA / "verify_dim16_trials48.json"
-
-
-def test_golden_report():
-    """numeric_content() of `verify-theorems --dim 3 --trials 20`, recorded before
-    the trial frames were batched into a FrameEnsemble (numpy 2.4, OpenBLAS).
-    The enclosure margins and `frames_certified` were re-recorded when the
-    enclosure moved onto the sampled raw frames and the ONB copies left the
-    synthesis checks, and `frames_certified` again when the lower-bound-one
-    stacks joined them; no other field moved.  Every golden's config echo lost
-    its `tolerances` key when the certificate tolerance stopped being a setting,
-    and the keys of the settings its command does not read when the echo came
-    to list only the command's settings."""
-    report = run_verify_theorems(CampaignConfig(dim=3, trials=20))
-    actual = json.loads(json.dumps(report.numeric_content()))
-    assert_same_report(actual, json.loads(GOLDEN.read_text()))
-
-
-def test_golden_default_report():
-    """numeric_content() of `verify-theorems` at the default config, recorded
-    before the synthesis certificates and trial frames were batched
-    (numpy 2.4, OpenBLAS); the enclosure margins and the synthesis record
-    were re-recorded as in test_golden_report."""
-    report = run_verify_theorems(CampaignConfig())
-    actual = json.loads(json.dumps(report.numeric_content()))
-    assert_same_report(actual, json.loads(GOLDEN_DEFAULT.read_text()))
-
-
-def test_golden_scaled_report():
-    """numeric_content() of `verify-theorems --dim 16 --trials 48`, recorded
-    before the certificates and the synthesis checks shared one walk of the
-    trial ensemble (numpy 2.4, OpenBLAS); the enclosure margins and the
-    synthesis record were re-recorded as in test_golden_report."""
-    report = run_verify_theorems(CampaignConfig(dim=16, trials=48))
-    actual = json.loads(json.dumps(report.numeric_content()))
-    assert_same_report(actual, json.loads(GOLDEN_SCALED.read_text()))
 
 
 def _norm_estimate(tmp_path, strategy):
@@ -70,18 +32,12 @@ def _norm_estimate(tmp_path, strategy):
 @pytest.mark.parametrize("strategy", ["singular_basis_exact", "frame_ensemble"])
 def test_norm_estimate_takes_one_full_svd(monkeypatch, tmp_path, strategy):
     """The norm, the witness and the certificate all come from one decomposition."""
-    full, numpy_svd = [], np.linalg.svd
-
-    def spy(a, *args, **kwargs):
-        if kwargs.get("compute_uv", True):
-            full.append(a.shape)
-        return numpy_svd(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", spy)
+    calls = spy(monkeypatch, np.linalg, "svd")
     matrix = tmp_path / "matrix.json"
     serialization.write_matrix(matrix, campaigns.random_operator(6, 3))
     config = CampaignConfig(trials=5)
     assert run_norm_estimate(matrix, 1.5, strategy, config).passed
+    full = [call.args[0].shape for call in calls if call.kwargs.get("compute_uv", True)]
     assert full == [(6, 6)]
 
 
@@ -100,11 +56,24 @@ def test_wide_certificate_witness_is_the_exact_estimate(tmp_path, p):
     assert cert.equality_witness and record["passed"]
 
 
-REPORT_CASES = {
+#: The golden reports: tests/data/<name>.json holds the written_report() of the run
+#: that GOLDEN[name] makes, recorded with numpy 2.4 on OpenBLAS.
+GOLDEN = {
+    # every verify record at the default config: 8 groups of 25 trial frames in C^8
+    "verify_default": lambda tmp: run_verify_theorems(CampaignConfig()),
+    # verify over 3 groups of 7, 7 and 6 trial frames in C^3
+    "verify_dim3_trials20": lambda tmp: run_verify_theorems(CampaignConfig(dim=3, trials=20)),
+    # verify over 16 groups of 3 trial frames in C^16
+    "verify_dim16_trials48": lambda tmp: run_verify_theorems(CampaignConfig(dim=16, trials=48)),
+    # every counterexample series and its growth CSVs in C^4
     "counterexamples_dim4": lambda tmp: run_counterexamples(CampaignConfig(dim=4)),
+    # every bergman record, lattice and node CSV at degree 4 with 2 trials
     "bergman_dim4_trials2": lambda tmp: run_bergman(CampaignConfig(dim=4, trials=2)),
+    # bergman at degree 32, where the kernel norms and the stencil go in blocks
     "bergman_dim32": lambda tmp: run_bergman(CampaignConfig(dim=32)),
+    # the exact norm estimate of a seeded 12 x 12 operator at p = 1.5
     "norm_estimate_exact": lambda tmp: _norm_estimate(tmp, "singular_basis_exact"),
+    # the frame-ensemble norm estimate of that operator
     "norm_estimate_ensemble": lambda tmp: _norm_estimate(tmp, "frame_ensemble"),
 }
 
@@ -119,19 +88,19 @@ def written_report(report, out: Path) -> dict:
     return {"report": json.loads(json.dumps(report.numeric_content())), "csv_headers": headers}
 
 
-@pytest.mark.parametrize("name", sorted(REPORT_CASES))
+@pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_golden_campaign_report(name, tmp_path):
-    """numeric_content(), CSV file names and CSV header rows, recorded before the
-    report records were derived from the result dataclasses (numpy 2.4, OpenBLAS);
-    bergman_dim32 was recorded before the subharmonicity stencil was batched.  The
-    config echo keys of settings a command does not read were deleted as in
-    test_golden_report, and norm_estimate_exact lost `seed` and `trials` when the
-    exact strategy stopped reading them; putting those two keys back gives the
-    file as it was recorded."""
-    actual = written_report(REPORT_CASES[name](tmp_path), tmp_path / "out")
+    """The CSV file names and header rows exactly, numeric_content() as in
+    assert_same_report (every float within 1e-12 relative)."""
+    actual = written_report(GOLDEN[name](tmp_path), tmp_path / "out")
     expected = json.loads((DATA / f"{name}.json").read_text())
     assert actual["csv_headers"] == expected["csv_headers"]
     assert_same_report(actual["report"], expected["report"])
+
+
+def test_every_golden_file_is_one_case():
+    """No golden file outlives its case, and no case lacks its file."""
+    assert sorted(path.stem for path in DATA.glob("*.json")) == sorted(GOLDEN)
 
 
 def test_echo_names_the_command_that_ran():
@@ -140,40 +109,35 @@ def test_echo_names_the_command_that_ran():
 
 
 class GenerationCounts:
-    """Counts calls of the seeded generators, keyed by their arguments."""
+    """Calls of the seeded generators, counted by their arguments."""
 
     def __init__(self, monkeypatch):
-        self.frames = collections.Counter()
-        self.onb_seeds = collections.Counter()
-        self.operators = collections.Counter()
-        self.ensembles = []
-        random_frames, onb_stack = frames._random_frames, frames._onb_stack
-        random_operator, ensemble_init = campaigns.random_operator, frames.FrameEnsemble.__init__
-
-        def counted_frames(dim, count, condition_target, seeds):
-            self.frames.update((dim, count, condition_target, seed) for seed in seeds)
-            return random_frames(dim, count, condition_target, seeds)
-
-        def counted_onbs(dim, seeds):
-            self.onb_seeds.update(int(s) for s in seeds)
-            return onb_stack(dim, seeds)
-
-        def counted_operator(dim, seed):
-            self.operators[seed] += 1
-            return random_operator(dim, seed)
-
-        def counted_init(ensemble, *args):
-            self.ensembles.append(ensemble)
-            ensemble_init(ensemble, *args)
-
         def forbidden(*args):
             raise AssertionError("campaigns sample the ensemble, not random_onb")
 
-        monkeypatch.setattr(frames, "_random_frames", counted_frames)
-        monkeypatch.setattr(frames, "_onb_stack", counted_onbs)
         monkeypatch.setattr(frames, "random_onb", forbidden)
-        monkeypatch.setattr(campaigns, "random_operator", counted_operator)
-        monkeypatch.setattr(frames.FrameEnsemble, "__init__", counted_init)
+        self.frame_calls = spy(monkeypatch, frames, "_random_frames")
+        self.onb_calls = spy(monkeypatch, frames, "_onb_stack")
+        self.operator_calls = spy(monkeypatch, campaigns, "random_operator")
+        self.ensemble_inits = spy(monkeypatch, frames.FrameEnsemble, "__init__")
+
+    @property
+    def frames(self):
+        """(dim, count, condition_target, seed) of each frame drawn, counted."""
+        calls = self.frame_calls
+        return collections.Counter((*args[:3], seed) for args, *_ in calls for seed in args[3])
+
+    @property
+    def onb_seeds(self):
+        return collections.Counter(int(s) for (_, seeds), *_ in self.onb_calls for s in seeds)
+
+    @property
+    def operators(self):
+        return collections.Counter(seed for (_, seed), *_ in self.operator_calls)
+
+    @property
+    def ensembles(self):
+        return [call.args[0] for call in self.ensemble_inits]
 
 
 @pytest.fixture
@@ -238,37 +202,20 @@ def test_verify_derives_each_regime_stack_once_per_certificate(monkeypatch):
     once and rescales them to upper bound 1 without the public rescale, and
     the synthesis checks certify the ONBs themselves, not Parseval or
     rescaled copies of them."""
-    calls = collections.Counter()
-
-    def counted(name, derive):
-        def wrapper(*args):
-            calls[name] += 1
-            return derive(*args)
-
-        return wrapper
-
-    monkeypatch.setattr(frames, "_parseval_vectors", counted("parseval", frames._parseval_vectors))
-    upper_one = counted("upper_one", frames.rescale_upper_bound_one)
-    monkeypatch.setattr(frames, "rescale_upper_bound_one", upper_one)
-    monkeypatch.setattr(frames, "canonical_parseval", counted("canonical", frames.canonical_parseval))
+    parseval = spy(monkeypatch, frames, "_parseval_vectors")
+    upper_one = spy(monkeypatch, frames, "rescale_upper_bound_one")
+    canonical = spy(monkeypatch, frames, "canonical_parseval")
     assert run_verify_theorems(CampaignConfig()).passed
-    assert calls == {"parseval": 8}
+    assert (len(parseval), len(upper_one), len(canonical)) == (8, 0, 0)
 
 
 def test_verify_draws_each_trial_seeds_probes_once(monkeypatch):
     """A trial's ONB, raw, Parseval, upper-bound-one and lower-bound-one frames
     share its probe seed: a default verify draws 200 probe matrices, one per
     trial seed."""
-    drawn = collections.Counter()
-    probes = frames._probes
-
-    def counted(dim, seed):
-        drawn[seed] += 1
-        return probes(dim, seed)
-
-    monkeypatch.setattr(frames, "_probes", counted)
+    drawn = spy(monkeypatch, frames, "_probes")
     assert run_verify_theorems(CampaignConfig()).passed
-    assert drawn == {seed: 1 for seed in range(200)}
+    assert sorted(seed for (_, seed), *_ in drawn) == list(range(200))
 
 
 def test_verify_certifies_claimed_bounds_without_eigh(monkeypatch):
@@ -278,21 +225,11 @@ def test_verify_certifies_claimed_bounds_without_eigh(monkeypatch):
     calls (43 when the derived stacks were measured, 19 when each raw stack's
     Parseval map took a second eigh of S), and one TrialGroup per group, in the
     one walk of the ensemble."""
-    calls = collections.Counter()
-
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-
-        return wrapper
-
-    spanning = counted("spanning_bounds", frames._spanning_bounds)
-    monkeypatch.setattr(frames, "_spanning_bounds", spanning)
-    monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
-    monkeypatch.setattr(frames, "TrialGroup", counted("groups", frames.TrialGroup))
+    eigh = spy(monkeypatch, np.linalg, "eigh")
+    groups = spy(monkeypatch, frames, "TrialGroup")
+    spanning = spy(monkeypatch, frames, "_spanning_bounds")
     assert run_verify_theorems(CampaignConfig()).passed
-    assert calls == {"eigh": 11, "groups": 8, "spanning_bounds": 8}
+    assert (len(eigh), len(groups), len(spanning)) == (11, 8, 8)
 
 
 def test_verify_fails_parseval_vectors_one_percent_too_long(monkeypatch):
@@ -308,19 +245,15 @@ def test_verify_fails_parseval_vectors_one_percent_too_long(monkeypatch):
 def test_enclosure_margins_are_the_comparisons_least(monkeypatch):
     """Each p's enclosure record takes the least of the one-sided margins that
     the groups' DoubleSumComparisons carry, and judges nothing itself."""
-    comparisons, compare = [], criteria._comparisons
-
-    def recorded(*args):
-        comparisons.append(compare(*args))
-        return comparisons[-1]
+    calls = spy(monkeypatch, criteria, "_comparisons")
 
     def forbidden(*args):
         raise AssertionError("verify judges no enclosure itself")
 
-    monkeypatch.setattr(criteria, "_comparisons", recorded)
     monkeypatch.setattr(campaigns, "_verdict", forbidden)
     config = CampaignConfig(dim=3, trials=20, p_grid=(0.5, 2.0, 3.0))
     report = run_verify_theorems(config)
+    comparisons = [call.result for call in calls]
     enclosures = [rec for rec in report.records if rec["tag"] == "double_sum_enclosure"]
     assert len(enclosures) == 3 and len(comparisons) == 3  # one call per group
     for j, rec in enumerate(enclosures):
@@ -351,35 +284,25 @@ def test_verify_fails_lower_one_vectors_one_percent_short(monkeypatch):
 def test_bergman_builds_each_kernel_base_once(monkeypatch):
     """The stencil grid is built once for every operator and p, and each
     quadrature rule once."""
-    stencil_points, rules, in_stencil = [], collections.Counter(), []
-    coefficient_matrix, stencil_check = bergman._coefficient_matrix, bergman._subharmonicity
-    disk_quadrature = bergman.disk_quadrature
-
-    def counted_matrix(points, degree, normalized):
-        if in_stencil:
-            stencil_points.append(points.size)
-        return coefficient_matrix(points, degree, normalized)
+    matrices = spy(monkeypatch, bergman, "_coefficient_matrix")
+    rules = spy(monkeypatch, bergman, "disk_quadrature")
+    stencil_points, stencil_check = [], bergman._subharmonicity
 
     def marked_check(*args, **kwargs):
-        in_stencil.append(True)
-        try:
-            return stencil_check(*args, **kwargs)
-        finally:
-            in_stencil.pop()
+        # a spy sees calls, not their callers: the stencil's builds are those made while it runs
+        start = len(matrices)
+        reports = stencil_check(*args, **kwargs)
+        stencil_points.extend(points.size for (points, *_), *_ in matrices[start:])
+        return reports
 
-    def counted_rule(n_radial, n_angular, rmax):
-        rules[(n_radial, n_angular, rmax)] += 1
-        return disk_quadrature(n_radial, n_angular, rmax)
-
-    monkeypatch.setattr(bergman, "_coefficient_matrix", counted_matrix)
     monkeypatch.setattr(bergman, "_subharmonicity", marked_check)
-    monkeypatch.setattr(bergman, "disk_quadrature", counted_rule)
     report = run_bergman(CampaignConfig(dim=32))
     assert sum(rec["tag"] == "subharmonicity" for rec in report.records) == 25
     # each grid point once for 5 operators x 5 values of p, in blocks
     assert sum(stencil_points) == 6353
     assert max(stencil_points) <= bergman._BLOCK_ENTRIES // 32  # 256 points a block at degree 32
-    assert len(rules) == 10 and set(rules.values()) == {1}
+    rule_counts = collections.Counter(call.args for call in rules)
+    assert len(rule_counts) == 10 and set(rule_counts.values()) == {1}
 
 
 def test_verify_at_p_400_holds_without_float_warnings():
@@ -392,36 +315,34 @@ def test_verify_at_p_400_holds_without_float_warnings():
     assert np.isfinite(enclosure["min_upper_margin"])
 
 
+def traced_peak(request) -> int:
+    """The peak bytes tracemalloc counts while request() runs, after one untraced
+    run has loaded the lazy imports.  tracemalloc counts numpy buffers alike on
+    every machine, unlike RSS."""
+    request()
+    tracemalloc.start()
+    try:
+        request()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 @pytest.mark.parametrize("dim, limit_mib", [(32, 2.0), (64, 4.0)])
 def test_bergman_traced_peak_memory(dim, limit_mib):
-    """tracemalloc counts numpy buffers alike on every machine, unlike RSS.  The
-    kernel norms go in blocks of points, so the peak stays far below the
+    """The kernel norms go in blocks of points, so the peak stays far below the
     12.7 (dim 32) and 49.8 MiB (dim 64) of building every kernel matrix whole.
     The synthesis probe products and the monomial Gram go in blocks too: the
     peak reads 1.45 MiB at dim 32 and 2.82 MiB at dim 64, and 2.17 and
     16.3 MiB with the Gram's two nodes x degree factors held whole."""
-    run_bergman(CampaignConfig(dim=2, trials=1))  # lazy imports, not traced
-    tracemalloc.start()
-    try:
-        run_bergman(CampaignConfig(dim=dim))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= limit_mib * 2**20
+    assert traced_peak(lambda: run_bergman(CampaignConfig(dim=dim))) <= limit_mib * 2**20
 
 
 def test_wide_synthesis_certificate_traced_peak_memory():
     """The 399 x 200 probe product of the widest bergman frame goes 16 probes at a
     time: the peak reads 0.60 MiB, and 2.55 MiB with the product held whole."""
     frame = bergman.sampling_frame(bergman.r_lattice(0.3, 0.95), 32)
-    frames.certify_synthesis(frame)
-    tracemalloc.start()
-    try:
-        frames.certify_synthesis(frame)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.5 * 2**20
+    assert traced_peak(lambda: frames.certify_synthesis(frame)) <= 1.5 * 2**20
 
 
 @pytest.mark.parametrize("dim, limit_mib", [(None, 1.5), (32, 4.0)], ids=["default", "dim32"])
@@ -432,12 +353,5 @@ def test_verify_traced_peak_memory(dim, limit_mib):
     probe matrices (1.87 MiB) or every group's derived stacks (2.24 MiB) at
     once would pass the bound, and 2.97 MiB at dim 32, where keeping every
     group's raw frames for the whole run read 7.48 MiB."""
-    run_verify_theorems(CampaignConfig(dim=2, trials=1))
     config = CampaignConfig(**({} if dim is None else {"dim": dim}))
-    tracemalloc.start()
-    try:
-        run_verify_theorems(config)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= limit_mib * 2**20
+    assert traced_peak(lambda: run_verify_theorems(config)) <= limit_mib * 2**20

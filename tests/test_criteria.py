@@ -1,7 +1,5 @@
 """Frame-sum functionals and norm certificates."""
 
-import collections
-import dataclasses
 import re
 
 import numpy as np
@@ -9,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import frame_at, seeded_hermitians, seeded_operators, seeded_psds
+from conftest import assert_same_result, frame_at, seeded_hermitians, seeded_operators
+from conftest import seeded_psds, spy
 from schattenframes import criteria, frames
 from schattenframes.bergman import disk_quadrature, integral_criterion, r_lattice
 from schattenframes.bergman import sampling_comparison
@@ -362,31 +361,18 @@ class TestCertificateGrid:
         for p, comparison in zip(grid, comparisons):
             for k in range(len(group.seeds)):  # member k at p, bit for bit
                 expected = double_sum_comparison(ops[k], frame_at(group.raw, k), p)
-                for field in dataclasses.fields(expected):
-                    value, one_p = getattr(comparison, field.name), getattr(expected, field.name)
-                    if field.name != "p" and value is not None:
-                        value = value[k]
-                    assert repr(np.asarray(value).tolist()) == repr(np.asarray(one_p).tolist())
+                assert_same_result(comparison, expected, k)
 
     def test_decomposes_once_and_walks_each_regime_once(self, monkeypatch):
-        calls = collections.Counter()
-        for name in ("svd", "hermitian_eigen"):
-            monkeypatch.setattr(criteria, name, counted(calls, name, getattr(criteria, name)))
-        # one TrialGroup per group and walk; each derives a regime's stack once
-        walked = []
+        # one TrialGroup per group and walk, each deriving a regime's stack once; the
+        # walk measures the bounds of each group's raw stack alone, when it is drawn
+        spied = {"svd": criteria, "hermitian_eigen": criteria, "TrialGroup": frames,
+                 "_parseval_vectors": frames, "_spanning_bounds": frames}
+        calls = {name: spy(monkeypatch, owner, name) for name, owner in spied.items()}
 
-        def recorded(*args):
-            calls["group"] += 1
-            walked.append(trial_group(*args))
-            return walked[-1]
+        def counts():
+            return {name: len(made) for name, made in calls.items()}
 
-        trial_group = frames.TrialGroup
-        monkeypatch.setattr(frames, "TrialGroup", recorded)
-        parseval = counted(calls, "parseval", frames._parseval_vectors)
-        monkeypatch.setattr(frames, "_parseval_vectors", parseval)
-        # the walk measures the bounds of each group's raw stack alone, when it is drawn
-        spanning = counted(calls, "spanning_bounds", frames._spanning_bounds)
-        monkeypatch.setattr(frames, "_spanning_bounds", spanning)
         hermitian = seeded_hermitians(3, 1, 40)[0]
         job = criteria._double_job(hermitian, [0.5, 1.0, 2.0, 3.0, 1.5])
         [reports] = criteria._certify(FrameEnsemble(3, 7, 0), [job])
@@ -394,18 +380,21 @@ class TestCertificateGrid:
         # sup at p = 2 even for a Hermitian operator
         assert directions == ["inf_above", "inf_above", "sup_below", "sup_below", "inf_above"]
         groups = 3  # one per frame count, min(dim, trials)
-        assert calls == {
-            "svd": 1, "hermitian_eigen": 1, "group": groups, "parseval": groups,
-            "spanning_bounds": groups,
+        assert counts() == {
+            "svd": 1, "hermitian_eigen": 1, "TrialGroup": groups, "_parseval_vectors": groups,
+            "_spanning_bounds": groups,
         }
-        for group in walked:
-            assert_walked_vectors(group, {"onb", "parseval", "upper_one"})
-        calls.clear()
-        walked.clear()
+        for call in calls["TrialGroup"]:
+            assert_walked_vectors(call.result, {"onb", "parseval", "upper_one"})
+        for made in calls.values():
+            made.clear()
         criteria._certify(FrameEnsemble(3, 7, 0), [criteria._norm_job(hermitian, [3.0, 4.0, 5.0])])
-        assert calls == {"svd": 1, "group": groups, "spanning_bounds": groups}
-        for group in walked:
-            assert_walked_vectors(group, {"onb", "upper_one"})
+        assert counts() == {
+            "svd": 1, "hermitian_eigen": 0, "TrialGroup": groups, "_parseval_vectors": 0,
+            "_spanning_bounds": groups,
+        }
+        for call in calls["TrialGroup"]:
+            assert_walked_vectors(call.result, {"onb", "upper_one"})
 
     def test_rejections_name_the_offending_p(self):
         shift = np.array([[0.0, 1.0], [0.0, 0.0]])
@@ -432,16 +421,6 @@ def assert_walked_vectors(group, names):
         }
         for name in names:
             assert vars(group)[name].vectors[k].tobytes() == public[name].vectors.tobytes(), name
-
-
-def counted(calls, name, fn):
-    """`fn`, counting its calls in calls[name]."""
-
-    def wrapper(*args, **kwargs):
-        calls[name] += 1
-        return fn(*args, **kwargs)
-
-    return wrapper
 
 
 class TestCertifyNormFormula:
@@ -558,6 +537,13 @@ class TestEndpointSuites:
         rep = endpoint_suites(seeded_operators(4, 1, 13)[0], trials=30, seed=0)
         assert rep.passed
         assert not rep.trace_checked
+
+    def test_hs_enclosure_takes_the_unrooted_power_sum(self):
+        """||T||_2^2 is the power sum of the singular values, not the square of its
+        root: the sum 3 of one ONB of C^3 meets both bounds 3 of I_3 exactly (the
+        square of sqrt(3) left a margin of -1.48e-16)."""
+        sums = [np.array([[1.0], [1.0], [3.0], [3.0], [3.0]])]  # C1, C2, diag, norms, trace
+        assert criteria._endpoint_report(np.eye(3), sums, 1).hs_enclosure_margin == 0.0
 
 
 class TestInvariants:

@@ -1,6 +1,5 @@
 """Frame construction, bounds, synthesis certificates, and generators."""
 
-import collections
 import dataclasses
 import re
 from itertools import chain
@@ -10,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import frame_at
+from conftest import assert_same_result, frame_at, spy
 from schattenframes import criteria, frames
 from schattenframes.bergman import r_lattice, sampling_frame
 from schattenframes.criteria import double_sum_comparison
@@ -372,8 +371,7 @@ class TestBatchedGenerator:
         if target == 1.2:
             assert any(reference_random_frame(dim, count, target, s)[1] for s in seeds)
         group = frames.TrialGroup(seeds, *frames._random_frames(dim, count, target, seeds))
-        calls, eigh = [], np.linalg.eigh
-        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
+        calls = spy(monkeypatch, np.linalg, "eigh")
         parseval = group.parseval
         assert calls == []
         monkeypatch.undo()
@@ -487,19 +485,12 @@ class TestFrameEnsemble:
         assert all(type(value) is int for value in vars(ensemble).values())
 
     def test_groups_built_when_reached(self, monkeypatch):
-        built = []
-        random_frames = frames._random_frames
-
-        def counted(dim, count, condition_target, seeds):
-            built.append(list(seeds))
-            return random_frames(dim, count, condition_target, seeds)
-
-        monkeypatch.setattr(frames, "_random_frames", counted)
+        calls = spy(monkeypatch, frames, "_random_frames")
         walk = iter(FrameEnsemble(3, 7, 4))
-        assert built == []
-        assert list(next(walk).seeds) == [4, 7, 10] and built == [[4, 7, 10]]
+        assert calls == []
+        assert list(next(walk).seeds) == [4, 7, 10] and len(calls) == 1
         assert [list(group.seeds) for group in walk] == [[5, 8], [6, 9]]
-        assert built == [[4, 7, 10], [5, 8], [6, 9]]
+        assert [list(call.args[3]) for call in calls] == [[4, 7, 10], [5, 8], [6, 9]]
 
     @pytest.mark.parametrize("dim,trials,seed", ENSEMBLE_CASES)
     def test_two_walks_are_bit_identical(self, dim, trials, seed):
@@ -533,29 +524,13 @@ class TestFrameEnsemble:
                 np.testing.assert_allclose(public["parseval"].lower_bound, 1.0, atol=1e-12)
 
     def test_onbs_built_when_read(self, monkeypatch):
-        built = []
-        onb_stack = frames._onb_stack
-
-        def counted(dim, seeds):
-            built.append(list(seeds))
-            return onb_stack(dim, seeds)
-
         walk = iter(FrameEnsemble(3, 7, 4))
         next(walk)
         group = next(walk)
-        monkeypatch.setattr(frames, "_onb_stack", counted)
-        assert built == [] and list(group.seeds) == [5, 8]
+        calls = spy(monkeypatch, frames, "_onb_stack")
+        assert calls == [] and list(group.seeds) == [5, 8]
         assert group.onb is group.onb
-        assert built == [[5, 8]]
-
-
-def assert_same_certificate(stacked, k, single):
-    """Member k of a stacked certificate equals a one-frame certificate bit for bit."""
-    for field in dataclasses.fields(single):
-        value, expected = getattr(stacked, field.name), getattr(single, field.name)
-        if field.name not in ("dim", "count"):
-            value = value[k]
-        assert value == expected, field.name
+        assert [list(call.args[1]) for call in calls] == [[5, 8]]
 
 
 def reference_synthesis_measurements(frame, seed, n_probes=200):
@@ -574,14 +549,6 @@ def reference_synthesis_measurements(frame, seed, n_probes=200):
     analysis = np.real(np.sum(probes.conj() * (s @ probes), axis=0))
     dev = float(np.max(np.abs(analysis - direct) / np.maximum(analysis, 1e-300)))
     return float(svals[0]) ** 2, dev, int(np.sum(svals > 1e-12 * svals[0]))
-
-
-def assert_equal_certificates(got, want):
-    """Two certificates, of one frame or over a stack, agree field for field, bit for bit."""
-    for field in dataclasses.fields(want):
-        value, expected = getattr(got, field.name), getattr(want, field.name)
-        same = value == expected if field.name == "failures" else np.array_equal(value, expected)
-        assert same, field.name
 
 
 def lattice_frame():
@@ -608,7 +575,7 @@ class TestStackedSynthesisCertificate:
                     assert cert.passed.shape == (len(group.seeds),)
                     for k, s in enumerate(group.seeds):
                         frame = frame_at(variant, k)
-                        assert_same_certificate(cert, k, certify_synthesis(frame, seed=s))
+                        assert_same_result(cert, certify_synthesis(frame, seed=s), k)
                         assert reference_synthesis_measurements(frame, s) == (
                             cert.op_norm_sq[k], cert.analysis_identity_dev[k], cert.rank[k]
                         )
@@ -634,7 +601,7 @@ class TestStackedSynthesisCertificate:
         got = frames._certify_synthesis(variants, group.seeds)
         got.append(certify_synthesis(frame, seed=5))
         for certificate, want in zip(got, expected, strict=True):
-            assert_equal_certificates(certificate, want)
+            assert_same_result(certificate, want)
 
     def test_falsified_member_fails_at_its_index(self):
         stack = next(iter(FrameEnsemble(3, 9, 0))).raw
@@ -648,18 +615,11 @@ class TestStackedSynthesisCertificate:
         assert cert.failures == ((), single.failures, ())
 
     def test_probes_drawn_once_per_distinct_seed(self, monkeypatch):
-        drawn = collections.Counter()
-        probes = frames._probes
-
-        def counted(dim, seed):
-            drawn[seed] += 1
-            return probes(dim, seed)
-
-        monkeypatch.setattr(frames, "_probes", counted)
+        drawn = spy(monkeypatch, frames, "_probes")
         stack = next(iter(FrameEnsemble(3, 9, 0))).raw
         certificates = frames._certify_synthesis(synthesis_variants(stack.vectors), [4, 5, 6])
         assert all(cert.passed.all() for cert in certificates)
-        assert drawn == {4: 1, 5: 1, 6: 1}
+        assert [call.args[1] for call in drawn] == [4, 5, 6]
 
     def test_rejects_seed_count_mismatch(self):
         """One frame takes one probe seed: a sequence of seeds is refused by name."""
@@ -682,15 +642,6 @@ def test_one_frame_functions_reject_a_stack(call):
     with pytest.raises(ValueError, match=r"of shape \(dim, count\), got shape \(3, 3, 4\)"):
         call(vectors)
     call(vectors[0])  # each member is accepted
-
-
-def assert_same_frame(stacked, k, single):
-    """Member k of a _Stack equals a one-frame Frame bit for bit."""
-    np.testing.assert_array_equal(stacked.vectors[k], single.vectors)
-    assert frame_at(stacked, k).bounds == single.bounds
-    assert type(single.lower_bound) is float and type(single.upper_bound) is float
-    operators = frames._frame_operators(stacked.vectors)
-    np.testing.assert_array_equal(operators[k], single.frame_operator)
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=80)
@@ -720,21 +671,19 @@ def test_stack_members_equal_one_frame_path(dim, extra, n, exponent, p, seed):
         "lower_one": (stack_of(frames._divided(stack, stack.lower_bound)), rescale_lower_bound_one),
     }
     for stacked, variant in variants.values():
+        operators = frames._frame_operators(stacked.vectors)
         for k in range(n):
-            assert_same_frame(stacked, k, variant(singles[k]))
+            single = variant(singles[k])
+            assert_same_result(stacked, single, k)
+            assert operators[k].tobytes() == single.frame_operator.tobytes()
     [cert] = frames._certify_synthesis([stack], seeds)
     # stacks of one shape in one call share each trial's probes
     parseval = variants["parseval"][0]
     joint = frames._certify_synthesis([stack, parseval], seeds)
     alone = (cert, *frames._certify_synthesis([parseval], seeds))
     for together, one in zip(joint, alone, strict=True):
-        assert_equal_certificates(together, one)
+        assert_same_result(together, one)
     [comparison] = criteria._comparisons(ops, stack, [p])
     for k, single in enumerate(singles):
-        assert_same_certificate(cert, k, certify_synthesis(single, seed=seeds[k]))
-        expected = double_sum_comparison(ops[k], single, p)
-        for field in dataclasses.fields(expected):
-            value = getattr(comparison, field.name)
-            if field.name != "p" and value is not None:
-                value = value[k]
-            assert value == getattr(expected, field.name), field.name
+        assert_same_result(cert, certify_synthesis(single, seed=seeds[k]), k)
+        assert_same_result(comparison, double_sum_comparison(ops[k], single, p), k)

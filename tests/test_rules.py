@@ -60,14 +60,20 @@ def text(pattern: str) -> Callable:
     ]
 
 
+def is_p(node) -> bool:
+    """Whether an exponent is p or q: bare (p), an attribute (self.p) or in a sum (p + eps)."""
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
+        return is_p(node.left) or is_p(node.right)
+    return getattr(node, "id", getattr(node, "attr", None)) in ("p", "q")
+
+
 def power_sums(source) -> list:
-    """The `np.sum` calls with an argument that raises something to a bare p or q."""
+    """The `np.sum` calls with an argument that raises something to p or q (see is_p)."""
     return [
         source.site(call.lineno, ast.unparse(call))
         for call in ast.walk(source.tree)
         if isinstance(call, ast.Call) and ast.unparse(call.func) == "np.sum" and any(
-            isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
-            and isinstance(node.right, ast.Name) and node.right.id in ("p", "q")
+            isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow) and is_p(node.right)
             for node in ast.walk(call)
         )
     ]
@@ -155,10 +161,10 @@ RULES = {
     ),
     "power": Rule(
         power_sums, [("linalg", "_power_sum")],
-        "t = np.sum(w * np.abs(x) ** p, axis=-1)  # fires\nnp.sum(s**2)\nnp.sum(x**q)  # fires",
+        "t = np.sum(w * np.abs(x) ** p, axis=-1)  # fires\nnp.sum(s**2)\nnp.sum(x**q)  # fires\n"
+        "np.sum(c * v**self.p)  # fires\nnp.sum(v ** (self.p + eps))  # fires\nnp.sum(v**self.n)",
         "One helper raises the terms to p, sums them and names an overflow, so a rescaling "
-        "changes one function.  `ScaledCopiesFrame.power_sum_identity` (exponent `self.p`) is "
-        "the rebalancing identity, not a frame sum; the helper would move its bits.",
+        "changes one function.",
     ),
     "checked-sums": Rule(
         text("_checked_sums"), [],
